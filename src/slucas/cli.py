@@ -17,7 +17,8 @@ from .bounds import (exact_qk1, format_json, format_tsv, q_bound, table_rows,
                      EXACT_SURVEY_MAX_K)
 from .classical import baillie_psw, fermat_round, miller_rabin_round
 from .counting import alpha, fermat_count, lucas_count, mr_count, sl_count
-from .generation import GenConfig, prime_inc_luc, strong_luc_generate
+from .generation import (MAX_SCREEN, GenConfig, prime_inc_luc,
+                         strong_luc_generate)
 from .lucas import ParamSearchError, sample_params, select_d, strong_lucas_round, lucas_round
 
 
@@ -105,8 +106,9 @@ def cmd_test(n: int, method: str, rounds: int, d: int | None, seed: int | None) 
 @click.option("--window", type=int, default=None,
               help="Incremental: candidates before FAIL (default 10*ceil(bits*ln 2)).")
 @click.option("--d", "d", type=INT, default=None, help="Fix the discriminant.")
-@click.option("--screen", type=int, default=8, show_default=True,
-              help="How many leading odd primes the divisibility screen uses.")
+@click.option("--screen", type=int, default=MAX_SCREEN, show_default=True,
+              help="How many leading odd primes the divisibility screen "
+                   f"uses (2 to {MAX_SCREEN}).")
 @click.option("--seed", type=int, default=None)
 @click.option("--transcript", "transcript_path",
               type=click.Path(dir_okay=False, writable=True), default=None,

@@ -3,30 +3,41 @@
 Two generators share a config and an outcome type:
 
   * ``strong_luc_generate`` draws uniform odd k-bit candidates, screens
-    them (Jacobi filter, small-prime divisibility, twin-prime-product
-    square check), and keeps the first one surviving t test rounds.
+    them (Jacobi filter, small-prime gcd, twin-prime-product square check,
+    base-2 strong test), and keeps the first one surviving t test rounds.
   * ``prime_inc_luc`` draws one odd k-bit start and walks upward in steps
-    of 2 through a bounded window, screening by a remainder table that is
-    updated incrementally instead of dividing afresh; running out of
-    window is a ``Fail`` result, not an error.
+    of 2 through a bounded window, screening by a sieve of the whole
+    window built once up front; running out of window is a ``Fail``
+    result, not an error.
 
-Both record a per-candidate transcript (value plus rejection stage) and
-are deterministic given (config, seed).
+Candidates and Lucas parameters come from two separate random streams, so
+the candidates drawn do not depend on how many Lucas rounds ran.  Every
+screen rejects only composites, so deepening or adding screens changes
+the work done but not the prime returned (barring a Lucas liar that a
+screen would have caught).  Both generators record a per-candidate
+transcript (value plus rejection stage) and are deterministic given
+(config, seed).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
 from dataclasses import dataclass, field
 
-from .kernel import gcd, is_perfect_square, jacobi, sieve_primes
+from .classical import miller_rabin_round
+from .kernel import is_perfect_square, jacobi, sieve_primes
 from .lucas import ParamSearchError, sample_params, select_d, strong_lucas_round
 
 # Uniform generation keeps drawing until something survives; this cap turns
 # a pathological config into a diagnosable error instead of a hang.
 MAX_UNIFORM_DRAWS = 10 ** 6
+
+# Deepest screen that bounds.rho can price: rho(l) needs the (l+1)-th odd
+# prime, and bounds knows the 167 odd primes below 1000.
+MAX_SCREEN = 166
 
 
 @dataclass(frozen=True)
@@ -36,16 +47,16 @@ class GenConfig:
     ``d`` fixes the discriminant; None means the uniform generator uses 5
     and the incremental one picks a fresh discriminant per candidate by
     the alternating-sign sweep.  ``screen`` is how many leading odd primes
-    the divisibility screen uses.  ``window`` (incremental only) is the
-    number of candidates before giving up; None picks 10 * ceil(k * ln 2).
-    ``jacobi_filter`` / ``square_screen`` opt the incremental walk into
-    the uniform generator's extra screens.
+    the divisibility screen uses (2 to 166).  ``window`` (incremental
+    only) is the number of candidates before giving up; None picks
+    10 * ceil(k * ln 2).  ``jacobi_filter`` / ``square_screen`` opt the
+    incremental walk into the uniform generator's extra screens.
     """
 
     bits: int
     rounds: int = 1
     d: int | None = None
-    screen: int = 8
+    screen: int = MAX_SCREEN
     window: int | None = None
     seed: int | None = None
     jacobi_filter: bool = False
@@ -56,8 +67,8 @@ class GenConfig:
             raise ValueError("need bits >= 5")
         if self.rounds < 1:
             raise ValueError("need rounds >= 1")
-        if self.screen < 2:
-            raise ValueError("need screen >= 2")
+        if not 2 <= self.screen <= MAX_SCREEN:
+            raise ValueError(f"need 2 <= screen <= {MAX_SCREEN}")
         if self.window is not None and self.window < 1:
             raise ValueError("need window >= 1")
         if self.d is not None:
@@ -88,37 +99,47 @@ class GenOutcome:
         return "".join(json.dumps(entry) + "\n" for entry in self.transcript)
 
 
-class RemainderTable:
-    """Divisibility screen with O(#primes) step updates and no division.
+@functools.lru_cache(maxsize=None)
+def _screen(count: int) -> tuple[tuple[int, ...], int]:
+    """The first ``count`` odd primes and their product."""
+    primes = tuple(p for p in sieve_primes(1000) if p > 2)[:count]
+    return primes, math.prod(primes)
 
-    Holds start mod p for each screen prime; advancing the candidate by a
-    step adds the step to every residue.  A candidate is divisible by a
-    screen prime exactly when its residue is 0.
+
+def _has_screen_factor(n: int, count: int) -> bool:
+    # a screen prime divides n -- unless n IS that prime
+    primes, primorial = _screen(count)
+    g = math.gcd(n, primorial)
+    return g > 1 and (g != n or n not in primes)
+
+
+def sieve_window(n0: int, window: int, primes) -> bytearray:
+    """Flags for the walk n0, n0 + 2, ..., n0 + 2*(window - 1), n0 odd.
+
+    Flag i is 1 when some p in ``primes`` (odd) divides n0 + 2*i and
+    n0 + 2*i != p.  Since n0 + 2*i = 0 (mod p) exactly when
+    i = -n0 * 2**-1 (mod p), each prime marks one index class, stride p.
     """
-
-    def __init__(self, start: int, primes: list[int]):
-        self.primes = tuple(primes)
-        self.residues = [start % p for p in self.primes]
-
-    def advance(self, step: int = 2) -> None:
-        self.residues = [(r + step) % p
-                         for r, p in zip(self.residues, self.primes)]
-
-    def smallest_zero(self) -> int | None:
-        for r, p in zip(self.residues, self.primes):
-            if r == 0:
-                return p
-        return None
-
-    def passes(self) -> bool:
-        return self.smallest_zero() is None
+    flags = bytearray(window)
+    for p in primes:
+        i = (-n0 * ((p + 1) // 2)) % p
+        if n0 + 2 * i == p:
+            i += p
+        if i < window:
+            flags[i::p] = b"\x01" * ((window - 1 - i) // p + 1)
+    return flags
 
 
-def _screen_primes(count: int) -> list[int]:
-    primes = [p for p in sieve_primes(1000) if p > 2]
-    if count > len(primes):
-        raise ValueError("screen depth beyond the sieved prime list")
-    return primes[:count]
+def _streams(seed: int | None) -> tuple[random.Random, random.Random]:
+    """(candidate stream, parameter stream) for a config seed.
+
+    The candidate stream is ``random.Random(seed)`` itself; the parameter
+    stream is seeded from the same seed under its own label, and both are
+    left unseeded when the seed is None.
+    """
+    if seed is None:
+        return random.Random(), random.Random()
+    return random.Random(seed), random.Random(f"slucas-params:{seed}")
 
 
 def _draw_odd(bits: int, rng: random.Random) -> int:
@@ -126,131 +147,111 @@ def _draw_odd(bits: int, rng: random.Random) -> int:
     return (1 << (bits - 1)) | (rng.getrandbits(bits - 2) << 1) | 1
 
 
-def _run_rounds(n: int, d: int, rounds: int, rng: random.Random) -> tuple[int, str]:
-    """(rounds survived, reason); survives all -> reason 'accepted'."""
+def _run_rounds(n: int, d: int, rounds: int, rng: random.Random,
+                entry: dict) -> tuple[str, int]:
+    """Up to ``rounds`` strong Lucas rounds on n, fresh parameters each.
+
+    Records the rounds survived in ``entry`` and returns the transcript
+    stage with the Lucas rounds spent: ("accepted", t), or
+    ("round-i:<reason>", i) when round i rejects.
+    """
     for i in range(rounds):
         try:
             params = sample_params(n, d, rng)
         except ParamSearchError:
             # no unit Q in 128 draws: n is riddled with factors
-            return i, "param-search"
-        res = strong_lucas_round(n, params)
-        if not res:
-            return i, res.reason
-    return rounds, "accepted"
+            reason = "param-search"
+        else:
+            res = strong_lucas_round(n, params)
+            if res:
+                continue
+            reason = res.reason
+        entry["rounds"] = i
+        return f"round-{i + 1}:{reason}", i + 1
+    entry["rounds"] = rounds
+    return "accepted", rounds
 
 
-def strong_luc_generate(cfg: GenConfig,
-                        rng: random.Random | None = None) -> GenOutcome:
+def strong_luc_generate(cfg: GenConfig) -> GenOutcome:
     """Uniform-choice generation: draw, screen, test t rounds, repeat.
 
     The screens, in order: the Jacobi symbol of the discriminant must be
-    -1; the candidate must not share a factor with the discriminant, nor
-    be divisible by any of the first ``screen`` odd primes, nor have
-    n + 1 a perfect square (which would allow a twin-prime product
-    through).  Each test round draws fresh parameters.
+    -1 (which also rules out a shared factor); the candidate must not be
+    divisible by any of the first ``screen`` odd primes (one gcd against
+    their product), nor have n + 1 a perfect square (which would allow a
+    twin-prime product through), and must pass a base-2 strong test.
+    Each test round draws fresh parameters.
     """
-    if rng is None:
-        rng = random.Random(cfg.seed)
+    draws, params = _streams(cfg.seed)
     d = 5 if cfg.d is None else cfg.d
-    screen = _screen_primes(cfg.screen)
     transcript: list[dict] = []
     rounds_run = 0
     for tested in range(1, MAX_UNIFORM_DRAWS + 1):
-        n = _draw_odd(cfg.bits, rng)
+        n = _draw_odd(cfg.bits, draws)
         entry = {"n": hex(n), "stage": "", "rounds": 0}
         transcript.append(entry)
         if jacobi(d, n) != -1:
-            entry["stage"] = "jacobi-filter"
-            continue
-        if gcd(d, n) > 1:
-            entry["stage"] = "shares-factor"
-            continue
-        div = next((p for p in screen if n % p == 0 and n != p), None)
-        if div is not None:
-            entry["stage"] = "small-factor"
-            continue
-        if is_perfect_square(n + 1):
-            entry["stage"] = "square"
-            continue
-        survived, reason = _run_rounds(n, d, cfg.rounds, rng)
-        rounds_run += survived if reason == "accepted" else survived + 1
-        entry["rounds"] = survived
-        if reason != "accepted":
-            entry["stage"] = f"round-{survived + 1}:{reason}"
-            continue
-        entry["stage"] = "accepted"
-        return GenOutcome(result=n, candidates_tested=tested,
-                          rounds_run=rounds_run, transcript=transcript)
+            stage = "jacobi-filter"
+        elif _has_screen_factor(n, cfg.screen):
+            stage = "small-factor"
+        elif is_perfect_square(n + 1):
+            stage = "square"
+        elif not miller_rabin_round(n, 2):
+            stage = "base-2"
+        else:
+            stage, spent = _run_rounds(n, d, cfg.rounds, params, entry)
+            rounds_run += spent
+        entry["stage"] = stage
+        if stage == "accepted":
+            return GenOutcome(result=n, candidates_tested=tested,
+                              rounds_run=rounds_run, transcript=transcript)
     raise RuntimeError(f"no survivor in {MAX_UNIFORM_DRAWS} draws; "
                        f"check the configuration")
 
 
-def prime_inc_luc(cfg: GenConfig,
-                  rng: random.Random | None = None) -> GenOutcome:
+def prime_inc_luc(cfg: GenConfig) -> GenOutcome:
     """Incremental search: one random start, +2 steps, bounded window.
 
-    Per candidate: the remainder table flags small-prime divisibility
-    without dividing (oddness is an invariant of the walk, asserted, not
-    divided for); survivors get t strong Lucas rounds, with the
-    discriminant fixed by config or chosen per candidate.  Returns a Fail
-    outcome (result None) when the window is exhausted.
+    The whole window is sieved by the screen primes once; each unflagged
+    candidate then meets the opt-in screens and a base-2 strong test, and
+    survivors get t strong Lucas rounds, with the discriminant fixed by
+    config or chosen per candidate.  Returns a Fail outcome (result None)
+    when the window is exhausted.
     """
-    if rng is None:
-        rng = random.Random(cfg.seed)
+    draws, params = _streams(cfg.seed)
     window = cfg.window
     if window is None:
         window = 10 * math.ceil(cfg.bits * math.log(2))
-    screen = _screen_primes(cfg.screen)
-    n0 = _draw_odd(cfg.bits, rng)
-    table = RemainderTable(n0, screen)
+    n0 = _draw_odd(cfg.bits, draws)
+    flagged = sieve_window(n0, window, _screen(cfg.screen)[0])
     transcript: list[dict] = []
     rounds_run = 0
-    n = n0
-    for tested in range(1, window + 1):
+    for i in range(window):
+        n = n0 + 2 * i
         entry = {"n": hex(n), "stage": "", "rounds": 0}
         transcript.append(entry)
-        assert n % 2 == 1  # the walk preserves oddness; 2 never divides n
-        stage = _screen_candidate(n, cfg, table, screen)
-        if stage is None:
-            if cfg.d is not None:
-                d = cfg.d
+        if flagged[i]:
+            stage = "small-factor"
+        elif cfg.d is not None and math.gcd(cfg.d, n) > 1:
+            stage = "shares-factor"
+        elif cfg.jacobi_filter and jacobi(5 if cfg.d is None else cfg.d,
+                                          n) != -1:
+            stage = "jacobi-filter"
+        elif cfg.square_screen and is_perfect_square(n + 1):
+            stage = "square"
+        elif not miller_rabin_round(n, 2):
+            stage = "base-2"
+        else:
+            try:
+                d = select_d(n, "A") if cfg.d is None else cfg.d
+            except ParamSearchError:
+                stage = "d-search"
             else:
-                try:
-                    d = select_d(n, "A")
-                except ParamSearchError:
-                    d = None
-                    stage = "d-search"
-            if d is not None:
-                survived, reason = _run_rounds(n, d, cfg.rounds, rng)
-                rounds_run += survived if reason == "accepted" else survived + 1
-                entry["rounds"] = survived
-                stage = (None if reason == "accepted"
-                         else f"round-{survived + 1}:{reason}")
-        if stage is None:
-            entry["stage"] = "accepted"
-            return GenOutcome(result=n, candidates_tested=tested,
-                              rounds_run=rounds_run, transcript=transcript)
+                stage, spent = _run_rounds(n, d, cfg.rounds, params, entry)
+                rounds_run += spent
         entry["stage"] = stage
-        n += 2
-        table.advance(2)
+        if stage == "accepted":
+            return GenOutcome(result=n, candidates_tested=i + 1,
+                              rounds_run=rounds_run, transcript=transcript)
     return GenOutcome(result=None, candidates_tested=window,
                       rounds_run=rounds_run, transcript=transcript)
-
-
-def _screen_candidate(n: int, cfg: GenConfig, table: RemainderTable,
-                      screen: list[int]) -> str | None:
-    if not table.passes():
-        # a screen prime divides n -- unless n IS that prime
-        p = table.smallest_zero()
-        if n != p:
-            return "small-factor"
-    if cfg.d is not None and gcd(cfg.d, n) > 1:
-        return "shares-factor"
-    if cfg.jacobi_filter:
-        d = cfg.d if cfg.d is not None else 5
-        if jacobi(d, n) != -1:
-            return "jacobi-filter"
-    if cfg.square_screen and is_perfect_square(n + 1):
-        return "square"
-    return None

@@ -1,5 +1,6 @@
 """Low-level integer routines: modular arithmetic, Jacobi symbol, sieving,
-trial-division factorization, and a Newton-iteration perfect-square check.
+trial-division factorization, a Newton-iteration integer square root and a
+perfect-square check.
 
 Everything here works on plain Python ints, which are arbitrary precision,
 so values of several thousand bits are fine throughout.
@@ -113,10 +114,10 @@ def newton_isqrt(d: int) -> int:
 
 
 def is_perfect_square(d: int) -> bool:
-    """True iff d is a perfect square (d >= 0), via the Newton iteration."""
+    """True iff d is a perfect square (d >= 0)."""
     if d < 0:
         return False
-    r = newton_isqrt(d)
+    r = math.isqrt(d)
     return r * r == d
 
 

@@ -85,6 +85,10 @@ def test_generate_fail_exit_code(run):
 
 def test_generate_usage_error(run):
     assert run("generate", "--bits", 3).exit_code == 2
+    res = run("generate", "--bits", 32, "--screen", 200)
+    assert res.exit_code == 2
+    assert "screen" in res.output and "Traceback" not in res.output
+    assert run("generate", "--bits", 32, "--screen", 166).exit_code == 0
 
 
 def test_count_subcommand(run):

@@ -1,12 +1,32 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from slucas.generation import (GenConfig, GenOutcome, RemainderTable,
-                               prime_inc_luc, strong_luc_generate)
-from slucas.kernel import sieve_primes
+from slucas import generation
+from slucas.generation import (MAX_SCREEN, GenConfig, GenOutcome,
+                               prime_inc_luc, sieve_window,
+                               strong_luc_generate)
+from slucas.kernel import jacobi, sieve_primes
+from slucas.lucas import PROBABLE_PRIME
 
 from conftest import mr_oracle
+
+GENERATORS = (strong_luc_generate, prime_inc_luc)
+
+# prime_inc_luc(GenConfig(bits=40, rounds=2, seed=s)).result for s = 0..39,
+# as produced before the screens were deepened and the RNG was split
+PINNED_INCREMENTAL_40 = [
+    763167772579, 860147639311, 1030414488361, 869627494423, 714992208817,
+    692545452257, 865808198653, 1067933591719, 749271698053, 888740465917,
+    571843994039, 1026088127203, 699861233143, 706599502667, 885680913137,
+    669716330489, 810559308667, 777577920923, 611442409423, 572752149709,
+    952672190677, 774511018571, 1056202976131, 978607140911, 762033223789,
+    973900690493, 1054391203319, 813024400327, 954453034393, 588823859159,
+    992473153549, 807559321039, 1057227002891, 640554243697, 743277895303,
+    734857691171, 578349133669, 882031702973, 778587150487, 688997375837,
+]
 
 
 def test_config_validation():
@@ -20,6 +40,11 @@ def test_config_validation():
         GenConfig(bits=32, d=6)        # 6 % 4 == 2
     with pytest.raises(ValueError):
         GenConfig(bits=32, screen=1)
+    with pytest.raises(ValueError):
+        GenConfig(bits=32, screen=MAX_SCREEN + 1)
+    with pytest.raises(ValueError):
+        GenConfig(bits=32, screen=200)
+    assert GenConfig(bits=32).screen == MAX_SCREEN == 166
     with pytest.raises(ValueError):
         GenConfig(bits=32, window=0)
     GenConfig(bits=32, d=-7)           # fine
@@ -84,17 +109,24 @@ def test_outcome_truthiness():
     assert ok and not fail
 
 
-def test_remainder_table_tracks_residues():
-    primes = tuple(p for p in sieve_primes(60) if p > 2)
-    start = 10**12 + 39
-    table = RemainderTable(start, primes)
-    n = start
-    for _ in range(1000):
-        assert table.passes() == all(n % p for p in primes)
-        want = next((p for p in primes if n % p == 0), None)
-        assert table.smallest_zero() == want
-        table.advance(2)
-        n += 2
+def test_window_sieve_flags_screen_multiples():
+    # 7-10 bit windows run over the screen primes themselves, which must
+    # stay unflagged while their other multiples are flagged
+    primes = [p for p in sieve_primes(1000) if p > 2][:MAX_SCREEN]
+    window = 40
+    for bits in range(7, 11):
+        for n0 in range((1 << (bits - 1)) + 1, 1 << bits, 2):
+            flags = sieve_window(n0, window, primes)
+            want = [any(n % p == 0 and n != p for p in primes)
+                    for n in range(n0, n0 + 2 * window, 2)]
+            assert list(map(bool, flags)) == want, n0
+
+
+def test_gcd_screen_spares_screen_primes():
+    primes = [p for p in sieve_primes(1000) if p > 2][:MAX_SCREEN]
+    for n in range(17, 1 << 11, 2):
+        want = any(n % p == 0 and n != p for p in primes)
+        assert generation._has_screen_factor(n, MAX_SCREEN) == want, n
 
 
 def test_fixed_discriminant_is_honored():
@@ -110,7 +142,63 @@ def test_transcript_stage_vocabulary():
     assert recs[-1]["stage"] == "accepted"
     assert recs[-1]["rounds"] == 2
     known = {"accepted", "small-factor", "shares-factor", "square",
-             "jacobi-filter", "d-search", "param-search"}
+             "jacobi-filter", "base-2", "d-search", "param-search"}
     for rec in recs[:-1]:
         stage = rec["stage"]
         assert stage in known or stage.startswith("round-"), stage
+
+
+def test_incremental_results_match_pinned_outputs():
+    got = [prime_inc_luc(GenConfig(bits=40, rounds=2, seed=s)).result
+           for s in range(40)]
+    assert got == PINNED_INCREMENTAL_40
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**64), st.integers(16, 256), st.sampled_from(GENERATORS))
+def test_screen_depth_leaves_result_unchanged(seed, bits, gen):
+    results = {gen(GenConfig(bits=bits, rounds=2, screen=s, seed=seed)).result
+               for s in (2, 8, MAX_SCREEN)}
+    assert len(results) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**64), st.integers(16, 256), st.sampled_from(GENERATORS))
+def test_base2_pretest_leaves_result_unchanged(seed, bits, gen):
+    cfg = GenConfig(bits=bits, rounds=2, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(generation, "miller_rabin_round",
+                   lambda n, a: PROBABLE_PRIME)
+        unscreened = gen(cfg).result
+    assert gen(cfg).result == unscreened
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**64), st.integers(16, 64), st.sampled_from(GENERATORS))
+def test_screens_reject_only_composites(seed, bits, gen):
+    # the result is the first candidate the oracle calls prime, among those
+    # the uniform generator may return at all ((5/n) = -1)
+    out = gen(GenConfig(bits=bits, rounds=2, seed=seed))
+    eligible = (n for n in (int(e["n"], 16) for e in out.transcript)
+                if mr_oracle(n) and (gen is prime_inc_luc or jacobi(5, n) == -1))
+    assert out.result == next(eligible, None)
+
+
+def test_generators_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(0, 2**64), st.sampled_from([64, 128, 256, 512]),
+           st.sampled_from(GENERATORS))
+    def check(seed, bits, gen):
+        out = gen(GenConfig(bits=bits, rounds=2, seed=seed))
+        n = out.result
+        assert n is not None
+        assert sympy.isprime(n) and n.bit_length() == bits
+        if gen is prime_inc_luc:
+            start = int(out.transcript[0]["n"], 16)
+            window = 10 * math.ceil(bits * math.log(2))
+            assert (n - start) % 2 == 0
+            assert start <= n <= start + 2 * (window - 1)
+
+    check()
