@@ -3,8 +3,8 @@ generation, and the error-bound calculators behind them."""
 
 from .kernel import (CapacityError, Factorization, NotInvertibleError,
                      count_primes_in_range, factorize, is_perfect_square,
-                     jacobi, mod_add, mod_exp, mod_inv, mod_mul, newton_isqrt,
-                     sieve_primes, split_power_of_two)
+                     jacobi, mod_add, mod_exp, mod_inv, mod_mul, sieve_primes,
+                     split_power_of_two)
 from .lucas import (LucasParams, ParamSearchError, RoundResult, Verdict,
                     lucas_round, lucas_uv_exact, lucas_uv_mod, params_for_d,
                     sample_params, select_d, strong_lucas_round)
@@ -26,8 +26,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityError", "Factorization", "NotInvertibleError",
     "count_primes_in_range", "factorize", "is_perfect_square", "jacobi",
-    "mod_add", "mod_exp", "mod_inv", "mod_mul", "newton_isqrt",
-    "sieve_primes", "split_power_of_two",
+    "mod_add", "mod_exp", "mod_inv", "mod_mul", "sieve_primes",
+    "split_power_of_two",
     "LucasParams", "ParamSearchError", "RoundResult", "Verdict",
     "lucas_round", "lucas_uv_exact", "lucas_uv_mod", "params_for_d",
     "sample_params", "select_d", "strong_lucas_round",

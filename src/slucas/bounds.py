@@ -22,6 +22,7 @@ before they stop being interesting.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -34,11 +35,16 @@ from .kernel import (CapacityError, count_primes_in_range, factorize, gcd,
 # PRIME_DENSITY * 2^k / k of them for every k >= 8.
 PRIME_DENSITY = 0.71867
 
-# Exact censuses sieve up to 2^k; keep that below a gigabyte of work.
+# Exact censuses stop where the exact-census table (k = 17..29) does;
+# q_bound sizes larger k analytically.
 EXACT_CENSUS_MAX_K = 29
 
 # Exact small-k surveys factor every candidate in the window.
 EXACT_SURVEY_MAX_K = 16
+
+
+# rho(l) needs the (l+1)-th odd prime; _odd_primes holds the 167 below 1000.
+MAX_SCREEN_DEPTH = 166
 
 
 @lru_cache(maxsize=1)
@@ -53,8 +59,8 @@ def rho(l: int) -> Fraction:
     the smallest prime factor still possible is the (l+1)-th; this ratio
     is the resulting loss factor in the geometric class-mass estimates.
     """
-    if l < 1:
-        raise ValueError("need l >= 1")
+    if not 1 <= l <= MAX_SCREEN_DEPTH:
+        raise ValueError(f"need 1 <= l <= {MAX_SCREEN_DEPTH}")
     return 1 + Fraction(1, _odd_primes()[l])
 
 
@@ -64,7 +70,7 @@ def prime_lower_bound(k: int) -> float:
 
 
 def prime_count_exact(k: int) -> int:
-    """Exact number of k-bit primes, by segmented sieve."""
+    """Exact number of k-bit primes, by the prime-pi recursion."""
     if k < 1:
         raise ValueError("need k >= 1")
     if k > EXACT_CENSUS_MAX_K:
@@ -431,8 +437,8 @@ def ykts_bound(k: int, t: int, c: float, M: int | None = None) -> BoundReport:
     Evaluated in log2 space; ``terms['log2']`` is always finite even when
     the value itself underflows a float.  Omit M to minimize.
     """
-    if t < 1 or c <= 0:
-        raise ValueError("need t >= 1 and c > 0")
+    if t < 1 or not 0 < c < math.inf:
+        raise ValueError("need t >= 1 and finite c > 0")
     ck = c * k
     prefix = _class_prefix_log2(k, t)
 
@@ -505,6 +511,32 @@ def asymptotic_check(k: int, t: int, c: float,
 # exact small-k surveys
 
 
+def _fraction_text(x: Fraction) -> str:
+    # "p/q" in full: at k = 16 the denominators run to ~7,900 digits, past
+    # the interpreter's default int-to-str limit of 4,300
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return f"{x.numerator}/{x.denominator}"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _balanced_sum(terms: list[Fraction]) -> Fraction:
+    # pairwise rounds keep the operands' denominators of similar size, where
+    # a running total would drag an ever-growing one through every add
+    if not terms:
+        return Fraction(0)
+    while len(terms) > 1:
+        pairs = [a + b for a, b in zip(terms[::2], terms[1::2])]
+        if len(terms) % 2:
+            pairs.append(terms[-1])
+        terms = pairs
+    return terms[0]
+
+
 @dataclass(frozen=True)
 class DiscriminantSurvey:
     """Exact error measurement for one discriminant over a k-bit window."""
@@ -522,8 +554,8 @@ class DiscriminantSurvey:
 
     def as_dict(self) -> dict:
         return {"d": self.d, "q": float(self.q),
-                "q_exact": f"{self.q.numerator}/{self.q.denominator}",
-                "liar_mass": f"{self.liar_mass.numerator}/{self.liar_mass.denominator}",
+                "q_exact": _fraction_text(self.q),
+                "liar_mass": _fraction_text(self.liar_mass),
                 "composites": self.composites, "primes": self.primes}
 
 
@@ -598,18 +630,17 @@ def exact_qk1(k: int, r: int = 1,
             raise ValueError(f"discriminant must be 0 or 1 mod 4: {d}")
         if d > 0 and is_perfect_square(d):
             raise ValueError(f"square discriminant: {d}")
-        mass = Fraction(0)
-        primes = composites = 0
+        terms = []
+        primes = 0
         for n, f, n_prime in window:
             if gcd(n, 2 * d) > 1:
                 continue
             if n_prime:
                 primes += 1
             else:
-                composites += 1
-                mass += alpha_bar(f, d) ** r
-        surveys.append(DiscriminantSurvey(d=d, liar_mass=mass,
-                                          composites=composites,
+                terms.append(alpha_bar(f, d) ** r)
+        surveys.append(DiscriminantSurvey(d=d, liar_mass=_balanced_sum(terms),
+                                          composites=len(terms),
                                           primes=primes))
     return ExactSurvey(k=k, r=r, per_d=tuple(surveys))
 

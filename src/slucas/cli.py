@@ -7,6 +7,7 @@ stays machine-parseable; anything chatty goes to stderr.
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 
@@ -14,7 +15,7 @@ import click
 
 from . import __version__
 from .bounds import (exact_qk1, format_json, format_tsv, q_bound, table_rows,
-                     EXACT_SURVEY_MAX_K)
+                     EXACT_SURVEY_MAX_K, MAX_SCREEN_DEPTH)
 from .classical import baillie_psw, fermat_round, miller_rabin_round
 from .counting import alpha, fermat_count, lucas_count, mr_count, sl_count
 from .generation import (MAX_SCREEN, GenConfig, prime_inc_luc,
@@ -61,6 +62,10 @@ def cmd_test(n: int, method: str, rounds: int, d: int | None, seed: int | None) 
         raise click.UsageError("n must be odd and >= 5")
     if rounds < 1:
         raise click.UsageError("rounds must be >= 1")
+    shared = math.gcd(d, n) if d is not None else 1
+    if shared > 1 and method in ("lucas", "strong-lucas"):
+        raise click.UsageError(f"--d {d} shares the factor {shared} with n; "
+                               "the Lucas test needs D coprime to n")
     rng = random.Random(seed)
     rounds_run = 0
     if method == "bpsw":
@@ -83,7 +88,7 @@ def cmd_test(n: int, method: str, rounds: int, d: int | None, seed: int | None) 
             try:
                 disc = d if d is not None else select_d(n, "A")
                 params = sample_params(n, disc, rng)
-            except (ParamSearchError, ValueError):
+            except ParamSearchError:
                 # no usable discriminant/parameters: only happens off primes
                 passed = False
                 break
@@ -166,10 +171,10 @@ def cmd_count(n: int, what: str, d: int | None) -> None:
               help="Regenerate a whole reference table.")
 @click.option("--single", nargs=2, type=int, default=None, metavar="K R",
               help="One error bound: bit size K, rounds R.")
-@click.option("--l", "l", type=int, default=8, show_default=True,
-              help="Screen depth the bound engines assume.")
+@click.option("--l", "l", type=click.IntRange(1, MAX_SCREEN_DEPTH), default=8,
+              show_default=True, help="Screen depth the bound engines assume.")
 @click.option("--c", "c", type=float, default=1.0, show_default=True,
-              help="Window constant for the incremental table.")
+              help="Window constant for the incremental table (> 0).")
 @click.option("--survey-k", type=int, default=None,
               help=f"Exact small-k survey (k <= {EXACT_SURVEY_MAX_K}) as JSON.")
 @click.option("--format", "fmt", type=click.Choice(["tsv", "json"]),
@@ -182,6 +187,8 @@ def cmd_bounds(table: int | None, single: tuple[int, int] | None, l: int,
     chosen = [x for x in (table, single, survey_k) if x not in (None, ())]
     if len(chosen) != 1:
         raise click.UsageError("pick exactly one of --table / --single / --survey-k")
+    if not 0 < c < math.inf:
+        raise click.UsageError("--c must be a finite number > 0")
     if single:
         k, r = single
         try:

@@ -27,6 +27,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
+from .bounds import MAX_SCREEN_DEPTH
 from .classical import miller_rabin_round
 from .kernel import is_perfect_square, jacobi, sieve_primes
 from .lucas import ParamSearchError, sample_params, select_d, strong_lucas_round
@@ -35,9 +36,8 @@ from .lucas import ParamSearchError, sample_params, select_d, strong_lucas_round
 # a pathological config into a diagnosable error instead of a hang.
 MAX_UNIFORM_DRAWS = 10 ** 6
 
-# Deepest screen that bounds.rho can price: rho(l) needs the (l+1)-th odd
-# prime, and bounds knows the 167 odd primes below 1000.
-MAX_SCREEN = 166
+# Deepest screen that bounds.rho can price.
+MAX_SCREEN = MAX_SCREEN_DEPTH
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
-"""Low-level integer routines: modular arithmetic, Jacobi symbol, sieving,
-trial-division factorization, a Newton-iteration integer square root and a
-perfect-square check.
+"""Low-level integer routines: modular arithmetic, Jacobi symbol, a prime
+sieve, prime counting by the prime-pi recursion, trial-division
+factorization and a perfect-square check.
 
 Everything here works on plain Python ints, which are arbitrary precision,
 so values of several thousand bits are fine throughout.
@@ -93,26 +93,6 @@ def split_power_of_two(m: int) -> tuple[int, int]:
     return kappa, m >> kappa
 
 
-def newton_isqrt(d: int) -> int:
-    """Integer square root by Newton's iteration, no math.isqrt involved.
-
-    Starts from x0 = 2**ceil(bits/2) - 1, which is always >= floor(sqrt(d)),
-    so the iteration x -> (x + d//x)//2 descends monotonically onto the
-    floor of the root.
-    """
-    if d < 0:
-        raise ValueError("negative input")
-    if d < 2:
-        return d
-    m = (d.bit_length() + 1) // 2
-    x = (1 << m) - 1
-    y = (x + d // x) // 2
-    while y < x:
-        x = y
-        y = (x + d // x) // 2
-    return x
-
-
 def is_perfect_square(d: int) -> bool:
     """True iff d is a perfect square (d >= 0)."""
     if d < 0:
@@ -141,46 +121,55 @@ def sieve_primes(limit: int) -> list[int]:
     return [2] + [2 * i + 1 for i in range(1, half) if flags[i]]
 
 
-def count_primes_in_range(lo: int, hi: int) -> int:
-    """Number of primes p with lo <= p < hi, by segmented sieving.
+def _prime_pi_table(x: int) -> tuple[list[int], list[int]]:
+    """Lucy_Hedgehog's prime-pi recursion for x >= 1.
 
-    Memory stays proportional to the segment size, so ranges up to 2**30
-    and beyond are fine even though the full prime list would not fit.
+    Returns (small, large) with small[v] = pi(v) for 0 <= v <= isqrt(x)
+    and large[i] = pi(x // i) for 1 <= i <= isqrt(x).  Both start as the
+    count of 2..v; sifting by each prime p <= sqrt(x) in turn removes the
+    integers whose least prime factor is p, in O(x^(3/4)) steps overall.
+    """
+    r = math.isqrt(x)
+    small = [max(v - 1, 0) for v in range(r + 1)]
+    large = [0] + [x // i - 1 for i in range(1, r + 1)]
+    for p in range(2, r + 1):
+        if small[p] == small[p - 1]:
+            continue  # p is composite
+        below = small[p - 1]
+        top = min(r, x // (p * p))  # large[i] with x // i >= p^2
+        mid = min(top, r // p)      # ... of which i*p <= r stays in large
+        xp = x // p
+        large[1:mid + 1] = [a - b + below for a, b in
+                            zip(large[1:mid + 1], large[p:mid * p + 1:p])]
+        large[mid + 1:top + 1] = [large[i] - small[xp // i] + below
+                                  for i in range(mid + 1, top + 1)]
+        small[p * p:] = [small[v] - small[v // p] + below
+                         for v in range(p * p, r + 1)]
+    return small, large
+
+
+def count_primes_in_range(lo: int, hi: int) -> int:
+    """Number of primes p with lo <= p < hi, as pi(hi - 1) - pi(lo - 1).
+
+    One prime-pi table at x = hi - 1 also holds pi(lo - 1) whenever
+    lo - 1 <= sqrt(x) or lo - 1 = x // i; dyadic ranges [2^(k-1), 2^k)
+    always qualify.  Any other lo pays for a second table.
     """
     if hi <= lo:
         return 0
     if hi > SIEVE_LIMIT:
         raise CapacityError(f"range end {hi} exceeds {SIEVE_LIMIT}")
-    base = sieve_primes(newton_isqrt(hi - 1))
-    count = 0
-    if lo <= 2 < hi:
-        count += 1
-    segment = 1 << 20
-    start = max(lo, 3)
-    if start % 2 == 0:
-        start += 1
-    while start < hi:
-        end = min(start + segment, hi)
-        size = (end - start + 1) // 2  # odd values start, start+2, ...
-        flags = bytearray([1]) * size
-        for p in base:
-            if p == 2:
-                continue
-            if p * p >= end:
-                break
-            first = max(p * p, ((start + p - 1) // p) * p)
-            if first % 2 == 0:
-                first += p
-            flags[(first - start) // 2::p] = bytearray(
-                len(flags[(first - start) // 2::p]))
-        count += sum(flags)
-        if start <= 1:
-            # never happens given start >= 3, kept as a guard
-            count -= 1
-        start = end if end % 2 == 1 else end + 1
-        if start % 2 == 0:
-            start += 1
-    return count
+    x, y = hi - 1, lo - 1
+    if x < 2:
+        return 0
+    small, large = _prime_pi_table(x)
+    if y < len(small):
+        below = small[max(y, 0)]
+    elif x // (x // y) == y:
+        below = large[x // y]
+    else:
+        below = _prime_pi_table(y)[1][1]
+    return large[1] - below
 
 
 class Factorization:
@@ -225,13 +214,16 @@ class Factorization:
 
 
 _factor_primes: list[int] = []
+_factor_limit = 0
 
 
 def _factor_base(up_to: int) -> list[int]:
-    # cached, grown geometrically so repeated factorizations stay cheap
-    global _factor_primes
-    if not _factor_primes or _factor_primes[-1] < up_to:
-        _factor_primes = sieve_primes(max(up_to, 1 << 10))
+    # cached primes <= _factor_limit; re-sieved to max(up_to, 2^10) only
+    # when a larger bound is asked for, so repeated factorizations are cheap
+    global _factor_primes, _factor_limit
+    if _factor_limit < up_to:
+        _factor_limit = max(up_to, 1 << 10)
+        _factor_primes = sieve_primes(_factor_limit)
     return _factor_primes
 
 
@@ -243,7 +235,7 @@ def factorize(n: int) -> Factorization:
         raise CapacityError(f"{n} exceeds the trial-division ceiling")
     original = n
     factors: list[tuple[int, int]] = []
-    root = newton_isqrt(n)
+    root = math.isqrt(n)
     base = _factor_base(root)
     for p in base[:bisect_right(base, root)]:
         if p * p > n:
@@ -254,7 +246,6 @@ def factorize(n: int) -> Factorization:
                 n //= p
                 r += 1
             factors.append((p, r))
-            root = newton_isqrt(n)
     if n > 1:
         factors.append((n, 1))
     return Factorization(original, factors)

@@ -10,6 +10,7 @@ with q odd and requires n | U_q or n | V_{2**i * q} for some 0 <= i < kappa.
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass
 
@@ -243,8 +244,7 @@ def params_for_d(n: int, D: int, method: str = "A") -> LucasParams:
     if method == "B":
         if D <= 0 or D % 4 != 1:
             raise ValueError("method B needs positive D = 1 mod 4")
-        from .kernel import newton_isqrt
-        P = newton_isqrt(D) + 1
+        P = math.isqrt(D) + 1
         if P % 2 == 0:
             P += 1
         return LucasParams(P, (P * P - D) // 4)

@@ -15,7 +15,14 @@ from slucas.bounds import (BoundReport, all_t_bound, asymptotic_check,
                            qk1_analytic, qkr_upper, rho, screen_census,
                            table_rows, ykts_bound, ykts_table_cell,
                            ykts_total)
-from slucas.kernel import CapacityError
+from slucas.counting import alpha_bar, is_twin_prime_product
+from slucas.kernel import CapacityError, factorize
+
+# Number of k-bit primes, 2^(k-1) <= p < 2^k, for k = 2..29; from k = 3 on
+# this is OEIS A036378 (primes in (2^(k-1), 2^k]); k = 2 also counts 2.
+K_BIT_PRIMES = (2, 2, 2, 5, 7, 13, 23, 43, 75, 137, 255, 464, 872, 1612,
+                3030, 5709, 10749, 20390, 38635, 73586, 140336, 268216,
+                513708, 985818, 1894120, 3645744, 7027290, 13561907)
 
 
 def test_rho_values():
@@ -25,6 +32,15 @@ def test_rho_values():
     # strictly decreasing toward 1
     vals = [rho(l) for l in range(1, 12)]
     assert all(a > b > 1 for a, b in zip(vals, vals[1:]))
+    assert rho(166) == 1 + Fraction(1, 997)
+    for l in (0, 167, 200):
+        with pytest.raises(ValueError):
+            rho(l)
+
+
+def test_prime_count_exact_matches_known_counts():
+    # the exact censuses of the k = 17..29 table rest on these counts
+    assert [prime_count_exact(k) for k in range(2, 30)] == list(K_BIT_PRIMES)
 
 
 def test_prime_bounds():
@@ -33,6 +49,7 @@ def test_prime_bounds():
         assert prime_count_exact(k) > prime_lower_bound(k)
     assert prime_count_exact(8) == 23
     assert prime_count_exact(20) == 38635
+    assert prime_count_exact(1) == 0
     assert math.floor(prime_lower_bound(8)) == 22
     with pytest.raises(CapacityError):
         prime_count_exact(64)
@@ -190,6 +207,28 @@ def test_exact_survey_tiny_sizes():
     assert s.best.d == 5
     with pytest.raises(CapacityError):
         exact_qk1(40)
+
+
+@pytest.mark.parametrize("k", [10, 11, 12])
+def test_exact_survey_mass_equals_sequential_sum(k):
+    # the survey adds its liar masses pairwise; a running sum over the same
+    # window must give the same Fraction for every discriminant
+    window = []
+    for n in range((1 << (k - 1)) | 1, 1 << k, 2):
+        f = factorize(n)
+        if n % 3 and n % 5 and not is_twin_prime_product(f):
+            window.append((n, f))
+    for r in (1, 2):
+        survey = exact_qk1(k, r)
+        for row in survey.per_d:
+            mass = Fraction(0)
+            composites = 0
+            for n, f in window:
+                if math.gcd(n, 2 * row.d) == 1 and f.factors != [(n, 1)]:
+                    mass += alpha_bar(f, row.d) ** r
+                    composites += 1
+            assert row.liar_mass == mass, (k, r, row.d)
+            assert row.composites == composites
 
 
 def test_exact_survey_reproducible_from_transcript():

@@ -1,4 +1,6 @@
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -51,6 +53,16 @@ def test_test_fixed_discriminant(run):
     res = run("test", 1009, "--d", 5, "--seed", 9)
     assert res.exit_code == 0
     assert "d=5" in res.output
+
+
+@pytest.mark.parametrize("n, d, factor", [(5, 5, 5), (7, 21, 7), (13, 13, 13)])
+def test_test_discriminant_sharing_a_factor_is_usage_error(run, n, d, factor):
+    # a prime dividing D is not a composite verdict: the D is unusable
+    res = run("test", n, "--d", d)
+    assert res.exit_code == 2
+    assert "composite" not in res.output
+    assert f"factor {factor}" in res.output
+    assert "Traceback" not in res.output
 
 
 def test_generate_uniform(run):
@@ -126,6 +138,45 @@ def test_bounds_survey(run):
     blob = json.loads(res.output)
     assert blob["k"] == 6
     assert blob["argmax_d"] == 5
+
+
+def test_bounds_survey_k16_emits_exact_fractions(run):
+    res = run("bounds", "--survey-k", 16)
+    assert res.exit_code == 0, res.output
+    blob = json.loads(res.output)
+    assert blob["k"] == 16 and len(blob["per_d"]) == 12
+    # the exact fractions run to ~7,900 digits, past the default str-to-int
+    # limit of interpreters that have one
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        for row in blob["per_d"]:
+            assert float(Fraction(row["q_exact"])) == row["q"]
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("args", [
+    ("--l", 200, "--table", 2),
+    ("--l", 0, "--table", 2),
+    ("--l", 167, "--single", 60, 1),
+    ("--table", 6, "--c", 0),
+    ("--table", 6, "--c", -1),
+    ("--table", 6, "--c", "nan"),
+    ("--table", 6, "--c", "inf"),
+])
+def test_bounds_bad_screen_depth_or_window_is_usage_error(run, args):
+    res = run("bounds", *args)
+    assert res.exit_code == 2
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+
+
+def test_bounds_screen_depth_limits_accepted(run):
+    assert run("bounds", "--l", 166, "--single", 60, 1).exit_code == 0
+    assert run("bounds", "--l", 1, "--single", 60, 1).exit_code == 0
 
 
 def test_bounds_option_exclusivity(run):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from slucas.kernel import (CapacityError, Factorization, NotInvertibleError,
                            count_primes_in_range, factorize, gcd,
                            is_perfect_square, is_prime_trial, jacobi, mod_add,
-                           mod_exp, mod_inv, mod_mul, newton_isqrt,
-                           sieve_primes, split_power_of_two)
+                           mod_exp, mod_inv, mod_mul, sieve_primes,
+                           split_power_of_two)
 
 
 def ref_jacobi(a, n):
@@ -83,11 +83,6 @@ def test_split_power_of_two():
         split_power_of_two(0)
 
 
-@given(st.integers(0, 2**256))
-def test_newton_isqrt_matches_math(d):
-    assert newton_isqrt(d) == math.isqrt(d)
-
-
 @given(st.integers(0, 2**128))
 def test_perfect_square_detection(r):
     assert is_perfect_square(r * r)
@@ -110,6 +105,52 @@ def test_count_primes_in_range():
     ps = sieve_primes(10**4)
     assert count_primes_in_range(1000, 5000) == len(
         [p for p in ps if 1000 <= p <= 5000])
+    with pytest.raises(CapacityError):
+        count_primes_in_range(0, (1 << 33) + 1)
+
+
+def test_count_primes_in_range_edges():
+    ps = sieve_primes(2000)
+
+    def ref(lo, hi):
+        return len([p for p in ps if lo <= p < hi])
+
+    # empty and inverted ranges
+    assert count_primes_in_range(100, 100) == 0
+    assert count_primes_in_range(101, 100) == 0
+    assert count_primes_in_range(10**6, 10) == 0
+    # hi <= 3: only 2 can be counted
+    for lo in range(-5, 4):
+        for hi in range(-5, 4):
+            assert count_primes_in_range(lo, hi) == ref(lo, hi), (lo, hi)
+    # lo <= 2 counts from 2 whatever lies below it
+    for lo in (-10**9, -1, 0, 1, 2):
+        assert count_primes_in_range(lo, 1000) == 168
+    # prime ends: lo is included, hi is not
+    assert count_primes_in_range(2, 3) == 1
+    assert count_primes_in_range(3, 5) == 1
+    assert count_primes_in_range(997, 1009) == 1
+    assert count_primes_in_range(997, 1010) == 2
+    assert count_primes_in_range(998, 1009) == 0
+    for lo, hi in ((1009, 1999), (11, 1997), (1013, 1019), (7, 7 + 1)):
+        assert count_primes_in_range(lo, hi) == ref(lo, hi), (lo, hi)
+    # every range over a small interval, both ends prime or not
+    for lo in range(0, 200, 7):
+        for hi in range(lo, 1500, 37):
+            assert count_primes_in_range(lo, hi) == ref(lo, hi), (lo, hi)
+
+
+def test_count_primes_in_range_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**7), st.integers(0, 10**7))
+    def check(lo, hi):
+        expected = (int(sympy.primepi(hi - 1) - sympy.primepi(lo - 1))
+                    if hi > lo else 0)
+        assert count_primes_in_range(lo, hi) == expected
+
+    check()
 
 
 def test_factorize_roundtrip():
