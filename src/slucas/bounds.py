@@ -690,6 +690,9 @@ def table_rows(which: int, l: int = 8, c: float = 1.0) -> tuple[list[str], list[
             rows.append(row)
     elif which == 5:
         header = ["k", "M1", "q1", "M2", "q2"]
+        # the prime-pi table behind the k = 29 count holds every smaller
+        # k's count too, so build it first and the rest read from it
+        prime_count_exact(EXACT_CENSUS_MAX_K)
         rows = []
         for k in range(17, 30):
             one = q_bound(k, 1, l)

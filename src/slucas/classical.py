@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .kernel import gcd, is_perfect_square, sieve_primes, split_power_of_two
-from .lucas import (LucasParams, ParamSearchError, RoundResult, Verdict,
+from .lucas import (LucasParams, RoundResult, Verdict,
                     PROBABLE_PRIME, lucas_round, params_for_d, select_d,
                     strong_lucas_round)
 
@@ -83,11 +83,7 @@ def baillie_psw(n: int, method: str = "A", strong: bool = True,
         return base2
     if is_perfect_square(n):
         return RoundResult(Verdict.COMPOSITE, "perfect-square")
-    try:
-        D = select_d(n, method)
-    except ParamSearchError:
-        # only squares exhaust the sweep, and those were just rejected
-        return RoundResult(Verdict.COMPOSITE, "d-search")
-    params = params_for_d(n, D, method)
+    # n is not a square, so the discriminant sweep ends
+    params = params_for_d(n, select_d(n, method), method)
     check = strong_lucas_round if strong else lucas_round
     return check(n, params)

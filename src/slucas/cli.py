@@ -62,8 +62,11 @@ def cmd_test(n: int, method: str, rounds: int, d: int | None, seed: int | None) 
         raise click.UsageError("n must be odd and >= 5")
     if rounds < 1:
         raise click.UsageError("rounds must be >= 1")
+    if d is not None and method not in ("lucas", "strong-lucas"):
+        raise click.UsageError(f"--d applies to the Lucas methods only, "
+                               f"not to --method {method}")
     shared = math.gcd(d, n) if d is not None else 1
-    if shared > 1 and method in ("lucas", "strong-lucas"):
+    if shared > 1:
         raise click.UsageError(f"--d {d} shares the factor {shared} with n; "
                                "the Lucas test needs D coprime to n")
     rng = random.Random(seed)

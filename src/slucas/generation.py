@@ -4,11 +4,17 @@ Two generators share a config and an outcome type:
 
   * ``strong_luc_generate`` draws uniform odd k-bit candidates, screens
     them (Jacobi filter, small-prime gcd, twin-prime-product square check,
-    base-2 strong test), and keeps the first one surviving t test rounds.
+    trial division up to k**2 / 16, base-2 strong test), and keeps the
+    first one surviving t test rounds.
   * ``prime_inc_luc`` draws one odd k-bit start and walks upward in steps
     of 2 through a bounded window, screening by a sieve of the whole
-    window built once up front; running out of window is a ``Fail``
-    result, not an error.
+    window (screen primes, then the trial-division primes) built once up
+    front; running out of window is a ``Fail`` result, not an error.
+
+The trial-division stage checks the primes in (1000, k**2 / 16], past the
+paper's screen of at most 166 odd primes.  It exists only for k >= 127,
+where every k-bit candidate exceeds its bound, so it never rejects a
+prime.
 
 Candidates and Lucas parameters come from two separate random streams, so
 the candidates drawn do not depend on how many Lucas rounds ran.  Every
@@ -25,6 +31,7 @@ import functools
 import json
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .bounds import MAX_SCREEN_DEPTH
@@ -39,6 +46,13 @@ MAX_UNIFORM_DRAWS = 10 ** 6
 # Deepest screen that bounds.rho can price.
 MAX_SCREEN = MAX_SCREEN_DEPTH
 
+# The screen primes all lie below this; the trial-division stage starts here.
+SCREEN_REACH = 1000
+
+# Largest trial-division bound, reached at k = 8192 bits: past it the
+# sieve and the cached primes (about 300,000 of them) would keep growing.
+MAX_TRIAL_BOUND = 1 << 22
+
 
 @dataclass(frozen=True)
 class GenConfig:
@@ -47,10 +61,12 @@ class GenConfig:
     ``d`` fixes the discriminant; None means the uniform generator uses 5
     and the incremental one picks a fresh discriminant per candidate by
     the alternating-sign sweep.  ``screen`` is how many leading odd primes
-    the divisibility screen uses (2 to 166).  ``window`` (incremental
-    only) is the number of candidates before giving up; None picks
-    10 * ceil(k * ln 2).  ``jacobi_filter`` / ``square_screen`` opt the
-    incremental walk into the uniform generator's extra screens.
+    the divisibility screen uses (2 to 166); the trial-division stage
+    past it follows from ``bits`` alone (primes up to bits**2 / 16).
+    ``window`` (incremental only) is the number of candidates before
+    giving up; None picks 10 * ceil(k * ln 2).  ``jacobi_filter`` /
+    ``square_screen`` opt the incremental walk into the uniform
+    generator's extra screens.
     """
 
     bits: int
@@ -102,7 +118,7 @@ class GenOutcome:
 @functools.lru_cache(maxsize=None)
 def _screen(count: int) -> tuple[tuple[int, ...], int]:
     """The first ``count`` odd primes and their product."""
-    primes = tuple(p for p in sieve_primes(1000) if p > 2)[:count]
+    primes = tuple(p for p in sieve_primes(SCREEN_REACH) if p > 2)[:count]
     return primes, math.prod(primes)
 
 
@@ -111,6 +127,50 @@ def _has_screen_factor(n: int, count: int) -> bool:
     primes, primorial = _screen(count)
     g = math.gcd(n, primorial)
     return g > 1 and (g != n or n not in primes)
+
+
+def trial_bound(bits: int) -> int:
+    """Largest prime the trial-division stage checks for k-bit candidates.
+
+    k**2 / 16, capped at 2**22; the stage is empty below k = 127, where
+    this falls under SCREEN_REACH.
+    """
+    return min(bits * bits // 16, MAX_TRIAL_BOUND)
+
+
+@functools.lru_cache(maxsize=8)
+def _trial_primes(bound: int) -> tuple[int, ...]:
+    """The primes in (SCREEN_REACH, bound]."""
+    if bound <= SCREEN_REACH:
+        return ()
+    primes = sieve_primes(bound)
+    return tuple(primes[bisect_right(primes, SCREEN_REACH):])
+
+
+def _product(factors) -> int:
+    # balanced product tree: operands of equal size multiply fastest
+    while len(factors) > 1:
+        factors = [math.prod(factors[i:i + 2])
+                   for i in range(0, len(factors), 2)]
+    return factors[0]
+
+
+@functools.lru_cache(maxsize=8)
+def _trial_blocks(bound: int) -> tuple[int, ...]:
+    """Products of the trial primes in blocks (1000, 4096], (4096, 16384], ...
+
+    Each block spans about 4x the range of the one before, so a gcd with
+    the early, most likely blocks settles most candidates.
+    """
+    primes = _trial_primes(bound)
+    blocks = []
+    lo, hi = SCREEN_REACH, 1 << 12
+    while lo < bound:
+        block = primes[bisect_right(primes, lo):bisect_right(primes, hi)]
+        if block:
+            blocks.append(_product(block))
+        lo, hi = hi, 4 * hi
+    return tuple(blocks)
 
 
 def sieve_window(n0: int, window: int, primes) -> bytearray:
@@ -179,11 +239,13 @@ def strong_luc_generate(cfg: GenConfig) -> GenOutcome:
     -1 (which also rules out a shared factor); the candidate must not be
     divisible by any of the first ``screen`` odd primes (one gcd against
     their product), nor have n + 1 a perfect square (which would allow a
-    twin-prime product through), and must pass a base-2 strong test.
-    Each test round draws fresh parameters.
+    twin-prime product through), nor have a prime factor in
+    (1000, trial_bound(bits)] (one gcd per block product), and must pass a
+    base-2 strong test.  Each test round draws fresh parameters.
     """
     draws, params = _streams(cfg.seed)
     d = 5 if cfg.d is None else cfg.d
+    blocks = _trial_blocks(trial_bound(cfg.bits))
     transcript: list[dict] = []
     rounds_run = 0
     for tested in range(1, MAX_UNIFORM_DRAWS + 1):
@@ -196,6 +258,9 @@ def strong_luc_generate(cfg: GenConfig) -> GenOutcome:
             stage = "small-factor"
         elif is_perfect_square(n + 1):
             stage = "square"
+        elif any(math.gcd(n, block) > 1 for block in blocks):
+            # n exceeds every trial prime, so a common factor is proper
+            stage = "trial-division"
         elif not miller_rabin_round(n, 2):
             stage = "base-2"
         else:
@@ -212,11 +277,12 @@ def strong_luc_generate(cfg: GenConfig) -> GenOutcome:
 def prime_inc_luc(cfg: GenConfig) -> GenOutcome:
     """Incremental search: one random start, +2 steps, bounded window.
 
-    The whole window is sieved by the screen primes once; each unflagged
-    candidate then meets the opt-in screens and a base-2 strong test, and
-    survivors get t strong Lucas rounds, with the discriminant fixed by
-    config or chosen per candidate.  Returns a Fail outcome (result None)
-    when the window is exhausted.
+    The whole window is sieved once by the screen primes and once by the
+    trial-division primes; each candidate the screen primes leave meets
+    the opt-in screens, the trial-division flags and a base-2 strong test,
+    and survivors get t strong Lucas rounds, with the discriminant fixed
+    by config or chosen per candidate.  Returns a Fail outcome (result
+    None) when the window is exhausted.
     """
     draws, params = _streams(cfg.seed)
     window = cfg.window
@@ -224,6 +290,7 @@ def prime_inc_luc(cfg: GenConfig) -> GenOutcome:
         window = 10 * math.ceil(cfg.bits * math.log(2))
     n0 = _draw_odd(cfg.bits, draws)
     flagged = sieve_window(n0, window, _screen(cfg.screen)[0])
+    divided = sieve_window(n0, window, _trial_primes(trial_bound(cfg.bits)))
     transcript: list[dict] = []
     rounds_run = 0
     for i in range(window):
@@ -239,6 +306,8 @@ def prime_inc_luc(cfg: GenConfig) -> GenOutcome:
             stage = "jacobi-filter"
         elif cfg.square_screen and is_perfect_square(n + 1):
             stage = "square"
+        elif divided[i]:
+            stage = "trial-division"
         elif not miller_rabin_round(n, 2):
             stage = "base-2"
         else:

@@ -148,13 +148,32 @@ def _prime_pi_table(x: int) -> tuple[list[int], list[int]]:
     return small, large
 
 
+# The last prime-pi table built, as (x, small, large).  A later count whose
+# ends it holds reads them from it: once x = 2^k - 1, that is every
+# pi(2^j - 1) with j <= k, since (2^k - 1) // 2^(k - j) = 2^j - 1.
+_last_pi_table: tuple[int, list[int], list[int]] | None = None
+
+
+def _pi_from(table: tuple[int, list[int], list[int]], v: int) -> int | None:
+    """pi(v) when the table holds it (v <= sqrt(x) or v = x // i), else None."""
+    x, small, large = table
+    if v < len(small):
+        return small[max(v, 0)]
+    if v <= x and x // (x // v) == v:
+        return large[x // v]
+    return None
+
+
 def count_primes_in_range(lo: int, hi: int) -> int:
     """Number of primes p with lo <= p < hi, as pi(hi - 1) - pi(lo - 1).
 
     One prime-pi table at x = hi - 1 also holds pi(lo - 1) whenever
     lo - 1 <= sqrt(x) or lo - 1 = x // i; dyadic ranges [2^(k-1), 2^k)
-    always qualify.  Any other lo pays for a second table.
+    always qualify.  Any other lo pays for a second table.  The table is
+    kept, so counting the dyadic ranges from the largest k down builds it
+    only once.
     """
+    global _last_pi_table
     if hi <= lo:
         return 0
     if hi > SIEVE_LIMIT:
@@ -162,14 +181,13 @@ def count_primes_in_range(lo: int, hi: int) -> int:
     x, y = hi - 1, lo - 1
     if x < 2:
         return 0
-    small, large = _prime_pi_table(x)
-    if y < len(small):
-        below = small[max(y, 0)]
-    elif x // (x // y) == y:
-        below = large[x // y]
-    else:
+    table = _last_pi_table
+    if table is None or _pi_from(table, x) is None:
+        table = _last_pi_table = (x, *_prime_pi_table(x))
+    below = _pi_from(table, y)
+    if below is None:
         below = _prime_pi_table(y)[1][1]
-    return large[1] - below
+    return _pi_from(table, x) - below
 
 
 class Factorization:

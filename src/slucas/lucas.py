@@ -14,7 +14,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .kernel import gcd, jacobi, mod_inv, split_power_of_two
+from .kernel import (gcd, is_perfect_square, jacobi, mod_inv,
+                     split_power_of_two)
 
 EXACT_INDEX_LIMIT = 10 ** 4
 
@@ -188,9 +189,6 @@ def sample_params(n: int, D: int, rng: random.Random) -> LucasParams:
         f"no unit Q found for n={n}, D={D} in {MAX_PARAM_TRIES} draws")
 
 
-MAX_D_CANDIDATES = 64
-
-
 def _method_a_sequence():
     # 5, -7, 9, -11, 13, ...: absolute value ascending, alternating sign
     d = 5
@@ -213,7 +211,9 @@ def select_d(n: int, method: str = "A") -> int:
 
     Method A alternates signs (5, -7, 9, -11, ...); method B walks
     5, 9, 13, 17, ...  Candidates with Jacobi symbol 0 are skipped.
-    Gives up after 64 candidates (a square n would never terminate).
+    A square n has (D/n) != -1 for every D, so it raises ParamSearchError
+    up front.  For any other odd n, (./n) is a non-principal character,
+    so some D = 1 (mod 4) below 4n has (D/n) = -1 and both sweeps end.
     """
     if n < 5 or n % 2 == 0:
         raise ValueError("discriminant search expects odd n >= 5")
@@ -223,11 +223,9 @@ def select_d(n: int, method: str = "A") -> int:
         seq = _method_b_sequence()
     else:
         raise ValueError(f"unknown method {method!r}")
-    for _, d in zip(range(MAX_D_CANDIDATES), seq):
-        if jacobi(d, n) == -1:
-            return d
-    raise ParamSearchError(
-        f"no D with (D/n) = -1 among the first {MAX_D_CANDIDATES} candidates")
+    if is_perfect_square(n):
+        raise ParamSearchError(f"{n} is a square: no D has (D/n) = -1")
+    return next(d for d in seq if jacobi(d, n) == -1)
 
 
 def params_for_d(n: int, D: int, method: str = "A") -> LucasParams:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -28,6 +29,14 @@ def mr_oracle(n: int) -> bool:
         else:
             return False
     return True
+
+
+# 1 + 31 * 8 * (3 * 5 * 7 * ... * 131), a 176-bit prime: n = 1 mod 8 and
+# mod every odd prime up to 131, so (D/n) = 1 for every |D| built from
+# those primes and the method-A sweep first reaches -1 at D = -139, its
+# 68th candidate
+LATE_D_PRIME = 1 + 31 * 8 * math.prod(
+    p for p in range(3, 132, 2) if all(p % q for q in range(3, p, 2)))
 
 
 @pytest.fixture(scope="session")

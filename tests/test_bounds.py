@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slucas import kernel
 from slucas.bounds import (BoundReport, all_t_bound, asymptotic_check,
                            chain_rule, class_card_split, exact_qk1,
                            format_json, format_tsv, m_split_range,
@@ -41,6 +42,35 @@ def test_rho_values():
 def test_prime_count_exact_matches_known_counts():
     # the exact censuses of the k = 17..29 table rest on these counts
     assert [prime_count_exact(k) for k in range(2, 30)] == list(K_BIT_PRIMES)
+
+
+def _record_pi_tables(monkeypatch) -> list[int]:
+    # start with no kept table and log the x of every table built
+    built = []
+    build = kernel._prime_pi_table
+    monkeypatch.setattr(kernel, "_last_pi_table", None)
+    monkeypatch.setattr(kernel, "_prime_pi_table",
+                        lambda x: built.append(x) or build(x))
+    return built
+
+
+def test_table5_builds_one_prime_pi_table(monkeypatch):
+    built = _record_pi_tables(monkeypatch)
+    screen_census.cache_clear()
+    header, rows = table_rows(5)
+    assert [row[0] for row in rows] == list(range(17, 30))
+    assert built == [(1 << 29) - 1]
+    # that one table holds every smaller k's count, and holds it right
+    assert [prime_count_exact(k) for k in range(2, 30)] == list(K_BIT_PRIMES)
+    assert built == [(1 << 29) - 1]
+
+
+def test_small_counts_build_small_tables(monkeypatch):
+    built = _record_pi_tables(monkeypatch)
+    assert prime_count_exact(17) == K_BIT_PRIMES[15]
+    assert built == [(1 << 17) - 1]
+    table_rows(1)
+    assert max(built) == (1 << 20) - 1
 
 
 def test_prime_bounds():

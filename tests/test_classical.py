@@ -4,6 +4,8 @@ from slucas.classical import baillie_psw, fermat_round, miller_rabin_round
 from slucas.kernel import sieve_primes
 from slucas.lucas import Verdict
 
+from conftest import LATE_D_PRIME
+
 
 def test_fermat_round_basics():
     assert fermat_round(341, 2)          # classic base-2 pseudoprime
@@ -70,3 +72,11 @@ def test_bpsw_large_known_values():
     assert baillie_psw(2**89 - 1)
     assert not baillie_psw((2**31 - 1) * (2**61 - 1))
     assert baillie_psw(10**18 + 9)
+
+
+def test_bpsw_accepts_prime_with_late_discriminant():
+    # its method-A sweep needs 68 candidates; a 64-candidate cap used to
+    # turn that into a "d-search" composite verdict
+    assert baillie_psw(LATE_D_PRIME)
+    assert baillie_psw(LATE_D_PRIME, method="B")
+    assert baillie_psw(LATE_D_PRIME, strong=False)

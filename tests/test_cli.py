@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 from slucas.cli import main
 
-from conftest import mr_oracle
+from conftest import LATE_D_PRIME, mr_oracle
 
 
 @pytest.fixture
@@ -63,6 +63,23 @@ def test_test_discriminant_sharing_a_factor_is_usage_error(run, n, d, factor):
     assert "composite" not in res.output
     assert f"factor {factor}" in res.output
     assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("method", ["miller-rabin", "fermat", "bpsw"])
+def test_test_discriminant_with_non_lucas_method_is_usage_error(run, method):
+    # these methods never use --d, so a verdict line naming d= would mislead
+    res = run("test", 15, "--d", 5, "--method", method)
+    assert res.exit_code == 2
+    assert "--d" in res.output and method in res.output
+    assert "composite" not in res.output and "d=5" not in res.output
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("method", ["strong-lucas", "bpsw"])
+def test_test_accepts_prime_with_late_discriminant(run, method):
+    res = run("test", LATE_D_PRIME, "--method", method, "--seed", 1)
+    assert res.exit_code == 0, res.output
+    assert res.output.startswith("probable prime")
 
 
 def test_generate_uniform(run):

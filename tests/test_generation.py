@@ -29,6 +29,16 @@ PINNED_INCREMENTAL_40 = [
 ]
 
 
+# strong_luc_generate(GenConfig(bits=1024, rounds=3, seed=s)) for s = 0..2:
+# (candidates_tested, rounds_run, low 64 bits of the result), as produced
+# before the trial-division stage was added
+PINNED_UNIFORM_1024 = [
+    (847, 3, 0xb6e162e34ef8d6a9),
+    (630, 3, 0x80b7029ec95ac225),
+    (488, 3, 0x6e42345a3cdf8323),
+]
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         GenConfig(bits=4)
@@ -142,7 +152,8 @@ def test_transcript_stage_vocabulary():
     assert recs[-1]["stage"] == "accepted"
     assert recs[-1]["rounds"] == 2
     known = {"accepted", "small-factor", "shares-factor", "square",
-             "jacobi-filter", "base-2", "d-search", "param-search"}
+             "jacobi-filter", "trial-division", "base-2", "d-search",
+             "param-search"}
     for rec in recs[:-1]:
         stage = rec["stage"]
         assert stage in known or stage.startswith("round-"), stage
@@ -160,6 +171,65 @@ def test_screen_depth_leaves_result_unchanged(seed, bits, gen):
     results = {gen(GenConfig(bits=bits, rounds=2, screen=s, seed=seed)).result
                for s in (2, 8, MAX_SCREEN)}
     assert len(results) == 1
+
+
+def test_trial_stage_bounds():
+    # the stage starts past every screen prime and, below 127 bits, is empty
+    assert max(generation._screen(MAX_SCREEN)[0]) < generation.SCREEN_REACH
+    assert generation.trial_bound(126) < generation.SCREEN_REACH
+    assert generation.trial_bound(127) == 1008
+    assert generation._trial_primes(generation.trial_bound(126)) == ()
+    assert generation._trial_blocks(generation.trial_bound(126)) == ()
+    bound = generation.trial_bound(1024)
+    assert bound == 1 << 16
+    primes = [p for p in sieve_primes(bound) if p > 997]
+    assert generation._trial_primes(bound) == tuple(primes)
+    blocks = generation._trial_blocks(bound)
+    assert len(blocks) == 3 and math.prod(blocks) == math.prod(primes)
+    assert generation.trial_bound(10 ** 5) == generation.MAX_TRIAL_BOUND
+
+
+@pytest.mark.parametrize("bits, seed", [(512, 3), (1024, 1)])
+@pytest.mark.parametrize("gen", GENERATORS)
+def test_trial_division_rejects_only_composites(gen, bits, seed):
+    # each trial-division entry has a prime factor in (997, bits^2/16] and
+    # exceeds that bound; no candidate reaching base-2 has one
+    bound = generation.trial_bound(bits)
+    primes = [p for p in sieve_primes(bound) if p > 997]
+    out = gen(GenConfig(bits=bits, rounds=2, seed=seed))
+    stages = {}
+    for entry in out.transcript:
+        stages.setdefault(entry["stage"], []).append(int(entry["n"], 16))
+    assert stages.get("trial-division")
+    for n in stages["trial-division"]:
+        assert n > bound and any(n % p == 0 for p in primes), hex(n)
+    for n in stages.get("base-2", []) + stages["accepted"]:
+        assert not any(n % p == 0 for p in primes), hex(n)
+
+
+def test_uniform_results_match_pinned_outputs():
+    for seed, (tested, rounds, low) in enumerate(PINNED_UNIFORM_1024):
+        out = strong_luc_generate(GenConfig(bits=1024, rounds=3, seed=seed))
+        assert out.result.bit_length() == 1024
+        assert (out.candidates_tested, out.rounds_run,
+                out.result & (2**64 - 1)) == (tested, rounds, low)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 2**64), st.sampled_from([128, 256, 512, 1024]),
+       st.sampled_from(GENERATORS))
+def test_trial_division_leaves_result_unchanged(seed, bits, gen):
+    cfg = GenConfig(bits=bits, rounds=2, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(generation, "trial_bound", lambda bits: 0)
+        plain = gen(cfg)
+    out = gen(cfg)
+    assert (out.result, out.candidates_tested) == (plain.result,
+                                                   plain.candidates_tested)
+    # the stage only takes over base-2 rejections
+    relabelled = [(e["n"], e["stage"].replace("trial-division", "base-2"))
+                  for e in out.transcript]
+    assert relabelled == [(e["n"], e["stage"]) for e in plain.transcript]
 
 
 @settings(max_examples=40, deadline=None)

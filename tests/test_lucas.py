@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slucas.kernel import jacobi, sieve_primes
+from slucas.kernel import is_perfect_square, jacobi, sieve_primes
 from slucas.lucas import (LucasParams, ParamSearchError, Verdict, lucas_round,
                           lucas_uv_exact, lucas_uv_mod, params_for_d,
                           sample_params, select_d, strong_lucas_round)
+
+from conftest import LATE_D_PRIME
 
 
 def naive_uv(m, P, Q):
@@ -102,13 +104,29 @@ def test_select_d_method_a():
     assert jacobi(d, n) == -1
     seen = []
     for n in range(21, 1500, 2):
-        try:
-            d = select_d(n, "A")
-        except ParamSearchError:
-            continue  # perfect squares exhaust the candidate list
+        if is_perfect_square(n):
+            # no D has (D/n) = -1, so the sweep refuses up front
+            for method in ("A", "B"):
+                with pytest.raises(ParamSearchError):
+                    select_d(n, method)
+            continue
+        d = select_d(n, "A")
         assert jacobi(d, n) == -1
         seen.append(d)
     assert 5 in seen and -7 in seen
+
+
+def test_select_d_sweeps_as_far_as_needed():
+    # the sweep used to stop after 64 candidates and call this prime's
+    # search a failure
+    sympy = pytest.importorskip("sympy")
+    assert sympy.isprime(LATE_D_PRIME) and LATE_D_PRIME.bit_length() == 176
+    assert select_d(LATE_D_PRIME, "A") == -139
+    d = select_d(LATE_D_PRIME, "B")
+    assert d % 4 == 1 and jacobi(d, LATE_D_PRIME) == -1
+    for d in range(5, 139, 2):
+        assert jacobi(d, LATE_D_PRIME) != -1
+        assert jacobi(-d, LATE_D_PRIME) != -1
 
 
 def test_select_d_method_b():
