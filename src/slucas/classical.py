@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import functools
+import math
+
 from .kernel import gcd, is_perfect_square, sieve_primes, split_power_of_two
 from .lucas import (LucasParams, RoundResult, Verdict,
                     PROBABLE_PRIME, lucas_round, params_for_d, select_d,
@@ -52,14 +55,17 @@ def miller_rabin_round(n: int, a: int) -> RoundResult:
 
 
 DEFAULT_TRIAL_LIMIT = 1000
+# the first few primes divide most composites, so they are tried one by
+# one; the rest share one gcd against their product
+TRIAL_HEAD = 8
 
-_trial_cache: dict[int, list[int]] = {}
 
-
-def _trial_primes(limit: int) -> list[int]:
-    if limit not in _trial_cache:
-        _trial_cache[limit] = sieve_primes(limit - 1)
-    return _trial_cache[limit]
+@functools.lru_cache(maxsize=8)
+def _trial_primes(limit: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Primes below limit: the first TRIAL_HEAD, the rest, and their product."""
+    primes = sieve_primes(limit - 1)
+    tail = tuple(primes[TRIAL_HEAD:])
+    return tuple(primes[:TRIAL_HEAD]), tail, math.prod(tail)
 
 
 def baillie_psw(n: int, method: str = "A", strong: bool = True,
@@ -73,11 +79,21 @@ def baillie_psw(n: int, method: str = "A", strong: bool = True,
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("baillie_psw expects odd n >= 3")
-    for p in _trial_primes(trial_limit):
+    if n == 3:
+        return PROBABLE_PRIME  # the base-2 round below needs n >= 5
+    head, tail, product = _trial_primes(trial_limit)
+    for p in head:
         if n == p:
             return PROBABLE_PRIME
         if n % p == 0:
             return RoundResult(Verdict.COMPOSITE, "trial-division", p)
+    g = math.gcd(n, product)
+    if g > 1:
+        # g == n also when n is a product of tail primes, such as 29 * 31
+        if g == n and n in tail:
+            return PROBABLE_PRIME
+        factor = next(p for p in tail if g % p == 0)
+        return RoundResult(Verdict.COMPOSITE, "trial-division", factor)
     base2 = miller_rabin_round(n, 2) if strong else fermat_round(n, 2)
     if not base2:
         return base2

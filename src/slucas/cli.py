@@ -86,18 +86,16 @@ def cmd_test(n: int, method: str, rounds: int, d: int | None, seed: int | None) 
     else:
         round_fn = strong_lucas_round if method == "strong-lucas" else lucas_round
         passed = True
-        for _ in range(rounds):
-            rounds_run += 1
-            try:
-                disc = d if d is not None else select_d(n, "A")
-                params = sample_params(n, disc, rng)
-            except ParamSearchError:
-                # no usable discriminant/parameters: only happens off primes
-                passed = False
-                break
-            if not round_fn(n, params):
-                passed = False
-                break
+        rounds_run = 1  # a failed discriminant sweep fails the first round
+        try:
+            disc = d if d is not None else select_d(n, "A")
+            for rounds_run in range(1, rounds + 1):
+                if not round_fn(n, sample_params(n, disc, rng)):
+                    passed = False
+                    break
+        except ParamSearchError:
+            # no usable discriminant/parameters: only happens off primes
+            passed = False
     verdict = "probable prime" if passed else "composite"
     detail = f" method={method} rounds={rounds_run}"
     if d is not None:

@@ -5,6 +5,19 @@ V_0 = 2, V_1 = P.  The discriminant is D = P**2 - 4*Q.  For an odd n
 coprime to 2*Q*D, put eps = jacobi(D, n); then n prime implies
 n | U_{n-eps}, and the strong refinement splits n - eps = 2**kappa * q
 with q odd and requires n | U_q or n | V_{2**i * q} for some 0 <= i < kappa.
+
+strong_lucas_round runs those zero tests on a Q = 1 sequence.  With Q a
+unit mod n, R = P^2 * Q^-1 - 2 and W_k = V_k(R, 1), V_{2k}(P, Q) = Q^k * W_k.
+Writing q = 2m + 1:
+    D * U_q = Q^(m+1) * (W_{m+1} - W_m),
+    P * V_q = Q^(m+1) * (W_{m+1} + W_m),
+    V_{2^i q} = Q^(2^(i-1) q) * W_{2^(i-1) q}   for 1 <= i < kappa.
+D and Q are units, so U_q = 0 iff W_{m+1} = W_m, V_q = 0 iff
+W_m + W_{m+1} = 0 when P is a unit (and always when P = 0, since q is odd),
+and V_{2^i q} = 0 iff W_{2^(i-1) q} = 0.  The ladder for (W_m, W_{m+1})
+needs W_{2k} = W_k^2 - 2 and W_{2k+1} = W_k * W_{k+1} - R only: two modular
+products per bit, with no power of Q and no halving.  lucas_uv_mod keeps
+the full (U, V, Q^m) ladder for the plain round and for exact checks.
 """
 
 from __future__ import annotations
@@ -148,20 +161,41 @@ def strong_lucas_round(n: int, params: LucasParams) -> RoundResult:
 
     Splits n - eps = 2**kappa * q and accepts when U_q == 0 or some
     V_{2**i * q} == 0 with 0 <= i < kappa.
+
+    The round never forms U or V.  Past _check_args, Q and D are
+    units mod n and P is a unit or 0.  With R = P^2/Q - 2 and
+    W_k = V_k(R, 1), V_{2k}(P, Q) = Q^k * W_k, and for q = 2m + 1
+        D * U_q = Q^(m+1) * (W_{m+1} - W_m),
+        P * V_q = Q^(m+1) * (W_{m+1} + W_m),
+        V_{2^i q} = Q^(2^(i-1) q) * W_{2^(i-1) q}   (i >= 1),
+    so each zero test reads off W alone.  A Montgomery ladder gives
+    (W_m, W_{m+1}) at two products per bit of m, through
+        W_{2k} = W_k^2 - 2,  W_{2k+1} = W_k * W_{k+1} - R,
+    and W_q = W_m * W_{m+1} - R starts the square-minus-2 chain.  With
+    P = 0, V_q = 0 (q is odd) and the round accepts; then R = -2 and
+    W_k = 2 * (-1)^k, so the V_q test W_m + W_{m+1} = 0 accepts too.
     """
     early = _check_args(n, params)
     if early is not None:
         return early
     eps = jacobi(params.D, n)
     kappa, q = split_power_of_two(n - eps)
-    u, v, qk = lucas_uv_mod(q, params.P, params.Q, n)
-    if u == 0 or v == 0:
+    R = (params.P * params.P * pow(params.Q, -1, n) - 2) % n
+    a, b = 2, R  # (W_k, W_{k+1}) for the bits of m = q // 2 read so far
+    for bit in bin(q >> 1)[2:]:
+        if bit == "1":
+            a = (a * b - R) % n
+            b = (b * b - 2) % n
+        else:
+            b = (a * b - R) % n
+            a = (a * a - 2) % n
+    if a == b or (a + b) % n == 0:  # U_q == 0 or V_q == 0
         return PROBABLE_PRIME
+    w = (a * b - R) % n  # W_q, so V_{2q} == 0 iff w == 0
     for _ in range(kappa - 1):
-        v = (v * v - 2 * qk) % n
-        qk = (qk * qk) % n
-        if v == 0:
+        if w == 0:
             return PROBABLE_PRIME
+        w = (w * w - 2) % n
     return RoundResult(Verdict.COMPOSITE, "no-zero-term")
 
 

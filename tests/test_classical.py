@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slucas.classical import baillie_psw, fermat_round, miller_rabin_round
-from slucas.kernel import sieve_primes
-from slucas.lucas import Verdict
+from slucas.kernel import is_perfect_square, sieve_primes
+from slucas.lucas import (PROBABLE_PRIME, RoundResult, Verdict, params_for_d,
+                          select_d, strong_lucas_round)
 
 from conftest import LATE_D_PRIME
 
@@ -53,6 +56,7 @@ def test_bpsw_agrees_with_oracle_on_a_window(is_prime):
 
 def test_bpsw_rejects_even_or_tiny_input():
     assert baillie_psw(3)
+    assert baillie_psw(3, trial_limit=3)    # no trial prime reaches 3
     for bad in (1, 2, 4, 10**6):
         with pytest.raises(ValueError):
             baillie_psw(bad)
@@ -80,3 +84,72 @@ def test_bpsw_accepts_prime_with_late_discriminant():
     assert baillie_psw(LATE_D_PRIME)
     assert baillie_psw(LATE_D_PRIME, method="B")
     assert baillie_psw(LATE_D_PRIME, strong=False)
+
+
+def _bpsw_reference(n, trial_limit):
+    # the plain trial loop, then the same base-2 and Lucas stages
+    if n == 3:
+        return PROBABLE_PRIME
+    for p in sieve_primes(trial_limit - 1):
+        if n == p:
+            return PROBABLE_PRIME
+        if n % p == 0:
+            return RoundResult(Verdict.COMPOSITE, "trial-division", p)
+    base2 = miller_rabin_round(n, 2)
+    if not base2:
+        return base2
+    if is_perfect_square(n):
+        return RoundResult(Verdict.COMPOSITE, "perfect-square")
+    return strong_lucas_round(n, params_for_d(n, select_d(n)))
+
+
+@pytest.mark.parametrize("trial_limit", [3, 30, 1000])
+def test_bpsw_matches_plain_trial_loop(trial_limit):
+    for n in range(3, 10 ** 5, 2):
+        assert baillie_psw(n, trial_limit=trial_limit) == \
+            _bpsw_reference(n, trial_limit), n
+
+
+def test_bpsw_trial_stage_edge_cases():
+    # trial primes themselves pass; a product of trial primes past the
+    # one-by-one head (29 * 31 = 899) is not taken for one of them
+    for p in sieve_primes(999)[1:]:
+        assert baillie_psw(p) == PROBABLE_PRIME
+    for n, factor in ((899, 29), (23 * 23, 23), (997 * 991, 991),
+                      (3 * 997, 3), (19 * 23, 19), (997 * 1009, 997)):
+        assert baillie_psw(n) == RoundResult(
+            Verdict.COMPOSITE, "trial-division", factor)
+
+
+# strong pseudoprimes to base 2 that no prime below 1000 divides
+_BASE2_STRONG_PSEUDOPRIMES = (
+    3825123056546413051,           # 149491 * 747451 * 34233211
+    318665857834031151167461,      # 399165290221 * 798330580441
+    3317044064679887385961981,     # 1287836182261 * 2575672364521
+)
+
+
+def test_bpsw_rejects_large_base2_strong_pseudoprimes():
+    for n in _BASE2_STRONG_PSEUDOPRIMES:
+        assert miller_rabin_round(n, 2)
+        assert not baillie_psw(n)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_bpsw_agrees_with_sympy(data):
+    sympy = pytest.importorskip("sympy")
+    bits = data.draw(st.integers(64, 1024))
+    start = st.integers(2 ** (bits - 1), 2 ** bits)
+    kind = data.draw(st.sampled_from(["odd", "prime", "near-square"]))
+    if kind == "odd":
+        n = data.draw(start) | 1
+    elif kind == "prime":
+        n = sympy.nextprime(data.draw(start))
+    else:
+        # p * q with p and q next to each other: a Fermat-factorable
+        # composite that no small prime divides
+        half = st.integers(2 ** (bits // 2 - 1), 2 ** (bits // 2))
+        p = sympy.nextprime(data.draw(half))
+        n = p * sympy.nextprime(p)
+    assert bool(baillie_psw(n)) == sympy.isprime(n), n

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from slucas.cli import main
+from slucas.lucas import select_d
 
 from conftest import LATE_D_PRIME, mr_oracle
 
@@ -80,6 +81,21 @@ def test_test_accepts_prime_with_late_discriminant(run, method):
     res = run("test", LATE_D_PRIME, "--method", method, "--seed", 1)
     assert res.exit_code == 0, res.output
     assert res.output.startswith("probable prime")
+
+
+def test_test_sweeps_discriminant_once(run, monkeypatch):
+    # every round shares the one D; the sweep for this prime is 68 long
+    calls = []
+
+    def counting_select_d(n, method="A"):
+        calls.append(n)
+        return select_d(n, method)
+
+    monkeypatch.setattr("slucas.cli.select_d", counting_select_d)
+    res = run("test", LATE_D_PRIME, "-t", 5, "--seed", 1)
+    assert res.output == "probable prime method=strong-lucas rounds=5\n"
+    assert res.exit_code == 0
+    assert calls == [LATE_D_PRIME]
 
 
 def test_generate_uniform(run):

@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slucas.kernel import is_perfect_square, jacobi, sieve_primes
-from slucas.lucas import (LucasParams, ParamSearchError, Verdict, lucas_round,
+from slucas.counting import _strong_pass_raw
+from slucas.kernel import (is_perfect_square, jacobi, sieve_primes,
+                           split_power_of_two)
+from slucas.lucas import (PROBABLE_PRIME, LucasParams, ParamSearchError,
+                          RoundResult, Verdict, _check_args, lucas_round,
                           lucas_uv_exact, lucas_uv_mod, params_for_d,
                           sample_params, select_d, strong_lucas_round)
 
@@ -171,3 +174,78 @@ def test_known_strong_lucas_pseudoprimes():
     assert strong_lucas_round(5777, LucasParams(1, -1))
     assert strong_lucas_round(10877, LucasParams(1, -1))
     assert not strong_lucas_round(5459, LucasParams(1, -1))
+
+
+def _by_definition(n, params):
+    # the round's result as the (U, V, Q^k) ladder in counting defines it
+    early = _check_args(n, params)
+    if early is not None:
+        return early
+    if _strong_pass_raw(n, params.P, params.Q, params.D):
+        return PROBABLE_PRIME
+    return RoundResult(Verdict.COMPOSITE, "no-zero-term")
+
+
+def test_strong_round_matches_definition_exhaustively():
+    # every (P, Q) mod n past the early exits, for every small odd n
+    checked = 0
+    for n in range(5, 121, 2):
+        for P in range(n):
+            for Q in range(n):
+                params = LucasParams(P, Q)
+                if _check_args(n, params) is not None:
+                    continue
+                expected = (PROBABLE_PRIME
+                            if _strong_pass_raw(n, P, Q, params.D)
+                            else RoundResult(Verdict.COMPOSITE, "no-zero-term"))
+                assert strong_lucas_round(n, params) == expected, (n, P, Q)
+                checked += 1
+    assert checked > 150_000
+
+
+@pytest.mark.parametrize("n, P, Q, kappa, q, passes", [
+    # P = 0 mod n: every odd-index V vanishes, so even a composite passes
+    (21, 0, 1, 2, 5, True),
+    (21, 21, -20, 2, 5, True),
+    (5459, 5459, 2, 1, 2729, True),
+    # P, Q negative or at least n: reduced mod n first
+    (5459, 1 - 5459, 2, 2, 1365, True),
+    (5459, 1, 2 + 3 * 5459, 2, 1365, True),
+    (5777, -5776, -1, 1, 2889, True),
+    (5777, 1 + 5777, 2 * 5777 - 1, 1, 2889, True),
+    (5459, -5458, -1, 1, 2729, False),
+    # kappa = 1: only U_q and V_q are tested
+    (19, 1, -1, 1, 9, True),
+    (10877, 1, -1, 1, 5439, True),
+    # q = 1 (n = 17, eps = +1): the ladder reads no bits of m = 0
+    (17, 1, -3, 4, 1, True),
+    (17, 3, -1, 4, 1, True),
+    # the pinned Lucas pseudoprimes and a parameter pair that catches one
+    (5459, 1, 2, 2, 1365, True),
+    (5777, 1, -1, 1, 2889, True),
+    (10877, 1, -1, 1, 5439, True),
+    (5459, 1, -1, 1, 2729, False),
+])
+def test_strong_round_named_cases(n, P, Q, kappa, q, passes):
+    params = LucasParams(P, Q)
+    assert split_power_of_two(n - jacobi(params.D, n)) == (kappa, q)
+    res = strong_lucas_round(n, params)
+    assert res == _by_definition(n, params)
+    assert bool(res) is passes
+
+
+_MERSENNE_PRIMES = tuple(2 ** p - 1 for p in (61, 89, 107, 127, 521, 607, 1279))
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_strong_round_matches_definition_at_scale(data):
+    sympy = pytest.importorskip("sympy")
+    n = data.draw(st.one_of(
+        st.integers(2 ** 63, 2 ** 2048).map(lambda x: x | 1),
+        st.integers(2 ** 63, 2 ** 512).map(sympy.nextprime),
+        st.sampled_from(_MERSENNE_PRIMES)))
+    P = data.draw(st.integers(-n, 2 * n))
+    Q = data.draw(st.integers(-n, 2 * n))
+    params = LucasParams(P, Q)
+    assert strong_lucas_round(n, params) == _by_definition(n, params)
