@@ -25,11 +25,13 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import islice
 
-from .counting import alpha_bar, is_twin_prime_product
-from .kernel import (CapacityError, count_primes_in_range, factorize, gcd,
-                     is_perfect_square, sieve_primes)
+from .counting import _sl_parts, is_twin_prime_product
+from .kernel import (CapacityError, count_primes_in_range, factorize,
+                     is_perfect_square, jacobi, sieve_primes)
+from .lucas import _method_a_sequence
 
 # Lower-bound constant for the count of k-bit primes: more than
 # PRIME_DENSITY * 2^k / k of them for every k >= 8.
@@ -524,17 +526,34 @@ def _fraction_text(x: Fraction) -> str:
         sys.set_int_max_str_digits(limit)
 
 
-def _balanced_sum(terms: list[Fraction]) -> Fraction:
-    # pairwise rounds keep the operands' denominators of similar size, where
-    # a running total would drag an ever-growing one through every add
-    if not terms:
-        return Fraction(0)
+def _pairwise(terms: list, add):
+    # pairwise rounds keep the operands of similar size, where a running
+    # total would drag an ever-growing one through every add
     while len(terms) > 1:
-        pairs = [a + b for a, b in zip(terms[::2], terms[1::2])]
+        pairs = [add(a, b) for a, b in zip(terms[::2], terms[1::2])]
         if len(terms) % 2:
             pairs.append(terms[-1])
         terms = pairs
     return terms[0]
+
+
+# terms per unreduced (numerator, denominator) block in _exact_sum
+SUM_BLOCK = 256
+
+
+def _add_ratios(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    return x[0] * y[1] + y[0] * x[1], x[1] * y[1]
+
+
+def _exact_sum(ratios: list[tuple[int, int]]) -> Fraction:
+    # each block of integer ratios is added without reducing, then becomes
+    # one Fraction, and the Fractions are added pairwise; Fractions are
+    # canonical, so the reduced total is the same whatever the grouping
+    if not ratios:
+        return Fraction(0)
+    blocks = [Fraction(*_pairwise(ratios[i:i + SUM_BLOCK], _add_ratios))
+              for i in range(0, len(ratios), SUM_BLOCK)]
+    return _pairwise(blocks, Fraction.__add__)
 
 
 @dataclass(frozen=True)
@@ -546,7 +565,7 @@ class DiscriminantSurvey:
     composites: int       # composites coprime to 2d in the window
     primes: int           # primes coprime to 2d in the window
 
-    @property
+    @cached_property
     def q(self) -> Fraction:
         if self.liar_mass == 0:
             return Fraction(0)
@@ -567,7 +586,7 @@ class ExactSurvey:
     r: int
     per_d: tuple[DiscriminantSurvey, ...]
 
-    @property
+    @cached_property
     def best(self) -> DiscriminantSurvey:
         return max(self.per_d, key=lambda s: s.q)
 
@@ -582,13 +601,9 @@ def method_a_discriminants(count: int) -> list[int]:
 
     squares dropped (they never arise as a usable discriminant).
     """
-    out = []
-    d = 5
-    while len(out) < count:
-        if not (d > 0 and is_perfect_square(d)):
-            out.append(d)
-        d = -(d + 2) if d > 0 else -(d - 2)
-    return out
+    usable = (d for d in _method_a_sequence()
+              if not (d > 0 and is_perfect_square(d)))
+    return list(islice(usable, count))
 
 
 @lru_cache(maxsize=4)
@@ -616,6 +631,14 @@ def exact_qk1(k: int, r: int = 1,
     sharing a factor with 2d.  The returned survey carries one entry per
     scanned discriminant plus the maximum, which is the number the
     reference table prints.
+
+    How the sum is formed: for each d, (d/p) is looked up once per prime
+    factor occurring in the window, and each composite n contributes the
+    integer pair (count^r, (n - (d/n) - 1)^r) from the shared strong
+    Lucas count routine.  Blocks of SUM_BLOCK pairs are added pairwise
+    without reducing, each block becomes one Fraction, and the block
+    Fractions are added pairwise; the reduced liar mass is the same as a
+    term-by-term Fraction sum.
     """
     if not 2 <= k <= EXACT_SURVEY_MAX_K:
         raise CapacityError(f"exact surveys cover 2 <= k <= {EXACT_SURVEY_MAX_K}")
@@ -625,22 +648,26 @@ def exact_qk1(k: int, r: int = 1,
         d_scan = method_a_discriminants(12)
     surveys = []
     window = _survey_window(k)
+    factor_primes = {p for _, f, n_prime in window if not n_prime
+                     for p, _ in f.factors}
     for d in d_scan:
         if d % 4 not in (0, 1):
             raise ValueError(f"discriminant must be 0 or 1 mod 4: {d}")
         if d > 0 and is_perfect_square(d):
             raise ValueError(f"square discriminant: {d}")
-        terms = []
+        eps_of = {p: jacobi(d, p) for p in factor_primes}.__getitem__
+        ratios = []
         primes = 0
         for n, f, n_prime in window:
-            if gcd(n, 2 * d) > 1:
+            if math.gcd(n, 2 * d) > 1:
                 continue
             if n_prime:
                 primes += 1
             else:
-                terms.append(alpha_bar(f, d) ** r)
-        surveys.append(DiscriminantSurvey(d=d, liar_mass=_balanced_sum(terms),
-                                          composites=len(terms),
+                count, eps_n = _sl_parts(f, eps_of)
+                ratios.append((count ** r, (n - eps_n - 1) ** r))
+        surveys.append(DiscriminantSurvey(d=d, liar_mass=_exact_sum(ratios),
+                                          composites=len(ratios),
                                           primes=primes))
     return ExactSurvey(k=k, r=r, per_d=tuple(surveys))
 

@@ -20,6 +20,7 @@ from .classical import baillie_psw, fermat_round, miller_rabin_round
 from .counting import alpha, fermat_count, lucas_count, mr_count, sl_count
 from .generation import (MAX_SCREEN, GenConfig, prime_inc_luc,
                          strong_luc_generate)
+from .kernel import FACTOR_LIMIT
 from .lucas import ParamSearchError, sample_params, select_d, strong_lucas_round, lucas_round
 
 
@@ -152,6 +153,10 @@ def cmd_count(n: int, what: str, d: int | None) -> None:
     """Exact count of parameters/bases that one test round accepts for N."""
     if n < 3 or n % 2 == 0:
         raise click.UsageError("n must be odd and >= 3")
+    if n >= FACTOR_LIMIT:
+        raise click.UsageError(
+            f"n must be below 2^{FACTOR_LIMIT.bit_length() - 1} = "
+            f"{FACTOR_LIMIT}: the counts factor n by trial division")
     if what in ("sl", "l", "alpha") and d is None:
         raise click.UsageError(f"--what {what} needs --d")
     if what == "sl":
@@ -201,7 +206,7 @@ def cmd_bounds(table: int | None, single: tuple[int, int] | None, l: int,
         import json as _json
         try:
             survey = exact_qk1(survey_k)
-        except Exception as exc:
+        except ValueError as exc:
             raise click.UsageError(str(exc))
         text = _json.dumps(survey.as_dict(), indent=2) + "\n"
     else:

@@ -8,8 +8,10 @@ rounded until a caller formats it.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from typing import Callable
 
-from .kernel import (Factorization, factorize, gcd, jacobi, mod_inv,
+from .kernel import (Factorization, factorize, jacobi, mod_inv,
                      split_power_of_two)
 from .lucas import LucasParams, lucas_uv_mod
 
@@ -18,10 +20,6 @@ BRUTEFORCE_LIMIT = 10 ** 4
 
 def _fact(n: int | Factorization) -> Factorization:
     return n if isinstance(n, Factorization) else factorize(n)
-
-
-def _eps(D: int, p: int) -> int:
-    return jacobi(D, p)
 
 
 def phi_d(n: int | Factorization, D: int) -> int:
@@ -35,8 +33,41 @@ def phi_d(n: int | Factorization, D: int) -> int:
         raise ValueError("phi_d needs n odd and coprime to 2*D")
     out = 1
     for p, r in f:
-        out *= p ** (r - 1) * (p - _eps(D, p))
+        out *= p ** (r - 1) * (p - jacobi(D, p))
     return out
+
+
+def _sl_parts(f: Factorization,
+              eps_of: Callable[[int], int]) -> tuple[int, int]:
+    """Strong Lucas count of n = f.n and eps(n) = (D/n), from (D/p) alone.
+
+    ``eps_of(p)`` is (D/p) for each prime p | n; the caller has checked
+    gcd(n, 2*D) = 1, so each is +-1 and (D/n) = prod (D/p)^r.  With
+    n - eps(n) = 2^kappa * q (q odd), k1 the least 2-adic valuation of
+    p - eps(p) and s the number of distinct primes, the count is
+        prod (g_p - 1) + (2^(k1*s) - 1)/(2^s - 1) * prod g_p,
+    g_p = gcd(q, p - eps(p)); the middle factor is sum_{j < k1} 2^(j*s).
+    """
+    eps_n = 1
+    shifted = []
+    bits = 0
+    for p, r in f.factors:
+        e = eps_of(p)
+        if r & 1:
+            eps_n *= e
+        x = p - e
+        shifted.append(x)
+        bits |= x
+    m = f.n - eps_n
+    q = m // (m & -m)
+    head = tail = 1
+    for x in shifted:
+        g = gcd(q, x)
+        head *= g - 1
+        tail *= g
+    s = len(shifted)
+    low = bits & -bits      # 2^k1: the OR's lowest bit is the least one
+    return head + (low ** s - 1) // ((1 << s) - 1) * tail, eps_n
 
 
 def sl_count(n: int | Factorization, D: int) -> int:
@@ -48,21 +79,9 @@ def sl_count(n: int | Factorization, D: int) -> int:
     n - eps - 1.
     """
     f = _fact(n)
-    n_val = f.n
-    if gcd(n_val, 2 * D) > 1:
+    if gcd(f.n, 2 * D) > 1:
         return 0
-    eps_n = jacobi(D, n_val)
-    _, q = split_power_of_two(n_val - eps_n)
-    splits = [split_power_of_two(p - _eps(D, p)) for p in f.primes]
-    k1 = min(k for k, _ in splits)
-    s = f.omega
-    head = 1
-    tail = 1
-    for _, qi in splits:
-        g = gcd(q, qi)
-        head *= g - 1
-        tail *= g
-    return head + sum(2 ** (j * s) for j in range(k1)) * tail
+    return _sl_parts(f, lambda p: jacobi(D, p))[0]
 
 
 def lucas_count(n: int | Factorization, D: int) -> int:
@@ -77,7 +96,7 @@ def lucas_count(n: int | Factorization, D: int) -> int:
     eps_n = jacobi(D, f.n)
     out = 1
     for p in f.primes:
-        out *= gcd(f.n - eps_n, p - _eps(D, p)) - 1
+        out *= gcd(f.n - eps_n, p - jacobi(D, p)) - 1
     return out
 
 
@@ -116,8 +135,8 @@ def alpha_bar(n: int | Factorization, D: int) -> Fraction:
     f = _fact(n)
     if gcd(f.n, 2 * D) > 1:
         return Fraction(0)
-    eps_n = jacobi(D, f.n)
-    return Fraction(sl_count(f, D), f.n - eps_n - 1)
+    count, eps_n = _sl_parts(f, lambda p: jacobi(D, p))
+    return Fraction(count, f.n - eps_n - 1)
 
 
 def alpha(n: int | Factorization, D: int) -> Fraction:

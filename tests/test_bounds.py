@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,17 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slucas import kernel
-from slucas.bounds import (BoundReport, all_t_bound, asymptotic_check,
-                           chain_rule, class_card_split, exact_qk1,
-                           format_json, format_tsv, m_split_range,
+from slucas.bounds import (SUM_BLOCK, BoundReport, _exact_sum, all_t_bound,
+                           asymptotic_check, chain_rule, class_card_split,
+                           exact_qk1, format_json, format_tsv, m_split_range,
                            method_a_discriminants, n1_bound_coarse,
                            n1_bound_refined, no_prime_log2, nr_bound_split,
                            prime_count_exact, prime_lower_bound, q_bound,
                            qk1_analytic, qkr_upper, rho, screen_census,
                            table_rows, ykts_bound, ykts_table_cell,
                            ykts_total)
-from slucas.counting import alpha_bar, is_twin_prime_product
-from slucas.kernel import CapacityError, factorize
+from slucas.counting import (alpha_bar, is_twin_prime_product,
+                             slpsp_bruteforce)
+from slucas.kernel import CapacityError, factorize, is_prime_trial, jacobi
 
 # Number of k-bit primes, 2^(k-1) <= p < 2^k, for k = 2..29; from k = 3 on
 # this is OEIS A036378 (primes in (2^(k-1), 2^k]); k = 2 also counts 2.
@@ -241,24 +243,58 @@ def test_exact_survey_tiny_sizes():
 
 @pytest.mark.parametrize("k", [10, 11, 12])
 def test_exact_survey_mass_equals_sequential_sum(k):
-    # the survey adds its liar masses pairwise; a running sum over the same
-    # window must give the same Fraction for every discriminant
+    # the survey adds integer liar ratios in blocks and the blocks pairwise;
+    # a running Fraction sum over the same window must give the same value
+    # for every discriminant: the method-A scan, and one with
+    # non-fundamental (-27, 45), 0 mod 4 (8, -4) and window-coprime (-3) d
     window = []
     for n in range((1 << (k - 1)) | 1, 1 << k, 2):
         f = factorize(n)
         if n % 3 and n % 5 and not is_twin_prime_product(f):
             window.append((n, f))
-    for r in (1, 2):
-        survey = exact_qk1(k, r)
-        for row in survey.per_d:
-            mass = Fraction(0)
-            composites = 0
-            for n, f in window:
-                if math.gcd(n, 2 * row.d) == 1 and f.factors != [(n, 1)]:
-                    mass += alpha_bar(f, row.d) ** r
-                    composites += 1
-            assert row.liar_mass == mass, (k, r, row.d)
-            assert row.composites == composites
+    for d_scan in (None, [-27, 21, 8, -4, -3, 45]):
+        for r in (1, 2, 3):
+            survey = exact_qk1(k, r, d_scan)
+            for row in survey.per_d:
+                mass = Fraction(0)
+                composites = 0
+                for n, f in window:
+                    if math.gcd(n, 2 * row.d) == 1 and f.factors != [(n, 1)]:
+                        mass += alpha_bar(f, row.d) ** r
+                        composites += 1
+                assert row.liar_mass == mass, (k, r, row.d)
+                assert row.composites == composites
+
+
+@pytest.mark.parametrize("k", [8, 9])
+def test_exact_survey_matches_bruteforce_counts(k):
+    # ground truth that does not use the closed-form count: each term is
+    # the number of accepting (P, Q) pairs found by running the test on
+    # every P mod n, over n - (d/n) - 1
+    window = [n for n in range((1 << (k - 1)) | 1, 1 << k, 2)
+              if n % 3 and n % 5 and not is_prime_trial(n)
+              and not is_twin_prime_product(n)]
+    surveys = {r: exact_qk1(k, r) for r in (1, 2, 3)}
+    for i, d in enumerate(method_a_discriminants(12)):
+        ratios = [Fraction(slpsp_bruteforce(n, d), n - jacobi(d, n) - 1)
+                  for n in window if math.gcd(n, 2 * d) == 1]
+        for r, survey in surveys.items():
+            row = survey.per_d[i]
+            assert row.d == d
+            assert row.liar_mass == sum(x ** r for x in ratios), (k, r, d)
+            assert row.composites == len(ratios)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, SUM_BLOCK - 1, SUM_BLOCK,
+                                  SUM_BLOCK + 1, 2 * SUM_BLOCK + 3])
+def test_exact_sum_equals_fraction_sum(size):
+    # block edges: empty, one term, a block short, full, one over, a tail
+    rng = random.Random(size)
+    ratios = [(rng.randrange(0, 10 ** 6), rng.randrange(1, 10 ** 6))
+              for _ in range(size)]
+    total = _exact_sum(ratios)
+    assert total == sum((Fraction(a, b) for a, b in ratios), Fraction(0))
+    assert isinstance(total, Fraction)
 
 
 def test_exact_survey_reproducible_from_transcript():
@@ -270,6 +306,8 @@ def test_exact_survey_reproducible_from_transcript():
         else:
             assert row.q == row.liar_mass / (row.liar_mass + row.primes)
         assert row.q <= Fraction(4, 15)
+        assert row.q is row.q          # computed once per row
+    assert s.best is s.best
 
 
 def test_table_shapes():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -145,6 +146,18 @@ def test_count_subcommand(run):
     assert run("count", 10, "--what", "f").exit_code == 2
 
 
+@pytest.mark.parametrize("what", ["sl", "mr", "alpha"])
+def test_count_above_factor_ceiling_is_usage_error(run, what):
+    # n = 2^52 + 1 is past the trial-division ceiling of every count
+    res = run("count", 4503599627370497, "--what", what, "--d", 5)
+    assert res.exit_code == 2
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "2^52" in res.output and "Traceback" not in res.output
+    # just below the ceiling the count runs: 2^52 - 1 = 3 * 5 * ...
+    assert run("count", 4503599627370495, "--what", what,
+               "--d", 7).exit_code == 0
+
+
 def test_bounds_single(run):
     res = run("bounds", "--single", 60, 1, "--l", 8)
     assert res.exit_code == 0
@@ -189,6 +202,44 @@ def test_bounds_survey_k16_emits_exact_fractions(run):
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
+
+
+# SHA-256 of the stdout of `slucas bounds --survey-k K`, taken before the
+# survey was rebuilt on integer liar counts; any change to a digit of an
+# exact fraction changes the hash
+SURVEY_STDOUT_SHA256 = {
+    13: "07c8bebb4f20aa9dbe064df5d08bf0404ca4294fc3ce65418d96cddac7cbb953",
+    14: "9fa32e50f083cf1f562bbf487794ac1ef847e4b0fdd57e5e3af46e76039356ed",
+    15: "7e1f242ace66a7ad326ec4a3fea28569bbbe1d9db85c8598843213e60be61c12",
+    16: "306eb483e42fec726d5fa6fc99decc333e15993eee077f4f0d5af2b4894f7990",
+}
+
+
+@pytest.mark.parametrize("k", sorted(SURVEY_STDOUT_SHA256))
+def test_bounds_survey_stdout_is_pinned(run, k):
+    res = run("bounds", "--survey-k", k)
+    assert res.exit_code == 0
+    digest = hashlib.sha256(res.output.encode()).hexdigest()
+    assert digest == SURVEY_STDOUT_SHA256[k]
+
+
+@pytest.mark.parametrize("k", [1, 17])
+def test_bounds_survey_out_of_range_is_usage_error(run, k):
+    res = run("bounds", "--survey-k", k)
+    assert res.exit_code == 2
+    assert "2 <= k <= 16" in res.output
+
+
+def test_bounds_survey_defect_is_not_a_usage_error(run, monkeypatch):
+    # only bad input (ValueError) becomes a usage error; a fault inside
+    # the survey must surface as one
+    def broken(k):
+        raise ZeroDivisionError("defect")
+
+    monkeypatch.setattr("slucas.cli.exact_qk1", broken)
+    res = run("bounds", "--survey-k", 8)
+    assert res.exit_code == 1
+    assert isinstance(res.exception, ZeroDivisionError)
 
 
 @pytest.mark.parametrize("args", [

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,21 @@ def test_sl_count_known_small_cases():
     # hand-checked: the brute-force scan is the ground truth here
     for n, D in [(323, 5), (343, 5), (377, 5), (159, -7), (529, 13)]:
         assert sl_count(n, D) == slpsp_bruteforce(n, D)
+
+
+@pytest.mark.parametrize("n, D", [
+    (3 ** 5, 5), (3 ** 4, 5), (3 ** 4, -7), (3 ** 6, 17),
+    (7 ** 2 * 11, 5), (7 ** 2 * 11, 13), (7 ** 2 * 11, -3),
+    (5 ** 3 * 7, -3), (5 ** 3 * 7, 13), (5 ** 3 * 7, -11),
+    (7 ** 3, -3), (11 ** 2 * 13, 5), (3 ** 2 * 5 ** 2 * 7, -11),
+])
+def test_sl_count_on_prime_powers_and_squareful_n(n, D):
+    # eps(n) = prod (D/p)^r: an even power drops a (D/p) = -1, an odd one
+    # keeps it, so these cases need the exponent's parity
+    assert math.gcd(n, 2 * D) == 1
+    count = slpsp_bruteforce(n, D)
+    assert sl_count(n, D) == count
+    assert alpha_bar(n, D) == Fraction(count, n - jacobi(D, n) - 1)
 
 
 def test_sl_count_zero_when_sharing_a_factor():
