@@ -437,30 +437,37 @@ def ykts_bound(k: int, t: int, c: float, M: int | None = None) -> BoundReport:
     """Error bound for incremental search: window c*ln(2^k), t rounds.
 
     Evaluated in log2 space; ``terms['log2']`` is always finite even when
-    the value itself underflows a float.  Omit M to minimize.
+    the value itself underflows a float.  Omit M to minimize.  A c so
+    large that c*k or the bound itself leaves float range is a ValueError.
     """
     if t < 1 or not 0 < c < math.inf:
         raise ValueError("need t >= 1 and finite c > 0")
     ck = c * k
+    if math.isinf(ck):
+        raise ValueError(f"c * k = {c:g} * {k} is past float range")
     prefix = _class_prefix_log2(k, t)
 
-    def evaluate(m_top: int) -> BoundReport:
+    def log2_terms(m_top: int) -> dict[str, float]:
         class_mass = (prefix[math.ceil(1.2 * m_top)]
                       + 3.42 + t + 2 * math.log2(ck))
         window_tail = math.log2(0.7 * ck) - t * m_top
-        log2_total = _log2_add(class_mass, window_tail)
-        value = 2.0 ** log2_total if log2_total > -1074 else 0.0
-        return BoundReport(value=value, m_opt=m_top,
-                           terms={"log2": log2_total,
-                                  "class_mass_log2": class_mass,
-                                  "window_tail_log2": window_tail},
-                           source="incremental window")
+        return {"log2": _log2_add(class_mass, window_tail),
+                "class_mass_log2": class_mass,
+                "window_tail_log2": window_tail}
 
     if M is not None:
         _check_m(k, M)
-        return evaluate(M)
-    reports = [evaluate(m) for m in m_split_range(k)]
-    return min(reports, key=lambda rep: rep.terms["log2"])
+    splits = [M] if M is not None else m_split_range(k)
+    # pick M on the log2 alone: 2^log2 can overflow at a non-optimal M
+    m_opt = min(splits, key=lambda m: log2_terms(m)["log2"])
+    terms = log2_terms(m_opt)
+    log2_total = terms["log2"]
+    if log2_total >= 1024:
+        raise ValueError(f"c = {c:g} puts the bound at 2^{log2_total:.0f}, "
+                         "past float range")
+    value = 2.0 ** log2_total if log2_total > -1074 else 0.0
+    return BoundReport(value=value, m_opt=m_opt, terms=terms,
+                       source="incremental window")
 
 
 def ykts_table_cell(k: int, t: int, c: float) -> int:

@@ -1,76 +1,81 @@
 """Command-line surface: testing, generation, liar counts, bound tables.
 
 Exit codes: 0 for probable-prime / success, 1 for composite / Fail,
-2 for usage errors.  Integers are accepted in decimal or 0x-hex.  stdout
+2 for usage errors.  N and --d are accepted in decimal or 0x-hex.  stdout
 stays machine-parseable; anything chatty goes to stderr.
+
+A process imports only what its subcommand runs: ``bounds`` needs the
+bound engines imported below, and the other subcommands import their
+modules inside their handlers.
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import math
-import random
+import re
 import sys
-
-import click
 
 from . import __version__
 from .bounds import (exact_qk1, format_json, format_tsv, q_bound, table_rows,
                      EXACT_SURVEY_MAX_K, MAX_SCREEN_DEPTH)
-from .classical import baillie_psw, fermat_round, miller_rabin_round
-from .counting import alpha, fermat_count, lucas_count, mr_count, sl_count
-from .generation import (MAX_SCREEN, GenConfig, prime_inc_luc,
-                         strong_luc_generate)
-from .kernel import FACTOR_LIMIT
+# the test command's round functions; bounds loads lucas in any case
 from .lucas import ParamSearchError, sample_params, select_d, strong_lucas_round, lucas_round
 
 
-class IntValue(click.ParamType):
+class UsageError(Exception):
+    """Bad input found after parsing; reported like a parse error (exit 2)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # any word that starts "-<digit>" is a value, so `--d -0x3` reads
+        # as the discriminant -3 (the default pattern knows only decimals)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
+def integer(text: str) -> int:
     """Integer in decimal or 0x-hex (also 0o/0b, int literal rules)."""
-
-    name = "integer"
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, int):
-            return value
-        try:
-            return int(value, 0)
-        except ValueError:
-            self.fail(f"{value!r} is not an integer", param, ctx)
+    return int(text, 0)
 
 
-INT = IntValue()
+def _open_for_writing(path: str, option: str):
+    """Open an output file before any work is done, so a bad path costs
+    nothing and is reported as a usage error naming it."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise UsageError(f"{option}: cannot write {path!r}: {exc.strerror}")
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="slucas")
-def main() -> None:
-    """Strong Lucas probable-prime testing and its error-bound calculators."""
+def _checked(fn, *args, **kwargs):
+    """fn(...), with its ValueError (bad input) reported as a usage error."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
-@main.command("test")
-@click.argument("n", type=INT)
-@click.option("--method", type=click.Choice(
-    ["lucas", "strong-lucas", "miller-rabin", "fermat", "bpsw"]),
-    default="strong-lucas", show_default=True)
-@click.option("--rounds", "-t", type=int, default=1, show_default=True,
-              help="Independent rounds (ignored by bpsw).")
-@click.option("--d", "d", type=INT, default=None,
-              help="Fix the Lucas discriminant instead of searching.")
-@click.option("--seed", type=int, default=None, help="RNG seed for bases/parameters.")
-def cmd_test(n: int, method: str, rounds: int, d: int | None, seed: int | None) -> None:
+def cmd_test(args) -> int:
     """Run a probable-prime test on N; exit 0 if it passes, 1 if not."""
+    import random
+    from .classical import baillie_psw, fermat_round, miller_rabin_round
+
+    n, method, rounds, d = args.n, args.method, args.rounds, args.d
     if n < 5 or n % 2 == 0:
-        raise click.UsageError("n must be odd and >= 5")
+        raise UsageError("n must be odd and >= 5")
     if rounds < 1:
-        raise click.UsageError("rounds must be >= 1")
+        raise UsageError("rounds must be >= 1")
     if d is not None and method not in ("lucas", "strong-lucas"):
-        raise click.UsageError(f"--d applies to the Lucas methods only, "
-                               f"not to --method {method}")
+        raise UsageError(f"--d applies to the Lucas methods only, "
+                         f"not to --method {method}")
     shared = math.gcd(d, n) if d is not None else 1
     if shared > 1:
-        raise click.UsageError(f"--d {d} shares the factor {shared} with n; "
-                               "the Lucas test needs D coprime to n")
-    rng = random.Random(seed)
+        raise UsageError(f"--d {d} shares the factor {shared} with n; "
+                         "the Lucas test needs D coprime to n")
+    rng = random.Random(args.seed)
     rounds_run = 0
     if method == "bpsw":
         passed = baillie_psw(n)
@@ -101,122 +106,178 @@ def cmd_test(n: int, method: str, rounds: int, d: int | None, seed: int | None) 
     detail = f" method={method} rounds={rounds_run}"
     if d is not None:
         detail += f" d={d}"
-    click.echo(verdict + detail)
-    sys.exit(0 if passed else 1)
+    print(verdict + detail)
+    return 0 if passed else 1
 
 
-@main.command("generate")
-@click.option("--bits", type=int, required=True, help="Exact bit size of the output.")
-@click.option("--rounds", "-t", type=int, default=1, show_default=True)
-@click.option("--mode", type=click.Choice(["uniform", "incremental"]),
-              default="uniform", show_default=True)
-@click.option("--window", type=int, default=None,
-              help="Incremental: candidates before FAIL (default 10*ceil(bits*ln 2)).")
-@click.option("--d", "d", type=INT, default=None, help="Fix the discriminant.")
-@click.option("--screen", type=int, default=MAX_SCREEN, show_default=True,
-              help="How many leading odd primes the divisibility screen "
-                   f"uses (2 to {MAX_SCREEN}).")
-@click.option("--seed", type=int, default=None)
-@click.option("--transcript", "transcript_path",
-              type=click.Path(dir_okay=False, writable=True), default=None,
-              help="Write per-candidate JSON lines here.")
-def cmd_generate(bits: int, rounds: int, mode: str, window: int | None,
-                 d: int | None, screen: int, seed: int | None,
-                 transcript_path: str | None) -> None:
+def cmd_generate(args) -> int:
     """Generate a probable prime; prints it, or FAIL when a window runs out."""
-    try:
-        cfg = GenConfig(bits=bits, rounds=rounds, d=d, screen=screen,
-                        window=window, seed=seed)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    outcome = (strong_luc_generate(cfg) if mode == "uniform"
-               else prime_inc_luc(cfg))
-    if transcript_path:
-        with open(transcript_path, "w") as fh:
+    from .generation import GenConfig, prime_inc_luc, strong_luc_generate
+
+    cfg = _checked(GenConfig, bits=args.bits, rounds=args.rounds, d=args.d,
+                   screen=args.screen, window=args.window, seed=args.seed)
+    transcript = (_open_for_writing(args.transcript, "--transcript")
+                  if args.transcript else contextlib.nullcontext())
+    with transcript as fh:
+        outcome = (strong_luc_generate(cfg) if args.mode == "uniform"
+                   else prime_inc_luc(cfg))
+        if fh is not None:
             fh.write(outcome.to_jsonl())
     if outcome.result is None:
-        click.echo("FAIL")
-        sys.exit(1)
-    click.echo(str(outcome.result))
-    sys.exit(0)
+        print("FAIL")
+        return 1
+    print(outcome.result)
+    return 0
 
 
-@main.command("count")
-@click.argument("n", type=INT)
-@click.option("--what", type=click.Choice(["sl", "f", "l", "mr", "alpha"]),
-              default="sl", show_default=True,
-              help="sl: strong Lucas pairs; f: Fermat bases; l: Lucas P values; "
-                   "mr: Miller-Rabin bases; alpha: sl normalized by the group order.")
-@click.option("--d", "d", type=INT, default=None,
-              help="Discriminant (required for sl, l, alpha).")
-def cmd_count(n: int, what: str, d: int | None) -> None:
+def cmd_count(args) -> int:
     """Exact count of parameters/bases that one test round accepts for N."""
+    from .counting import alpha, fermat_count, lucas_count, mr_count, sl_count
+    from .kernel import FACTOR_LIMIT
+
+    n, what, d = args.n, args.what, args.d
     if n < 3 or n % 2 == 0:
-        raise click.UsageError("n must be odd and >= 3")
+        raise UsageError("n must be odd and >= 3")
     if n >= FACTOR_LIMIT:
-        raise click.UsageError(
+        raise UsageError(
             f"n must be below 2^{FACTOR_LIMIT.bit_length() - 1} = "
             f"{FACTOR_LIMIT}: the counts factor n by trial division")
     if what in ("sl", "l", "alpha") and d is None:
-        raise click.UsageError(f"--what {what} needs --d")
+        raise UsageError(f"--what {what} needs --d")
     if what == "sl":
-        click.echo(str(sl_count(n, d)))
+        print(sl_count(n, d))
     elif what == "l":
-        click.echo(str(lucas_count(n, d)))
+        print(lucas_count(n, d))
     elif what == "f":
-        click.echo(str(fermat_count(n)))
+        print(fermat_count(n))
     elif what == "mr":
-        click.echo(str(mr_count(n)))
+        print(mr_count(n))
     else:
         value = alpha(n, d)
-        click.echo(f"{value.numerator}/{value.denominator} {float(value):.6f}")
+        print(f"{value.numerator}/{value.denominator} {float(value):.6f}")
+    return 0
 
 
-@main.command("bounds")
-@click.option("--table", "table", type=click.IntRange(1, 6), default=None,
-              help="Regenerate a whole reference table.")
-@click.option("--single", nargs=2, type=int, default=None, metavar="K R",
-              help="One error bound: bit size K, rounds R.")
-@click.option("--l", "l", type=click.IntRange(1, MAX_SCREEN_DEPTH), default=8,
-              show_default=True, help="Screen depth the bound engines assume.")
-@click.option("--c", "c", type=float, default=1.0, show_default=True,
-              help="Window constant for the incremental table (> 0).")
-@click.option("--survey-k", type=int, default=None,
-              help=f"Exact small-k survey (k <= {EXACT_SURVEY_MAX_K}) as JSON.")
-@click.option("--format", "fmt", type=click.Choice(["tsv", "json"]),
-              default="tsv", show_default=True)
-@click.option("--out", "out", type=click.Path(dir_okay=False, writable=True),
-              default=None, help="Write here instead of stdout.")
-def cmd_bounds(table: int | None, single: tuple[int, int] | None, l: int,
-               c: float, survey_k: int | None, fmt: str, out: str | None) -> None:
+def cmd_bounds(args) -> int:
     """Error-bound values and the reference tables built from them."""
-    chosen = [x for x in (table, single, survey_k) if x not in (None, ())]
+    chosen = [x for x in (args.table, args.single, args.survey_k) if x is not None]
     if len(chosen) != 1:
-        raise click.UsageError("pick exactly one of --table / --single / --survey-k")
-    if not 0 < c < math.inf:
-        raise click.UsageError("--c must be a finite number > 0")
-    if single:
-        k, r = single
-        try:
-            rep = q_bound(k, r, l)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
-        text = f"{rep.value:.6f}\n"
-    elif survey_k is not None:
-        import json as _json
-        try:
-            survey = exact_qk1(survey_k)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
-        text = _json.dumps(survey.as_dict(), indent=2) + "\n"
-    else:
-        header, rows = table_rows(table, l, c)
-        text = format_tsv(header, rows) if fmt == "tsv" else format_json(header, rows)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+        raise UsageError("pick exactly one of --table / --single / --survey-k")
+    if not 1 <= args.l <= MAX_SCREEN_DEPTH:
+        raise UsageError(f"--l must be in 1..{MAX_SCREEN_DEPTH}")
+    if not 0 < args.c < math.inf:
+        raise UsageError("--c must be a finite number > 0")
+    out = (_open_for_writing(args.out, "--out") if args.out
+           else contextlib.nullcontext(sys.stdout))
+    with out as fh:
+        if args.single:
+            k, r = args.single
+            text = f"{_checked(q_bound, k, r, args.l).value:.6f}\n"
+        elif args.survey_k is not None:
+            import json
+            survey = _checked(exact_qk1, args.survey_k)
+            text = json.dumps(survey.as_dict(), indent=2) + "\n"
+        else:
+            header, rows = _checked(table_rows, args.table, args.l, args.c)
+            text = (format_tsv(header, rows) if args.format == "tsv"
+                    else format_json(header, rows))
+        fh.write(text)
+    return 0
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="slucas", allow_abbrev=False,
+        description="Strong Lucas probable-prime testing and its "
+                    "error-bound calculators.")
+    parser.add_argument("--version", action="version",
+                        version=f"slucas, version {__version__}")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name, handler):
+        doc = handler.__doc__
+        sub = commands.add_parser(name, help=doc, description=doc,
+                                  allow_abbrev=False)
+        sub.set_defaults(handler=handler, usage_error=sub.error)
+        return sub
+
+    sub = command("test", cmd_test)
+    sub.add_argument("n", type=integer, metavar="N")
+    sub.add_argument("--method", default="strong-lucas", choices=[
+        "lucas", "strong-lucas", "miller-rabin", "fermat", "bpsw"],
+        help="[default: %(default)s]")
+    sub.add_argument("--rounds", "-t", type=int, default=1,
+                     help="Independent rounds (ignored by bpsw). "
+                          "[default: %(default)s]")
+    sub.add_argument("--d", type=integer, default=None,
+                     help="Fix the Lucas discriminant instead of searching.")
+    sub.add_argument("--seed", type=int, default=None,
+                     help="RNG seed for bases/parameters.")
+
+    sub = command("generate", cmd_generate)
+    sub.add_argument("--bits", type=int, required=True,
+                     help="Exact bit size of the output.")
+    sub.add_argument("--rounds", "-t", type=int, default=1,
+                     help="[default: %(default)s]")
+    sub.add_argument("--mode", choices=["uniform", "incremental"],
+                     default="uniform", help="[default: %(default)s]")
+    sub.add_argument("--window", type=int, default=None,
+                     help="Incremental: candidates before FAIL "
+                          "(default 10*ceil(bits*ln 2)).")
+    sub.add_argument("--d", type=integer, default=None,
+                     help="Fix the discriminant.")
+    sub.add_argument("--screen", type=int, default=MAX_SCREEN_DEPTH,
+                     help="How many leading odd primes the divisibility "
+                          f"screen uses (2 to {MAX_SCREEN_DEPTH}). "
+                          "[default: %(default)s]")
+    sub.add_argument("--seed", type=int, default=None)
+    sub.add_argument("--transcript", default=None, metavar="PATH",
+                     help="Write per-candidate JSON lines here.")
+
+    sub = command("count", cmd_count)
+    sub.add_argument("n", type=integer, metavar="N")
+    sub.add_argument("--what", choices=["sl", "f", "l", "mr", "alpha"],
+                     default="sl",
+                     help="sl: strong Lucas pairs; f: Fermat bases; l: Lucas "
+                          "P values; mr: Miller-Rabin bases; alpha: sl "
+                          "normalized by the group order. "
+                          "[default: %(default)s]")
+    sub.add_argument("--d", type=integer, default=None,
+                     help="Discriminant (required for sl, l, alpha).")
+
+    sub = command("bounds", cmd_bounds)
+    sub.add_argument("--table", type=int, choices=range(1, 7), default=None,
+                     help="Regenerate a whole reference table.")
+    sub.add_argument("--single", nargs=2, type=int, default=None,
+                     metavar=("K", "R"),
+                     help="One error bound: bit size K, rounds R.")
+    sub.add_argument("--l", type=int, default=8,
+                     help="Screen depth the bound engines assume "
+                          f"(1 to {MAX_SCREEN_DEPTH}). [default: %(default)s]")
+    sub.add_argument("--c", type=float, default=1.0,
+                     help="Window constant for the incremental table (> 0). "
+                          "[default: %(default)s]")
+    sub.add_argument("--survey-k", type=int, default=None,
+                     help=f"Exact small-k survey (k <= {EXACT_SURVEY_MAX_K}) "
+                          "as JSON.")
+    sub.add_argument("--format", choices=["tsv", "json"], default="tsv",
+                     help="[default: %(default)s]")
+    sub.add_argument("--out", default=None, metavar="PATH",
+                     help="Write here instead of stdout.")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Run the CLI on argv (default sys.argv[1:]); always ends in SystemExit."""
+    args = _parser().parse_args(argv)
+    try:
+        code = args.handler(args)
+    except UsageError as exc:
+        args.usage_error(str(exc))
+    except KeyboardInterrupt:
+        print("Aborted!", file=sys.stderr)
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

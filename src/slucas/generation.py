@@ -90,7 +90,7 @@ class GenConfig:
         if self.d is not None:
             if self.d % 4 not in (0, 1):
                 raise ValueError("discriminant must be 0 or 1 mod 4")
-            if self.d > 0 and is_perfect_square(self.d):
+            if is_perfect_square(self.d):
                 raise ValueError("discriminant must not be a square")
 
 

@@ -207,6 +207,15 @@ def test_ykts_known_cells():
     assert ykts_table_cell(512, 3, 5) == 46
 
 
+def test_ykts_bound_past_float_range_is_value_error():
+    with pytest.raises(ValueError, match="c \\* k"):
+        ykts_bound(100, 1, 1e308)          # c * k overflows
+    with pytest.raises(ValueError, match="past float range"):
+        ykts_bound(100, 1, 1e300)          # the bound overflows
+    # at c = 1e155 some split points overflow, the minimum does not
+    assert ykts_bound(100, 1, 1e155).terms["log2"] < 1024
+
+
 def test_ykts_total_adds_no_prime_mass():
     y = ykts_bound(256, 2, 1.0).value
     total = ykts_total(256, 2, 1.0)

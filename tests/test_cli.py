@@ -1,10 +1,12 @@
 import hashlib
+import io
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
-from click.testing import CliRunner
 
 from slucas.cli import main
 from slucas.lucas import select_d
@@ -12,14 +14,35 @@ from slucas.lucas import select_d
 from conftest import LATE_D_PRIME, mr_oracle
 
 
+class Result(NamedTuple):
+    exit_code: int
+    output: str          # stdout, then stderr
+    exception: BaseException | None
+
+
 @pytest.fixture
 def run():
-    runner = CliRunner()
-
+    """Call main(argv) in this process, the way `slucas ARGS...` would run."""
     def invoke(*args):
-        return runner.invoke(main, [str(a) for a in args])
+        out, err = io.StringIO(), io.StringIO()
+        exit_code, exception = 0, None
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                main([str(a) for a in args])
+            except SystemExit as exc:
+                exit_code = exc.code or 0
+                exception = exc if exit_code else None
+            except Exception as exc:  # a defect: reported as exit 1
+                exit_code, exception = 1, exc
+        return Result(exit_code, out.getvalue() + err.getvalue(), exception)
 
     return invoke
+
+
+def test_version_is_pinned(run):
+    res = run("--version")
+    assert res.exit_code == 0
+    assert res.output == "slucas, version 0.1.0\n"
 
 
 def test_test_accepts_prime(run):
@@ -55,6 +78,14 @@ def test_test_fixed_discriminant(run):
     res = run("test", 1009, "--d", 5, "--seed", 9)
     assert res.exit_code == 0
     assert "d=5" in res.output
+
+
+@pytest.mark.parametrize("d", ["-3", "-0x3", "-0b11"])
+def test_test_negative_discriminant_is_a_value(run, d):
+    # a word after --d that starts "-<digit>" is its value, not an option
+    res = run("test", 1009, "--d", d, "--seed", 9)
+    assert res.output == "probable prime method=strong-lucas rounds=1 d=-3\n"
+    assert res.exit_code == 0
 
 
 @pytest.mark.parametrize("n, d, factor", [(5, 5, 5), (7, 21, 7), (13, 13, 13)])
@@ -108,10 +139,8 @@ def test_generate_uniform(run):
 
 def test_generate_incremental_with_transcript(run, tmp_path):
     path = tmp_path / "trace.jsonl"
-    runner = CliRunner()
-    res = runner.invoke(main, ["generate", "--bits", "32", "--mode",
-                               "incremental", "--seed", "7",
-                               "--transcript", str(path)])
+    res = run("generate", "--bits", 32, "--mode", "incremental", "--seed", 7,
+              "--transcript", path)
     assert res.exit_code == 0
     recs = [json.loads(line) for line in path.read_text().splitlines()]
     assert recs[-1]["stage"] == "accepted"
@@ -127,6 +156,14 @@ def test_generate_fail_exit_code(run):
             assert res.output.strip() == "FAIL"
             return
     pytest.fail("no FAIL observed")
+
+
+@pytest.mark.parametrize("mode", ["uniform", "incremental"])
+def test_generate_zero_discriminant_is_usage_error(run, mode):
+    # 0 = 0^2 is a square discriminant: no candidate could ever pass
+    res = run("generate", "--bits", 64, "--d", 0, "--mode", mode, "--seed", 1)
+    assert res.exit_code == 2
+    assert "square" in res.output and "Traceback" not in res.output
 
 
 def test_generate_usage_error(run):
@@ -242,6 +279,16 @@ def test_bounds_survey_defect_is_not_a_usage_error(run, monkeypatch):
     assert isinstance(res.exception, ZeroDivisionError)
 
 
+def test_interrupt_is_reported_without_traceback(run, monkeypatch):
+    def interrupted(k):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("slucas.cli.exact_qk1", interrupted)
+    res = run("bounds", "--survey-k", 8)
+    assert res.exit_code == 1
+    assert res.output == "Aborted!\n"
+
+
 @pytest.mark.parametrize("args", [
     ("--l", 200, "--table", 2),
     ("--l", 0, "--table", 2),
@@ -250,6 +297,8 @@ def test_bounds_survey_defect_is_not_a_usage_error(run, monkeypatch):
     ("--table", 6, "--c", -1),
     ("--table", 6, "--c", "nan"),
     ("--table", 6, "--c", "inf"),
+    ("--table", 6, "--c", "1e300"),
+    ("--table", 6, "--c", "1e308"),
 ])
 def test_bounds_bad_screen_depth_or_window_is_usage_error(run, args):
     res = run("bounds", *args)
@@ -270,7 +319,23 @@ def test_bounds_option_exclusivity(run):
 
 def test_bounds_out_file(run, tmp_path):
     path = tmp_path / "t1.tsv"
-    runner = CliRunner()
-    res = runner.invoke(main, ["bounds", "--table", "1", "--out", str(path)])
+    res = run("bounds", "--table", 1, "--out", path)
     assert res.exit_code == 0
     assert path.read_text().startswith("k\tprimes\tbound_floor\n")
+
+
+@pytest.mark.parametrize("option, args", [
+    ("--out", ("bounds", "--table", 1)),
+    ("--transcript", ("generate", "--bits", 64, "--seed", 1)),
+])
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_output_path_is_usage_error(run, tmp_path, option, args,
+                                               where):
+    # the path is opened before any work, so a bad one costs no prime
+    path = tmp_path / "missing" / "x" if where == "missing-dir" else tmp_path
+    res = run(*args, option, path)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert f"{option}: cannot write {str(path)!r}" in res.output
+    assert "Traceback" not in res.output
+    assert not any(line.isdigit() for line in res.output.splitlines())

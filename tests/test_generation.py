@@ -46,6 +46,8 @@ def test_config_validation():
         GenConfig(bits=32, rounds=0)
     with pytest.raises(ValueError):
         GenConfig(bits=32, d=9)        # square discriminant
+    with pytest.raises(ValueError, match="square"):
+        GenConfig(bits=64, d=0)        # 0 = 0^2
     with pytest.raises(ValueError):
         GenConfig(bits=32, d=6)        # 6 % 4 == 2
     with pytest.raises(ValueError):
