@@ -10,9 +10,10 @@ likely is it to be composite anyway?  The module provides
   * the conversion q = N/(N + P) to a conditional error probability and
     the chaining that turns a one-round bound into an all-rounds bound,
   * bounds for the incremental-search variant (window of s candidates),
-  * an exact small-k survey that enumerates every candidate and measures
-    the error probability directly from the liar counts,
   * table generators that regenerate the package's reference tables.
+
+The exact small-k surveys are in ``slucas.survey``: a table or single bound
+loads only this module and ``kernel``, not ``dataclasses`` or ``fractions``.
 
 Float evaluation is 64-bit throughout; the incremental-search bounds are
 evaluated in log2 space because their values underflow a double long
@@ -22,16 +23,10 @@ before they stop being interesting.
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import islice
+from functools import lru_cache
+from typing import NamedTuple
 
-from .counting import _sl_parts, is_twin_prime_product
-from .kernel import (CapacityError, count_primes_in_range, factorize,
-                     is_perfect_square, jacobi, sieve_primes)
-from .lucas import _method_a_sequence
+from .kernel import CapacityError, count_primes_in_range, sieve_primes
 
 # Lower-bound constant for the count of k-bit primes: more than
 # PRIME_DENSITY * 2^k / k of them for every k >= 8.
@@ -41,7 +36,7 @@ PRIME_DENSITY = 0.71867
 # q_bound sizes larger k analytically.
 EXACT_CENSUS_MAX_K = 29
 
-# Exact small-k surveys factor every candidate in the window.
+# Exact small-k surveys (slucas.survey) factor every candidate in the window.
 EXACT_SURVEY_MAX_K = 16
 
 
@@ -54,6 +49,12 @@ def _odd_primes() -> list[int]:
     return [p for p in sieve_primes(1000) if p > 2]
 
 
+def _least_unscreened_prime(l: int) -> int:
+    if not 1 <= l <= MAX_SCREEN_DEPTH:
+        raise ValueError(f"need 1 <= l <= {MAX_SCREEN_DEPTH}")
+    return _odd_primes()[l]
+
+
 def rho(l: int) -> Fraction:
     """Shrink ratio 1 + 1/p for the (l+1)-th odd prime p.
 
@@ -61,9 +62,15 @@ def rho(l: int) -> Fraction:
     the smallest prime factor still possible is the (l+1)-th; this ratio
     is the resulting loss factor in the geometric class-mass estimates.
     """
-    if not 1 <= l <= MAX_SCREEN_DEPTH:
-        raise ValueError(f"need 1 <= l <= {MAX_SCREEN_DEPTH}")
-    return 1 + Fraction(1, _odd_primes()[l])
+    from fractions import Fraction
+    p = _least_unscreened_prime(l)
+    return Fraction(p + 1, p)
+
+
+def _rho_float(l: int) -> float:
+    # rho(l) without fractions: int / int rounds correctly, as Fraction does
+    p = _least_unscreened_prime(l)
+    return (p + 1) / p
 
 
 def prime_lower_bound(k: int) -> float:
@@ -96,8 +103,7 @@ def _check_m(k: int, M: int) -> None:
 # censuses of the screened candidate sets
 
 
-@dataclass(frozen=True)
-class ScreenCensus:
+class ScreenCensus(NamedTuple):
     """Cardinalities of the k-bit candidate sets behind the bounds.
 
     ``screened``  -- odd k-bit integers coprime to the first l odd primes
@@ -188,8 +194,7 @@ def screen_census(k: int, l: int = 2, exact: bool = False) -> ScreenCensus:
 # liar-mass bounds, each optimized over the split point M
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """A bound value together with how it was assembled."""
 
     value: float
@@ -215,7 +220,7 @@ def n1_bound_coarse(k: int, l: int = 8, M: int | None = None) -> BoundReport:
     count of the remaining classes.  Omit M to minimize over the
     admissible range.
     """
-    r = float(rho(l))
+    r = _rho_float(l)
 
     def evaluate(m: int) -> BoundReport:
         tail = 2.0 ** (k - 1.9 - m) * r ** (m + 1) / (2 - r)
@@ -234,7 +239,7 @@ def n1_bound_refined(k: int, l: int = 8, M: int | None = None,
     ``m_size`` is the size of the screened candidate set; the analytic
     upper bracket 2^(k-2.9) is used when not supplied.
     """
-    r = float(rho(l))
+    r = _rho_float(l)
     if m_size is None:
         m_size = 2.0 ** (k - 2.9)
 
@@ -289,7 +294,7 @@ def nr_bound_split(k: int, r: int, l: int = 8, M: int | None = None,
         raise ValueError(f"unknown parts selector: {parts!r}")
     if r < 1:
         raise ValueError("need r >= 1")
-    ro = float(rho(l))
+    ro = _rho_float(l)
     if m_size is None:
         m_size = 2.0 ** (k - 2.9)
 
@@ -353,18 +358,23 @@ def qk1_analytic(k: int, l: int = 8) -> float:
     """
     if k < 2:
         raise ValueError("need k >= 2")
-    r = float(rho(l))
+    r = _rho_float(l)
     return k * k * 4.0 ** (1.8 - math.sqrt(k)) * r ** (2 * math.sqrt(k - 1) - 2)
 
 
 def q_bound(k: int, r: int = 1, l: int = 8) -> BoundReport:
-    """Best tabulated-style error bound for r rounds on k-bit candidates.
+    """The reference table's error bound for r rounds on k-bit candidates.
 
     Dispatches to the engine that the reference table for this (k, r)
     column uses: exact censuses up to k = 29, the gcd-split engine through
     k = 41, the refined class sums through k = 59, and the coarse two-term
     bound beyond.  The report's value is the probability q, with the liar
     mass and prime count in the terms.
+
+    Where it uses the gcd-split engine it sums one class family, as the
+    tables do: small-gcd for r = 1, large-gcd for r >= 2.  The full sum is
+    1,200x larger at k = 64, r = 2, so for r >= 2 this is the table's
+    number, not a bound on all liars.
     """
     if k < 17:
         raise ValueError("tabulated bounds start at k = 17; "
@@ -514,169 +524,6 @@ def asymptotic_check(k: int, t: int, c: float,
     if lam <= 0:
         return False, witness
     return log2y <= math.log2(lam) + log2_envelope, witness
-
-
-# ---------------------------------------------------------------------------
-# exact small-k surveys
-
-
-def _fraction_text(x: Fraction) -> str:
-    # "p/q" in full: at k = 16 the denominators run to ~7,900 digits, past
-    # the interpreter's default int-to-str limit of 4,300
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return f"{x.numerator}/{x.denominator}"
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return f"{x.numerator}/{x.denominator}"
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
-def _pairwise(terms: list, add):
-    # pairwise rounds keep the operands of similar size, where a running
-    # total would drag an ever-growing one through every add
-    while len(terms) > 1:
-        pairs = [add(a, b) for a, b in zip(terms[::2], terms[1::2])]
-        if len(terms) % 2:
-            pairs.append(terms[-1])
-        terms = pairs
-    return terms[0]
-
-
-# terms per unreduced (numerator, denominator) block in _exact_sum
-SUM_BLOCK = 256
-
-
-def _add_ratios(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    return x[0] * y[1] + y[0] * x[1], x[1] * y[1]
-
-
-def _exact_sum(ratios: list[tuple[int, int]]) -> Fraction:
-    # each block of integer ratios is added without reducing, then becomes
-    # one Fraction, and the Fractions are added pairwise; Fractions are
-    # canonical, so the reduced total is the same whatever the grouping
-    if not ratios:
-        return Fraction(0)
-    blocks = [Fraction(*_pairwise(ratios[i:i + SUM_BLOCK], _add_ratios))
-              for i in range(0, len(ratios), SUM_BLOCK)]
-    return _pairwise(blocks, Fraction.__add__)
-
-
-@dataclass(frozen=True)
-class DiscriminantSurvey:
-    """Exact error measurement for one discriminant over a k-bit window."""
-
-    d: int
-    liar_mass: Fraction   # sum of alpha_bar^r over surviving composites
-    composites: int       # composites coprime to 2d in the window
-    primes: int           # primes coprime to 2d in the window
-
-    @cached_property
-    def q(self) -> Fraction:
-        if self.liar_mass == 0:
-            return Fraction(0)
-        return self.liar_mass / (self.liar_mass + self.primes)
-
-    def as_dict(self) -> dict:
-        return {"d": self.d, "q": float(self.q),
-                "q_exact": _fraction_text(self.q),
-                "liar_mass": _fraction_text(self.liar_mass),
-                "composites": self.composites, "primes": self.primes}
-
-
-@dataclass(frozen=True)
-class ExactSurvey:
-    """Per-discriminant exact error probabilities for small k."""
-
-    k: int
-    r: int
-    per_d: tuple[DiscriminantSurvey, ...]
-
-    @cached_property
-    def best(self) -> DiscriminantSurvey:
-        return max(self.per_d, key=lambda s: s.q)
-
-    def as_dict(self) -> dict:
-        return {"k": self.k, "r": self.r, "max_q": float(self.best.q),
-                "argmax_d": self.best.d,
-                "per_d": [s.as_dict() for s in self.per_d]}
-
-
-def method_a_discriminants(count: int) -> list[int]:
-    """First ``count`` values of the alternating scan 5, -7, 9, -11, ...
-
-    squares dropped (they never arise as a usable discriminant).
-    """
-    usable = (d for d in _method_a_sequence()
-              if not (d > 0 and is_perfect_square(d)))
-    return list(islice(usable, count))
-
-
-@lru_cache(maxsize=4)
-def _survey_window(k: int) -> tuple:
-    # factorizations of the screened window: odd k-bit, coprime to 15,
-    # twin-prime products removed
-    rows = []
-    for n in range((1 << (k - 1)) | 1, 1 << k, 2):
-        if n % 3 == 0 or n % 5 == 0:
-            continue
-        f = factorize(n)
-        if is_twin_prime_product(f):
-            continue
-        rows.append((n, f, f.omega == 1 and f.big_omega == 1))
-    return tuple(rows)
-
-
-def exact_qk1(k: int, r: int = 1,
-              d_scan: list[int] | None = None) -> ExactSurvey:
-    """Exact r-round error probability at small k, one value per discriminant.
-
-    Enumerates every odd k-bit candidate coprime to 15 (twin-prime
-    products removed), factors it, and accumulates the exact per-candidate
-    acceptance ratio alpha_bar^r over the composites, skipping candidates
-    sharing a factor with 2d.  The returned survey carries one entry per
-    scanned discriminant plus the maximum, which is the number the
-    reference table prints.
-
-    How the sum is formed: for each d, (d/p) is looked up once per prime
-    factor occurring in the window, and each composite n contributes the
-    integer pair (count^r, (n - (d/n) - 1)^r) from the shared strong
-    Lucas count routine.  Blocks of SUM_BLOCK pairs are added pairwise
-    without reducing, each block becomes one Fraction, and the block
-    Fractions are added pairwise; the reduced liar mass is the same as a
-    term-by-term Fraction sum.
-    """
-    if not 2 <= k <= EXACT_SURVEY_MAX_K:
-        raise CapacityError(f"exact surveys cover 2 <= k <= {EXACT_SURVEY_MAX_K}")
-    if r < 1:
-        raise ValueError("need r >= 1")
-    if d_scan is None:
-        d_scan = method_a_discriminants(12)
-    surveys = []
-    window = _survey_window(k)
-    factor_primes = {p for _, f, n_prime in window if not n_prime
-                     for p, _ in f.factors}
-    for d in d_scan:
-        if d % 4 not in (0, 1):
-            raise ValueError(f"discriminant must be 0 or 1 mod 4: {d}")
-        if d > 0 and is_perfect_square(d):
-            raise ValueError(f"square discriminant: {d}")
-        eps_of = {p: jacobi(d, p) for p in factor_primes}.__getitem__
-        ratios = []
-        primes = 0
-        for n, f, n_prime in window:
-            if math.gcd(n, 2 * d) > 1:
-                continue
-            if n_prime:
-                primes += 1
-            else:
-                count, eps_n = _sl_parts(f, eps_of)
-                ratios.append((count ** r, (n - eps_n - 1) ** r))
-        surveys.append(DiscriminantSurvey(d=d, liar_mass=_exact_sum(ratios),
-                                          composites=len(ratios),
-                                          primes=primes))
-    return ExactSurvey(k=k, r=r, per_d=tuple(surveys))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .kernel import gcd, is_perfect_square, sieve_primes, split_power_of_two
+from .kernel import is_perfect_square, sieve_primes, split_power_of_two
 from .lucas import (LucasParams, RoundResult, Verdict,
                     PROBABLE_PRIME, lucas_round, params_for_d, select_d,
                     strong_lucas_round)
@@ -22,7 +22,7 @@ def fermat_round(n: int, a: int) -> RoundResult:
         raise ValueError("fermat_round expects odd n >= 3")
     if not 2 <= a <= n - 2:
         raise ValueError("base must satisfy 2 <= a <= n-2")
-    g = gcd(a, n)
+    g = math.gcd(a, n)
     if g > 1:
         return RoundResult(Verdict.COMPOSITE, "bad-base", g)
     if pow(a, n - 1, n) == 1:
@@ -40,7 +40,7 @@ def miller_rabin_round(n: int, a: int) -> RoundResult:
         raise ValueError("miller_rabin_round expects odd n >= 3")
     if not 2 <= a <= n - 2:
         raise ValueError("base must satisfy 2 <= a <= n-2")
-    g = gcd(a, n)
+    g = math.gcd(a, n)
     if g > 1:
         return RoundResult(Verdict.COMPOSITE, "bad-base", g)
     kappa, q = split_power_of_two(n - 1)

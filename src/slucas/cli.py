@@ -4,9 +4,9 @@ Exit codes: 0 for probable-prime / success, 1 for composite / Fail,
 2 for usage errors.  N and --d are accepted in decimal or 0x-hex.  stdout
 stays machine-parseable; anything chatty goes to stderr.
 
-A process imports only what its subcommand runs: ``bounds`` needs the
-bound engines imported below, and the other subcommands import their
-modules inside their handlers.
+A process imports only what its subcommand runs: the bound engines below
+serve ``bounds --table``/``--single``, ``--survey-k`` imports
+``slucas.survey`` in its branch, and other handlers import their modules.
 """
 
 from __future__ import annotations
@@ -18,10 +18,8 @@ import re
 import sys
 
 from . import __version__
-from .bounds import (exact_qk1, format_json, format_tsv, q_bound, table_rows,
+from .bounds import (format_json, format_tsv, q_bound, table_rows,
                      EXACT_SURVEY_MAX_K, MAX_SCREEN_DEPTH)
-# the test command's round functions; bounds loads lucas in any case
-from .lucas import ParamSearchError, sample_params, select_d, strong_lucas_round, lucas_round
 
 
 class UsageError(Exception):
@@ -62,6 +60,8 @@ def cmd_test(args) -> int:
     """Run a probable-prime test on N; exit 0 if it passes, 1 if not."""
     import random
     from .classical import baillie_psw, fermat_round, miller_rabin_round
+    from .lucas import (ParamSearchError, lucas_round, sample_params,
+                        select_d, strong_lucas_round)
 
     n, method, rounds, d = args.n, args.method, args.rounds, args.d
     if n < 5 or n % 2 == 0:
@@ -175,6 +175,7 @@ def cmd_bounds(args) -> int:
             text = f"{_checked(q_bound, k, r, args.l).value:.6f}\n"
         elif args.survey_k is not None:
             import json
+            from .survey import exact_qk1
             survey = _checked(exact_qk1, args.survey_k)
             text = json.dumps(survey.as_dict(), indent=2) + "\n"
         else:

@@ -9,11 +9,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Callable
 
 from .kernel import (Factorization, factorize, jacobi, mod_inv,
                      split_power_of_two)
-from .lucas import LucasParams, lucas_uv_mod
 
 BRUTEFORCE_LIMIT = 10 ** 4
 
@@ -37,8 +35,7 @@ def phi_d(n: int | Factorization, D: int) -> int:
     return out
 
 
-def _sl_parts(f: Factorization,
-              eps_of: Callable[[int], int]) -> tuple[int, int]:
+def _sl_parts(f: Factorization, eps_of) -> tuple[int, int]:
     """Strong Lucas count of n = f.n and eps(n) = (D/n), from (D/p) alone.
 
     ``eps_of(p)`` is (D/p) for each prime p | n; the caller has checked
@@ -173,6 +170,7 @@ def worst_case_ceiling(n: int | Factorization) -> Fraction:
 
 def _strong_pass_raw(n: int, P: int, Q: int, D: int) -> bool:
     # definition-level check: no screening of P, only the congruences
+    from .lucas import lucas_uv_mod
     eps_n = jacobi(D, n)
     kappa, q = split_power_of_two(n - eps_n)
     u, v, qk = lucas_uv_mod(q, P, Q, n)
@@ -187,6 +185,7 @@ def _strong_pass_raw(n: int, P: int, Q: int, D: int) -> bool:
 
 
 def _lucas_pass_raw(n: int, P: int, Q: int, D: int) -> bool:
+    from .lucas import lucas_uv_mod
     eps_n = jacobi(D, n)
     u, _, _ = lucas_uv_mod(n - eps_n, P, Q, n)
     return u == 0
@@ -269,6 +268,7 @@ def psp_to_lpsp_compose(n: int, b: int, c: int) -> LucasParams:
     then it is a Lucas pseudoprime for P = b + c, Q = b*c, whose
     discriminant (b - c)**2 is a square, hence jacobi(D, n) = +1.
     """
+    from .lucas import LucasParams
     if gcd(n, b * c * (b - c)) != 1:
         raise ValueError("need gcd(n, b*c*(b-c)) = 1")
     return LucasParams((b + c) % n, (b * c) % n)

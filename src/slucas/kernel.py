@@ -1,6 +1,6 @@
-"""Low-level integer routines: modular arithmetic, Jacobi symbol, a prime
+"""Low-level integer routines: modular inverse, Jacobi symbol, a prime
 sieve, prime counting by the prime-pi recursion, trial-division
-factorization and a perfect-square check.
+factorization, a perfect-square check and the method-A discriminant sweep.
 
 Everything here works on plain Python ints, which are arbitrary precision,
 so values of several thousand bits are fine throughout.
@@ -25,29 +25,6 @@ class NotInvertibleError(ValueError):
     def __init__(self, a: int, n: int, g: int):
         super().__init__(f"{a} is not invertible mod {n} (gcd {g})")
         self.gcd = g
-
-
-def gcd(a: int, b: int) -> int:
-    return math.gcd(a, b)
-
-
-def mod_add(a: int, b: int, n: int) -> int:
-    if n < 1:
-        raise ValueError("modulus must be >= 1")
-    return (a + b) % n
-
-
-def mod_mul(a: int, b: int, n: int) -> int:
-    if n < 1:
-        raise ValueError("modulus must be >= 1")
-    return (a * b) % n
-
-
-def mod_exp(a: int, e: int, n: int) -> int:
-    """a**e mod n by repeated squaring (e >= 0)."""
-    if n < 1:
-        raise ValueError("modulus must be >= 1")
-    return pow(a, e, n)
 
 
 def mod_inv(a: int, n: int) -> int:
@@ -83,6 +60,16 @@ def jacobi(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
+
+
+def _method_a_sequence():
+    # 5, -7, 9, -11, ...: select_d's sweep; the surveys scan its non-squares
+    d = 5
+    sign = 1
+    while True:
+        yield sign * d
+        d += 2
+        sign = -sign
 
 
 def split_power_of_two(m: int) -> tuple[int, int]:

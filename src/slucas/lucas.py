@@ -23,11 +23,12 @@ the full (U, V, Q^m) ladder for the plain round and for exact checks.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import random
 from dataclasses import dataclass
 
-from .kernel import (gcd, is_perfect_square, jacobi, mod_inv,
+from .kernel import (_method_a_sequence, is_perfect_square, jacobi, mod_inv,
                      split_power_of_two)
 
 EXACT_INDEX_LIMIT = 10 ** 4
@@ -135,7 +136,7 @@ def _check_args(n: int, params: LucasParams) -> RoundResult | None:
     if D == 0:
         return RoundResult(Verdict.BAD_PARAMS, "square-discriminant")
     for name, value in (("P", P), ("Q", Q), ("D", D)):
-        g = gcd(value, n)
+        g = math.gcd(value, n)
         if 1 < g < n:
             return RoundResult(Verdict.COMPOSITE, f"gcd-{name}", g)
         if g == n and name != "P":
@@ -210,34 +211,17 @@ def sample_params(n: int, D: int, rng: random.Random) -> LucasParams:
     """
     if n < 5 or n % 2 == 0:
         raise ValueError("parameter sampling expects odd n >= 5")
-    if gcd(D, n) != 1:
+    if math.gcd(D, n) != 1:
         raise ValueError("discriminant must be coprime to n")
     inv4 = mod_inv(4, n)
     for _ in range(MAX_PARAM_TRIES):
         P = rng.randrange(n)
         Q = ((P * P - D) * inv4) % n
-        if Q == 0 or gcd(Q, n) != 1:
+        if Q == 0 or math.gcd(Q, n) != 1:
             continue
         return LucasParams(P, Q)
     raise ParamSearchError(
         f"no unit Q found for n={n}, D={D} in {MAX_PARAM_TRIES} draws")
-
-
-def _method_a_sequence():
-    # 5, -7, 9, -11, 13, ...: absolute value ascending, alternating sign
-    d = 5
-    sign = 1
-    while True:
-        yield sign * d
-        d += 2
-        sign = -sign
-
-
-def _method_b_sequence():
-    d = 5
-    while True:
-        yield d
-        d += 4
 
 
 def select_d(n: int, method: str = "A") -> int:
@@ -254,7 +238,7 @@ def select_d(n: int, method: str = "A") -> int:
     if method == "A":
         seq = _method_a_sequence()
     elif method == "B":
-        seq = _method_b_sequence()
+        seq = itertools.count(5, 4)
     else:
         raise ValueError(f"unknown method {method!r}")
     if is_perfect_square(n):

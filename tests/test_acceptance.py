@@ -14,11 +14,11 @@ import pathlib
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from slucas.bounds import (chain_rule, exact_qk1, m_split_range,
-                           method_a_discriminants, n1_bound_coarse,
+from slucas.bounds import (chain_rule, m_split_range, n1_bound_coarse,
                            n1_bound_refined, nr_bound_split,
                            prime_lower_bound, q_bound, qkr_upper,
                            screen_census, table_rows, ykts_table_cell)
@@ -29,9 +29,10 @@ from slucas.counting import (alpha, alpha_bar, fermat_bruteforce,
                              mr_count, psp_to_lpsp_compose, sl_count,
                              slpsp_bruteforce)
 from slucas.generation import GenConfig, prime_inc_luc, strong_luc_generate
-from slucas.kernel import factorize, gcd, sieve_primes
+from slucas.kernel import factorize, sieve_primes
 from slucas.lucas import (LucasParams, lucas_round, sample_params, select_d,
                           strong_lucas_round)
+from slucas.survey import exact_qk1, method_a_discriminants
 
 from conftest import mr_oracle
 

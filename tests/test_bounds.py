@@ -8,18 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slucas import kernel
-from slucas.bounds import (SUM_BLOCK, BoundReport, _exact_sum, all_t_bound,
+from slucas.bounds import (BoundReport, _rho_float, all_t_bound,
                            asymptotic_check, chain_rule, class_card_split,
-                           exact_qk1, format_json, format_tsv, m_split_range,
-                           method_a_discriminants, n1_bound_coarse,
-                           n1_bound_refined, no_prime_log2, nr_bound_split,
-                           prime_count_exact, prime_lower_bound, q_bound,
-                           qk1_analytic, qkr_upper, rho, screen_census,
-                           table_rows, ykts_bound, ykts_table_cell,
-                           ykts_total)
+                           format_json, format_tsv, m_split_range,
+                           n1_bound_coarse, n1_bound_refined, no_prime_log2,
+                           nr_bound_split, prime_count_exact,
+                           prime_lower_bound, q_bound, qk1_analytic, qkr_upper,
+                           rho, screen_census, table_rows, ykts_bound,
+                           ykts_table_cell, ykts_total)
 from slucas.counting import (alpha_bar, is_twin_prime_product,
                              slpsp_bruteforce)
 from slucas.kernel import CapacityError, factorize, is_prime_trial, jacobi
+from slucas.survey import (SUM_BLOCK, _exact_sum, _survey_window, exact_qk1,
+                           method_a_discriminants)
 
 # Number of k-bit primes, 2^(k-1) <= p < 2^k, for k = 2..29; from k = 3 on
 # this is OEIS A036378 (primes in (2^(k-1), 2^k]); k = 2 also counts 2.
@@ -39,6 +40,10 @@ def test_rho_values():
     for l in (0, 167, 200):
         with pytest.raises(ValueError):
             rho(l)
+        with pytest.raises(ValueError):
+            _rho_float(l)
+    # the engines' float ratio is the same double as the exact one's
+    assert all(_rho_float(l) == float(rho(l)) for l in range(1, 167))
 
 
 def test_prime_count_exact_matches_known_counts():
@@ -248,6 +253,25 @@ def test_exact_survey_tiny_sizes():
     assert s.best.d == 5
     with pytest.raises(CapacityError):
         exact_qk1(40)
+
+
+def test_survey_window_matches_trial_division():
+    # the window is factored off a least-prime-factor table; trial division
+    # must give the same rows: every odd k-bit n coprime to 15, twin-prime
+    # products p(p+2) dropped, each with its factorization and primality
+    for k in range(2, 13):
+        expected = []
+        for n in range((1 << (k - 1)) | 1, 1 << k, 2):
+            if n % 3 == 0 or n % 5 == 0:
+                continue
+            f = factorize(n)
+            if not is_twin_prime_product(f):
+                expected.append((n, f, is_prime_trial(n)))
+        rows = _survey_window(k)
+        assert [n for n, _, _ in rows] == [n for n, _, _ in expected], k
+        for (n, f, n_prime), (_, ref, ref_prime) in zip(rows, expected):
+            assert f.factors == ref.factors, n
+            assert f.n == n and n_prime == ref_prime, n
 
 
 @pytest.mark.parametrize("k", [10, 11, 12])

@@ -123,7 +123,8 @@ def test_test_sweeps_discriminant_once(run, monkeypatch):
         calls.append(n)
         return select_d(n, method)
 
-    monkeypatch.setattr("slucas.cli.select_d", counting_select_d)
+    # cmd_test imports select_d from slucas.lucas when it runs
+    monkeypatch.setattr("slucas.lucas.select_d", counting_select_d)
     res = run("test", LATE_D_PRIME, "-t", 5, "--seed", 1)
     assert res.output == "probable prime method=strong-lucas rounds=5\n"
     assert res.exit_code == 0
@@ -273,7 +274,8 @@ def test_bounds_survey_defect_is_not_a_usage_error(run, monkeypatch):
     def broken(k):
         raise ZeroDivisionError("defect")
 
-    monkeypatch.setattr("slucas.cli.exact_qk1", broken)
+    # cmd_bounds imports exact_qk1 from slucas.survey in its survey branch
+    monkeypatch.setattr("slucas.survey.exact_qk1", broken)
     res = run("bounds", "--survey-k", 8)
     assert res.exit_code == 1
     assert isinstance(res.exception, ZeroDivisionError)
@@ -283,7 +285,7 @@ def test_interrupt_is_reported_without_traceback(run, monkeypatch):
     def interrupted(k):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr("slucas.cli.exact_qk1", interrupted)
+    monkeypatch.setattr("slucas.survey.exact_qk1", interrupted)
     res = run("bounds", "--survey-k", 8)
     assert res.exit_code == 1
     assert res.output == "Aborted!\n"

@@ -11,7 +11,7 @@ from slucas.counting import (alpha, alpha_bar, fermat_bruteforce, fermat_count,
                              psp_to_lpsp_compose, sl_count, slpsp_bruteforce,
                              worst_case_ceiling)
 from slucas.classical import fermat_round
-from slucas.kernel import factorize, gcd, is_prime_trial, jacobi
+from slucas.kernel import factorize, is_prime_trial, jacobi
 from slucas.lucas import lucas_round
 
 
@@ -146,7 +146,7 @@ def test_fermat_to_lucas_composition():
                  if n % a and fermat_round(n, a)]
         for b in liars:
             for c in liars:
-                if b == c or gcd(n, (b - c) * (b + c)) != 1:
+                if b == c or math.gcd(n, (b - c) * (b + c)) != 1:
                     continue
                 params = psp_to_lpsp_compose(n, b, c)
                 D = params.D

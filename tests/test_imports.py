@@ -1,5 +1,5 @@
 """The package loads a submodule only when one of its names is used, so a
-cold `slucas bounds` process imports just the bound engines."""
+cold `slucas bounds` process imports just the engine it prints."""
 
 import importlib
 import json
@@ -30,19 +30,42 @@ def test_import_loads_no_submodule():
     assert json.loads(out) == []
 
 
-def test_bounds_run_leaves_other_subcommands_unloaded():
+def _bounds_run_loads(args: list[str]) -> set[str]:
+    """sys.modules after `slucas bounds <args>` in a fresh interpreter."""
     out = _fresh(
         "import io, json, sys, contextlib\n"
         "from slucas import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    try:\n"
-        "        cli.main(['bounds', '--table', '1'])\n"
+        f"        cli.main(['bounds', *{args!r}])\n"
         "    except SystemExit as exc:\n"
         "        assert exc.code == 0, exc.code\n"
         "print(json.dumps(sorted(sys.modules)))\n")
     loaded = set(json.loads(out))
     assert "slucas.bounds" in loaded
     assert not {"click", "slucas.generation", "slucas.classical"} & loaded
+    return loaded
+
+
+# a table or single bound needs neither the liar counts nor the Lucas
+# rounds, and no dataclasses (which pull in inspect) or fractions
+TABLE_UNUSED = {"dataclasses", "inspect", "fractions", "slucas.counting",
+                "slucas.lucas", "slucas.survey"}
+
+
+def test_bounds_run_leaves_other_subcommands_unloaded():
+    loaded = _bounds_run_loads(["--table", "1"])
+    assert not TABLE_UNUSED & loaded, sorted(TABLE_UNUSED & loaded)
+
+
+@pytest.mark.parametrize("args, unused", [
+    (["--single", "512", "3"], TABLE_UNUSED),
+    # a survey needs the liar counts, but not the Lucas rounds
+    (["--survey-k", "13"], {"dataclasses", "slucas.lucas"}),
+], ids=["single", "survey"])
+def test_bounds_item_loads_only_its_engine(args, unused):
+    loaded = _bounds_run_loads(args)
+    assert not unused & loaded, sorted(unused & loaded)
 
 
 def test_star_import_binds_every_export():

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slucas.kernel import (CapacityError, Factorization, NotInvertibleError,
-                           count_primes_in_range, factorize, gcd,
-                           is_perfect_square, is_prime_trial, jacobi, mod_add,
-                           mod_exp, mod_inv, mod_mul, sieve_primes,
-                           split_power_of_two)
+                           count_primes_in_range, factorize,
+                           is_perfect_square, is_prime_trial, jacobi, mod_inv,
+                           sieve_primes, split_power_of_two)
 
 
 def ref_jacobi(a, n):
@@ -28,11 +27,6 @@ def ref_jacobi(a, n):
     return flip * ref_jacobi(n % a, a)
 
 
-@given(st.integers(), st.integers())
-def test_gcd_matches_math(a, b):
-    assert gcd(a, b) == math.gcd(a, b)
-
-
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**5))
 def test_jacobi_matches_reference(a, n):
     n = 2 * n + 1
@@ -49,18 +43,6 @@ def test_jacobi_multiplicative_in_top(a, b, n):
 def test_jacobi_rejects_even_modulus():
     with pytest.raises(ValueError):
         jacobi(3, 10)
-
-
-@given(st.integers(0, 2**128), st.integers(0, 2**64), st.integers(2, 2**64))
-def test_mod_exp_matches_pow(a, e, n):
-    assert mod_exp(a, e, n) == pow(a, e, n)
-
-
-@given(st.integers(-2**80, 2**80), st.integers(-2**80, 2**80),
-       st.integers(2, 2**64))
-def test_mod_add_mul(a, b, n):
-    assert mod_add(a, b, n) == (a + b) % n
-    assert mod_mul(a, b, n) == (a * b) % n
 
 
 @given(st.integers(1, 2**64), st.integers(2, 2**64))
