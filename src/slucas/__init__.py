@@ -14,18 +14,18 @@ _EXPORTS = {
                "count_primes_in_range", "factorize", "is_perfect_square",
                "jacobi", "mod_inv", "sieve_primes", "split_power_of_two"),
     "lucas": ("LucasParams", "ParamSearchError", "RoundResult", "Verdict",
-              "lucas_round", "lucas_uv_exact", "lucas_uv_mod", "params_for_d",
-              "sample_params", "select_d", "strong_lucas_round"),
-    "classical": ("baillie_psw", "fermat_round", "miller_rabin_round"),
+              "lucas_round", "lucas_uv_mod", "params_for_d", "sample_params",
+              "select_d", "strong_lucas_round"),
+    "classical": ("baillie_psw", "fermat_round", "miller_rabin_round",
+                  "run_rounds"),
     "counting": ("alpha", "alpha_bar", "fermat_count", "is_twin_prime_product",
                  "lucas_count", "mr_count", "phi_d", "psp_to_lpsp_compose",
                  "sl_count", "slpsp_bruteforce", "worst_case_ceiling"),
-    "bounds": ("BoundReport", "ScreenCensus", "all_t_bound",
-               "asymptotic_check", "chain_rule", "n1_bound_coarse",
-               "n1_bound_refined", "nr_bound_split", "prime_count_exact",
-               "prime_lower_bound", "q_bound", "qk1_analytic", "qkr_upper",
-               "rho", "screen_census", "table_rows", "ykts_bound",
-               "ykts_table_cell", "ykts_total"),
+    "bounds": ("BoundReport", "ScreenCensus", "asymptotic_check",
+               "chain_rule", "n1_bound_coarse", "n1_bound_refined",
+               "nr_bound_split", "prime_count_exact", "prime_lower_bound",
+               "q_bound", "qk1_analytic", "qkr_upper", "rho", "screen_census",
+               "table_rows", "ykts_bound", "ykts_table_cell"),
     "survey": ("ExactSurvey", "exact_qk1"),
     "generation": ("GenConfig", "GenOutcome", "prime_inc_luc",
                    "strong_luc_generate"),

@@ -55,20 +55,14 @@ def _least_unscreened_prime(l: int) -> int:
     return _odd_primes()[l]
 
 
-def rho(l: int) -> Fraction:
+def rho(l: int) -> float:
     """Shrink ratio 1 + 1/p for the (l+1)-th odd prime p.
 
     Candidates are screened for divisibility by the first l odd primes, so
     the smallest prime factor still possible is the (l+1)-th; this ratio
     is the resulting loss factor in the geometric class-mass estimates.
+    int / int rounds correctly, so this is the double nearest (p + 1)/p.
     """
-    from fractions import Fraction
-    p = _least_unscreened_prime(l)
-    return Fraction(p + 1, p)
-
-
-def _rho_float(l: int) -> float:
-    # rho(l) without fractions: int / int rounds correctly, as Fraction does
     p = _least_unscreened_prime(l)
     return (p + 1) / p
 
@@ -220,7 +214,7 @@ def n1_bound_coarse(k: int, l: int = 8, M: int | None = None) -> BoundReport:
     count of the remaining classes.  Omit M to minimize over the
     admissible range.
     """
-    r = _rho_float(l)
+    r = rho(l)
 
     def evaluate(m: int) -> BoundReport:
         tail = 2.0 ** (k - 1.9 - m) * r ** (m + 1) / (2 - r)
@@ -239,7 +233,7 @@ def n1_bound_refined(k: int, l: int = 8, M: int | None = None,
     ``m_size`` is the size of the screened candidate set; the analytic
     upper bracket 2^(k-2.9) is used when not supplied.
     """
-    r = _rho_float(l)
+    r = rho(l)
     if m_size is None:
         m_size = 2.0 ** (k - 2.9)
 
@@ -294,7 +288,7 @@ def nr_bound_split(k: int, r: int, l: int = 8, M: int | None = None,
         raise ValueError(f"unknown parts selector: {parts!r}")
     if r < 1:
         raise ValueError("need r >= 1")
-    ro = _rho_float(l)
+    ro = rho(l)
     if m_size is None:
         m_size = 2.0 ** (k - 2.9)
 
@@ -343,13 +337,6 @@ def chain_rule(q_r: float, r: int, t: int) -> float:
     return (4 / 15) ** (t - r) * q_r / (1 - q_r)
 
 
-def all_t_bound(q_1: float, t: int) -> float:
-    """t-round error bound from a single-round one, via the chain rule."""
-    if t == 1:
-        return q_1
-    return chain_rule(q_1, 1, t)
-
-
 def qk1_analytic(k: int, l: int = 8) -> float:
     """Closed-form single-round error bound k^2 4^(1.8-sqrt(k)) rho^(2*sqrt(k-1)-2).
 
@@ -358,7 +345,7 @@ def qk1_analytic(k: int, l: int = 8) -> float:
     """
     if k < 2:
         raise ValueError("need k >= 2")
-    r = _rho_float(l)
+    r = rho(l)
     return k * k * 4.0 ** (1.8 - math.sqrt(k)) * r ** (2 * math.sqrt(k - 1) - 2)
 
 
@@ -484,26 +471,6 @@ def ykts_table_cell(k: int, t: int, c: float) -> int:
     """floor(-log2 y) for the optimized incremental bound, clamped at 0."""
     rep = ykts_bound(k, t, c)
     return max(0, math.floor(-rep.terms["log2"]))
-
-
-def ykts_total(k: int, t: int, c: float) -> float:
-    """Overall failure bound k^2 y + (1 - 5.3/k)^(k^2).
-
-    The first addend covers a bad output, the second the window containing
-    no prime at all; both shrink rapidly in k.
-    """
-    if k <= 6:
-        raise ValueError("need k > 6")
-    y = ykts_bound(k, t, c).value
-    no_prime = 2.0 ** no_prime_log2(k)
-    return k * k * y + no_prime
-
-
-def no_prime_log2(k: int) -> float:
-    """log2 of the prime-free-window probability bound (1 - 5.3/k)^(k^2)."""
-    if k <= 6:
-        raise ValueError("need k > 6")
-    return k * k * math.log2(1 - 5.3 / k)
 
 
 def asymptotic_check(k: int, t: int, c: float,

@@ -1,4 +1,5 @@
-"""Fermat and Miller-Rabin rounds plus the combined Baillie-PSW check."""
+"""Fermat and Miller-Rabin rounds, the multi-round driver for every round
+method, and the combined Baillie-PSW check."""
 
 from __future__ import annotations
 
@@ -6,8 +7,8 @@ import functools
 import math
 
 from .kernel import is_perfect_square, sieve_primes, split_power_of_two
-from .lucas import (LucasParams, RoundResult, Verdict,
-                    PROBABLE_PRIME, lucas_round, params_for_d, select_d,
+from .lucas import (ParamSearchError, RoundResult, Verdict, PROBABLE_PRIME,
+                    lucas_round, params_for_d, sample_params, select_d,
                     strong_lucas_round)
 
 
@@ -52,6 +53,42 @@ def miller_rabin_round(n: int, a: int) -> RoundResult:
         if x == n - 1:
             return PROBABLE_PRIME
     return RoundResult(Verdict.COMPOSITE, "miller-rabin")
+
+
+def run_rounds(n: int, method: str, rounds: int, rng,
+               d: int | None = None) -> tuple[RoundResult, int]:
+    """Up to ``rounds`` rounds of ``method`` on odd n >= 5, stopping at the
+    first rejection.
+
+    ``method`` is "strong-lucas", "lucas", "miller-rabin" or "fermat".
+    Each round draws a fresh base, or fresh (P, Q) with discriminant d
+    from ``sample_params``; the Lucas methods sweep for d once by method A
+    when it is None.  Returns (PROBABLE_PRIME, rounds), or the rejecting
+    round's result and number.  A failed sweep (n a square) or parameter
+    search (no unit Q) rejects with reason "d-search" or "param-search";
+    neither happens for a prime.
+    """
+    if method in ("miller-rabin", "fermat"):
+        check = miller_rabin_round if method == "miller-rabin" else fermat_round
+        draw = lambda: rng.randrange(2, n - 1) if n > 5 else 2
+    elif method in ("strong-lucas", "lucas"):
+        check = strong_lucas_round if method == "strong-lucas" else lucas_round
+        if d is None:
+            try:
+                d = select_d(n, "A")
+            except ParamSearchError:
+                return RoundResult(Verdict.COMPOSITE, "d-search"), 1
+        draw = lambda: sample_params(n, d, rng)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    for i in range(1, rounds + 1):
+        try:
+            res = check(n, draw())
+        except ParamSearchError:
+            res = RoundResult(Verdict.COMPOSITE, "param-search")
+        if not res:
+            return res, i
+    return PROBABLE_PRIME, rounds
 
 
 DEFAULT_TRIAL_LIMIT = 1000

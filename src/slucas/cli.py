@@ -59,9 +59,7 @@ def _checked(fn, *args, **kwargs):
 def cmd_test(args) -> int:
     """Run a probable-prime test on N; exit 0 if it passes, 1 if not."""
     import random
-    from .classical import baillie_psw, fermat_round, miller_rabin_round
-    from .lucas import (ParamSearchError, lucas_round, sample_params,
-                        select_d, strong_lucas_round)
+    from .classical import baillie_psw, run_rounds
 
     n, method, rounds, d = args.n, args.method, args.rounds, args.d
     if n < 5 or n % 2 == 0:
@@ -75,33 +73,12 @@ def cmd_test(args) -> int:
     if shared > 1:
         raise UsageError(f"--d {d} shares the factor {shared} with n; "
                          "the Lucas test needs D coprime to n")
-    rng = random.Random(args.seed)
-    rounds_run = 0
     if method == "bpsw":
         passed = baillie_psw(n)
         rounds_run = 1
-    elif method in ("miller-rabin", "fermat"):
-        round_fn = miller_rabin_round if method == "miller-rabin" else fermat_round
-        passed = True
-        for _ in range(rounds):
-            rounds_run += 1
-            a = rng.randrange(2, n - 1) if n > 5 else 2
-            if not round_fn(n, a):
-                passed = False
-                break
     else:
-        round_fn = strong_lucas_round if method == "strong-lucas" else lucas_round
-        passed = True
-        rounds_run = 1  # a failed discriminant sweep fails the first round
-        try:
-            disc = d if d is not None else select_d(n, "A")
-            for rounds_run in range(1, rounds + 1):
-                if not round_fn(n, sample_params(n, disc, rng)):
-                    passed = False
-                    break
-        except ParamSearchError:
-            # no usable discriminant/parameters: only happens off primes
-            passed = False
+        passed, rounds_run = run_rounds(n, method, rounds,
+                                        random.Random(args.seed), d)
     verdict = "probable prime" if passed else "composite"
     detail = f" method={method} rounds={rounds_run}"
     if d is not None:
@@ -224,7 +201,8 @@ def _parser() -> argparse.ArgumentParser:
                      default="uniform", help="[default: %(default)s]")
     sub.add_argument("--window", type=int, default=None,
                      help="Incremental: candidates before FAIL "
-                          "(default 10*ceil(bits*ln 2)).")
+                          "(default 10*ceil(bits*ln 2)); the walk also "
+                          "stops at 2^bits.")
     sub.add_argument("--d", type=integer, default=None,
                      help="Fix the discriminant.")
     sub.add_argument("--screen", type=int, default=MAX_SCREEN_DEPTH,

@@ -149,9 +149,9 @@ def is_twin_prime_product(n: int | Factorization) -> bool:
     f = _fact(n)
     if f.omega != 2 or not f.is_squarefree():
         return False
+    # factorize returns prime factors, so p and r are prime already
     p, r = f.primes
-    from .kernel import is_prime_trial
-    return r == p + 2 and is_prime_trial(p) and is_prime_trial(r)
+    return r == p + 2
 
 
 def worst_case_ceiling(n: int | Factorization) -> Fraction:

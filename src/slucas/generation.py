@@ -1,15 +1,21 @@
 """Probable-prime generation built on the strong Lucas test.
 
-Two generators share a config and an outcome type:
+Both generators are one pipeline, ``_search``, over different candidate
+streams and screens.  Each candidate meets the screens in order, then a
+base-2 strong test, then the choice of a discriminant and up to t strong
+Lucas rounds (``classical.run_rounds``); the first candidate to survive
+them all is the result.
 
-  * ``strong_luc_generate`` draws uniform odd k-bit candidates, screens
-    them (Jacobi filter, small-prime gcd, twin-prime-product square check,
-    trial division up to k**2 / 16, base-2 strong test), and keeps the
-    first one surviving t test rounds.
+  * ``strong_luc_generate`` draws uniform odd k-bit candidates and screens
+    them by the Jacobi filter, a small-prime gcd, the twin-prime-product
+    square check and trial division up to k**2 / 16, with D = 5 unless
+    the config fixes it.
   * ``prime_inc_luc`` draws one odd k-bit start and walks upward in steps
-    of 2 through a bounded window, screening by a sieve of the whole
-    window (screen primes, then the trial-division primes) built once up
-    front; running out of window is a ``Fail`` result, not an error.
+    of 2 through a bounded window that ends below 2**k, screening by a
+    sieve of the whole window (screen primes, then the trial-division
+    primes) built once up front, with a discriminant swept per candidate
+    unless the config fixes it; running out of window is a ``Fail``
+    result, not an error.
 
 The trial-division stage checks the primes in (1000, k**2 / 16], past the
 paper's screen of at most 166 odd primes.  It exists only for k >= 127,
@@ -35,9 +41,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .bounds import MAX_SCREEN_DEPTH
-from .classical import miller_rabin_round
+from .classical import miller_rabin_round, run_rounds
 from .kernel import is_perfect_square, jacobi, sieve_primes
-from .lucas import ParamSearchError, sample_params, select_d, strong_lucas_round
 
 # Uniform generation keeps drawing until something survives; this cap turns
 # a pathological config into a diagnosable error instead of a hang.
@@ -64,9 +69,8 @@ class GenConfig:
     the divisibility screen uses (2 to 166); the trial-division stage
     past it follows from ``bits`` alone (primes up to bits**2 / 16).
     ``window`` (incremental only) is the number of candidates before
-    giving up; None picks 10 * ceil(k * ln 2).  ``jacobi_filter`` /
-    ``square_screen`` opt the incremental walk into the uniform
-    generator's extra screens.
+    giving up; None picks 10 * ceil(k * ln 2).  The walk also ends at
+    2**k, so a start near the top gets fewer candidates.
     """
 
     bits: int
@@ -75,8 +79,6 @@ class GenConfig:
     screen: int = MAX_SCREEN
     window: int | None = None
     seed: int | None = None
-    jacobi_filter: bool = False
-    square_screen: bool = False
 
     def __post_init__(self) -> None:
         if self.bits < 5:
@@ -190,46 +192,54 @@ def sieve_window(n0: int, window: int, primes) -> bytearray:
     return flags
 
 
-def _streams(seed: int | None) -> tuple[random.Random, random.Random]:
-    """(candidate stream, parameter stream) for a config seed.
-
-    The candidate stream is ``random.Random(seed)`` itself; the parameter
-    stream is seeded from the same seed under its own label, and both are
-    left unseeded when the seed is None.
-    """
-    if seed is None:
-        return random.Random(), random.Random()
-    return random.Random(seed), random.Random(f"slucas-params:{seed}")
-
-
 def _draw_odd(bits: int, rng: random.Random) -> int:
     # top and bottom bit forced: odd, exactly `bits` bits
     return (1 << (bits - 1)) | (rng.getrandbits(bits - 2) << 1) | 1
 
 
-def _run_rounds(n: int, d: int, rounds: int, rng: random.Random,
-                entry: dict) -> tuple[str, int]:
-    """Up to ``rounds`` strong Lucas rounds on n, fresh parameters each.
+def _search(cfg: GenConfig, candidates, screens, d: int | None) -> GenOutcome:
+    """The candidate loop both generators run.
 
-    Records the rounds survived in ``entry`` and returns the transcript
-    stage with the Lucas rounds spent: ("accepted", t), or
-    ("round-i:<reason>", i) when round i rejects.
+    ``candidates`` yields (i, n); ``screens`` is an ordered tuple of
+    (stage, rejects(i, n)), and the first screen that rejects n names its
+    transcript stage.  Survivors meet a base-2 strong test, then up to
+    cfg.rounds strong Lucas rounds with discriminant d (None: swept per
+    candidate by ``run_rounds``) and fresh parameters each, drawn from a
+    stream of their own; round i rejecting gives stage "round-i:<reason>".
+    A failed sweep gives stage "d-search" and counts no round.  Returns at
+    the first accepted candidate, or with result None once the candidates
+    run out.
     """
-    for i in range(rounds):
-        try:
-            params = sample_params(n, d, rng)
-        except ParamSearchError:
-            # no unit Q in 128 draws: n is riddled with factors
-            reason = "param-search"
+    # the candidate stream is random.Random(seed); this one is seeded from
+    # the same seed under its own label, and both are unseeded for None
+    params = random.Random(None if cfg.seed is None
+                           else f"slucas-params:{cfg.seed}")
+    transcript: list[dict] = []
+    rounds_run = 0
+    for i, n in candidates:
+        entry = {"n": hex(n), "stage": "", "rounds": 0}
+        transcript.append(entry)
+        for stage, rejects in screens:
+            if rejects(i, n):
+                break
         else:
-            res = strong_lucas_round(n, params)
-            if res:
-                continue
-            reason = res.reason
-        entry["rounds"] = i
-        return f"round-{i + 1}:{reason}", i + 1
-    entry["rounds"] = rounds
-    return "accepted", rounds
+            if not miller_rabin_round(n, 2):
+                stage = "base-2"
+            else:
+                res, spent = run_rounds(n, "strong-lucas", cfg.rounds,
+                                        params, d)
+                if res.reason == "d-search":
+                    stage = "d-search"
+                else:
+                    rounds_run += spent
+                    entry["rounds"] = spent if res else spent - 1
+                    stage = "accepted" if res else f"round-{spent}:{res.reason}"
+        entry["stage"] = stage
+        if stage == "accepted":
+            return GenOutcome(result=n, candidates_tested=len(transcript),
+                              rounds_run=rounds_run, transcript=transcript)
+    return GenOutcome(result=None, candidates_tested=len(transcript),
+                      rounds_run=rounds_run, transcript=transcript)
 
 
 def strong_luc_generate(cfg: GenConfig) -> GenOutcome:
@@ -243,84 +253,51 @@ def strong_luc_generate(cfg: GenConfig) -> GenOutcome:
     (1000, trial_bound(bits)] (one gcd per block product), and must pass a
     base-2 strong test.  Each test round draws fresh parameters.
     """
-    draws, params = _streams(cfg.seed)
+    draws = random.Random(cfg.seed)
     d = 5 if cfg.d is None else cfg.d
     blocks = _trial_blocks(trial_bound(cfg.bits))
-    transcript: list[dict] = []
-    rounds_run = 0
-    for tested in range(1, MAX_UNIFORM_DRAWS + 1):
-        n = _draw_odd(cfg.bits, draws)
-        entry = {"n": hex(n), "stage": "", "rounds": 0}
-        transcript.append(entry)
-        if jacobi(d, n) != -1:
-            stage = "jacobi-filter"
-        elif _has_screen_factor(n, cfg.screen):
-            stage = "small-factor"
-        elif is_perfect_square(n + 1):
-            stage = "square"
-        elif any(math.gcd(n, block) > 1 for block in blocks):
-            # n exceeds every trial prime, so a common factor is proper
-            stage = "trial-division"
-        elif not miller_rabin_round(n, 2):
-            stage = "base-2"
-        else:
-            stage, spent = _run_rounds(n, d, cfg.rounds, params, entry)
-            rounds_run += spent
-        entry["stage"] = stage
-        if stage == "accepted":
-            return GenOutcome(result=n, candidates_tested=tested,
-                              rounds_run=rounds_run, transcript=transcript)
-    raise RuntimeError(f"no survivor in {MAX_UNIFORM_DRAWS} draws; "
-                       f"check the configuration")
+    screens = (
+        ("jacobi-filter", lambda i, n: jacobi(d, n) != -1),
+        ("small-factor", lambda i, n: _has_screen_factor(n, cfg.screen)),
+        ("square", lambda i, n: is_perfect_square(n + 1)),
+        # n exceeds every trial prime, so a common factor is proper
+        ("trial-division",
+         lambda i, n: any(math.gcd(n, block) > 1 for block in blocks)),
+    )
+    candidates = ((i, _draw_odd(cfg.bits, draws))
+                  for i in range(MAX_UNIFORM_DRAWS))
+    out = _search(cfg, candidates, screens, d)
+    if out.result is None:
+        raise RuntimeError(f"no survivor in {MAX_UNIFORM_DRAWS} draws; "
+                           f"check the configuration")
+    return out
 
 
 def prime_inc_luc(cfg: GenConfig) -> GenOutcome:
     """Incremental search: one random start, +2 steps, bounded window.
 
     The whole window is sieved once by the screen primes and once by the
-    trial-division primes; each candidate the screen primes leave meets
-    the opt-in screens, the trial-division flags and a base-2 strong test,
-    and survivors get t strong Lucas rounds, with the discriminant fixed
-    by config or chosen per candidate.  Returns a Fail outcome (result
-    None) when the window is exhausted.
+    trial-division primes; each candidate the screen primes leave must
+    share no factor with a fixed discriminant and meet the
+    trial-division flags and a base-2 strong test, and survivors get t
+    strong Lucas rounds, with the discriminant fixed by config or chosen
+    per candidate.  The window stops short of 2**k, so every candidate
+    has k bits.  Returns a Fail outcome (result None) when the window is
+    exhausted.
     """
-    draws, params = _streams(cfg.seed)
+    draws = random.Random(cfg.seed)
     window = cfg.window
     if window is None:
         window = 10 * math.ceil(cfg.bits * math.log(2))
     n0 = _draw_odd(cfg.bits, draws)
+    window = min(window, ((1 << cfg.bits) - n0 + 1) // 2)
     flagged = sieve_window(n0, window, _screen(cfg.screen)[0])
     divided = sieve_window(n0, window, _trial_primes(trial_bound(cfg.bits)))
-    transcript: list[dict] = []
-    rounds_run = 0
-    for i in range(window):
-        n = n0 + 2 * i
-        entry = {"n": hex(n), "stage": "", "rounds": 0}
-        transcript.append(entry)
-        if flagged[i]:
-            stage = "small-factor"
-        elif cfg.d is not None and math.gcd(cfg.d, n) > 1:
-            stage = "shares-factor"
-        elif cfg.jacobi_filter and jacobi(5 if cfg.d is None else cfg.d,
-                                          n) != -1:
-            stage = "jacobi-filter"
-        elif cfg.square_screen and is_perfect_square(n + 1):
-            stage = "square"
-        elif divided[i]:
-            stage = "trial-division"
-        elif not miller_rabin_round(n, 2):
-            stage = "base-2"
-        else:
-            try:
-                d = select_d(n, "A") if cfg.d is None else cfg.d
-            except ParamSearchError:
-                stage = "d-search"
-            else:
-                stage, spent = _run_rounds(n, d, cfg.rounds, params, entry)
-                rounds_run += spent
-        entry["stage"] = stage
-        if stage == "accepted":
-            return GenOutcome(result=n, candidates_tested=i + 1,
-                              rounds_run=rounds_run, transcript=transcript)
-    return GenOutcome(result=None, candidates_tested=window,
-                      rounds_run=rounds_run, transcript=transcript)
+    screens = (
+        ("small-factor", lambda i, n: flagged[i]),
+        ("shares-factor",
+         lambda i, n: cfg.d is not None and math.gcd(cfg.d, n) > 1),
+        ("trial-division", lambda i, n: divided[i]),
+    )
+    candidates = ((i, n0 + 2 * i) for i in range(window))
+    return _search(cfg, candidates, screens, cfg.d)

@@ -254,10 +254,3 @@ def factorize(n: int) -> Factorization:
     if n > 1:
         factors.append((n, 1))
     return Factorization(original, factors)
-
-
-def is_prime_trial(n: int) -> bool:
-    """Primality by trial division; only sensible below the factor ceiling."""
-    if n < 2:
-        return False
-    return factorize(n).factors == [(n, 1)]

@@ -31,8 +31,6 @@ from dataclasses import dataclass
 from .kernel import (_method_a_sequence, is_perfect_square, jacobi, mod_inv,
                      split_power_of_two)
 
-EXACT_INDEX_LIMIT = 10 ** 4
-
 
 class Verdict(enum.Enum):
     PROBABLE_PRIME = "probable-prime"
@@ -73,26 +71,6 @@ class LucasParams:
 
 class ParamSearchError(RuntimeError):
     """Raised when random or sequential parameter search gives up."""
-
-
-def lucas_uv_exact(m: int, P: int, Q: int) -> tuple[int, int]:
-    """(U_m, V_m) over the integers, by plain iteration.
-
-    Capped at m <= 10**4 since the values grow exponentially; use
-    lucas_uv_mod for anything bigger.
-    """
-    if m < 0:
-        raise ValueError("index must be >= 0")
-    if m > EXACT_INDEX_LIMIT:
-        raise ValueError(f"index {m} exceeds exact-mode cap {EXACT_INDEX_LIMIT}")
-    u_prev, u = 0, 1
-    v_prev, v = 2, P
-    if m == 0:
-        return 0, 2
-    for _ in range(m - 1):
-        u_prev, u = u, P * u - Q * u_prev
-        v_prev, v = v, P * v - Q * v_prev
-    return u, v
 
 
 def lucas_uv_mod(m: int, P: int, Q: int, n: int) -> tuple[int, int, int]:

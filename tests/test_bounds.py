@@ -8,19 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slucas import kernel
-from slucas.bounds import (BoundReport, _rho_float, all_t_bound,
-                           asymptotic_check, chain_rule, class_card_split,
-                           format_json, format_tsv, m_split_range,
-                           n1_bound_coarse, n1_bound_refined, no_prime_log2,
+from slucas.bounds import (BoundReport, asymptotic_check, chain_rule,
+                           class_card_split, format_json, format_tsv,
+                           m_split_range, n1_bound_coarse, n1_bound_refined,
                            nr_bound_split, prime_count_exact,
                            prime_lower_bound, q_bound, qk1_analytic, qkr_upper,
                            rho, screen_census, table_rows, ykts_bound,
-                           ykts_table_cell, ykts_total)
+                           ykts_table_cell)
 from slucas.counting import (alpha_bar, is_twin_prime_product,
                              slpsp_bruteforce)
-from slucas.kernel import CapacityError, factorize, is_prime_trial, jacobi
+from slucas.kernel import CapacityError, factorize, jacobi
 from slucas.survey import (SUM_BLOCK, _exact_sum, _survey_window, exact_qk1,
                            method_a_discriminants)
+
+from conftest import mr_oracle
 
 # Number of k-bit primes, 2^(k-1) <= p < 2^k, for k = 2..29; from k = 3 on
 # this is OEIS A036378 (primes in (2^(k-1), 2^k]); k = 2 also counts 2.
@@ -30,20 +31,20 @@ K_BIT_PRIMES = (2, 2, 2, 5, 7, 13, 23, 43, 75, 137, 255, 464, 872, 1612,
 
 
 def test_rho_values():
-    assert rho(2) == Fraction(8, 7)
-    assert rho(8) == Fraction(30, 29)
-    assert rho(1) == Fraction(6, 5)
+    assert rho(2) == 8 / 7
+    assert rho(8) == 30 / 29
+    assert rho(1) == 6 / 5
     # strictly decreasing toward 1
     vals = [rho(l) for l in range(1, 12)]
     assert all(a > b > 1 for a, b in zip(vals, vals[1:]))
-    assert rho(166) == 1 + Fraction(1, 997)
+    assert rho(166) == 998 / 997
     for l in (0, 167, 200):
         with pytest.raises(ValueError):
             rho(l)
-        with pytest.raises(ValueError):
-            _rho_float(l)
-    # the engines' float ratio is the same double as the exact one's
-    assert all(_rho_float(l) == float(rho(l)) for l in range(1, 167))
+    # the float is the double nearest the exact ratio (p + 1)/p
+    primes = [p for p in range(3, 1000, 2) if mr_oracle(p)]
+    assert all(rho(l) == float(Fraction(primes[l] + 1, primes[l]))
+               for l in range(1, 167))
 
 
 def test_prime_count_exact_matches_known_counts():
@@ -182,7 +183,6 @@ def test_chain_rule_at_threshold():
     q1 = 4 / 19
     for t in range(2, 8):
         assert chain_rule(q1, 1, t) == pytest.approx((4 / 15) ** t)
-        assert all_t_bound(q1, t) == pytest.approx((4 / 15) ** t)
     # one extra round from q_r = 1/2 contributes a bare 4/15 factor
     assert chain_rule(0.5, 3, 4) == pytest.approx(4 / 15)
 
@@ -221,15 +221,6 @@ def test_ykts_bound_past_float_range_is_value_error():
     assert ykts_bound(100, 1, 1e155).terms["log2"] < 1024
 
 
-def test_ykts_total_adds_no_prime_mass():
-    y = ykts_bound(256, 2, 1.0).value
-    total = ykts_total(256, 2, 1.0)
-    assert total >= 256 ** 2 * y
-    assert no_prime_log2(256) < 0
-    # the window-exhaustion term is astronomically small but positive
-    assert total - 256 ** 2 * y == pytest.approx(2 ** no_prime_log2(256))
-
-
 def test_asymptotic_check_holds_for_defaults():
     for k in (64, 128, 256, 1024):
         holds, witness = asymptotic_check(k, 2, 1.0)
@@ -266,7 +257,7 @@ def test_survey_window_matches_trial_division():
                 continue
             f = factorize(n)
             if not is_twin_prime_product(f):
-                expected.append((n, f, is_prime_trial(n)))
+                expected.append((n, f, mr_oracle(n)))
         rows = _survey_window(k)
         assert [n for n, _, _ in rows] == [n for n, _, _ in expected], k
         for (n, f, n_prime), (_, ref, ref_prime) in zip(rows, expected):
@@ -305,7 +296,7 @@ def test_exact_survey_matches_bruteforce_counts(k):
     # the number of accepting (P, Q) pairs found by running the test on
     # every P mod n, over n - (d/n) - 1
     window = [n for n in range((1 << (k - 1)) | 1, 1 << k, 2)
-              if n % 3 and n % 5 and not is_prime_trial(n)
+              if n % 3 and n % 5 and not mr_oracle(n)
               and not is_twin_prime_product(n)]
     surveys = {r: exact_qk1(k, r) for r in (1, 2, 3)}
     for i, d in enumerate(method_a_discriminants(12)):

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slucas.classical import baillie_psw, fermat_round, miller_rabin_round
+from slucas.classical import (baillie_psw, fermat_round, miller_rabin_round,
+                              run_rounds)
 from slucas.kernel import is_perfect_square, sieve_primes
 from slucas.lucas import (PROBABLE_PRIME, RoundResult, Verdict, params_for_d,
                           select_d, strong_lucas_round)
@@ -153,3 +156,81 @@ def test_bpsw_agrees_with_sympy(data):
         p = sympy.nextprime(data.draw(half))
         n = p * sympy.nextprime(p)
     assert bool(baillie_psw(n)) == sympy.isprime(n), n
+
+
+ROUND_METHODS = ("strong-lucas", "lucas", "miller-rabin", "fermat")
+
+
+@pytest.mark.parametrize("method", ROUND_METHODS)
+def test_run_rounds_counts_rounds(method):
+    assert run_rounds(104729, method, 4, random.Random(1)) == (
+        PROBABLE_PRIME, 4)
+    assert run_rounds(LATE_D_PRIME, method, 2, random.Random(1)) == (
+        PROBABLE_PRIME, 2)
+    # 2^32 + 1 = 641 * 6700417: every method rejects in its first round
+    res, spent = run_rounds(2**32 + 1, method, 5, random.Random(1))
+    assert not res and spent == 1
+
+
+def test_run_rounds_stops_at_the_rejecting_round():
+    # 5459 = 53 * 103 passes some Lucas rounds, 561 some Fermat rounds
+    res, spent = run_rounds(5459, "lucas", 5, random.Random(4))
+    assert (res.reason, spent) == ("u-nonzero", 2)
+    res, spent = run_rounds(561, "fermat", 3, random.Random(5))
+    assert (res.verdict, spent) == (Verdict.COMPOSITE, 2)
+
+
+@pytest.mark.parametrize("method", ["strong-lucas", "lucas"])
+def test_run_rounds_square_fails_the_discriminant_sweep(method):
+    # no D has (D/37^2) = -1; a fixed D still runs the rounds
+    assert run_rounds(37 ** 2, method, 3, random.Random(1)) == (
+        RoundResult(Verdict.COMPOSITE, "d-search"), 1)
+    res, _ = run_rounds(37 ** 2, method, 3, random.Random(1), d=5)
+    assert res.reason not in ("", "d-search")
+
+
+class _FixedDraw(random.Random):
+    def randrange(self, *args):
+        return 2
+
+
+@pytest.mark.parametrize("method", ["strong-lucas", "lucas"])
+def test_run_rounds_param_search_rejects(method):
+    # D = -11, P = 2 gives Q = (4 + 11)/4 = 0 mod 15 on every draw
+    assert run_rounds(15, method, 3, _FixedDraw(), d=-11) == (
+        RoundResult(Verdict.COMPOSITE, "param-search"), 1)
+
+
+def test_run_rounds_rejects_unknown_method():
+    with pytest.raises(ValueError, match="bpsw"):
+        run_rounds(104729, "bpsw", 1, random.Random(1))
+
+
+def _rfc3526_prime() -> int:
+    """The 2048-bit MODP group prime of RFC 3526, a safe prime."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(700):
+        frac = int(mpmath.floor(mpmath.mpf(2) ** 1918 * mpmath.pi))
+    return 2 ** 2048 - 2 ** 1984 - 1 + 2 ** 64 * (frac + 124476)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 512, 1024, 2048])
+def test_run_rounds_agrees_with_sympy(bits):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(bits)
+
+    def prime(size):
+        return sympy.nextprime(rng.getrandbits(size) | 1 << (size - 1))
+
+    if bits == 2048:
+        # sympy.nextprime takes seconds here; take a known prime pair
+        p = _rfc3526_prime()
+        primes = [p, (p - 1) // 2]
+    else:
+        primes = [prime(bits), prime(bits)]
+    products = [prime(bits // 2) * prime(bits // 2) for _ in range(2)]
+    for n in primes + products:
+        res, spent = run_rounds(n, "strong-lucas", 3, random.Random(n))
+        assert bool(res) == sympy.isprime(n), hex(n)
+        assert spent == (3 if res else 1)
+    assert all(map(sympy.isprime, primes))

@@ -123,13 +123,50 @@ def test_test_sweeps_discriminant_once(run, monkeypatch):
         calls.append(n)
         return select_d(n, method)
 
-    # cmd_test imports select_d from slucas.lucas when it runs
-    monkeypatch.setattr("slucas.lucas.select_d", counting_select_d)
+    # run_rounds looks select_d up in slucas.classical
+    monkeypatch.setattr("slucas.classical.select_d", counting_select_d)
     res = run("test", LATE_D_PRIME, "-t", 5, "--seed", 1)
     assert res.output == "probable prime method=strong-lucas rounds=5\n"
     assert res.exit_code == 0
     assert calls == [LATE_D_PRIME]
 
+
+# `slucas test` output for each method and a spread of round counts,
+# seeds and discriminants: rounds= is the round that rejected
+PINNED_TESTS = [
+    (("104729", "-t", 3, "--seed", 1),
+     0, "probable prime method=strong-lucas rounds=3"),
+    (("104731", "-t", 5, "--seed", 3),                  # 31^2 * 109
+     1, "composite method=strong-lucas rounds=1"),
+    ((LATE_D_PRIME, "-t", 3, "--seed", 2),
+     0, "probable prime method=strong-lucas rounds=3"),
+    (("1009", "--d", 5, "-t", 5, "--seed", 9),
+     0, "probable prime method=strong-lucas rounds=5 d=5"),
+    (("1369", "--seed", 1),                             # 37^2: no D exists
+     1, "composite method=strong-lucas rounds=1"),
+    (("1369", "--method", "lucas", "-t", 3, "--seed", 1),
+     1, "composite method=lucas rounds=1"),
+    (("5459", "--method", "lucas", "-t", 5, "--seed", 4),
+     1, "composite method=lucas rounds=2"),
+    (("5777", "-t", 3, "--d", 5, "--seed", 4),
+     1, "composite method=strong-lucas rounds=1 d=5"),
+    (("3215031751", "--method", "miller-rabin", "-t", 5, "--seed", 4),
+     1, "composite method=miller-rabin rounds=1"),
+    (("561", "--method", "fermat", "-t", 3, "--seed", 5),
+     1, "composite method=fermat rounds=2"),
+    (("65537", "--method", "fermat", "-t", 5, "--seed", 5),
+     0, "probable prime method=fermat rounds=5"),
+    (("3825123056546413051", "--method", "bpsw"),
+     1, "composite method=bpsw rounds=1"),
+]
+
+
+@pytest.mark.parametrize("args, code, line", PINNED_TESTS,
+                         ids=[" ".join(map(str, a))[:40] for a, _, _
+                              in PINNED_TESTS])
+def test_test_output_is_pinned(run, args, code, line):
+    res = run("test", *args)
+    assert (res.exit_code, res.output) == (code, line + "\n")
 
 def test_generate_uniform(run):
     res = run("generate", "--bits", 32, "--rounds", 2, "--seed", 42)

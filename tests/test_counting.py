@@ -11,11 +11,12 @@ from slucas.counting import (alpha, alpha_bar, fermat_bruteforce, fermat_count,
                              psp_to_lpsp_compose, sl_count, slpsp_bruteforce,
                              worst_case_ceiling)
 from slucas.classical import fermat_round
-from slucas.kernel import factorize, is_prime_trial, jacobi
+from slucas.kernel import factorize, jacobi
 from slucas.lucas import lucas_round
 
+from conftest import mr_oracle
 
-odd_composites = [n for n in range(9, 700, 2) if not is_prime_trial(n)]
+odd_composites = [n for n in range(9, 700, 2) if not mr_oracle(n)]
 
 
 def test_phi_d_multiplicative_pieces():

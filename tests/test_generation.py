@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -38,6 +39,25 @@ PINNED_UNIFORM_1024 = [
     (488, 3, 0x6e42345a3cdf8323),
 ]
 
+
+# sha256 of to_jsonl() for seeded runs; between them the transcripts hold
+# every stage both generators write: jacobi-filter, small-factor,
+# shares-factor, trial-division, base-2, d-search (the walk meets
+# 1093^2, a base-2 strong pseudoprime), round-1:no-zero-term and accepted
+PINNED_TRANSCRIPTS = [
+    (strong_luc_generate, dict(bits=256, rounds=3, seed=1),
+     "0516e2b7598498f90a3349321e38b59a65141ec37e2f2299adb03d7c92165738"),
+    (strong_luc_generate, dict(bits=21, rounds=3, screen=2, seed=5977),
+     "f462bd3b3f3788852a3373198a7cf3abe75caba171d62eedfe706e0c975f6030"),
+    (prime_inc_luc, dict(bits=256, rounds=3, seed=1),
+     "e4725bfbe4df36f11c2759c3a9399369c8a9780127a0509920298aeba737df08"),
+    (prime_inc_luc, dict(bits=256, rounds=3, d=13, screen=2, seed=1),
+     "e4f15068be9ea70017f201a9f1d715c6827d596de150d3644862096acf26a3c0"),
+    (prime_inc_luc, dict(bits=21, rounds=3, screen=2, seed=686),
+     "0fb4379160b5619926e44a98c1623b4bd8564101b75b9f4c6d18037c8923afc7"),
+    (prime_inc_luc, dict(bits=21, rounds=3, screen=2, seed=56075),
+     "410f57c5bd793c43a281358629867f6fb454c416db5b35d772e5fb4c9d50c760"),
+]
 
 def test_config_validation():
     with pytest.raises(ValueError):
@@ -113,6 +133,16 @@ def test_incremental_fail_on_barren_window():
     assert saw_fail
 
 
+def test_incremental_walk_ends_below_two_to_the_bits():
+    # a start near 2^bits gets a shorter window, never a (bits+1)-bit prime
+    for bits in range(5, 17):
+        for seed in range(200):
+            out = prime_inc_luc(GenConfig(bits=bits, rounds=2, seed=seed))
+            assert out.candidates_tested == len(out.transcript)
+            assert int(out.transcript[-1]["n"], 16) < 1 << bits
+            assert out.result is None or out.result.bit_length() == bits
+
+
 def test_outcome_truthiness():
     ok = GenOutcome(result=101, candidates_tested=1, rounds_run=1,
                     transcript=[])
@@ -148,8 +178,7 @@ def test_fixed_discriminant_is_honored():
 
 
 def test_transcript_stage_vocabulary():
-    out = strong_luc_generate(GenConfig(bits=20, rounds=2, seed=11,
-                                        square_screen=True))
+    out = strong_luc_generate(GenConfig(bits=20, rounds=2, seed=11))
     recs = [json.loads(line) for line in out.to_jsonl().strip().split("\n")]
     assert recs[-1]["stage"] == "accepted"
     assert recs[-1]["rounds"] == 2
@@ -274,3 +303,12 @@ def test_generators_agree_with_sympy():
             assert start <= n <= start + 2 * (window - 1)
 
     check()
+
+
+@pytest.mark.parametrize("gen, kwargs, digest", PINNED_TRANSCRIPTS, ids=[
+    "-".join([gen.__name__, *(f"{k}{v}" for k, v in kwargs.items())])
+    for gen, kwargs, _ in PINNED_TRANSCRIPTS])
+def test_transcripts_match_pinned_digests(gen, kwargs, digest):
+    out = gen(GenConfig(**kwargs))
+    assert hashlib.sha256(out.to_jsonl().encode()).hexdigest() == digest
+    assert out.candidates_tested == len(out.transcript)

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from slucas.kernel import (CapacityError, Factorization, NotInvertibleError,
                            count_primes_in_range, factorize,
-                           is_perfect_square, is_prime_trial, jacobi, mod_inv,
-                           sieve_primes, split_power_of_two)
+                           is_perfect_square, jacobi, mod_inv, sieve_primes,
+                           split_power_of_two)
+
+from conftest import mr_oracle
 
 
 def ref_jacobi(a, n):
@@ -142,7 +144,7 @@ def test_factorize_roundtrip():
         f = factorize(n)
         prod = 1
         for p, e in f:
-            assert is_prime_trial(p)
+            assert mr_oracle(p)
             prod *= p**e
         assert prod == n == f.n
 
@@ -154,10 +156,3 @@ def test_factorization_views():
     assert f.primes == [2, 3, 7]
     assert not f.is_squarefree()
     assert factorize(105).is_squarefree()
-
-
-def test_trial_primality_agrees_with_sieve():
-    limit = 3000
-    table = set(sieve_primes(limit))
-    for n in range(limit + 1):
-        assert is_prime_trial(n) == (n in table)

@@ -9,8 +9,8 @@ from slucas.kernel import (is_perfect_square, jacobi, sieve_primes,
                            split_power_of_two)
 from slucas.lucas import (PROBABLE_PRIME, LucasParams, ParamSearchError,
                           RoundResult, Verdict, _check_args, lucas_round,
-                          lucas_uv_exact, lucas_uv_mod, params_for_d,
-                          sample_params, select_d, strong_lucas_round)
+                          lucas_uv_mod, params_for_d, sample_params, select_d,
+                          strong_lucas_round)
 
 from conftest import LATE_D_PRIME
 
@@ -24,19 +24,13 @@ def naive_uv(m, P, Q):
     return u0, v0
 
 
-def test_exact_sequences_match_recurrence():
-    for P, Q in [(1, -1), (3, 2), (5, -3), (-2, 7)]:
-        for m in range(25):
-            assert lucas_uv_exact(m, P, Q) == naive_uv(m, P, Q)
-
-
 def test_fibonacci_special_case():
     # P=1, Q=-1 gives Fibonacci / Lucas numbers
     fib = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
     for m, f in enumerate(fib):
-        u, v = lucas_uv_exact(m, 1, -1)
+        u, v, _ = lucas_uv_mod(m, 1, -1, 10**9 + 7)
         assert u == f
-    assert lucas_uv_exact(7, 1, -1)[1] == 29
+    assert lucas_uv_mod(7, 1, -1, 10**9 + 7)[1] == 29
 
 
 @given(st.integers(0, 10**6), st.integers(-50, 50), st.integers(-50, 50),
@@ -55,7 +49,7 @@ def test_mod_ladder_is_consistent(m, P, Q, n):
 @given(st.integers(0, 40), st.integers(-20, 20), st.integers(-20, 20))
 def test_mod_ladder_matches_exact(m, P, Q):
     n = 10**9 + 7
-    u, v = lucas_uv_exact(m, P, Q)
+    u, v = naive_uv(m, P, Q)
     um, vm, _ = lucas_uv_mod(m, P, Q, n)
     assert um == u % n and vm == v % n
 
