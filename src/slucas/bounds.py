@@ -36,6 +36,11 @@ PRIME_DENSITY = 0.71867
 # q_bound sizes larger k analytically.
 EXACT_CENSUS_MAX_K = 29
 
+# Single-round engines by k: gcd-split through SPLIT_MAX_K, refined class
+# sums through REFINED_MAX_K, the coarse two-term bound beyond.
+SPLIT_MAX_K = 41
+REFINED_MAX_K = 59
+
 # Exact small-k surveys (slucas.survey) factor every candidate in the window.
 EXACT_SURVEY_MAX_K = 16
 
@@ -118,13 +123,6 @@ class ScreenCensus(NamedTuple):
     upper: float | None = None
 
 
-def _odd_count(lo: int, hi: int) -> int:
-    # odd integers in [lo, hi)
-    if hi <= lo:
-        return 0
-    return (hi - lo) // 2 + (1 if (hi - lo) % 2 and lo % 2 else 0)
-
-
 def _screened_count(k: int, l: int) -> int:
     # inclusion-exclusion over the squarefree products of the screen primes
     lo, hi = 1 << (k - 1), 1 << k
@@ -139,7 +137,7 @@ def _screened_count(k: int, l: int) -> int:
                 bits += 1
         a = -(-lo // d)
         b = -(-hi // d)
-        total += (-1) ** bits * _odd_count(a, b)
+        total += (-1) ** bits * (b // 2 - a // 2)  # odd integers in [a, b)
     return total
 
 
@@ -353,10 +351,12 @@ def q_bound(k: int, r: int = 1, l: int = 8) -> BoundReport:
     """The reference table's error bound for r rounds on k-bit candidates.
 
     Dispatches to the engine that the reference table for this (k, r)
-    column uses: exact censuses up to k = 29, the gcd-split engine through
-    k = 41, the refined class sums through k = 59, and the coarse two-term
-    bound beyond.  The report's value is the probability q, with the liar
-    mass and prime count in the terms.
+    column uses: the gcd-split engine for every r >= 2 and for r = 1
+    through k = 41, the refined class sums through k = 59, and the coarse
+    two-term bound beyond.  Up to k = 29 the candidate set and the prime
+    count come from the exact census, past it from the analytic sizes.
+    The report's value is the probability q, with the liar mass and prime
+    count in the terms.
 
     Where it uses the gcd-split engine it sums one class family, as the
     tables do: small-gcd for r = 1, large-gcd for r >= 2.  The full sum is
@@ -366,30 +366,18 @@ def q_bound(k: int, r: int = 1, l: int = 8) -> BoundReport:
     if k < 17:
         raise ValueError("tabulated bounds start at k = 17; "
                          "use exact_qk1 for smaller k")
-    if r == 1:
-        if k <= 29:
-            census = screen_census(k, l, exact=True)
-            rep = nr_bound_split(k, 1, l, m_size=census.survivors,
-                                 parts="small-gcd")
-            prime_mass = float(census.primes)
-        elif k <= 41:
-            rep = nr_bound_split(k, 1, l, parts="small-gcd")
-            prime_mass = prime_lower_bound(k)
-        elif k <= 59:
-            rep = n1_bound_refined(k, l)
-            prime_mass = prime_lower_bound(k)
-        else:
-            rep = n1_bound_coarse(k, l)
-            prime_mass = prime_lower_bound(k)
+    if k <= EXACT_CENSUS_MAX_K:
+        census = screen_census(k, l, exact=True)
+        m_size, prime_mass = census.survivors, float(census.primes)
     else:
-        if k <= 29:
-            census = screen_census(k, l, exact=True)
-            rep = nr_bound_split(k, r, l, m_size=census.survivors,
-                                 parts="large-gcd")
-            prime_mass = float(census.primes)
-        else:
-            rep = nr_bound_split(k, r, l, parts="large-gcd")
-            prime_mass = prime_lower_bound(k)
+        m_size, prime_mass = None, prime_lower_bound(k)
+    if r != 1 or k <= SPLIT_MAX_K:
+        parts = "small-gcd" if r == 1 else "large-gcd"
+        rep = nr_bound_split(k, r, l, m_size=m_size, parts=parts)
+    elif k <= REFINED_MAX_K:
+        rep = n1_bound_refined(k, l)
+    else:
+        rep = n1_bound_coarse(k, l)
     q = qkr_upper(rep.value, prime_mass)
     terms = dict(rep.terms)
     terms["liar_mass"] = rep.value
@@ -499,6 +487,14 @@ def asymptotic_check(k: int, t: int, c: float,
 
 TABLE6_K_ROWS = (100, 200, 400, 512, 1024, 2048, 4096)
 
+# q tables: table -> (k range, last k with a two-round column, or None)
+Q_TABLES = {
+    2: (range(REFINED_MAX_K + 1, 101), None),
+    3: (range(SPLIT_MAX_K + 1, REFINED_MAX_K + 1), None),
+    4: (range(EXACT_CENSUS_MAX_K + 1, SPLIT_MAX_K + 1), 33),
+    5: (range(17, EXACT_CENSUS_MAX_K + 1), 26),
+}
+
 
 def table_rows(which: int, l: int = 8, c: float = 1.0) -> tuple[list[str], list[list]]:
     """Regenerate one of the six reference tables; returns (header, rows).
@@ -514,40 +510,22 @@ def table_rows(which: int, l: int = 8, c: float = 1.0) -> tuple[list[str], list[
         header = ["k", "primes", "bound_floor"]
         rows = [[k, prime_count_exact(k), int(prime_lower_bound(k))]
                 for k in range(8, 21)]
-    elif which == 2:
-        header = ["k", "M", "q1"]
+    elif which in Q_TABLES:
+        ks, last_q2 = Q_TABLES[which]
+        header = ["k", "M1", "q1", "M2", "q2"] if last_q2 else ["k", "M", "q1"]
+        if ks[-1] <= EXACT_CENSUS_MAX_K:
+            # the prime-pi table behind the largest k's count holds every
+            # smaller k's count too, so build it first and the rest read it
+            prime_count_exact(ks[-1])
         rows = []
-        for k in range(60, 101):
-            rep = q_bound(k, 1, l)
-            rows.append([k, rep.m_opt, rep.value])
-    elif which == 3:
-        header = ["k", "M", "q1"]
-        rows = []
-        for k in range(42, 60):
-            rep = q_bound(k, 1, l)
-            rows.append([k, rep.m_opt, rep.value])
-    elif which == 4:
-        header = ["k", "M1", "q1", "M2", "q2"]
-        rows = []
-        for k in range(30, 42):
+        for k in ks:
             one = q_bound(k, 1, l)
-            row = [k, one.m_opt, one.value, None, None]
-            if k <= 33:
+            row = [k, one.m_opt, one.value]
+            if last_q2 and k <= last_q2:
                 two = q_bound(k, 2, l)
-                row[3], row[4] = two.m_opt, two.value
-            rows.append(row)
-    elif which == 5:
-        header = ["k", "M1", "q1", "M2", "q2"]
-        # the prime-pi table behind the k = 29 count holds every smaller
-        # k's count too, so build it first and the rest read from it
-        prime_count_exact(EXACT_CENSUS_MAX_K)
-        rows = []
-        for k in range(17, 30):
-            one = q_bound(k, 1, l)
-            row = [k, one.m_opt, one.value, None, None]
-            if k <= 26:
-                two = q_bound(k, 2, l)
-                row[3], row[4] = two.m_opt, two.value
+                row += [two.m_opt, two.value]
+            elif last_q2:
+                row += [None, None]
             rows.append(row)
     elif which == 6:
         header = ["k"] + [f"t{t}" for t in range(1, 11)]

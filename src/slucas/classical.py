@@ -1,5 +1,7 @@
 """Fermat and Miller-Rabin rounds, the multi-round driver for every round
-method, and the combined Baillie-PSW check."""
+method, and the Baillie-PSW check: trial division, a base-2 strong test
+and one strong Lucas round with Selfridge's method-A parameters
+(Baillie and Wagstaff, "Lucas Pseudoprimes", Math. Comp. 1980)."""
 
 from __future__ import annotations
 
@@ -7,8 +9,8 @@ import functools
 import math
 
 from .kernel import is_perfect_square, sieve_primes, split_power_of_two
-from .lucas import (ParamSearchError, RoundResult, Verdict, PROBABLE_PRIME,
-                    lucas_round, params_for_d, sample_params, select_d,
+from .lucas import (LucasParams, ParamSearchError, RoundResult, Verdict,
+                    PROBABLE_PRIME, lucas_round, sample_params, select_d,
                     strong_lucas_round)
 
 
@@ -75,7 +77,7 @@ def run_rounds(n: int, method: str, rounds: int, rng,
         check = strong_lucas_round if method == "strong-lucas" else lucas_round
         if d is None:
             try:
-                d = select_d(n, "A")
+                d = select_d(n)
             except ParamSearchError:
                 return RoundResult(Verdict.COMPOSITE, "d-search"), 1
         draw = lambda: sample_params(n, d, rng)
@@ -105,14 +107,13 @@ def _trial_primes(limit: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     return tuple(primes[:TRIAL_HEAD]), tail, math.prod(tail)
 
 
-def baillie_psw(n: int, method: str = "A", strong: bool = True,
-                trial_limit: int = DEFAULT_TRIAL_LIMIT) -> RoundResult:
-    """Combined base-2 + Lucas probable-prime check.
+def baillie_psw(n: int, trial_limit: int = DEFAULT_TRIAL_LIMIT) -> RoundResult:
+    """Baillie-PSW: base-2 strong test plus a method-A strong Lucas round.
 
-    Steps: trial division by primes below trial_limit; base-2 Fermat round
-    (or Miller-Rabin when strong); perfect-square rejection; then a Lucas
-    round (strong or weak) with parameters from the chosen discriminant
-    sweep.  Deterministic: repeated calls always agree.
+    Steps: trial division by primes below trial_limit; a base-2
+    Miller-Rabin round; perfect-square rejection; then one strong Lucas
+    round with P = 1, Q = (1 - D)/4 for the first D of 5, -7, 9, ...
+    with (D/n) = -1.  Deterministic: repeated calls always agree.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("baillie_psw expects odd n >= 3")
@@ -131,12 +132,11 @@ def baillie_psw(n: int, method: str = "A", strong: bool = True,
             return PROBABLE_PRIME
         factor = next(p for p in tail if g % p == 0)
         return RoundResult(Verdict.COMPOSITE, "trial-division", factor)
-    base2 = miller_rabin_round(n, 2) if strong else fermat_round(n, 2)
+    base2 = miller_rabin_round(n, 2)
     if not base2:
         return base2
     if is_perfect_square(n):
         return RoundResult(Verdict.COMPOSITE, "perfect-square")
     # n is not a square, so the discriminant sweep ends
-    params = params_for_d(n, select_d(n, method), method)
-    check = strong_lucas_round if strong else lucas_round
-    return check(n, params)
+    d = select_d(n)
+    return strong_lucas_round(n, LucasParams(1, (1 - d) // 4))

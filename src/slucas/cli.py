@@ -20,6 +20,7 @@ import sys
 from . import __version__
 from .bounds import (format_json, format_tsv, q_bound, table_rows,
                      EXACT_SURVEY_MAX_K, MAX_SCREEN_DEPTH)
+from .kernel import check_discriminant
 
 
 class UsageError(Exception):
@@ -69,10 +70,12 @@ def cmd_test(args) -> int:
     if d is not None and method not in ("lucas", "strong-lucas"):
         raise UsageError(f"--d applies to the Lucas methods only, "
                          f"not to --method {method}")
-    shared = math.gcd(d, n) if d is not None else 1
-    if shared > 1:
-        raise UsageError(f"--d {d} shares the factor {shared} with n; "
-                         "the Lucas test needs D coprime to n")
+    if d is not None:
+        _checked(check_discriminant, d)
+        shared = math.gcd(d, n)
+        if shared > 1:
+            raise UsageError(f"--d {d} shares the factor {shared} with n; "
+                             "the Lucas test needs D coprime to n")
     if method == "bpsw":
         passed = baillie_psw(n)
         rounds_run = 1

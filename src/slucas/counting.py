@@ -10,8 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .kernel import (Factorization, factorize, jacobi, mod_inv,
-                     split_power_of_two)
+from .kernel import Factorization, factorize, jacobi, split_power_of_two
 
 BRUTEFORCE_LIMIT = 10 ** 4
 
@@ -191,74 +190,55 @@ def _lucas_pass_raw(n: int, P: int, Q: int, D: int) -> bool:
     return u == 0
 
 
+def _check_bruteforce(n: int) -> None:
+    if n < 3 or n % 2 == 0:
+        raise ValueError("need odd n >= 3")
+    if n >= BRUTEFORCE_LIMIT:
+        raise ValueError(f"brute force capped at n < {BRUTEFORCE_LIMIT}")
+
+
+def _pair_count(n: int, D: int, passes) -> int:
+    # every P mod n with Q = (P^2 - D)/4 a unit, run through passes(n, P, Q, D)
+    _check_bruteforce(n)
+    if gcd(n, 2 * D) > 1:
+        return 0
+    inv4 = pow(4, -1, n)
+    count = 0
+    for P in range(n):
+        Q = ((P * P - D) * inv4) % n
+        if gcd(Q, n) == 1 and passes(n, P, Q, D):
+            count += 1
+    return count
+
+
 def slpsp_bruteforce(n: int, D: int) -> int:
     """Count accepting pairs by running the test on every P mod n.
 
     Direct enumeration, so capped at n < 10**4.  This is the ground truth
     the closed-form count is checked against.
     """
-    if n < 3 or n % 2 == 0:
-        raise ValueError("need odd n >= 3")
-    if n >= BRUTEFORCE_LIMIT:
-        raise ValueError(f"brute force capped at n < {BRUTEFORCE_LIMIT}")
-    if gcd(n, 2 * D) > 1:
-        return 0
-    inv4 = mod_inv(4, n)
-    count = 0
-    for P in range(n):
-        Q = ((P * P - D) * inv4) % n
-        if Q == 0 or gcd(Q, n) != 1:
-            continue
-        if _strong_pass_raw(n, P, Q, D):
-            count += 1
-    return count
+    return _pair_count(n, D, _strong_pass_raw)
 
 
 def lpsp_bruteforce(n: int, D: int) -> int:
     """Count P values accepted by the plain Lucas round (same conventions)."""
-    if n < 3 or n % 2 == 0:
-        raise ValueError("need odd n >= 3")
-    if n >= BRUTEFORCE_LIMIT:
-        raise ValueError(f"brute force capped at n < {BRUTEFORCE_LIMIT}")
-    if gcd(n, 2 * D) > 1:
-        return 0
-    inv4 = mod_inv(4, n)
-    count = 0
-    for P in range(n):
-        Q = ((P * P - D) * inv4) % n
-        if Q == 0 or gcd(Q, n) != 1:
-            continue
-        if _lucas_pass_raw(n, P, Q, D):
-            count += 1
-    return count
+    return _pair_count(n, D, _lucas_pass_raw)
+
+
+def _base_count(n: int, passes) -> int:
+    # bases 1 and n - 1 pass every round; the rest are run one by one
+    _check_bruteforce(n)
+    return 2 + sum(1 for a in range(2, n - 1) if passes(n, a))
 
 
 def fermat_bruteforce(n: int) -> int:
-    if n < 3 or n % 2 == 0:
-        raise ValueError("need odd n >= 3")
-    if n >= BRUTEFORCE_LIMIT:
-        raise ValueError(f"brute force capped at n < {BRUTEFORCE_LIMIT}")
-    return sum(1 for a in range(1, n) if pow(a, n - 1, n) == 1)
+    from .classical import fermat_round
+    return _base_count(n, fermat_round)
 
 
 def mr_bruteforce(n: int) -> int:
-    if n < 3 or n % 2 == 0:
-        raise ValueError("need odd n >= 3")
-    if n >= BRUTEFORCE_LIMIT:
-        raise ValueError(f"brute force capped at n < {BRUTEFORCE_LIMIT}")
-    kappa, q = split_power_of_two(n - 1)
-    count = 0
-    for a in range(1, n):
-        x = pow(a, q, n)
-        if x == 1 or x == n - 1:
-            count += 1
-            continue
-        for _ in range(kappa - 1):
-            x = (x * x) % n
-            if x == n - 1:
-                count += 1
-                break
-    return count
+    from .classical import miller_rabin_round
+    return _base_count(n, miller_rabin_round)
 
 
 def psp_to_lpsp_compose(n: int, b: int, c: int) -> LucasParams:

@@ -40,16 +40,13 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .bounds import MAX_SCREEN_DEPTH
+from .bounds import MAX_SCREEN_DEPTH, _odd_primes
 from .classical import miller_rabin_round, run_rounds
-from .kernel import is_perfect_square, jacobi, sieve_primes
+from .kernel import check_discriminant, is_perfect_square, jacobi, sieve_primes
 
 # Uniform generation keeps drawing until something survives; this cap turns
 # a pathological config into a diagnosable error instead of a hang.
 MAX_UNIFORM_DRAWS = 10 ** 6
-
-# Deepest screen that bounds.rho can price.
-MAX_SCREEN = MAX_SCREEN_DEPTH
 
 # The screen primes all lie below this; the trial-division stage starts here.
 SCREEN_REACH = 1000
@@ -76,7 +73,7 @@ class GenConfig:
     bits: int
     rounds: int = 1
     d: int | None = None
-    screen: int = MAX_SCREEN
+    screen: int = MAX_SCREEN_DEPTH
     window: int | None = None
     seed: int | None = None
 
@@ -85,15 +82,12 @@ class GenConfig:
             raise ValueError("need bits >= 5")
         if self.rounds < 1:
             raise ValueError("need rounds >= 1")
-        if not 2 <= self.screen <= MAX_SCREEN:
-            raise ValueError(f"need 2 <= screen <= {MAX_SCREEN}")
+        if not 2 <= self.screen <= MAX_SCREEN_DEPTH:
+            raise ValueError(f"need 2 <= screen <= {MAX_SCREEN_DEPTH}")
         if self.window is not None and self.window < 1:
             raise ValueError("need window >= 1")
         if self.d is not None:
-            if self.d % 4 not in (0, 1):
-                raise ValueError("discriminant must be 0 or 1 mod 4")
-            if is_perfect_square(self.d):
-                raise ValueError("discriminant must not be a square")
+            check_discriminant(self.d)
 
 
 @dataclass
@@ -120,7 +114,7 @@ class GenOutcome:
 @functools.lru_cache(maxsize=None)
 def _screen(count: int) -> tuple[tuple[int, ...], int]:
     """The first ``count`` odd primes and their product."""
-    primes = tuple(p for p in sieve_primes(SCREEN_REACH) if p > 2)[:count]
+    primes = tuple(_odd_primes()[:count])
     return primes, math.prod(primes)
 
 

@@ -1,6 +1,7 @@
-"""Low-level integer routines: modular inverse, Jacobi symbol, a prime
-sieve, prime counting by the prime-pi recursion, trial-division
-factorization, a perfect-square check and the method-A discriminant sweep.
+"""Low-level integer routines: Jacobi symbol, a prime sieve, prime counting
+by the prime-pi recursion, trial-division factorization, a perfect-square
+check, the method-A discriminant sweep and the check that a discriminant
+is usable.
 
 Everything here works on plain Python ints, which are arbitrary precision,
 so values of several thousand bits are fine throughout.
@@ -17,22 +18,6 @@ FACTOR_LIMIT = 1 << 52
 
 class CapacityError(ValueError):
     """An argument exceeds the size this routine is prepared to handle."""
-
-
-class NotInvertibleError(ValueError):
-    """mod_inv over a non-unit; carries the offending gcd."""
-
-    def __init__(self, a: int, n: int, g: int):
-        super().__init__(f"{a} is not invertible mod {n} (gcd {g})")
-        self.gcd = g
-
-
-def mod_inv(a: int, n: int) -> int:
-    """Inverse of a mod n; raises NotInvertibleError when gcd(a, n) > 1."""
-    g = math.gcd(a, n)
-    if g != 1:
-        raise NotInvertibleError(a, n, g)
-    return pow(a, -1, n)
 
 
 def jacobi(a: int, n: int) -> int:
@@ -70,6 +55,18 @@ def _method_a_sequence():
         yield sign * d
         d += 2
         sign = -sign
+
+
+def check_discriminant(d: int) -> None:
+    """Raise ValueError unless d can be P^2 - 4Q for a non-degenerate pair.
+
+    D = P^2 - 4Q is 0 or 1 mod 4, and a square D gives (D/n) = +1 for
+    every n coprime to it, so no round could use it.
+    """
+    if d % 4 not in (0, 1):
+        raise ValueError(f"discriminant must be 0 or 1 mod 4: {d}")
+    if is_perfect_square(d):
+        raise ValueError(f"discriminant must not be a square: {d}")
 
 
 def split_power_of_two(m: int) -> tuple[int, int]:

@@ -6,29 +6,20 @@ coprime to 2*Q*D, put eps = jacobi(D, n); then n prime implies
 n | U_{n-eps}, and the strong refinement splits n - eps = 2**kappa * q
 with q odd and requires n | U_q or n | V_{2**i * q} for some 0 <= i < kappa.
 
-strong_lucas_round runs those zero tests on a Q = 1 sequence.  With Q a
-unit mod n, R = P^2 * Q^-1 - 2 and W_k = V_k(R, 1), V_{2k}(P, Q) = Q^k * W_k.
-Writing q = 2m + 1:
-    D * U_q = Q^(m+1) * (W_{m+1} - W_m),
-    P * V_q = Q^(m+1) * (W_{m+1} + W_m),
-    V_{2^i q} = Q^(2^(i-1) q) * W_{2^(i-1) q}   for 1 <= i < kappa.
-D and Q are units, so U_q = 0 iff W_{m+1} = W_m, V_q = 0 iff
-W_m + W_{m+1} = 0 when P is a unit (and always when P = 0, since q is odd),
-and V_{2^i q} = 0 iff W_{2^(i-1) q} = 0.  The ladder for (W_m, W_{m+1})
-needs W_{2k} = W_k^2 - 2 and W_{2k+1} = W_k * W_{k+1} - R only: two modular
-products per bit, with no power of Q and no halving.  lucas_uv_mod keeps
-the full (U, V, Q^m) ladder for the plain round and for exact checks.
+strong_lucas_round runs those zero tests on the Q = 1 sequence
+W_k = V_k(P^2/Q - 2, 1), at two modular products per bit; its docstring
+has the identities.  lucas_uv_mod keeps the full (U, V, Q^m) ladder for
+the plain round and for exact checks.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import random
 from dataclasses import dataclass
 
-from .kernel import (_method_a_sequence, is_perfect_square, jacobi, mod_inv,
+from .kernel import (_method_a_sequence, is_perfect_square, jacobi,
                      split_power_of_two)
 
 
@@ -191,7 +182,7 @@ def sample_params(n: int, D: int, rng: random.Random) -> LucasParams:
         raise ValueError("parameter sampling expects odd n >= 5")
     if math.gcd(D, n) != 1:
         raise ValueError("discriminant must be coprime to n")
-    inv4 = mod_inv(4, n)
+    inv4 = pow(4, -1, n)
     for _ in range(MAX_PARAM_TRIES):
         P = rng.randrange(n)
         Q = ((P * P - D) * inv4) % n
@@ -202,44 +193,17 @@ def sample_params(n: int, D: int, rng: random.Random) -> LucasParams:
         f"no unit Q found for n={n}, D={D} in {MAX_PARAM_TRIES} draws")
 
 
-def select_d(n: int, method: str = "A") -> int:
-    """First discriminant D with jacobi(D, n) == -1 from the chosen sweep.
+def select_d(n: int) -> int:
+    """First discriminant D with jacobi(D, n) == -1 in Selfridge's method A.
 
-    Method A alternates signs (5, -7, 9, -11, ...); method B walks
-    5, 9, 13, 17, ...  Candidates with Jacobi symbol 0 are skipped.
-    A square n has (D/n) != -1 for every D, so it raises ParamSearchError
-    up front.  For any other odd n, (./n) is a non-principal character,
-    so some D = 1 (mod 4) below 4n has (D/n) = -1 and both sweeps end.
+    Method A alternates signs (5, -7, 9, -11, ...); candidates with Jacobi
+    symbol 0 are skipped.  A square n has (D/n) != -1 for every D, so it
+    raises ParamSearchError up front.  For any other odd n, (./n) is a
+    non-principal character, so some D = 1 (mod 4) below 4n has
+    (D/n) = -1 and the sweep ends.
     """
     if n < 5 or n % 2 == 0:
         raise ValueError("discriminant search expects odd n >= 5")
-    if method == "A":
-        seq = _method_a_sequence()
-    elif method == "B":
-        seq = itertools.count(5, 4)
-    else:
-        raise ValueError(f"unknown method {method!r}")
     if is_perfect_square(n):
         raise ParamSearchError(f"{n} is a square: no D has (D/n) = -1")
-    return next(d for d in seq if jacobi(d, n) == -1)
-
-
-def params_for_d(n: int, D: int, method: str = "A") -> LucasParams:
-    """The conventional (P, Q) attached to a chosen D.
-
-    Method A: P = 1, Q = (1 - D)/4.  Method B: P = least odd integer
-    exceeding sqrt(D), Q = (P^2 - D)/4.  Both keep D = P^2 - 4Q exactly
-    (over the integers, not just mod n).
-    """
-    if method == "A":
-        if D % 4 != 1:
-            raise ValueError("method A needs D = 1 mod 4")
-        return LucasParams(1, (1 - D) // 4)
-    if method == "B":
-        if D <= 0 or D % 4 != 1:
-            raise ValueError("method B needs positive D = 1 mod 4")
-        P = math.isqrt(D) + 1
-        if P % 2 == 0:
-            P += 1
-        return LucasParams(P, (P * P - D) // 4)
-    raise ValueError(f"unknown method {method!r}")
+    return next(d for d in _method_a_sequence() if jacobi(d, n) == -1)

@@ -14,7 +14,8 @@ from typing import NamedTuple
 from .bounds import EXACT_SURVEY_MAX_K
 from .counting import _sl_parts
 from .kernel import (CapacityError, Factorization, _method_a_sequence,
-                     is_perfect_square, jacobi, sieve_primes)
+                     check_discriminant, is_perfect_square, jacobi,
+                     sieve_primes)
 
 
 def _fraction_text(x: Fraction) -> str:
@@ -95,8 +96,7 @@ def method_a_discriminants(count: int) -> list[int]:
 
     squares dropped (they never arise as a usable discriminant).
     """
-    usable = (d for d in _method_a_sequence()
-              if not (d > 0 and is_perfect_square(d)))
+    usable = (d for d in _method_a_sequence() if not is_perfect_square(d))
     return list(islice(usable, count))
 
 
@@ -158,10 +158,7 @@ def exact_qk1(k: int, r: int = 1,
     factor_primes = {p for _, f, n_prime in window if not n_prime
                      for p, _ in f.factors}
     for d in d_scan:
-        if d % 4 not in (0, 1):
-            raise ValueError(f"discriminant must be 0 or 1 mod 4: {d}")
-        if d > 0 and is_perfect_square(d):
-            raise ValueError(f"square discriminant: {d}")
+        check_discriminant(d)
         eps_of = {p: jacobi(d, p) for p in factor_primes}.__getitem__
         ratios = []
         primes = 0

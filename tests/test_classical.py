@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from slucas.classical import (baillie_psw, fermat_round, miller_rabin_round,
                               run_rounds)
 from slucas.kernel import is_perfect_square, sieve_primes
-from slucas.lucas import (PROBABLE_PRIME, RoundResult, Verdict, params_for_d,
+from slucas.lucas import (PROBABLE_PRIME, LucasParams, RoundResult, Verdict,
                           select_d, strong_lucas_round)
 
 from conftest import LATE_D_PRIME
@@ -69,8 +69,6 @@ def test_bpsw_variants_reject_classic_pseudoprimes():
     # trial_limit=3 disables the small-prime screen so the base-2 and
     # Lucas stages do the actual work
     for n in (341, 561, 645, 1105, 1729, 2047, 2465, 3277, 5459, 5777):
-        assert not baillie_psw(n, strong=False, trial_limit=3)
-        assert not baillie_psw(n, method="B", trial_limit=3)
         assert not baillie_psw(n, trial_limit=3)
 
 
@@ -85,8 +83,6 @@ def test_bpsw_accepts_prime_with_late_discriminant():
     # its method-A sweep needs 68 candidates; a 64-candidate cap used to
     # turn that into a "d-search" composite verdict
     assert baillie_psw(LATE_D_PRIME)
-    assert baillie_psw(LATE_D_PRIME, method="B")
-    assert baillie_psw(LATE_D_PRIME, strong=False)
 
 
 def _bpsw_reference(n, trial_limit):
@@ -103,7 +99,8 @@ def _bpsw_reference(n, trial_limit):
         return base2
     if is_perfect_square(n):
         return RoundResult(Verdict.COMPOSITE, "perfect-square")
-    return strong_lucas_round(n, params_for_d(n, select_d(n)))
+    d = select_d(n)
+    return strong_lucas_round(n, LucasParams(1, (1 - d) // 4))
 
 
 @pytest.mark.parametrize("trial_limit", [3, 30, 1000])

@@ -98,6 +98,20 @@ def test_test_discriminant_sharing_a_factor_is_usage_error(run, n, d, factor):
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("n, d, fault", [
+    (21, 4, "square"),          # one round used to pass 21 = 3 * 7 with D = 4
+    (7, 9, "square"),
+    (11, 7, "0 or 1 mod 4"),    # no P, Q have P^2 - 4Q = 7
+])
+def test_test_unusable_discriminant_is_usage_error(run, n, d, fault):
+    # the same discriminants generate --d and the survey refuse
+    res = run("test", n, "--d", d, "--seed", 5)
+    assert res.exit_code == 2
+    assert fault in res.output
+    assert "probable prime" not in res.output and "composite" not in res.output
+    assert "Traceback" not in res.output
+
+
 @pytest.mark.parametrize("method", ["miller-rabin", "fermat", "bpsw"])
 def test_test_discriminant_with_non_lucas_method_is_usage_error(run, method):
     # these methods never use --d, so a verdict line naming d= would mislead
@@ -119,9 +133,9 @@ def test_test_sweeps_discriminant_once(run, monkeypatch):
     # every round shares the one D; the sweep for this prime is 68 long
     calls = []
 
-    def counting_select_d(n, method="A"):
+    def counting_select_d(n):
         calls.append(n)
-        return select_d(n, method)
+        return select_d(n)
 
     # run_rounds looks select_d up in slucas.classical
     monkeypatch.setattr("slucas.classical.select_d", counting_select_d)
@@ -296,6 +310,54 @@ def test_bounds_survey_stdout_is_pinned(run, k):
     assert res.exit_code == 0
     digest = hashlib.sha256(res.output.encode()).hexdigest()
     assert digest == SURVEY_STDOUT_SHA256[k]
+
+
+# SHA-256 of the stdout of `slucas bounds --table T --format F`, taken
+# before q_bound and table_rows were folded into one engine chain
+TABLE_STDOUT_SHA256 = {
+    ("tsv", 1): "7180c0f5514a3f8c78453f4f38a1732a6c6c6f5a5eb8a312ee5c652bdea7e758",
+    ("tsv", 2): "fea0943e7c2f7d66df0e2f2c3a64617f1b5cb3940252e31366c4317b3c763ffb",
+    ("tsv", 3): "89bf62fce6c3a69b57567aa3accfb1b64b691059c99092e2d8e94f1bfb931cf9",
+    ("tsv", 4): "65a5c0d727290993a35918046ee4abff2578f22f9322ff1d9817625b646b876a",
+    ("tsv", 5): "4d992921123883bc5b8f00416e06d6010bff5200e98ef3cb5fc39aa165be67bd",
+    ("tsv", 6): "3a477e5e278e1ebaff0cb2bc6ec27c2f2529027d5aa646b91ac6a3cc20da5485",
+    ("json", 1): "81223c18d16d06b9672bebb2c7eb3ae2ff0ecab846bf0041c135eb141d8ab739",
+    ("json", 2): "e3dc098c844e633b52ed161fc584167b72468e411a8a0e87cb56f9f79775fa38",
+    ("json", 3): "6330a97e9510c9ee5a3cce9ee9ac21336d0bd92c9015b6a2ba1877feb9cf0a2c",
+    ("json", 4): "adec58e7935348575f409c7b5654d87d4014c55cf59418332aef1f9ba31a0812",
+    ("json", 5): "dbca67c024d191e1cfaec53e6dbeb1fc49f956b5eda2794456bf45739e8cca5f",
+    ("json", 6): "8d971f25a73bfd1b916de4eeb30bef6f7d48d91da20b1b003debab14ca34666b",
+}
+
+
+@pytest.mark.parametrize("fmt, table", sorted(TABLE_STDOUT_SHA256),
+                         ids=[f"{f}-{t}" for f, t in sorted(TABLE_STDOUT_SHA256)])
+def test_bounds_table_stdout_is_pinned(run, fmt, table):
+    res = run("bounds", "--table", table, "--format", fmt)
+    assert res.exit_code == 0
+    digest = hashlib.sha256(res.output.encode()).hexdigest()
+    assert digest == TABLE_STDOUT_SHA256[fmt, table]
+
+
+# SHA-256 of the stdout of `slucas bounds --single K R`, one per engine
+# and round count, taken at the same point as the table digests
+SINGLE_STDOUT_SHA256 = {
+    (17, 1): "3c1080673efe62154592f1e00ee8c330008c3006af6c5173c9b86033a4cc89c5",
+    (17, 2): "c044113696fe62153f443f9c2e156b0ebc01c8cf5bf3c2369d62ab37dc770ad1",
+    (29, 2): "72a41e8efbe27868c682f78ddbacf46fbdedb628309f08853cbffe9cd2350482",
+    (33, 2): "d762f9208fa377787d6079674c15a4dbf6ef2718c357393728664d571ba3b79f",
+    (41, 1): "09cbb40bc944b2f639f84512fb4e58d77a6a0b41b65383df4831ae466444e247",
+    (59, 1): "1cc8cfbea4d03a6d2dbd1b16c93be8574d2bc3ad0723f5f30a67bca39e8b9c53",
+    (100, 1): "9654fd6c18df366d5ed2c09b5e311fd1982ed013254d7e18175863afa355d789",
+}
+
+
+@pytest.mark.parametrize("k, r", sorted(SINGLE_STDOUT_SHA256))
+def test_bounds_single_stdout_is_pinned(run, k, r):
+    res = run("bounds", "--single", k, r)
+    assert res.exit_code == 0
+    digest = hashlib.sha256(res.output.encode()).hexdigest()
+    assert digest == SINGLE_STDOUT_SHA256[k, r]
 
 
 @pytest.mark.parametrize("k", [1, 17])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slucas import generation
-from slucas.generation import (MAX_SCREEN, GenConfig, GenOutcome,
+from slucas.generation import (MAX_SCREEN_DEPTH, GenConfig, GenOutcome,
                                prime_inc_luc, sieve_window,
                                strong_luc_generate)
 from slucas.kernel import jacobi, sieve_primes
@@ -73,10 +73,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         GenConfig(bits=32, screen=1)
     with pytest.raises(ValueError):
-        GenConfig(bits=32, screen=MAX_SCREEN + 1)
+        GenConfig(bits=32, screen=MAX_SCREEN_DEPTH + 1)
     with pytest.raises(ValueError):
         GenConfig(bits=32, screen=200)
-    assert GenConfig(bits=32).screen == MAX_SCREEN == 166
+    assert GenConfig(bits=32).screen == MAX_SCREEN_DEPTH == 166
     with pytest.raises(ValueError):
         GenConfig(bits=32, window=0)
     GenConfig(bits=32, d=-7)           # fine
@@ -154,7 +154,7 @@ def test_outcome_truthiness():
 def test_window_sieve_flags_screen_multiples():
     # 7-10 bit windows run over the screen primes themselves, which must
     # stay unflagged while their other multiples are flagged
-    primes = [p for p in sieve_primes(1000) if p > 2][:MAX_SCREEN]
+    primes = [p for p in sieve_primes(1000) if p > 2][:MAX_SCREEN_DEPTH]
     window = 40
     for bits in range(7, 11):
         for n0 in range((1 << (bits - 1)) + 1, 1 << bits, 2):
@@ -165,10 +165,10 @@ def test_window_sieve_flags_screen_multiples():
 
 
 def test_gcd_screen_spares_screen_primes():
-    primes = [p for p in sieve_primes(1000) if p > 2][:MAX_SCREEN]
+    primes = [p for p in sieve_primes(1000) if p > 2][:MAX_SCREEN_DEPTH]
     for n in range(17, 1 << 11, 2):
         want = any(n % p == 0 and n != p for p in primes)
-        assert generation._has_screen_factor(n, MAX_SCREEN) == want, n
+        assert generation._has_screen_factor(n, MAX_SCREEN_DEPTH) == want, n
 
 
 def test_fixed_discriminant_is_honored():
@@ -200,13 +200,13 @@ def test_incremental_results_match_pinned_outputs():
 @given(st.integers(0, 2**64), st.integers(16, 256), st.sampled_from(GENERATORS))
 def test_screen_depth_leaves_result_unchanged(seed, bits, gen):
     results = {gen(GenConfig(bits=bits, rounds=2, screen=s, seed=seed)).result
-               for s in (2, 8, MAX_SCREEN)}
+               for s in (2, 8, MAX_SCREEN_DEPTH)}
     assert len(results) == 1
 
 
 def test_trial_stage_bounds():
     # the stage starts past every screen prime and, below 127 bits, is empty
-    assert max(generation._screen(MAX_SCREEN)[0]) < generation.SCREEN_REACH
+    assert max(generation._screen(MAX_SCREEN_DEPTH)[0]) < generation.SCREEN_REACH
     assert generation.trial_bound(126) < generation.SCREEN_REACH
     assert generation.trial_bound(127) == 1008
     assert generation._trial_primes(generation.trial_bound(126)) == ()

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slucas.kernel import (CapacityError, Factorization, NotInvertibleError,
+from slucas.kernel import (CapacityError, Factorization, check_discriminant,
                            count_primes_in_range, factorize,
-                           is_perfect_square, jacobi, mod_inv, sieve_primes,
+                           is_perfect_square, jacobi, sieve_primes,
                            split_power_of_two)
 
 from conftest import mr_oracle
@@ -47,14 +47,17 @@ def test_jacobi_rejects_even_modulus():
         jacobi(3, 10)
 
 
-@given(st.integers(1, 2**64), st.integers(2, 2**64))
-def test_mod_inv_inverts_or_raises(a, n):
-    if math.gcd(a, n) == 1:
-        x = mod_inv(a, n)
-        assert 0 <= x < n and a * x % n == 1
-    else:
-        with pytest.raises(NotInvertibleError):
-            mod_inv(a, n)
+def test_check_discriminant_accepts_exactly_non_square_p2_minus_4q():
+    # P^2 - 4Q takes every value it can with P in {0, 1}; a square D has
+    # (D/n) = +1 for every n coprime to it, so no round could use it
+    forms = {P * P - 4 * Q for P in (0, 1) for Q in range(-60, 60)}
+    for d in range(-200, 200):
+        if d in forms and not (d >= 0 and math.isqrt(d) ** 2 == d):
+            check_discriminant(d)
+        else:
+            fault = "square" if d in forms else "0 or 1 mod 4"
+            with pytest.raises(ValueError, match=fault):
+                check_discriminant(d)
 
 
 def test_split_power_of_two():

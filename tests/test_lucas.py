@@ -9,7 +9,7 @@ from slucas.kernel import (is_perfect_square, jacobi, sieve_primes,
                            split_power_of_two)
 from slucas.lucas import (PROBABLE_PRIME, LucasParams, ParamSearchError,
                           RoundResult, Verdict, _check_args, lucas_round,
-                          lucas_uv_mod, params_for_d, sample_params, select_d,
+                          lucas_uv_mod, sample_params, select_d,
                           strong_lucas_round)
 
 from conftest import LATE_D_PRIME
@@ -103,11 +103,10 @@ def test_select_d_method_a():
     for n in range(21, 1500, 2):
         if is_perfect_square(n):
             # no D has (D/n) = -1, so the sweep refuses up front
-            for method in ("A", "B"):
-                with pytest.raises(ParamSearchError):
-                    select_d(n, method)
+            with pytest.raises(ParamSearchError):
+                select_d(n)
             continue
-        d = select_d(n, "A")
+        d = select_d(n)
         assert jacobi(d, n) == -1
         seen.append(d)
     assert 5 in seen and -7 in seen
@@ -118,31 +117,10 @@ def test_select_d_sweeps_as_far_as_needed():
     # search a failure
     sympy = pytest.importorskip("sympy")
     assert sympy.isprime(LATE_D_PRIME) and LATE_D_PRIME.bit_length() == 176
-    assert select_d(LATE_D_PRIME, "A") == -139
-    d = select_d(LATE_D_PRIME, "B")
-    assert d % 4 == 1 and jacobi(d, LATE_D_PRIME) == -1
+    assert select_d(LATE_D_PRIME) == -139
     for d in range(5, 139, 2):
         assert jacobi(d, LATE_D_PRIME) != -1
         assert jacobi(-d, LATE_D_PRIME) != -1
-
-
-def test_select_d_method_b():
-    n = 10**9 + 9
-    d = select_d(n, "B")
-    assert d % 4 == 1 and jacobi(d, n) == -1
-
-
-def test_params_for_d_method_a():
-    p = params_for_d(10**9 + 9, 5, "A")
-    assert p.P == 1 and p.D == 5
-    p = params_for_d(10**9 + 9, -11, "A")
-    assert p.P == 1 and p.Q == 3 and p.D == -11
-
-
-def test_params_for_d_method_b():
-    n = 10**9 + 9
-    p = params_for_d(n, 13, "B")
-    assert p.P % 2 == 1 and p.P * p.P > 13 and p.D == 13
 
 
 def test_sample_params_properties(rng):
