@@ -15,15 +15,23 @@ likely is it to be composite anyway?  The module provides
 The exact small-k surveys are in ``slucas.survey``: a table or single bound
 loads only this module and ``kernel``, not ``dataclasses`` or ``fractions``.
 
-Float evaluation is 64-bit throughout; the incremental-search bounds are
-evaluated in log2 space because their values underflow a double long
-before they stop being interesting.
+Every engine builds its class sums once per call, for all split points at
+once, in one wide-range arithmetic (``_Wide``, a double with its own
+binary exponent): the liar mass passes 2^1024 from k of about 1020 on,
+and the r-round weights fall below 2^-1074 from r of about 1024 on.  It
+rounds as doubles do wherever they reach, so the reference tables come
+out bit for bit as plain doubles give them.  ``BoundReport.terms['log2']``
+stays finite where the value itself is 0.0 or inf.  ``q_bound`` runs up
+to k = MAX_BOUND_K.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from functools import lru_cache
+import operator
+import sys
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 from .kernel import CapacityError, count_primes_in_range, sieve_primes
@@ -45,13 +53,22 @@ REFINED_MAX_K = 59
 EXACT_SURVEY_MAX_K = 16
 
 
-# rho(l) needs the (l+1)-th odd prime; _odd_primes holds the 167 below 1000.
+# Deepest small-prime screen: l leading odd primes, with the (l+1)-th, the
+# smallest factor left, still below 1000.
 MAX_SCREEN_DEPTH = 166
+
+# Largest k that q_bound and the gcd-split classes accept.
+MAX_BOUND_K = 8192
 
 
 @lru_cache(maxsize=1)
 def _odd_primes() -> list[int]:
-    return [p for p in sieve_primes(1000) if p > 2]
+    # rho(l) reads odd prime l, the gcd-split classes odd primes up to
+    # l + M - 2 for M up to the largest split point at MAX_BOUND_K; the
+    # n-th prime is below n (ln n + ln ln n) (Rosser, n >= 6)
+    n = MAX_SCREEN_DEPTH + max(m_split_range(MAX_BOUND_K)) + 1
+    limit = int(n * (math.log(n) + math.log(math.log(n))))
+    return [p for p in sieve_primes(limit) if p > 2]
 
 
 def _least_unscreened_prime(l: int) -> int:
@@ -72,11 +89,6 @@ def rho(l: int) -> float:
     return (p + 1) / p
 
 
-def prime_lower_bound(k: int) -> float:
-    """Guaranteed-to-be-exceeded lower bound on the number of k-bit primes."""
-    return PRIME_DENSITY * 2.0 ** k / k
-
-
 def prime_count_exact(k: int) -> int:
     """Exact number of k-bit primes, by the prime-pi recursion."""
     if k < 1:
@@ -93,9 +105,17 @@ def m_split_range(k: int) -> range:
     return range(3, int(2 * math.sqrt(k - 1) - 1) + 1)
 
 
-def _check_m(k: int, M: int) -> None:
-    if M not in m_split_range(k):
-        raise ValueError(f"split point M={M} outside [3, 2*sqrt(k-1)-1] for k={k}")
+def _splits(k: int, M: int | None) -> range:
+    """The split points to try: M alone when given, else the whole range."""
+    splits = m_split_range(k)
+    if M is not None:
+        if M not in splits:
+            raise ValueError(f"split point M={M} outside [3, 2*sqrt(k-1)-1] "
+                             f"for k={k}")
+        return range(M, M + 1)
+    if not splits:
+        raise ValueError(f"no admissible split point for k={k}")
+    return splits
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +203,113 @@ def screen_census(k: int, l: int = 2, exact: bool = False) -> ScreenCensus:
 
 
 # ---------------------------------------------------------------------------
+# wide-range arithmetic: a double with its own binary exponent
+
+
+class _Wide:
+    """m * 2^e for a double m in [0.5, 1) (or 0) and any int e.
+
+    Scaling by a power of two is exact, so each operation below rounds
+    exactly as the same operation on doubles does wherever those stay
+    normal, and it keeps going where they would not: a liar mass passes
+    2^1024 from k of about 1020 on, and the r-round class weights fall
+    below 2^-1074 from r of about 1024 on.  A plain number is used as
+    it is, so it must be a moderate one.
+    """
+
+    __slots__ = ("m", "e")
+
+    def __init__(self, x: float, e: int = 0):
+        self.m, shift = math.frexp(x)
+        self.e = e + shift
+
+    def __mul__(self, other) -> _Wide:
+        if type(other) is _Wide:
+            return _Wide(self.m * other.m, self.e + other.e)
+        return _Wide(self.m * other, self.e)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> _Wide:
+        if type(other) is _Wide:
+            return _Wide(self.m / other.m, self.e - other.e)
+        return _Wide(self.m / other, self.e)
+
+    def __rtruediv__(self, other: float) -> _Wide:
+        return _Wide(other / self.m, -self.e)
+
+    def __add__(self, other) -> _Wide:
+        if type(other) is not _Wide:
+            other = _Wide(other)
+        hi, lo = (other, self) if self.e < other.e else (self, other)
+        if not lo.m:
+            return hi
+        if not hi.m:
+            return lo
+        # a lo that lands below 2^-1022 here is under half an ulp of hi
+        return _Wide(hi.m + math.ldexp(lo.m, lo.e - hi.e), hi.e)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> _Wide:
+        return self + -1.0 * other
+
+    def ldexp(self, n: int) -> _Wide:
+        """self * 2^n, exactly."""
+        return _Wide(self.m, self.e + n)
+
+    def __lt__(self, other: _Wide) -> bool:
+        # for positive values, which every mass is, the exponent decides first
+        return (self.e, self.m) < (other.e, other.m)
+
+    def __float__(self) -> float:
+        """The one conversion to a double: 0.0 below 2^-1074, inf from 2^1024."""
+        try:
+            return math.ldexp(self.m, self.e)
+        except OverflowError:
+            return math.inf
+
+    def log2(self) -> float:
+        return math.log2(self.m) + self.e if self.m else -math.inf
+
+
+def _power(base: float, x: float) -> _Wide:
+    """base ** x for base > 0: the double pow gives where log2 of it is
+    within +-1000, else 2^log2 built from the log2."""
+    log2 = x * math.log2(base)
+    if -1000 < log2 < 1000:
+        return _Wide(base ** x)
+    whole = math.floor(log2)
+    return _Wide(2.0 ** (log2 - whole), whole)
+
+
+def _integer(n: int) -> _Wide:
+    """float(n) for an int of any size: its top bits past float range."""
+    shift = max(n.bit_length() - 1000, 0)
+    return _Wide(float(n >> shift), shift)
+
+
+def _prime_mass(k: int) -> _Wide:
+    """PRIME_DENSITY * 2^k / k, the analytic k-bit prime count."""
+    return PRIME_DENSITY * _power(2.0, k) / k
+
+
+def prime_lower_bound(k: int) -> float:
+    """Guaranteed-to-be-exceeded lower bound on the number of k-bit primes."""
+    return float(_prime_mass(k))
+
+
+# ---------------------------------------------------------------------------
 # liar-mass bounds, each optimized over the split point M
 
 
 class BoundReport(NamedTuple):
-    """A bound value together with how it was assembled."""
+    """A bound value together with how it was assembled.
+
+    ``terms['log2']`` is log2 of the value, finite where ``value`` is 0.0
+    or, for a liar mass, inf; the other ``*_log2`` terms are the log2 of
+    the parts it sums.
+    """
 
     value: float
     m_opt: int
@@ -195,14 +317,15 @@ class BoundReport(NamedTuple):
     source: str
 
 
-def _optimize(k: int, M: int | None, evaluate) -> BoundReport:
-    if M is not None:
-        _check_m(k, M)
-        return evaluate(M)
-    reports = [evaluate(m) for m in m_split_range(k)]
-    if not reports:
-        raise ValueError(f"no admissible split point for k={k}")
-    return min(reports, key=lambda rep: rep.value)
+def _report(source: str, splits: range, **parts: list[_Wide]) -> BoundReport:
+    """The report at the split point whose parts sum least, first on ties;
+    ``parts[name][i]`` is that part at ``splits[i]``, summed in this order."""
+    totals = [reduce(operator.add, column) for column in zip(*parts.values())]
+    i = min(range(len(totals)), key=totals.__getitem__)
+    terms = {"log2": totals[i].log2()}
+    terms.update((f"{name}_log2", part[i].log2()) for name, part in parts.items())
+    return BoundReport(value=float(totals[i]), m_opt=splits[i], terms=terms,
+                       source=source)
 
 
 def n1_bound_coarse(k: int, l: int = 8, M: int | None = None) -> BoundReport:
@@ -213,15 +336,13 @@ def n1_bound_coarse(k: int, l: int = 8, M: int | None = None) -> BoundReport:
     admissible range.
     """
     r = rho(l)
-
-    def evaluate(m: int) -> BoundReport:
-        tail = 2.0 ** (k - 1.9 - m) * r ** (m + 1) / (2 - r)
-        classes = 2.0 ** (k - 2 * math.sqrt(k - 1)) * r ** m * m * (m - 1)
-        return BoundReport(value=tail + classes, m_opt=m,
-                           terms={"tail": tail, "classes": classes},
-                           source="single-round coarse")
-
-    return _optimize(k, M, evaluate)
+    splits = _splits(k, M)
+    base = _power(2.0, k - 2 * math.sqrt(k - 1))
+    return _report(
+        "single-round coarse", splits,
+        tail=[_power(2.0, k - 1.9 - m) * r ** (m + 1) / (2 - r)
+              for m in splits],
+        classes=[base * r ** m * m * (m - 1) for m in splits])
 
 
 def n1_bound_refined(k: int, l: int = 8, M: int | None = None,
@@ -232,43 +353,47 @@ def n1_bound_refined(k: int, l: int = 8, M: int | None = None,
     upper bracket 2^(k-2.9) is used when not supplied.
     """
     r = rho(l)
-    if m_size is None:
-        m_size = 2.0 ** (k - 2.9)
+    size = _power(2.0, k - 2.9) if m_size is None else m_size
+    splits = _splits(k, M)
+    top = splits[-1]
+    dens = [_power(2.0, (k - 1) / j) - 1 for j in range(2, top + 1)]
+    # sums[M - 2]: the class sums over m = 2..M, over 2^k, for every M
+    sums = list(itertools.accumulate(
+        (r / 2) ** m * sum((2.0 ** (m + 1 - j) - 1) / dens[j - 2]
+                           for j in range(2, m + 1))
+        for m in range(2, top + 1)))
+    two_k = _power(2.0, k)
+    return _report(
+        "single-round refined", splits,
+        tail=[2.0 ** (1 - m) * r ** (m + 1) / (2 - r) * size for m in splits],
+        classes=[two_k * sums[m - 2] for m in splits])
 
-    def evaluate(m_top: int) -> BoundReport:
-        tail = 2.0 ** (1 - m_top) * r ** (m_top + 1) / (2 - r) * m_size
-        classes = 2.0 ** k * sum(
-            (r / 2) ** m * sum(
-                (2.0 ** (m + 1 - j) - 1) / (2.0 ** ((k - 1) / j) - 1)
-                for j in range(2, m + 1))
-            for m in range(2, m_top + 1))
-        return BoundReport(value=tail + classes, m_opt=m_top,
-                           terms={"tail": tail, "classes": classes},
-                           source="single-round refined")
 
-    return _optimize(k, M, evaluate)
+def _gcd_classes(k: int, l: int, top: int) -> dict:
+    """Cardinality bounds of the m-factor classes over 2^k, split by gcd
+    shape, for m = 2..top; each family is a lazy iterable, so only the
+    summed ones are built.
 
-
-def class_card_split(k: int, l: int, m: int) -> tuple[float, float]:
-    """Cardinality bounds for the m-factor classes, split by gcd shape.
-
-    Returns ``(large_gcd, small_gcd)``: the first bounds candidates having
-    a prime p whose p - eps(p) shares at least a third of itself with
-    n - eps(n) (plus the non-squarefree stragglers), the second bounds the
-    candidates where every such share is small.  The second is empty until
-    m = 4.
+    ``large_gcd`` bounds candidates having a prime p whose p - eps(p)
+    shares at least a third of itself with n - eps(n) (plus the
+    non-squarefree stragglers), ``small_gcd`` the candidates where every
+    such share is small; the second is empty until m = 4.
     """
-    if m + 1 > 2 * math.sqrt(k - 1):
-        raise ValueError(f"class split needs m + 1 <= 2*sqrt(k-1); m={m}, k={k}")
-    odd = _odd_primes()
-    large = 0.0
-    prod = 1
-    for j in range(2, m + 1):
-        prod *= odd[l + j - 2]
-        large += 3.0 / prod / (2.0 ** ((k - 1) / j) + 1)
-    small = sum((2.0 ** (m + 1 - j) - 4) / (2.0 ** ((k - 1) / j) + 1)
-                for j in range(2, m - 1))
-    return 2.0 ** k * large, 2.0 ** k * small
+    if k > MAX_BOUND_K:
+        raise ValueError(f"the gcd-split classes stop at k = {MAX_BOUND_K}")
+    dens = [_power(2.0, (k - 1) / j) + 1 for j in range(2, top + 1)]
+    # products of the unscreened odd primes from the (l+1)-th on
+    prods = itertools.accumulate(_odd_primes()[l:l + top - 1], operator.mul)
+    return {"large_gcd": itertools.accumulate(
+                3.0 / _integer(p) / d for p, d in zip(prods, dens)),
+            "small_gcd": (sum((2.0 ** (m + 1 - j) - 4) / dens[j - 2]
+                              for j in range(2, m - 1))
+                          for m in range(2, top + 1))}
+
+
+# the class families each parts selector of nr_bound_split sums
+_PARTS = {"both": ("large_gcd", "small_gcd"), "large-gcd": ("large_gcd",),
+          "small-gcd": ("small_gcd",)}
 
 
 def nr_bound_split(k: int, r: int, l: int = 8, M: int | None = None,
@@ -281,38 +406,30 @@ def nr_bound_split(k: int, r: int, l: int = 8, M: int | None = None,
     class families feed the sum: "both" is the full bound, "large-gcd" and
     "small-gcd" isolate one family each — the reference tables plot the
     dominating family per column, so the table generators use those.
+    The terms hold the tail and the summed families.
     """
-    if parts not in ("both", "large-gcd", "small-gcd"):
+    if parts not in _PARTS:
         raise ValueError(f"unknown parts selector: {parts!r}")
     if r < 1:
         raise ValueError("need r >= 1")
     ro = rho(l)
-    if m_size is None:
-        m_size = 2.0 ** (k - 2.9)
-
-    def evaluate(m_top: int) -> BoundReport:
-        tail = (2.0 ** (r * (1 - m_top)) * m_size
-                * ro ** ((m_top + 1) * r) / (2.0 ** r - ro ** r))
-        large = small = 0.0
-        for m in range(2, m_top + 1):
-            weight = (ro / 2) ** (m * r)
-            lg, sm = class_card_split(k, l, m)
-            large += weight * lg
-            small += weight * sm
-        large *= 2.0 ** r
-        small *= 2.0 ** r
-        if parts == "large-gcd":
-            total = tail + large
-        elif parts == "small-gcd":
-            total = tail + small
-        else:
-            total = tail + large + small
-        return BoundReport(value=total, m_opt=m_top,
-                           terms={"tail": tail, "large_gcd": large,
-                                  "small_gcd": small},
-                           source=f"multi-round split ({parts})")
-
-    return _optimize(k, M, evaluate)
+    size = _power(2.0, k - 2.9) if m_size is None else m_size
+    splits = _splits(k, M)
+    classes = _gcd_classes(k, l, splits[-1])
+    # each family summed over m = 2..M with weights (rho/2)^(m r), every M
+    weights = [_power(ro / 2, m * r) for m in range(2, splits[-1] + 1)]
+    scale = _power(2.0, r) * _power(2.0, k)
+    families = {}
+    for name in _PARTS[parts]:
+        sums = list(itertools.accumulate(map(operator.mul, weights,
+                                             classes[name])))
+        families[name] = [sums[m - 2] * scale for m in splits]
+    tail_den = _power(2.0, r) - _power(ro, r)
+    return _report(
+        f"multi-round split ({parts})", splits,
+        tail=[_power(2.0, r * (1 - m)) * size * _power(ro, (m + 1) * r)
+              / tail_den for m in splits],
+        **families)
 
 
 def qkr_upper(n_r: float, p: float) -> float:
@@ -353,10 +470,12 @@ def q_bound(k: int, r: int = 1, l: int = 8) -> BoundReport:
     Dispatches to the engine that the reference table for this (k, r)
     column uses: the gcd-split engine for every r >= 2 and for r = 1
     through k = 41, the refined class sums through k = 59, and the coarse
-    two-term bound beyond.  Up to k = 29 the candidate set and the prime
-    count come from the exact census, past it from the analytic sizes.
-    The report's value is the probability q, with the liar mass and prime
-    count in the terms.
+    two-term bound beyond, up to k = MAX_BOUND_K.  Up to k = 29 the
+    candidate set and the prime count come from the exact census, past it
+    from the analytic sizes.  The report's value is the probability
+    q = N/(N + P); the terms hold the engine's terms, log2 q as ``log2``,
+    and the liar mass N and prime count P as ``liar_mass_log2`` and
+    ``prime_mass_log2``.
 
     Where it uses the gcd-split engine it sums one class family, as the
     tables do: small-gcd for r = 1, large-gcd for r >= 2.  The full sum is
@@ -366,11 +485,13 @@ def q_bound(k: int, r: int = 1, l: int = 8) -> BoundReport:
     if k < 17:
         raise ValueError("tabulated bounds start at k = 17; "
                          "use exact_qk1 for smaller k")
+    if k > MAX_BOUND_K:
+        raise ValueError(f"bounds stop at k = {MAX_BOUND_K}")
     if k <= EXACT_CENSUS_MAX_K:
         census = screen_census(k, l, exact=True)
-        m_size, prime_mass = census.survivors, float(census.primes)
+        m_size, prime_mass = census.survivors, _Wide(census.primes)
     else:
-        m_size, prime_mass = None, prime_lower_bound(k)
+        m_size, prime_mass = None, _prime_mass(k)
     if r != 1 or k <= SPLIT_MAX_K:
         parts = "small-gcd" if r == 1 else "large-gcd"
         rep = nr_bound_split(k, r, l, m_size=m_size, parts=parts)
@@ -378,11 +499,14 @@ def q_bound(k: int, r: int = 1, l: int = 8) -> BoundReport:
         rep = n1_bound_refined(k, l)
     else:
         rep = n1_bound_coarse(k, l)
-    q = qkr_upper(rep.value, prime_mass)
-    terms = dict(rep.terms)
-    terms["liar_mass"] = rep.value
-    terms["prime_mass"] = prime_mass
-    return BoundReport(value=q, m_opt=rep.m_opt, terms=terms,
+    # the engines round as doubles do, so a normal double value is their
+    # exact mass; past that range the log2 carries it
+    liar_mass = (_Wide(rep.value) if sys.float_info.min <= rep.value < math.inf
+                 else _power(2.0, rep.terms["log2"]))
+    q = liar_mass / (liar_mass + prime_mass)
+    terms = dict(rep.terms, log2=q.log2(), liar_mass_log2=liar_mass.log2(),
+                 prime_mass_log2=prime_mass.log2())
+    return BoundReport(value=float(q), m_opt=rep.m_opt, terms=terms,
                        source=rep.source)
 
 
@@ -390,69 +514,41 @@ def q_bound(k: int, r: int = 1, l: int = 8) -> BoundReport:
 # incremental-search bounds (window of s = c * ln(2^k) candidates)
 
 
-def _log2_add(a: float, b: float) -> float:
-    if a < b:
-        a, b = b, a
-    if b == -math.inf:
-        return a
-    return a + math.log2(1.0 + 2.0 ** (b - a))
-
-
-@lru_cache(maxsize=4096)
-def _class_inner_log2(k: int, m: int) -> float:
-    inner = -math.inf
-    for j in range(2, m + 1):
-        inner = _log2_add(inner, -j - (k - 1) / j)
-    return inner
-
-
-@lru_cache(maxsize=1024)
-def _class_prefix_log2(k: int, t: int) -> tuple[float, ...]:
-    # prefix[i] = log2 of sum over m = 3..i of 2^(m(1-t)) * inner(k, m)
-    top = math.ceil(1.2 * max(m_split_range(k)))
-    out = [-math.inf] * (top + 1)
-    acc = -math.inf
-    for m in range(3, top + 1):
-        acc = _log2_add(acc, m * (1 - t) + _class_inner_log2(k, m))
-        out[m] = acc
-    return tuple(out)
+@lru_cache(maxsize=64)
+def _window_inner(k: int, top: int) -> tuple[_Wide, ...]:
+    """sum_{j=2..m} 2^(-j-(k-1)/j) for m = 2..top, shared by every t and c."""
+    return tuple(itertools.accumulate(_power(2.0, -j - (k - 1) / j)
+                                      for j in range(2, top + 1)))
 
 
 def ykts_bound(k: int, t: int, c: float, M: int | None = None) -> BoundReport:
     """Error bound for incremental search: window c*ln(2^k), t rounds.
 
-    Evaluated in log2 space; ``terms['log2']`` is always finite even when
-    the value itself underflows a float.  Omit M to minimize.  A c so
-    large that c*k or the bound itself leaves float range is a ValueError.
+    ``terms['log2']`` is always finite even when the value itself
+    underflows a float.  Omit M to minimize.  A c so large that c*k or the
+    bound itself leaves float range is a ValueError.
     """
     if t < 1 or not 0 < c < math.inf:
         raise ValueError("need t >= 1 and finite c > 0")
     ck = c * k
     if math.isinf(ck):
         raise ValueError(f"c * k = {c:g} * {k} is past float range")
-    prefix = _class_prefix_log2(k, t)
-
-    def log2_terms(m_top: int) -> dict[str, float]:
-        class_mass = (prefix[math.ceil(1.2 * m_top)]
-                      + 3.42 + t + 2 * math.log2(ck))
-        window_tail = math.log2(0.7 * ck) - t * m_top
-        return {"log2": _log2_add(class_mass, window_tail),
-                "class_mass_log2": class_mass,
-                "window_tail_log2": window_tail}
-
-    if M is not None:
-        _check_m(k, M)
-    splits = [M] if M is not None else m_split_range(k)
-    # pick M on the log2 alone: 2^log2 can overflow at a non-optimal M
-    m_opt = min(splits, key=lambda m: log2_terms(m)["log2"])
-    terms = log2_terms(m_opt)
-    log2_total = terms["log2"]
-    if log2_total >= 1024:
-        raise ValueError(f"c = {c:g} puts the bound at 2^{log2_total:.0f}, "
-                         "past float range")
-    value = 2.0 ** log2_total if log2_total > -1074 else 0.0
-    return BoundReport(value=value, m_opt=m_opt, terms=terms,
-                       source="incremental window")
+    splits = _splits(k, M)
+    # class m weighs 2^(m(1-t)) inner[m - 2]; sums[i] adds those weights
+    # over m = 3..i + 3
+    top = math.ceil(1.2 * splits[-1])
+    inner = _window_inner(k, top)
+    sums = list(itertools.accumulate(inner[m - 2].ldexp(m * (1 - t))
+                                     for m in range(3, top + 1)))
+    scale = _power(2.0, 3.42 + t) * _power(ck, 2)
+    rep = _report(
+        "incremental window", splits,
+        class_mass=[sums[math.ceil(1.2 * m) - 3] * scale for m in splits],
+        window_tail=[_Wide(0.7 * ck, -t * m) for m in splits])
+    if rep.terms["log2"] >= 1024:
+        raise ValueError(f"c = {c:g} puts the bound at "
+                         f"2^{rep.terms['log2']:.0f}, past float range")
+    return rep
 
 
 def ykts_table_cell(k: int, t: int, c: float) -> int:
@@ -548,6 +644,22 @@ def format_tsv(header: list[str], rows: list[list]) -> str:
     lines = ["\t".join(header)]
     lines.extend("\t".join(cell(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def format_q(rep: BoundReport) -> str:
+    """q at 6 decimals, or to 6 significant digits once below 1e-4.
+
+    Read off ``terms['log2']``, so a q below the smallest double still
+    prints its mantissa and exponent.
+    """
+    if rep.value >= 1e-4:
+        return f"{rep.value:.6f}"
+    log10 = rep.terms["log2"] * math.log10(2)
+    exponent = math.floor(log10)
+    mantissa = f"{10 ** (log10 - exponent):.6g}"
+    if mantissa == "10":
+        mantissa, exponent = "1", exponent + 1
+    return f"{mantissa}e{exponent:+03d}"
 
 
 def format_json(header: list[str], rows: list[list]) -> str:

@@ -18,8 +18,8 @@ import re
 import sys
 
 from . import __version__
-from .bounds import (format_json, format_tsv, q_bound, table_rows,
-                     EXACT_SURVEY_MAX_K, MAX_SCREEN_DEPTH)
+from .bounds import (format_json, format_q, format_tsv, q_bound, table_rows,
+                     EXACT_SURVEY_MAX_K, MAX_BOUND_K, MAX_SCREEN_DEPTH)
 from .kernel import check_discriminant
 
 
@@ -152,7 +152,7 @@ def cmd_bounds(args) -> int:
     with out as fh:
         if args.single:
             k, r = args.single
-            text = f"{_checked(q_bound, k, r, args.l).value:.6f}\n"
+            text = format_q(_checked(q_bound, k, r, args.l)) + "\n"
         elif args.survey_k is not None:
             import json
             from .survey import exact_qk1
@@ -232,7 +232,9 @@ def _parser() -> argparse.ArgumentParser:
                      help="Regenerate a whole reference table.")
     sub.add_argument("--single", nargs=2, type=int, default=None,
                      metavar=("K", "R"),
-                     help="One error bound: bit size K, rounds R.")
+                     help=f"One error bound: bit size K (17 to {MAX_BOUND_K}), "
+                          "rounds R >= 1. q prints at 6 decimals, or to 6 "
+                          "significant digits below 1e-4.")
     sub.add_argument("--l", type=int, default=8,
                      help="Screen depth the bound engines assume "
                           f"(1 to {MAX_SCREEN_DEPTH}). [default: %(default)s]")

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slucas import kernel
-from slucas.bounds import (BoundReport, asymptotic_check, chain_rule,
-                           class_card_split, format_json, format_tsv,
+from slucas.bounds import (MAX_BOUND_K, BoundReport, asymptotic_check,
+                           chain_rule, format_json, format_q, format_tsv,
                            m_split_range, n1_bound_coarse, n1_bound_refined,
                            nr_bound_split, prime_count_exact,
                            prime_lower_bound, q_bound, qk1_analytic, qkr_upper,
@@ -137,7 +137,8 @@ def test_single_round_bound_reports():
     assert rep.m_opt == 9
     assert abs(rep.value - 0.204541) < 5e-6
     assert rep.value < 4 / 19
-    assert set(rep.terms) >= {"liar_mass", "prime_mass"}
+    assert set(rep.terms) >= {"log2", "liar_mass_log2", "prime_mass_log2"}
+    assert rep.terms["log2"] == pytest.approx(math.log2(rep.value), rel=1e-12)
 
 
 def test_refined_beats_coarse_where_defined():
@@ -148,12 +149,14 @@ def test_refined_beats_coarse_where_defined():
 
 
 def test_optimizer_is_exhaustive():
-    # the reported optimum really is the minimum over the whole M range
-    for k in (45, 60, 85):
+    # the reported optimum really is the minimum over the whole M range,
+    # also where the liar mass itself is past 2^1024
+    for k in (45, 60, 85, 1024, 4096):
         rep = n1_bound_coarse(k)
-        sweep = [n1_bound_coarse(k, M=m).value for m in m_split_range(k)]
-        assert rep.value == min(sweep)
+        sweep = [n1_bound_coarse(k, M=m).terms["log2"] for m in m_split_range(k)]
+        assert rep.terms["log2"] == min(sweep)
         assert rep.m_opt == list(m_split_range(k))[sweep.index(min(sweep))]
+    assert n1_bound_coarse(4096).value == math.inf
 
 
 def test_multi_round_bound_drops_fast():
@@ -163,12 +166,63 @@ def test_multi_round_bound_drops_fast():
 
 
 def test_class_card_split_monotone_in_m():
-    large3, small3 = class_card_split(40, 8, 3)
-    large5, small5 = class_card_split(40, 8, 5)
-    assert large3 >= 0 and small3 >= 0
-    assert large5 + small5 > 0
+    # the gcd-split class families, summed over m = 2..M, grow with M; the
+    # small-gcd family is empty until m = 4
+    def families(M):
+        terms = nr_bound_split(40, 1, 8, M=M).terms
+        return terms["large_gcd_log2"], terms["small_gcd_log2"]
+
+    large3, small3 = families(3)
+    large5, small5 = families(5)
+    assert small3 == -math.inf and math.isfinite(small5)
+    assert large3 < large5
+    only_large = nr_bound_split(40, 1, 8, M=5, parts="large-gcd")
+    assert set(only_large.terms) == {"log2", "tail_log2", "large_gcd_log2"}
+    assert only_large.terms["large_gcd_log2"] == large5
+    # weights of 2^-(10000 m) and less still leave both families nonzero
+    far = nr_bound_split(40, 10000, 8, M=5).terms
+    assert math.isfinite(far["large_gcd_log2"] + far["small_gcd_log2"])
     with pytest.raises(ValueError):
-        class_card_split(40, 8, 13)     # m beyond the split range
+        nr_bound_split(40, 1, 8, M=13)     # M beyond the split range
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(17, MAX_BOUND_K),
+       st.one_of(st.integers(1, 10), st.sampled_from([1100, 10000])))
+def test_q_bound_is_a_probability_at_every_size(k, r):
+    # the liar mass passes 2^1024 from k of about 1020 on and the r-round
+    # weights fall below 2^-1074 from r of about 1024 on; q stays a
+    # probability with a finite log2 either way
+    rep = q_bound(k, r)
+    log2 = rep.terms["log2"]
+    assert math.isfinite(log2) and log2 <= 0
+    assert 0 <= rep.value <= 1
+    assert rep.value == pytest.approx(2.0 ** log2, rel=1e-12, abs=1e-323)
+    assert math.isfinite(rep.terms["liar_mass_log2"])
+
+
+def test_q_bound_stops_at_max_k():
+    assert q_bound(MAX_BOUND_K, 3, 166).value > 0
+    for k in (MAX_BOUND_K + 1, 10 ** 8):
+        with pytest.raises(ValueError, match=f"k = {MAX_BOUND_K}"):
+            q_bound(k, 3)
+    with pytest.raises(ValueError, match=f"k = {MAX_BOUND_K}"):
+        nr_bound_split(MAX_BOUND_K + 1, 2)
+
+
+def test_format_q():
+    def fmt(q):
+        return format_q(BoundReport(q, 3, {"log2": math.log2(q)}, ""))
+
+    assert fmt(0.2045404367) == "0.204540"
+    assert fmt(1e-4) == "0.000100"
+    assert fmt(5.552569e-05) == "5.55257e-05"
+    assert fmt(9.9999999e-05) == "1e-04"       # the mantissa rounds up to 10
+    assert fmt(2.5e-300) == "2.5e-300"
+    # below the smallest double only the log2 is left to print from:
+    # 2^-9029 = 1.000389558e-2718
+    tiny = BoundReport(0.0, 3, {"log2": -9029.0}, "")
+    assert format_q(tiny) == "1.00039e-2718"
 
 
 def test_qkr_upper_algebra():

@@ -3,6 +3,7 @@ import io
 import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -340,12 +341,14 @@ def test_bounds_table_stdout_is_pinned(run, fmt, table):
 
 
 # SHA-256 of the stdout of `slucas bounds --single K R`, one per engine
-# and round count, taken at the same point as the table digests
+# and round count, taken at the same point as the table digests; (33, 2)
+# was retaken when q below 1e-4 moved to 6 significant digits: it printed
+# 0.000056 and prints 5.55257e-05
 SINGLE_STDOUT_SHA256 = {
     (17, 1): "3c1080673efe62154592f1e00ee8c330008c3006af6c5173c9b86033a4cc89c5",
     (17, 2): "c044113696fe62153f443f9c2e156b0ebc01c8cf5bf3c2369d62ab37dc770ad1",
     (29, 2): "72a41e8efbe27868c682f78ddbacf46fbdedb628309f08853cbffe9cd2350482",
-    (33, 2): "d762f9208fa377787d6079674c15a4dbf6ef2718c357393728664d571ba3b79f",
+    (33, 2): "4077eba48f8fecf33c86b1c2ccc021c7ef8f23b192ec26e37be2e97e78a221ad",
     (41, 1): "09cbb40bc944b2f639f84512fb4e58d77a6a0b41b65383df4831ae466444e247",
     (59, 1): "1cc8cfbea4d03a6d2dbd1b16c93be8574d2bc3ad0723f5f30a67bca39e8b9c53",
     (100, 1): "9654fd6c18df366d5ed2c09b5e311fd1982ed013254d7e18175863afa355d789",
@@ -358,6 +361,32 @@ def test_bounds_single_stdout_is_pinned(run, k, r):
     assert res.exit_code == 0
     digest = hashlib.sha256(res.output.encode()).hexdigest()
     assert digest == SINGLE_STDOUT_SHA256[k, r]
+
+
+@pytest.mark.parametrize("args", [
+    (1024, 1), (1024, 3), (2048, 3), (4096, 1), (8192, 3),  # mass past 2^1024
+    (17, 1024), (17, 1100), (60, 1100), (17, 10000),        # weights below 2^-1074
+    (500, 2),                                               # once printed 0.000000
+    (30, 2, "--l", 166), (30, 1, "--l", 160),               # classes past the
+    (8192, 3, "--l", 166),                                  # 167th odd prime
+])
+def test_bounds_single_prints_nonzero_q_at_every_size(run, args):
+    res = run("bounds", "--single", *args)
+    assert res.exit_code == 0, res.output
+    q = Decimal(res.output.strip())     # exact, also below the smallest double
+    assert 0 < q <= 1
+    if q < Decimal("1e-4"):
+        mantissa = res.output.split("e")[0]
+        assert len(mantissa.replace(".", "")) <= 6
+
+
+@pytest.mark.parametrize("k", [8193, 100000000])
+def test_bounds_single_past_max_k_is_usage_error(run, k):
+    res = run("bounds", "--single", k, 3)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "bounds stop at k = 8192" in res.output
+    assert "Traceback" not in res.output
 
 
 @pytest.mark.parametrize("k", [1, 17])
