@@ -31,10 +31,12 @@ import itertools
 import math
 import operator
 import sys
+from bisect import bisect_right
 from functools import lru_cache, reduce
 from typing import NamedTuple
 
-from .kernel import CapacityError, count_primes_in_range, sieve_primes
+from .kernel import (MAX_BOUND_K, MAX_SCREEN_DEPTH, CapacityError,
+                     _primes_to, count_primes_in_range)
 
 # Lower-bound constant for the count of k-bit primes: more than
 # PRIME_DENSITY * 2^k / k of them for every k >= 8.
@@ -49,17 +51,6 @@ EXACT_CENSUS_MAX_K = 29
 SPLIT_MAX_K = 41
 REFINED_MAX_K = 59
 
-# Exact small-k surveys (slucas.survey) factor every candidate in the window.
-EXACT_SURVEY_MAX_K = 16
-
-
-# Deepest small-prime screen: l leading odd primes, with the (l+1)-th, the
-# smallest factor left, still below 1000.
-MAX_SCREEN_DEPTH = 166
-
-# Largest k that q_bound and the gcd-split classes accept.
-MAX_BOUND_K = 8192
-
 
 @lru_cache(maxsize=1)
 def _odd_primes() -> list[int]:
@@ -68,7 +59,7 @@ def _odd_primes() -> list[int]:
     # n-th prime is below n (ln n + ln ln n) (Rosser, n >= 6)
     n = MAX_SCREEN_DEPTH + max(m_split_range(MAX_BOUND_K)) + 1
     limit = int(n * (math.log(n) + math.log(math.log(n))))
-    return [p for p in sieve_primes(limit) if p > 2]
+    return _primes_to(limit)[1:]
 
 
 def _least_unscreened_prime(l: int) -> int:
@@ -129,8 +120,6 @@ class ScreenCensus(NamedTuple):
     ``survivors`` -- the same with twin-prime products p(p+2) removed
     ``primes``    -- k-bit primes
     ``twins``     -- twin-prime products that the removal dropped
-    ``lower``/``upper`` -- analytic bracket 2^(k-2.92) .. 2^(k-2.9) for the
-    screened count; only valid for l = 2 and k >= 12, else None.
     """
 
     k: int
@@ -139,41 +128,31 @@ class ScreenCensus(NamedTuple):
     survivors: int | None = None
     primes: int | None = None
     twins: int | None = None
-    lower: float | None = None
-    upper: float | None = None
 
 
 def _screened_count(k: int, l: int) -> int:
-    # inclusion-exclusion over the squarefree products of the screen primes
-    lo, hi = 1 << (k - 1), 1 << k
+    # odd integers in [2^(k-1), 2^k) coprime to the first l odd primes, by
+    # Legendre's recursion over odd integers: phi(x, a) counts the odd
+    # n <= x coprime to the first a of them, and the odd multiples of p_a
+    # are p_a times an odd m <= x // p_a; primes above x divide no n <= x
     screen = _odd_primes()[:l]
-    total = 0
-    for mask in range(1 << l):
-        d = 1
-        bits = 0
-        for i, p in enumerate(screen):
-            if mask >> i & 1:
-                d *= p
-                bits += 1
-        a = -(-lo // d)
-        b = -(-hi // d)
-        total += (-1) ** bits * (b // 2 - a // 2)  # odd integers in [a, b)
-    return total
+
+    @lru_cache(maxsize=None)
+    def phi(x: int, a: int) -> int:
+        a = bisect_right(screen, x, 0, a)
+        if a == 0:
+            return (x + 1) // 2
+        return phi(x, a - 1) - phi(x // screen[a - 1], a - 1)
+
+    return phi((1 << k) - 1, l) - phi((1 << (k - 1)) - 1, l)
 
 
 def _twin_products(k: int, l: int) -> list[int]:
     lo, hi = 1 << (k - 1), 1 << k
-    top = math.isqrt(hi) + 3
-    primes = set(sieve_primes(top))
+    primes = _primes_to(math.isqrt(hi) + 3)
     screen = _odd_primes()[:l]
-    out = []
-    for p in sorted(primes):
-        if p + 2 not in primes:
-            continue
-        n = p * (p + 2)
-        if lo <= n < hi and all(n % q for q in screen):
-            out.append(n)
-    return out
+    twins = (p * q for p, q in zip(primes, primes[1:]) if q == p + 2)
+    return [n for n in twins if lo <= n < hi and all(n % q for q in screen)]
 
 
 @lru_cache(maxsize=None)
@@ -181,25 +160,19 @@ def screen_census(k: int, l: int = 2, exact: bool = False) -> ScreenCensus:
     """Census of odd k-bit candidates surviving the small-prime screen.
 
     With ``exact`` the counts are computed outright (k <= 29, the prime
-    count being the limiting step); otherwise only the analytic bracket is
-    filled in, and only where it applies (l = 2, k >= 12).
+    count being the limiting step); otherwise they are left as None.
     """
     if k < 2:
         raise ValueError("need k >= 2")
-    lower = upper = None
-    if l == 2 and k >= 12:
-        lower = 2.0 ** (k - 2.92)
-        upper = 2.0 ** (k - 2.9)
     if not exact:
-        return ScreenCensus(k=k, l=l, lower=lower, upper=upper)
+        return ScreenCensus(k=k, l=l)
     if k > EXACT_CENSUS_MAX_K:
         raise CapacityError(f"exact censuses stop at k = {EXACT_CENSUS_MAX_K}")
     screened = _screened_count(k, l)
     twins = len(_twin_products(k, l))
     return ScreenCensus(k=k, l=l, screened=screened,
                         survivors=screened - twins,
-                        primes=prime_count_exact(k), twins=twins,
-                        lower=lower, upper=upper)
+                        primes=prime_count_exact(k), twins=twins)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .kernel import is_perfect_square, sieve_primes, split_power_of_two
+from .kernel import _primes_to, is_perfect_square, split_power_of_two
 from .lucas import (LucasParams, ParamSearchError, RoundResult, Verdict,
                     PROBABLE_PRIME, lucas_round, sample_params, select_d,
                     strong_lucas_round)
@@ -102,7 +102,7 @@ TRIAL_HEAD = 8
 @functools.lru_cache(maxsize=8)
 def _trial_primes(limit: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """Primes below limit: the first TRIAL_HEAD, the rest, and their product."""
-    primes = sieve_primes(limit - 1)
+    primes = _primes_to(limit - 1)
     tail = tuple(primes[TRIAL_HEAD:])
     return tuple(primes[:TRIAL_HEAD]), tail, math.prod(tail)
 

@@ -4,9 +4,10 @@ Exit codes: 0 for probable-prime / success, 1 for composite / Fail,
 2 for usage errors.  N and --d are accepted in decimal or 0x-hex.  stdout
 stays machine-parseable; anything chatty goes to stderr.
 
-A process imports only what its subcommand runs: the bound engines below
-serve ``bounds --table``/``--single``, ``--survey-k`` imports
-``slucas.survey`` in its branch, and other handlers import their modules.
+A process imports only what its subcommand runs: each handler imports
+its modules, and ``--survey-k`` imports ``slucas.survey`` in its branch.
+The limits the help text prints come from ``kernel``, so ``test``,
+``generate`` and ``--version`` never load the bound engines.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ import re
 import sys
 
 from . import __version__
-from .bounds import (format_json, format_q, format_tsv, q_bound, table_rows,
-                     EXACT_SURVEY_MAX_K, MAX_BOUND_K, MAX_SCREEN_DEPTH)
-from .kernel import check_discriminant
+from .kernel import (EXACT_SURVEY_MAX_K, FACTOR_LIMIT, MAX_BOUND_K,
+                     MAX_SCREEN_DEPTH, check_discriminant)
 
 
 class UsageError(Exception):
@@ -113,7 +113,6 @@ def cmd_generate(args) -> int:
 def cmd_count(args) -> int:
     """Exact count of parameters/bases that one test round accepts for N."""
     from .counting import alpha, fermat_count, lucas_count, mr_count, sl_count
-    from .kernel import FACTOR_LIMIT
 
     n, what, d = args.n, args.what, args.d
     if n < 3 or n % 2 == 0:
@@ -140,6 +139,8 @@ def cmd_count(args) -> int:
 
 def cmd_bounds(args) -> int:
     """Error-bound values and the reference tables built from them."""
+    from .bounds import format_json, format_q, format_tsv, q_bound, table_rows
+
     chosen = [x for x in (args.table, args.single, args.survey_k) if x is not None]
     if len(chosen) != 1:
         raise UsageError("pick exactly one of --table / --single / --survey-k")

@@ -29,20 +29,24 @@ the work done but not the prime returned (barring a Lucas liar that a
 screen would have caught).  Both generators record a per-candidate
 transcript (value plus rejection stage) and are deterministic given
 (config, seed).
+
+The screen and trial-division primes are slices of ``kernel``'s prime
+table.  A generating process loads ``kernel``, ``lucas``, ``classical``
+and this module only: no ``bounds``, no ``dataclasses`` (the records are
+NamedTuples), and ``json`` only to write a transcript.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .bounds import MAX_SCREEN_DEPTH, _odd_primes
 from .classical import miller_rabin_round, run_rounds
-from .kernel import check_discriminant, is_perfect_square, jacobi, sieve_primes
+from .kernel import (MAX_SCREEN_DEPTH, _primes_to, check_discriminant,
+                     is_perfect_square, jacobi)
 
 # Uniform generation keeps drawing until something survives; this cap turns
 # a pathological config into a diagnosable error instead of a hang.
@@ -56,8 +60,16 @@ SCREEN_REACH = 1000
 MAX_TRIAL_BOUND = 1 << 22
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class _GenFields(NamedTuple):
+    bits: int
+    rounds: int = 1
+    d: int | None = None
+    screen: int = MAX_SCREEN_DEPTH
+    window: int | None = None
+    seed: int | None = None
+
+
+class GenConfig(_GenFields):
     """Shared knobs for both generators.
 
     ``d`` fixes the discriminant; None means the uniform generator uses 5
@@ -67,17 +79,14 @@ class GenConfig:
     past it follows from ``bits`` alone (primes up to bits**2 / 16).
     ``window`` (incremental only) is the number of candidates before
     giving up; None picks 10 * ceil(k * ln 2).  The walk also ends at
-    2**k, so a start near the top gets fewer candidates.
+    2**k, so a start near the top gets fewer candidates.  Every way of
+    building one, ``_replace`` and ``_make`` included, checks the knobs.
     """
 
-    bits: int
-    rounds: int = 1
-    d: int | None = None
-    screen: int = MAX_SCREEN_DEPTH
-    window: int | None = None
-    seed: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.bits < 5:
             raise ValueError("need bits >= 5")
         if self.rounds < 1:
@@ -88,33 +97,39 @@ class GenConfig:
             raise ValueError("need window >= 1")
         if self.d is not None:
             check_discriminant(self.d)
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> GenConfig:
+        return cls(*iterable)  # the inherited one skips __new__
 
 
-@dataclass
-class GenOutcome:
+class GenOutcome(NamedTuple):
     """What a generator run produced.
 
     ``result`` is the probable prime, or None for the incremental
     generator's Fail.  ``transcript`` has one entry per candidate:
-    {"n": hex, "stage": where it stopped, "rounds": rounds it survived}.
+    {"n": hex, "stage": where it stopped, "rounds": rounds it survived};
+    it defaults to an empty tuple, so no two outcomes share a list.
     """
 
     result: int | None
     candidates_tested: int
     rounds_run: int
-    transcript: list[dict] = field(default_factory=list)
+    transcript: list[dict] | tuple = ()
 
     def __bool__(self) -> bool:
         return self.result is not None
 
     def to_jsonl(self) -> str:
+        import json
         return "".join(json.dumps(entry) + "\n" for entry in self.transcript)
 
 
 @functools.lru_cache(maxsize=None)
 def _screen(count: int) -> tuple[tuple[int, ...], int]:
     """The first ``count`` odd primes and their product."""
-    primes = tuple(_odd_primes()[:count])
+    primes = tuple(_primes_to(SCREEN_REACH)[1:count + 1])
     return primes, math.prod(primes)
 
 
@@ -137,9 +152,7 @@ def trial_bound(bits: int) -> int:
 @functools.lru_cache(maxsize=8)
 def _trial_primes(bound: int) -> tuple[int, ...]:
     """The primes in (SCREEN_REACH, bound]."""
-    if bound <= SCREEN_REACH:
-        return ()
-    primes = sieve_primes(bound)
+    primes = _primes_to(bound)
     return tuple(primes[bisect_right(primes, SCREEN_REACH):])
 
 

@@ -3,6 +3,11 @@ by the prime-pi recursion, trial-division factorization, a perfect-square
 check, the method-A discriminant sweep and the check that a discriminant
 is usable.
 
+Every module that needs small primes slices one cached table here
+(``_primes_to``), which grows on demand; the size limits the CLI prints
+are defined here too, so printing them loads no engine.  This module
+imports only ``math`` and ``bisect``: every process loads it.
+
 Everything here works on plain Python ints, which are arbitrary precision,
 so values of several thousand bits are fine throughout.
 """
@@ -14,6 +19,16 @@ from bisect import bisect_right
 
 SIEVE_LIMIT = 1 << 33
 FACTOR_LIMIT = 1 << 52
+
+# Deepest small-prime screen: l leading odd primes, with the (l+1)-th, the
+# smallest factor left, still below 1000.
+MAX_SCREEN_DEPTH = 166
+
+# Largest k that q_bound and the gcd-split classes accept.
+MAX_BOUND_K = 8192
+
+# Exact small-k surveys (slucas.survey) factor every candidate in the window.
+EXACT_SURVEY_MAX_K = 16
 
 
 class CapacityError(ValueError):
@@ -215,18 +230,18 @@ class Factorization:
                 and self.factors == other.factors)
 
 
-_factor_primes: list[int] = []
-_factor_limit = 0
+_table: list[int] = []
+_table_limit = 0
 
 
-def _factor_base(up_to: int) -> list[int]:
-    # cached primes <= _factor_limit; re-sieved to max(up_to, 2^10) only
-    # when a larger bound is asked for, so repeated factorizations are cheap
-    global _factor_primes, _factor_limit
-    if _factor_limit < up_to:
-        _factor_limit = max(up_to, 1 << 10)
-        _factor_primes = sieve_primes(_factor_limit)
-    return _factor_primes
+def _primes_to(limit: int) -> list[int]:
+    """The primes <= limit, sliced from the one cached table; it is
+    re-sieved to max(limit, 2^10) only when a larger limit is asked for."""
+    global _table, _table_limit
+    if _table_limit < limit:
+        _table_limit = max(limit, 1 << 10)
+        _table = sieve_primes(_table_limit)
+    return _table[:bisect_right(_table, limit)]
 
 
 def factorize(n: int) -> Factorization:
@@ -237,9 +252,7 @@ def factorize(n: int) -> Factorization:
         raise CapacityError(f"{n} exceeds the trial-division ceiling")
     original = n
     factors: list[tuple[int, int]] = []
-    root = math.isqrt(n)
-    base = _factor_base(root)
-    for p in base[:bisect_right(base, root)]:
+    for p in _primes_to(math.isqrt(n)):
         if p * p > n:
             break
         if n % p == 0:

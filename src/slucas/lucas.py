@@ -10,6 +10,9 @@ strong_lucas_round runs those zero tests on the Q = 1 sequence
 W_k = V_k(P^2/Q - 2, 1), at two modular products per bit; its docstring
 has the identities.  lucas_uv_mod keeps the full (U, V, Q^m) ladder for
 the plain round and for exact checks.
+
+The records are ``typing.NamedTuple``s, so testing or generating primes
+never loads ``dataclasses`` (and with it ``inspect``).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .kernel import (_method_a_sequence, is_perfect_square, jacobi,
                      split_power_of_two)
@@ -29,8 +32,7 @@ class Verdict(enum.Enum):
     BAD_PARAMS = "bad-params"
 
 
-@dataclass(frozen=True)
-class RoundResult:
+class RoundResult(NamedTuple):
     """Outcome of one test round.
 
     verdict is the headline; reason is a short machine-greppable tag;
@@ -48,8 +50,7 @@ class RoundResult:
 PROBABLE_PRIME = RoundResult(Verdict.PROBABLE_PRIME)
 
 
-@dataclass(frozen=True)
-class LucasParams:
+class LucasParams(NamedTuple):
     """A parameter pair (P, Q) with its discriminant D = P^2 - 4Q."""
 
     P: int

@@ -11,11 +11,10 @@ from functools import lru_cache
 from itertools import islice
 from typing import NamedTuple
 
-from .bounds import EXACT_SURVEY_MAX_K
 from .counting import _sl_parts
-from .kernel import (CapacityError, Factorization, _method_a_sequence,
-                     check_discriminant, is_perfect_square, jacobi,
-                     sieve_primes)
+from .kernel import (EXACT_SURVEY_MAX_K, CapacityError, Factorization,
+                     _method_a_sequence, check_discriminant,
+                     is_perfect_square, jacobi, sieve_primes)
 
 
 def _fraction_text(x: Fraction) -> str:

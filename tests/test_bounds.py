@@ -116,12 +116,23 @@ def _is_prime(n):
 
 
 def test_screen_census_analytic_bracket():
-    c = screen_census(20, l=2, exact=True)
-    assert c.lower <= c.screened <= c.upper
-    assert c.lower == pytest.approx(2 ** (20 - 2.92), rel=1e-12)
     # bracket-only mode leaves the counts unfilled
     assert screen_census(48, l=2).screened is None
-    assert screen_census(48, l=2).lower == pytest.approx(2 ** (48 - 2.92))
+
+
+@pytest.mark.parametrize("l", [1, 2, 8, 20, 166])
+def test_screened_count_matches_direct_count(l):
+    # the Legendre recursion against a plain sweep of the odd k-bit integers
+    screen = [p for p in kernel.sieve_primes(1000) if p > 2][:l]
+    for k in range(2, 17):
+        direct = sum(all(n % p for p in screen)
+                     for n in range((1 << (k - 1)) | 1, 1 << k, 2))
+        assert screen_census(k, l, exact=True).screened == direct, k
+
+
+@pytest.mark.parametrize("k", [1027, 4096, 8192])
+def test_screen_census_returns_at_any_size(k):
+    assert screen_census(k) == (k, 2, None, None, None, None)
 
 
 def test_census_deeper_screen_is_smaller():

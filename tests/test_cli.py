@@ -442,6 +442,13 @@ def test_bounds_screen_depth_limits_accepted(run):
     assert run("bounds", "--l", 1, "--single", 60, 1).exit_code == 0
 
 
+@pytest.mark.parametrize("args", [("--single", 17, 1), ("--table", 5)])
+def test_bounds_exact_census_at_deepest_screen(run, args):
+    # the exact censuses (k <= 29) count the screened set at l = 166 too
+    res = run("bounds", "--l", 166, *args)
+    assert res.exit_code == 0, res.output
+
+
 def test_bounds_option_exclusivity(run):
     assert run("bounds").exit_code == 2
     assert run("bounds", "--table", 1, "--single", 60, 1).exit_code == 2

@@ -1,5 +1,6 @@
 """The package loads a submodule only when one of its names is used, so a
-cold `slucas bounds` process imports just the engine it prints."""
+cold process imports just what it runs: `slucas bounds` the engine it
+prints, and testing or generating primes no bound engine at all."""
 
 import importlib
 import json
@@ -11,39 +12,96 @@ from pathlib import Path
 import pytest
 
 import slucas
+from slucas.generation import GenConfig, GenOutcome
+from slucas.lucas import LucasParams, RoundResult, Verdict
 
 SRC = str(Path(slucas.__file__).resolve().parents[1])
+SUBMODULES = {f"slucas.{p.stem}" for p in Path(SRC, "slucas").glob("*.py")
+              if p.stem != "__init__"}
 
 
-def _fresh(code: str) -> str:
-    """stdout of `python -c code` in a new interpreter that sees src/."""
+def _fresh(code: str) -> subprocess.CompletedProcess:
+    """`python -X importtime -c code` in a new interpreter that sees src/."""
     env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", code],
+                          env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return proc
+
+
+def _importers(importtime: str) -> dict[str, str]:
+    """Each module -> the module whose import pulled it in, read off the
+    -X importtime lines: the child writes a module once its import ends,
+    indented one step deeper than its importer, which is written later."""
+    importers, open_ = {}, []   # open_: (depth, module) awaiting an importer
+    for line in importtime.splitlines():
+        fields = line.split("|")
+        if not line.startswith("import time:") or not fields[1].strip().isdigit():
+            continue
+        name = fields[2].strip()
+        depth = len(fields[2]) - len(fields[2].lstrip())
+        while open_ and open_[-1][0] > depth:
+            importers[open_.pop()[1]] = name
+        open_.append((depth, name))
+    return importers
+
+
+# runs the code with its stdout dropped and a zero exit allowed, then
+# lists sys.modules without importing anything for it.  The package loads
+# its submodules through importlib.import_module, whose imports -X
+# importtime does not log, so the child routes them through __import__.
+_CHILD = """\
+import contextlib, importlib, io, sys
+
+def logged_import(name, package=None):
+    name = package + name if name.startswith(".") else name
+    __import__(name)
+    return sys.modules[name]
+
+importlib.import_module = logged_import
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        exec(compile({code!r}, "<pinned>", "exec"), {{}})
+    except SystemExit as exc:
+        assert not exc.code, exc.code
+print("\\n".join(sorted(sys.modules)))
+"""
+
+
+def _loads(code: str, unwanted: set[str]) -> set[str]:
+    """sys.modules after `code` in a fresh interpreter, checked to hold none
+    of ``unwanted``; a failure names each one and the imports that pulled
+    it in."""
+    proc = _fresh(_CHILD.format(code=code))
+    loaded = set(proc.stdout.split())
+    importers = _importers(proc.stderr)
+
+    def chain(module: str) -> str:
+        links = [module]
+        while links[-1] in importers:
+            links.append(importers[links[-1]])
+        return " <- ".join(links + ["the pinned code"])
+
+    found = sorted(unwanted & loaded)
+    assert not found, "unwanted imports: " + "; ".join(map(chain, found))
+    return loaded
 
 
 def test_import_loads_no_submodule():
-    out = _fresh("import sys, json, slucas; print(json.dumps("
-                 "[m for m in sys.modules if m.startswith('slucas.')]))")
-    assert json.loads(out) == []
+    _loads("import slucas", SUBMODULES)
 
 
-def _bounds_run_loads(args: list[str]) -> set[str]:
+def test_pin_failure_names_the_imports_that_pulled_a_module_in():
+    with pytest.raises(AssertionError, match=r"slucas\.kernel <- slucas\.lucas "
+                                             r"<- the pinned code"):
+        _loads("import slucas.lucas", {"slucas.kernel"})
+
+
+def _bounds_run_loads(args: list[str], unused: set[str]) -> set[str]:
     """sys.modules after `slucas bounds <args>` in a fresh interpreter."""
-    out = _fresh(
-        "import io, json, sys, contextlib\n"
-        "from slucas import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    try:\n"
-        f"        cli.main(['bounds', *{args!r}])\n"
-        "    except SystemExit as exc:\n"
-        "        assert exc.code == 0, exc.code\n"
-        "print(json.dumps(sorted(sys.modules)))\n")
-    loaded = set(json.loads(out))
+    loaded = _loads(f"from slucas import cli; cli.main(['bounds', *{args!r}])",
+                    {"click", "slucas.generation", "slucas.classical"} | unused)
     assert "slucas.bounds" in loaded
-    assert not {"click", "slucas.generation", "slucas.classical"} & loaded
     return loaded
 
 
@@ -54,8 +112,7 @@ TABLE_UNUSED = {"dataclasses", "inspect", "fractions", "slucas.counting",
 
 
 def test_bounds_run_leaves_other_subcommands_unloaded():
-    loaded = _bounds_run_loads(["--table", "1"])
-    assert not TABLE_UNUSED & loaded, sorted(TABLE_UNUSED & loaded)
+    _bounds_run_loads(["--table", "1"], TABLE_UNUSED)
 
 
 @pytest.mark.parametrize("args, unused", [
@@ -64,8 +121,83 @@ def test_bounds_run_leaves_other_subcommands_unloaded():
     (["--survey-k", "13"], {"dataclasses", "slucas.lucas"}),
 ], ids=["single", "survey"])
 def test_bounds_item_loads_only_its_engine(args, unused):
-    loaded = _bounds_run_loads(args)
-    assert not unused & loaded, sorted(unused & loaded)
+    _bounds_run_loads(args, unused)
+
+
+# testing and generating primes load kernel, lucas, classical and
+# generation only: no bound engine, no dataclasses, and json only for a
+# transcript
+PRIME_UNUSED = {"slucas.bounds", "slucas.counting", "slucas.survey",
+                "dataclasses", "inspect", "fractions"}
+CLI = "from slucas import cli; cli.main({})"
+
+
+@pytest.mark.parametrize("code", [
+    "import slucas; slucas.strong_luc_generate(slucas.GenConfig(bits=64, "
+    "rounds=3, seed=0))",
+    "import slucas; slucas.prime_inc_luc(slucas.GenConfig(bits=64, "
+    "rounds=3, seed=0))",
+    "import slucas; slucas.baillie_psw(2 ** 61 - 1)",
+    CLI.format(["test", "97"]),
+    CLI.format(["generate", "--bits", "64", "--seed", "1"]),
+    CLI.format(["generate", "--bits", "64", "--seed", "1",
+                "--mode", "incremental"]),
+    CLI.format(["--version"]),
+], ids=["uniform", "incremental", "bpsw", "cli-test", "cli-generate",
+        "cli-incremental", "cli-version"])
+def test_prime_paths_load_no_bound_engine(code):
+    _loads(code, PRIME_UNUSED | {"json"})
+
+
+def test_transcript_alone_loads_json(tmp_path):
+    path = str(tmp_path / "t.jsonl")
+    code = CLI.format(["generate", "--bits", "64", "--seed", "1",
+                       "--transcript", path])
+    assert "json" in _loads(code, PRIME_UNUSED)
+    assert Path(path).read_text().count("\n") > 0
+
+
+# the four records the prime paths return, each built twice: callers see
+# their repr, ==, hash and truthiness, and none can be assigned to
+RECORDS = [
+    (lambda: RoundResult(Verdict.COMPOSITE, "gcd-P", 3), False,
+     "RoundResult(verdict=<Verdict.COMPOSITE: 'composite'>, reason='gcd-P', "
+     "factor=3)"),
+    (lambda: LucasParams(1, -1), True, "LucasParams(P=1, Q=-1)"),
+    (lambda: GenConfig(bits=64), True,
+     "GenConfig(bits=64, rounds=1, d=None, screen=166, window=None, "
+     "seed=None)"),
+    (lambda: GenOutcome(None, 5, 0, [{"n": "0x41"}]), False,
+     "GenOutcome(result=None, candidates_tested=5, rounds_run=0, "
+     "transcript=[{'n': '0x41'}])"),
+]
+
+
+@pytest.mark.parametrize("make, truth, text", RECORDS,
+                         ids=["RoundResult", "LucasParams", "GenConfig",
+                              "GenOutcome"])
+def test_records_keep_their_behaviour(make, truth, text):
+    a, b = make(), make()
+    assert repr(a) == text
+    assert a == b and a is not b
+    if isinstance(a, GenOutcome):   # its transcript list is unhashable
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    assert bool(a) is truth
+    with pytest.raises(AttributeError):
+        setattr(a, a._fields[0], 7)
+
+
+def test_gen_config_checks_every_way_it_is_built():
+    cfg = GenConfig(bits=64)
+    assert cfg._replace(bits=65) == GenConfig(bits=65)
+    assert type(cfg._replace(seed=1)) is GenConfig
+    with pytest.raises(ValueError, match="bits >= 5"):
+        cfg._replace(bits=3)
+    with pytest.raises(ValueError, match="rounds >= 1"):
+        GenConfig._make([64, 0])
 
 
 # adding an export is a choice made on purpose: extend this set with it
@@ -89,7 +221,7 @@ def test_public_api_is_pinned():
 def test_star_import_binds_every_export():
     out = _fresh("from slucas import *; import json, slucas; "
                  "print(json.dumps([n for n in slucas.__all__ "
-                 "if n not in globals()]))")
+                 "if n not in globals()]))").stdout
     assert json.loads(out) == []
 
 
