@@ -235,12 +235,12 @@ _table_limit = 0
 
 
 def _primes_to(limit: int) -> list[int]:
-    """The primes <= limit, sliced from the one cached table; it is
-    re-sieved to max(limit, 2^10) only when a larger limit is asked for."""
+    """The primes <= limit, sliced from the one cached table.  A larger
+    limit re-sieves it to max(limit, 2^10); a failed sieve keeps it."""
     global _table, _table_limit
     if _table_limit < limit:
-        _table_limit = max(limit, 1 << 10)
-        _table = sieve_primes(_table_limit)
+        new_limit = max(limit, 1 << 10)
+        _table, _table_limit = sieve_primes(new_limit), new_limit
     return _table[:bisect_right(_table, limit)]
 
 

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from slucas.classical import (baillie_psw, fermat_round, miller_rabin_round,
                               run_rounds)
-from slucas.kernel import is_perfect_square, sieve_primes
+from slucas import kernel
+from slucas.kernel import (SIEVE_LIMIT, CapacityError, factorize,
+                           is_perfect_square, sieve_primes)
 from slucas.lucas import (PROBABLE_PRIME, LucasParams, RoundResult, Verdict,
                           select_d, strong_lucas_round)
 
@@ -167,6 +169,17 @@ def test_run_rounds_counts_rounds(method):
     # 2^32 + 1 = 641 * 6700417: every method rejects in its first round
     res, spent = run_rounds(2**32 + 1, method, 5, random.Random(1))
     assert not res and spent == 1
+
+
+def test_oversized_trial_limit_leaves_the_prime_table_whole(monkeypatch):
+    # A fresh process: the shared table is empty until something asks.
+    monkeypatch.setattr(kernel, "_table", [])
+    monkeypatch.setattr(kernel, "_table_limit", 0)
+    with pytest.raises(CapacityError):
+        baillie_psw(1_000_003, trial_limit=SIEVE_LIMIT + 2)
+    assert factorize(15).factors == [(3, 1), (5, 1)]
+    assert baillie_psw(15).verdict is Verdict.COMPOSITE
+    assert kernel._primes_to(2000) == sieve_primes(2000)
 
 
 def test_run_rounds_stops_at_the_rejecting_round():
