@@ -281,7 +281,8 @@ class BoundReport(NamedTuple):
 
     ``terms['log2']`` is log2 of the value, finite where ``value`` is 0.0
     or, for a liar mass, inf; the other ``*_log2`` terms are the log2 of
-    the parts it sums.
+    the parts it sums.  ``ykts_bound`` clamps a vacuous bound above 1 to
+    ``value`` 1.0 and keeps the unclamped log2.
     """
 
     value: float
@@ -499,7 +500,9 @@ def ykts_bound(k: int, t: int, c: float, M: int | None = None) -> BoundReport:
 
     ``terms['log2']`` is always finite even when the value itself
     underflows a float.  Omit M to minimize.  A c so large that c*k or the
-    bound itself leaves float range is a ValueError.
+    bound itself leaves float range is a ValueError.  A bound above 1
+    (54 at k = 20, t = 1, c = 1) is vacuous: ``value`` is 1.0, ``source``
+    ends in "(vacuous)", and ``terms['log2']`` stays the unclamped log2.
     """
     if t < 1 or not 0 < c < math.inf:
         raise ValueError("need t >= 1 and finite c > 0")
@@ -521,6 +524,8 @@ def ykts_bound(k: int, t: int, c: float, M: int | None = None) -> BoundReport:
     if rep.terms["log2"] >= 1024:
         raise ValueError(f"c = {c:g} puts the bound at "
                          f"2^{rep.terms['log2']:.0f}, past float range")
+    if rep.value > 1:
+        rep = rep._replace(value=1.0, source="incremental window (vacuous)")
     return rep
 
 

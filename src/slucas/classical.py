@@ -1,14 +1,15 @@
 """Fermat and Miller-Rabin rounds, the multi-round driver for every round
 method, and the Baillie-PSW check: trial division, a base-2 strong test
 and one strong Lucas round with Selfridge's method-A parameters
-(Baillie and Wagstaff, "Lucas Pseudoprimes", Math. Comp. 1980)."""
+(Baillie and Wagstaff, "Lucas Pseudoprimes", Math. Comp. 1980).  The
+trial division is ``kernel.least_factor``, the generators' screen."""
 
 from __future__ import annotations
 
-import functools
 import math
 
-from .kernel import _primes_to, is_perfect_square, split_power_of_two
+from .kernel import (SCREEN_REACH, is_perfect_square, least_factor,
+                     split_power_of_two)
 from .lucas import (LucasParams, ParamSearchError, RoundResult, Verdict,
                     PROBABLE_PRIME, lucas_round, sample_params, select_d,
                     strong_lucas_round)
@@ -93,24 +94,11 @@ def run_rounds(n: int, method: str, rounds: int, rng,
     return PROBABLE_PRIME, rounds
 
 
-DEFAULT_TRIAL_LIMIT = 1000
-# the first few primes divide most composites, so they are tried one by
-# one; the rest share one gcd against their product
-TRIAL_HEAD = 8
-
-
-@functools.lru_cache(maxsize=8)
-def _trial_primes(limit: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """Primes below limit: the first TRIAL_HEAD, the rest, and their product."""
-    primes = _primes_to(limit - 1)
-    tail = tuple(primes[TRIAL_HEAD:])
-    return tuple(primes[:TRIAL_HEAD]), tail, math.prod(tail)
-
-
-def baillie_psw(n: int, trial_limit: int = DEFAULT_TRIAL_LIMIT) -> RoundResult:
+def baillie_psw(n: int, trial_limit: int = SCREEN_REACH) -> RoundResult:
     """Baillie-PSW: base-2 strong test plus a method-A strong Lucas round.
 
-    Steps: trial division by primes below trial_limit; a base-2
+    Steps: trial division by the primes below trial_limit (n passes if
+    it is one, else fails on the least that divides it); a base-2
     Miller-Rabin round; perfect-square rejection; then one strong Lucas
     round with P = 1, Q = (1 - D)/4 for the first D of 5, -7, 9, ...
     with (D/n) = -1.  Deterministic: repeated calls always agree.
@@ -119,19 +107,11 @@ def baillie_psw(n: int, trial_limit: int = DEFAULT_TRIAL_LIMIT) -> RoundResult:
         raise ValueError("baillie_psw expects odd n >= 3")
     if n == 3:
         return PROBABLE_PRIME  # the base-2 round below needs n >= 5
-    head, tail, product = _trial_primes(trial_limit)
-    for p in head:
-        if n == p:
-            return PROBABLE_PRIME
-        if n % p == 0:
-            return RoundResult(Verdict.COMPOSITE, "trial-division", p)
-    g = math.gcd(n, product)
-    if g > 1:
-        # g == n also when n is a product of tail primes, such as 29 * 31
-        if g == n and n in tail:
-            return PROBABLE_PRIME
-        factor = next(p for p in tail if g % p == 0)
-        return RoundResult(Verdict.COMPOSITE, "trial-division", factor)
+    p = least_factor(n, 1, trial_limit - 1)
+    if p == n:
+        return PROBABLE_PRIME
+    if p > 1:
+        return RoundResult(Verdict.COMPOSITE, "trial-division", p)
     base2 = miller_rabin_round(n, 2)
     if not base2:
         return base2

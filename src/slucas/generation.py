@@ -30,30 +30,27 @@ screen would have caught).  Both generators record a per-candidate
 transcript (value plus rejection stage) and are deterministic given
 (config, seed).
 
-The screen and trial-division primes are slices of ``kernel``'s prime
-table.  A generating process loads ``kernel``, ``lucas``, ``classical``
-and this module only: no ``bounds``, no ``dataclasses`` (the records are
-NamedTuples), and ``json`` only to write a transcript.
+The screen and trial-division stages are ``kernel.least_factor``, as in
+Baillie-PSW; the incremental sieve takes the same primes from
+``kernel.primes_in``.  A generating process loads ``kernel``, ``lucas``,
+``classical`` and this module only: no ``bounds``, no ``dataclasses``
+(the records are NamedTuples), and ``json`` only to write a transcript.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import random
-from bisect import bisect_right
 from typing import NamedTuple
 
 from .classical import miller_rabin_round, run_rounds
-from .kernel import (MAX_SCREEN_DEPTH, _primes_to, check_discriminant,
-                     is_perfect_square, jacobi)
+from .kernel import (MAX_SCREEN_DEPTH, SCREEN_REACH, _primes_to,
+                     check_discriminant, is_perfect_square, jacobi,
+                     least_factor, primes_in)
 
 # Uniform generation keeps drawing until something survives; this cap turns
 # a pathological config into a diagnosable error instead of a hang.
 MAX_UNIFORM_DRAWS = 10 ** 6
-
-# The screen primes all lie below this; the trial-division stage starts here.
-SCREEN_REACH = 1000
 
 # Largest trial-division bound, reached at k = 8192 bits: past it the
 # sieve and the cached primes (about 300,000 of them) would keep growing.
@@ -126,20 +123,6 @@ class GenOutcome(NamedTuple):
         return "".join(json.dumps(entry) + "\n" for entry in self.transcript)
 
 
-@functools.lru_cache(maxsize=None)
-def _screen(count: int) -> tuple[tuple[int, ...], int]:
-    """The first ``count`` odd primes and their product."""
-    primes = tuple(_primes_to(SCREEN_REACH)[1:count + 1])
-    return primes, math.prod(primes)
-
-
-def _has_screen_factor(n: int, count: int) -> bool:
-    # a screen prime divides n -- unless n IS that prime
-    primes, primorial = _screen(count)
-    g = math.gcd(n, primorial)
-    return g > 1 and (g != n or n not in primes)
-
-
 def trial_bound(bits: int) -> int:
     """Largest prime the trial-division stage checks for k-bit candidates.
 
@@ -147,39 +130,6 @@ def trial_bound(bits: int) -> int:
     this falls under SCREEN_REACH.
     """
     return min(bits * bits // 16, MAX_TRIAL_BOUND)
-
-
-@functools.lru_cache(maxsize=8)
-def _trial_primes(bound: int) -> tuple[int, ...]:
-    """The primes in (SCREEN_REACH, bound]."""
-    primes = _primes_to(bound)
-    return tuple(primes[bisect_right(primes, SCREEN_REACH):])
-
-
-def _product(factors) -> int:
-    # balanced product tree: operands of equal size multiply fastest
-    while len(factors) > 1:
-        factors = [math.prod(factors[i:i + 2])
-                   for i in range(0, len(factors), 2)]
-    return factors[0]
-
-
-@functools.lru_cache(maxsize=8)
-def _trial_blocks(bound: int) -> tuple[int, ...]:
-    """Products of the trial primes in blocks (1000, 4096], (4096, 16384], ...
-
-    Each block spans about 4x the range of the one before, so a gcd with
-    the early, most likely blocks settles most candidates.
-    """
-    primes = _trial_primes(bound)
-    blocks = []
-    lo, hi = SCREEN_REACH, 1 << 12
-    while lo < bound:
-        block = primes[bisect_right(primes, lo):bisect_right(primes, hi)]
-        if block:
-            blocks.append(_product(block))
-        lo, hi = hi, 4 * hi
-    return tuple(blocks)
 
 
 def sieve_window(n0: int, window: int, primes) -> bytearray:
@@ -254,22 +204,23 @@ def strong_luc_generate(cfg: GenConfig) -> GenOutcome:
 
     The screens, in order: the Jacobi symbol of the discriminant must be
     -1 (which also rules out a shared factor); the candidate must not be
-    divisible by any of the first ``screen`` odd primes (one gcd against
-    their product), nor have n + 1 a perfect square (which would allow a
-    twin-prime product through), nor have a prime factor in
-    (1000, trial_bound(bits)] (one gcd per block product), and must pass a
-    base-2 strong test.  Each test round draws fresh parameters.
+    divisible by any of the first ``screen`` odd primes, nor have n + 1 a
+    perfect square (which would allow a twin-prime product through), nor
+    have a prime factor in (1000, trial_bound(bits)] (both by
+    ``least_factor``: one gcd per block product), and must pass a base-2
+    strong test.  Each test round draws fresh parameters.
     """
     draws = random.Random(cfg.seed)
     d = 5 if cfg.d is None else cfg.d
-    blocks = _trial_blocks(trial_bound(cfg.bits))
+    top = _primes_to(SCREEN_REACH)[cfg.screen]  # the screen is (2, top]
+    bound = trial_bound(cfg.bits)
     screens = (
         ("jacobi-filter", lambda i, n: jacobi(d, n) != -1),
-        ("small-factor", lambda i, n: _has_screen_factor(n, cfg.screen)),
+        ("small-factor", lambda i, n: least_factor(n, 2, top) not in (1, n)),
         ("square", lambda i, n: is_perfect_square(n + 1)),
         # n exceeds every trial prime, so a common factor is proper
         ("trial-division",
-         lambda i, n: any(math.gcd(n, block) > 1 for block in blocks)),
+         lambda i, n: least_factor(n, SCREEN_REACH, bound) > 1),
     )
     candidates = ((i, _draw_odd(cfg.bits, draws))
                   for i in range(MAX_UNIFORM_DRAWS))
@@ -298,8 +249,10 @@ def prime_inc_luc(cfg: GenConfig) -> GenOutcome:
         window = 10 * math.ceil(cfg.bits * math.log(2))
     n0 = _draw_odd(cfg.bits, draws)
     window = min(window, ((1 << cfg.bits) - n0 + 1) // 2)
-    flagged = sieve_window(n0, window, _screen(cfg.screen)[0])
-    divided = sieve_window(n0, window, _trial_primes(trial_bound(cfg.bits)))
+    top = _primes_to(SCREEN_REACH)[cfg.screen]
+    flagged = sieve_window(n0, window, primes_in(2, top))
+    divided = sieve_window(n0, window,
+                           primes_in(SCREEN_REACH, trial_bound(cfg.bits)))
     screens = (
         ("small-factor", lambda i, n: flagged[i]),
         ("shares-factor",

@@ -1,12 +1,13 @@
 """Low-level integer routines: Jacobi symbol, a prime sieve, prime counting
-by the prime-pi recursion, trial-division factorization, a perfect-square
-check, the method-A discriminant sweep and the check that a discriminant
-is usable.
+by the prime-pi recursion, trial-division factorization, the small-prime
+screen, a perfect-square check, the method-A discriminant sweep and the
+check that a discriminant is usable.
 
 Every module that needs small primes slices one cached table here
-(``_primes_to``), which grows on demand; the size limits the CLI prints
-are defined here too, so printing them loads no engine.  This module
-imports only ``math`` and ``bisect``: every process loads it.
+(``_primes_to``), which grows on demand, and screens by ``least_factor``;
+the size limits the CLI prints are defined here too, so printing them
+loads no engine.  This module imports only ``math``, ``bisect`` and
+``functools`` (loaded at interpreter startup): every process loads it.
 
 Everything here works on plain Python ints, which are arbitrary precision,
 so values of several thousand bits are fine throughout.
@@ -14,14 +15,17 @@ so values of several thousand bits are fine throughout.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 
 SIEVE_LIMIT = 1 << 33
 FACTOR_LIMIT = 1 << 52
 
-# Deepest small-prime screen: l leading odd primes, with the (l+1)-th, the
-# smallest factor left, still below 1000.
+# The small-prime screens, Baillie-PSW's included, use the primes below
+# SCREEN_REACH.  The deepest, MAX_SCREEN_DEPTH leading odd primes, leaves
+# the next prime, the smallest factor left, below SCREEN_REACH too.
+SCREEN_REACH = 1000
 MAX_SCREEN_DEPTH = 166
 
 # Largest k that q_bound and the gcd-split classes accept.
@@ -242,6 +246,53 @@ def _primes_to(limit: int) -> list[int]:
         new_limit = max(limit, 1 << 10)
         _table, _table_limit = sieve_primes(new_limit), new_limit
     return _table[:bisect_right(_table, limit)]
+
+
+def primes_in(lo: int, hi: int) -> list[int]:
+    """The primes p with lo < p <= hi, ascending."""
+    primes = _primes_to(hi)
+    return primes[bisect_right(primes, lo):]
+
+
+def _product(factors) -> int:
+    # balanced product tree: operands of equal size multiply fastest
+    while len(factors) > 1:
+        factors = [math.prod(factors[i:i + 2])
+                   for i in range(0, len(factors), 2)]
+    return factors[0]
+
+
+@functools.lru_cache(maxsize=16)
+def _prime_blocks(lo: int, hi: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The primes in (lo, hi] as (block, product) pairs, split at 2^5,
+    2^12, 2^14, 2^16, ...: the head holds the primes that divide most n,
+    and each later block spans 4x the one before, so a gcd with the
+    early, likelier blocks settles most n."""
+    primes = primes_in(lo, hi)
+    blocks, edge = [], 1 << 5
+    while primes:
+        cut = bisect_right(primes, edge)
+        if cut:
+            blocks.append((tuple(primes[:cut]), _product(primes[:cut])))
+            primes = primes[cut:]
+        edge = max(4 * edge, 1 << 12)
+    return tuple(blocks)
+
+
+def least_factor(n: int, lo: int, hi: int) -> int:
+    """The least prime in (lo, hi] that divides n (n itself when n is one
+    of them), or 1 if none does.  One gcd per block of ``_prime_blocks``;
+    a gcd g > 1 is a product of that block's primes, so trial division of
+    g up to sqrt(g) finds its least one."""
+    for primes, product in _prime_blocks(lo, hi):
+        g = math.gcd(n, product)
+        if g > 1:
+            for p in primes:
+                if g % p == 0:
+                    return p
+                if p * p > g:
+                    return g
+    return 1
 
 
 def factorize(n: int) -> Factorization:

@@ -37,7 +37,13 @@ from slucas.survey import exact_qk1, method_a_discriminants
 from conftest import mr_oracle
 
 REPORT = pathlib.Path(__file__).resolve().parent.parent / "acceptance_report.txt"
-REPORT.write_text("")
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _fresh_report():
+    # truncated once a criterion runs, so collecting the tests or
+    # deselecting every criterion leaves the last report in place
+    REPORT.write_text("")
 
 
 def report(num: int, label: str, ok: bool, detail: str = "") -> None:

@@ -277,6 +277,27 @@ def test_ykts_known_cells():
     assert ykts_table_cell(512, 3, 5) == 46
 
 
+def test_ykts_bound_is_a_probability():
+    # above 1 the bound is vacuous: clamped, named, its log2 kept
+    for k in (17, 20, 23, 24, 40, 41, 100, 112, 113, 200, 1024, 8192):
+        for t in range(1, 11):
+            rep = ykts_bound(k, t, 1.0)
+            vacuous = rep.terms["log2"] > 0
+            assert 0 <= rep.value <= 1, (k, t)
+            assert rep.source == ("incremental window (vacuous)" if vacuous
+                                  else "incremental window"), (k, t)
+            if vacuous:
+                assert rep.value == 1.0
+            else:
+                assert rep.value == pytest.approx(2 ** rep.terms["log2"])
+    assert ykts_bound(20, 1, 1.0).terms["log2"] == pytest.approx(
+        math.log2(54.1), abs=0.01)
+    assert ykts_bound(112, 1, 1.0).value == 1.0
+    assert ykts_bound(113, 1, 1.0).value < 1
+    assert ykts_bound(23, 3, 1.0).value == 1.0
+    assert ykts_bound(24, 3, 1.0).value < 1
+
+
 def test_ykts_bound_past_float_range_is_value_error():
     with pytest.raises(ValueError, match="c \\* k"):
         ykts_bound(100, 1, 1e308)          # c * k overflows

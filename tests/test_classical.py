@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -107,7 +108,9 @@ def _bpsw_reference(n, trial_limit):
 
 @pytest.mark.parametrize("trial_limit", [3, 30, 1000])
 def test_bpsw_matches_plain_trial_loop(trial_limit):
-    for n in range(3, 10 ** 5, 2):
+    # small n, and 4,096 consecutive odd n at the size the sweep benchmark runs
+    for n in itertools.chain(range(3, 10 ** 5, 2),
+                             range(2 ** 63 + 1, 2 ** 63 + 1 + 2 * 4096, 2)):
         assert baillie_psw(n, trial_limit=trial_limit) == \
             _bpsw_reference(n, trial_limit), n
 

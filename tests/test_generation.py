@@ -9,7 +9,8 @@ from slucas import generation
 from slucas.generation import (MAX_SCREEN_DEPTH, GenConfig, GenOutcome,
                                prime_inc_luc, sieve_window,
                                strong_luc_generate)
-from slucas.kernel import jacobi, sieve_primes
+from slucas.kernel import (SCREEN_REACH, _prime_blocks, _primes_to, jacobi,
+                           least_factor, primes_in, sieve_primes)
 from slucas.lucas import PROBABLE_PRIME
 
 from conftest import mr_oracle
@@ -165,10 +166,13 @@ def test_window_sieve_flags_screen_multiples():
 
 
 def test_gcd_screen_spares_screen_primes():
+    # the uniform generator's screen: the first MAX_SCREEN_DEPTH odd primes
     primes = [p for p in sieve_primes(1000) if p > 2][:MAX_SCREEN_DEPTH]
+    top = _primes_to(SCREEN_REACH)[MAX_SCREEN_DEPTH]
+    assert primes_in(2, top) == primes
     for n in range(17, 1 << 11, 2):
         want = any(n % p == 0 and n != p for p in primes)
-        assert generation._has_screen_factor(n, MAX_SCREEN_DEPTH) == want, n
+        assert (least_factor(n, 2, top) not in (1, n)) == want, n
 
 
 def test_fixed_discriminant_is_honored():
@@ -206,17 +210,20 @@ def test_screen_depth_leaves_result_unchanged(seed, bits, gen):
 
 def test_trial_stage_bounds():
     # the stage starts past every screen prime and, below 127 bits, is empty
-    assert max(generation._screen(MAX_SCREEN_DEPTH)[0]) < generation.SCREEN_REACH
-    assert generation.trial_bound(126) < generation.SCREEN_REACH
+    assert _primes_to(SCREEN_REACH)[MAX_SCREEN_DEPTH] < SCREEN_REACH
+    assert generation.trial_bound(126) < SCREEN_REACH
     assert generation.trial_bound(127) == 1008
-    assert generation._trial_primes(generation.trial_bound(126)) == ()
-    assert generation._trial_blocks(generation.trial_bound(126)) == ()
+    assert primes_in(SCREEN_REACH, generation.trial_bound(126)) == []
+    assert _prime_blocks(SCREEN_REACH, generation.trial_bound(126)) == ()
     bound = generation.trial_bound(1024)
     assert bound == 1 << 16
     primes = [p for p in sieve_primes(bound) if p > 997]
-    assert generation._trial_primes(bound) == tuple(primes)
-    blocks = generation._trial_blocks(bound)
-    assert len(blocks) == 3 and math.prod(blocks) == math.prod(primes)
+    assert primes_in(SCREEN_REACH, bound) == primes
+    blocks = _prime_blocks(SCREEN_REACH, bound)
+    assert [p for block, _ in blocks for p in block] == primes
+    assert all(product == math.prod(block) for block, product in blocks)
+    assert len(blocks) == 3 and math.prod(
+        product for _, product in blocks) == math.prod(primes)
     assert generation.trial_bound(10 ** 5) == generation.MAX_TRIAL_BOUND
 
 

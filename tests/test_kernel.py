@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from slucas.kernel import (CapacityError, Factorization, check_discriminant,
                            count_primes_in_range, factorize,
-                           is_perfect_square, jacobi, sieve_primes,
-                           split_power_of_two)
+                           is_perfect_square, jacobi, least_factor,
+                           primes_in, sieve_primes, split_power_of_two)
 
 from conftest import mr_oracle
 
@@ -82,6 +82,44 @@ def test_sieve_small():
     assert sieve_primes(2) == [2]
     assert sieve_primes(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert len(sieve_primes(10**6)) == 78498
+
+
+def _least_factor_oracle(n, lo, hi):
+    return min((p for p in sieve_primes(hi) if p > lo and n % p == 0),
+               default=1)
+
+
+# each side of the block edges 2^5, 2^12, 2^14 and 2^16, and a head alone
+LEAST_FACTOR_RANGES = [(1, 999), (2, 991), (1, 31), (1, 32), (31, 33),
+                       (32, 4097), (1000, 4096), (1000, 16385), (4095, 70000)]
+
+
+@pytest.mark.parametrize("lo, hi", LEAST_FACTOR_RANGES)
+def test_least_factor_matches_plain_loop(lo, hi):
+    primes = sieve_primes(hi)
+    assert primes_in(lo, hi) == [p for p in primes if p > lo]
+    for n in range(1, 1 << 14, 2):
+        want = 1
+        for p in primes:
+            if p > n:   # a prime above n cannot divide it
+                break
+            if p > lo and n % p == 0:
+                want = p
+                break
+        assert least_factor(n, lo, hi) == want, n
+
+
+def test_least_factor_edge_cases():
+    for lo, hi in [(5, 5), (10, 3), (0, 1), (1000, 999), (2, 2)]:
+        assert primes_in(lo, hi) == []
+        assert least_factor(15, lo, hi) == 1
+    cases = [(29 * 31, 1, 999), (13 * 17, 1, 999), (31 * 37, 1, 999),
+             (4093 * 4099, 1000, 1 << 16), (4093 * 4099, 4093, 1 << 16),
+             (4093 * 4099, 1000, 4098), (16381 * 16411 * 7, 2, 1 << 16),
+             (997, 1, 999), (997, 1, 996), (4099, 1000, 4099),
+             (2 ** 61 - 1, 1, 1 << 16), (3 * (2 ** 61 - 1), 3, 1 << 16)]
+    for n, lo, hi in cases:
+        assert least_factor(n, lo, hi) == _least_factor_oracle(n, lo, hi), n
 
 
 def test_count_primes_in_range():
