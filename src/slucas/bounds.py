@@ -559,8 +559,6 @@ def asymptotic_check(k: int, t: int, c: float,
 # table generators
 
 
-TABLE6_K_ROWS = (100, 200, 400, 512, 1024, 2048, 4096)
-
 # q tables: table -> (k range, last k with a two-round column, or None)
 Q_TABLES = {
     2: (range(REFINED_MAX_K + 1, 101), None),
@@ -568,6 +566,9 @@ Q_TABLES = {
     4: (range(EXACT_CENSUS_MAX_K + 1, SPLIT_MAX_K + 1), 33),
     5: (range(17, EXACT_CENSUS_MAX_K + 1), 26),
 }
+# every table's k rows, in print order
+TABLE_K_ROWS = {1: range(8, 21), **{t: ks for t, (ks, _) in Q_TABLES.items()},
+                6: (100, 200, 400, 512, 1024, 2048, 4096)}
 
 
 def table_rows(which: int, l: int = 8, c: float = 1.0) -> tuple[list[str], list[list]]:
@@ -580,17 +581,20 @@ def table_rows(which: int, l: int = 8, c: float = 1.0) -> tuple[list[str], list[
     5: the same on exact censuses, k = 17..29
     6: floor(-log2 y) for the incremental bound at the given c, t = 1..10
     """
+    ks = TABLE_K_ROWS.get(which)
+    if ks is None:
+        raise ValueError(f"no table {which}; pick 1..6")
+    if ks[-1] <= EXACT_CENSUS_MAX_K:
+        # the prime-pi table behind the largest k's count holds every
+        # smaller k's count too, so build it first and the rest read it
+        prime_count_exact(ks[-1])
     if which == 1:
         header = ["k", "primes", "bound_floor"]
         rows = [[k, prime_count_exact(k), int(prime_lower_bound(k))]
-                for k in range(8, 21)]
+                for k in ks]
     elif which in Q_TABLES:
-        ks, last_q2 = Q_TABLES[which]
+        last_q2 = Q_TABLES[which][1]
         header = ["k", "M1", "q1", "M2", "q2"] if last_q2 else ["k", "M", "q1"]
-        if ks[-1] <= EXACT_CENSUS_MAX_K:
-            # the prime-pi table behind the largest k's count holds every
-            # smaller k's count too, so build it first and the rest read it
-            prime_count_exact(ks[-1])
         rows = []
         for k in ks:
             one = q_bound(k, 1, l)
@@ -601,12 +605,10 @@ def table_rows(which: int, l: int = 8, c: float = 1.0) -> tuple[list[str], list[
             elif last_q2:
                 row += [None, None]
             rows.append(row)
-    elif which == 6:
+    else:
         header = ["k"] + [f"t{t}" for t in range(1, 11)]
         rows = [[k] + [ykts_table_cell(k, t, c) for t in range(1, 11)]
-                for k in TABLE6_K_ROWS]
-    else:
-        raise ValueError(f"no table {which}; pick 1..6")
+                for k in ks]
     return header, rows
 
 

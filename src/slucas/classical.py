@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import math
 
-from .kernel import (SCREEN_REACH, is_perfect_square, least_factor,
-                     split_power_of_two)
+from .kernel import (SCREEN_REACH, is_perfect_square,
+                     is_strong_probable_prime, least_factor)
 from .lucas import (LucasParams, ParamSearchError, RoundResult, Verdict,
                     PROBABLE_PRIME, lucas_round, sample_params, select_d,
                     strong_lucas_round)
@@ -35,11 +35,7 @@ def fermat_round(n: int, a: int) -> RoundResult:
 
 
 def miller_rabin_round(n: int, a: int) -> RoundResult:
-    """One Miller-Rabin round at base a.
-
-    With n - 1 = 2**kappa * q (q odd): pass iff a**q = 1 or
-    a**(2**i * q) = -1 for some 0 <= i < kappa.
-    """
+    """One Miller-Rabin round at base a (kernel.is_strong_probable_prime)."""
     if n < 3 or n % 2 == 0:
         raise ValueError("miller_rabin_round expects odd n >= 3")
     if not 2 <= a <= n - 2:
@@ -47,14 +43,8 @@ def miller_rabin_round(n: int, a: int) -> RoundResult:
     g = math.gcd(a, n)
     if g > 1:
         return RoundResult(Verdict.COMPOSITE, "bad-base", g)
-    kappa, q = split_power_of_two(n - 1)
-    x = pow(a, q, n)
-    if x == 1 or x == n - 1:
+    if is_strong_probable_prime(n, a):
         return PROBABLE_PRIME
-    for _ in range(kappa - 1):
-        x = (x * x) % n
-        if x == n - 1:
-            return PROBABLE_PRIME
     return RoundResult(Verdict.COMPOSITE, "miller-rabin")
 
 

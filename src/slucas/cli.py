@@ -5,7 +5,8 @@ Exit codes: 0 for probable-prime / success, 1 for composite / Fail,
 stays machine-parseable; anything chatty goes to stderr.
 
 A process imports only what its subcommand runs: each handler imports
-its modules, and ``--survey-k`` imports ``slucas.survey`` in its branch.
+its modules, and ``bounds`` imports ``slucas.bounds`` or ``slucas.survey``
+in the branch that runs it.
 The limits the help text prints come from ``kernel``, so ``test``,
 ``generate`` and ``--version`` never load the bound engines.
 """
@@ -120,7 +121,7 @@ def cmd_count(args) -> int:
     if n >= FACTOR_LIMIT:
         raise UsageError(
             f"n must be below 2^{FACTOR_LIMIT.bit_length() - 1} = "
-            f"{FACTOR_LIMIT}: the counts factor n by trial division")
+            f"{FACTOR_LIMIT}: the counts factor n")
     if what in ("sl", "l", "alpha") and d is None:
         raise UsageError(f"--what {what} needs --d")
     if what == "sl":
@@ -139,8 +140,6 @@ def cmd_count(args) -> int:
 
 def cmd_bounds(args) -> int:
     """Error-bound values and the reference tables built from them."""
-    from .bounds import format_json, format_q, format_tsv, q_bound, table_rows
-
     chosen = [x for x in (args.table, args.single, args.survey_k) if x is not None]
     if len(chosen) != 1:
         raise UsageError("pick exactly one of --table / --single / --survey-k")
@@ -152,6 +151,7 @@ def cmd_bounds(args) -> int:
            else contextlib.nullcontext(sys.stdout))
     with out as fh:
         if args.single:
+            from .bounds import format_q, q_bound
             k, r = args.single
             text = format_q(_checked(q_bound, k, r, args.l)) + "\n"
         elif args.survey_k is not None:
@@ -160,6 +160,7 @@ def cmd_bounds(args) -> int:
             survey = _checked(exact_qk1, args.survey_k)
             text = json.dumps(survey.as_dict(), indent=2) + "\n"
         else:
+            from .bounds import format_json, format_tsv, table_rows
             header, rows = _checked(table_rows, args.table, args.l, args.c)
             text = (format_tsv(header, rows) if args.format == "tsv"
                     else format_json(header, rows))

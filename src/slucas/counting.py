@@ -2,7 +2,10 @@
 tests, together with brute-force cross-checks and the derived densities.
 
 All counts are exact integers; the densities are Fractions so nothing is
-rounded until a caller formats it.
+rounded until a caller formats it.  lucas_uv_mod's (U, V, Q^m) ladder
+defines both Lucas rounds for the brute-force counts and round tests:
+n | U_{n-eps} = U_q * V_q * ... * V_{2^(kappa-1) q}, or n | one factor
+(Baillie-Wagstaff, "Lucas Pseudoprimes", Math. Comp. 1980).
 """
 
 from __future__ import annotations
@@ -167,9 +170,41 @@ def worst_case_ceiling(n: int | Factorization) -> Fraction:
     return Fraction(4 * f.n, 15)
 
 
+def lucas_uv_mod(m: int, P: int, Q: int, n: int) -> tuple[int, int, int]:
+    """(U_m mod n, V_m mod n, Q**m mod n) in O(log m) steps, n odd >= 3.
+
+    Left-to-right binary ladder on the doubling rules
+        U_{2j} = U_j * V_j,      V_{2j} = V_j^2 - 2*Q^j,
+    with the +1 step done through
+        U_{j+1} = (P*U_j + V_j)/2,  V_{j+1} = (D*U_j + P*V_j)/2,
+    where the halving is exact mod odd n via x -> (x + n*(x & 1)) >> 1.
+    """
+    if n < 3 or n % 2 == 0:
+        raise ValueError("modulus must be odd and >= 3")
+    if m < 0:
+        raise ValueError("index must be >= 0")
+    if m == 0:
+        return 0, 2 % n, 1 % n
+    Dn = (P * P - 4 * Q) % n
+    P %= n
+    Q %= n
+    u, v, qk = 1, P, Q  # sequence values at the index read so far
+    for bit in bin(m)[3:]:
+        # double: j -> 2j
+        u = (u * v) % n
+        v = (v * v - 2 * qk) % n
+        qk = (qk * qk) % n
+        if bit == "1":
+            # advance: 2j -> 2j + 1
+            u, v = (P * u + v) % n, (Dn * u + P * v) % n
+            u = (u + n * (u & 1)) >> 1
+            v = (v + n * (v & 1)) >> 1
+            qk = (qk * Q) % n
+    return u, v, qk
+
+
 def _strong_pass_raw(n: int, P: int, Q: int, D: int) -> bool:
     # definition-level check: no screening of P, only the congruences
-    from .lucas import lucas_uv_mod
     eps_n = jacobi(D, n)
     kappa, q = split_power_of_two(n - eps_n)
     u, v, qk = lucas_uv_mod(q, P, Q, n)
@@ -184,7 +219,6 @@ def _strong_pass_raw(n: int, P: int, Q: int, D: int) -> bool:
 
 
 def _lucas_pass_raw(n: int, P: int, Q: int, D: int) -> bool:
-    from .lucas import lucas_uv_mod
     eps_n = jacobi(D, n)
     u, _, _ = lucas_uv_mod(n - eps_n, P, Q, n)
     return u == 0

@@ -1,7 +1,8 @@
 """Low-level integer routines: Jacobi symbol, a prime sieve, prime counting
-by the prime-pi recursion, trial-division factorization, the small-prime
-screen, a perfect-square check, the method-A discriminant sweep and the
-check that a discriminant is usable.
+by the prime-pi recursion, factorization (trial division, then Pollard
+rho), the strong probable-prime test, the small-prime screen, a
+perfect-square check, the method-A discriminant sweep and the check that
+a discriminant is usable.
 
 Every module that needs small primes slices one cached table here
 (``_primes_to``), which grows on demand, and screens by ``least_factor``;
@@ -21,6 +22,12 @@ from bisect import bisect_right
 
 SIEVE_LIMIT = 1 << 33
 FACTOR_LIMIT = 1 << 52
+
+# factorize trial-divides by the primes up to TRIAL_REACH; what is left,
+# below FACTOR_LIMIT, then has at most three prime factors, and the
+# strong tests to these bases tell primes apart exactly below 3.8e18.
+TRIAL_REACH = 1 << 16
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 
 # The small-prime screens, Baillie-PSW's included, use the primes below
 # SCREEN_REACH.  The deepest, MAX_SCREEN_DEPTH leading odd primes, leaves
@@ -94,6 +101,23 @@ def split_power_of_two(m: int) -> tuple[int, int]:
         raise ValueError("need a positive integer to split")
     kappa = (m & -m).bit_length() - 1
     return kappa, m >> kappa
+
+
+def is_strong_probable_prime(n: int, a: int) -> bool:
+    """Does odd n > 2 pass the strong (Miller-Rabin) test to base a?
+
+    With n - 1 = 2**kappa * q (q odd): pass iff a**q = 1 or
+    a**(2**i * q) = -1 for some 0 <= i < kappa.
+    """
+    kappa, q = split_power_of_two(n - 1)
+    x = pow(a, q, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(kappa - 1):
+        x = (x * x) % n
+        if x == n - 1:
+            return True
+    return False
 
 
 def is_perfect_square(d: int) -> bool:
@@ -295,15 +319,56 @@ def least_factor(n: int, lo: int, hi: int) -> int:
     return 1
 
 
+def _rho(n: int) -> int:
+    """A factor 1 < d < n of the odd composite n, by Brent's variant of
+    Pollard rho on x -> x^2 + c from x = 2, c = 1, 2, ... in turn; the
+    distances |x - y| are multiplied 128 at a time before each gcd."""
+    c = 0
+    while True:
+        c += 1
+        y, r, acc, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                saved = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    acc = acc * abs(x - y) % n
+                g = math.gcd(acc, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: redo it one gcd at a time
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = math.gcd(abs(x - saved), n)
+        if g != n:
+            return g
+
+
+def _prime_factors(m: int) -> list[int]:
+    """The prime factors of m > 1, with multiplicity, for m with no prime
+    factor up to TRIAL_REACH: below TRIAL_REACH^2 such an m is prime."""
+    if m < TRIAL_REACH * TRIAL_REACH or all(
+            is_strong_probable_prime(m, a) for a in PRIME_BASES):
+        return [m]
+    d = _rho(m)
+    return _prime_factors(d) + _prime_factors(m // d)
+
+
 def factorize(n: int) -> Factorization:
-    """Factor n by trial division over sieved primes up to sqrt(n)."""
+    """Factor n by trial division over the primes up to
+    min(TRIAL_REACH, sqrt(n)), then Pollard rho on what is left."""
     if n < 2:
         raise ValueError("factorize needs n >= 2")
     if n >= FACTOR_LIMIT:
-        raise CapacityError(f"{n} exceeds the trial-division ceiling")
+        raise CapacityError(f"{n} exceeds the factorization ceiling")
     original = n
     factors: list[tuple[int, int]] = []
-    for p in _primes_to(math.isqrt(n)):
+    for p in _primes_to(min(TRIAL_REACH, math.isqrt(n))):
         if p * p > n:
             break
         if n % p == 0:
@@ -313,5 +378,9 @@ def factorize(n: int) -> Factorization:
                 r += 1
             factors.append((p, r))
     if n > 1:
-        factors.append((n, 1))
+        for p in sorted(_prime_factors(n)):
+            if factors and factors[-1][0] == p:
+                factors[-1] = (p, factors[-1][1] + 1)
+            else:
+                factors.append((p, 1))
     return Factorization(original, factors)

@@ -1,15 +1,12 @@
 """Lucas sequences U_m(P, Q), V_m(P, Q) and the Lucas probable-prime tests.
 
 The sequences satisfy X_m = P*X_{m-1} - Q*X_{m-2} with U_0 = 0, U_1 = 1,
-V_0 = 2, V_1 = P.  The discriminant is D = P**2 - 4*Q.  For an odd n
-coprime to 2*Q*D, put eps = jacobi(D, n); then n prime implies
-n | U_{n-eps}, and the strong refinement splits n - eps = 2**kappa * q
-with q odd and requires n | U_q or n | V_{2**i * q} for some 0 <= i < kappa.
-
-strong_lucas_round runs those zero tests on the Q = 1 sequence
-W_k = V_k(P^2/Q - 2, 1), at two modular products per bit; its docstring
-has the identities.  lucas_uv_mod keeps the full (U, V, Q^m) ladder for
-the plain round and for exact checks.
+V_0 = 2, V_1 = P, and D = P**2 - 4*Q.  For an odd n coprime to 2*Q*D, put
+eps = jacobi(D, n) and n - eps = 2**kappa * q with q odd.  U_{2k} =
+U_k * V_k splits U_{n-eps} = U_q * V_q * V_{2q} * ... * V_{2^(kappa-1) q}.
+n prime implies n | U_{n-eps}, the plain test, and n | one factor, the
+strong test (Baillie-Wagstaff, "Lucas Pseudoprimes", Math. Comp. 1980).
+Both rounds read unit multiples of the factors off one chain, _zero_terms.
 
 The records are ``typing.NamedTuple``s, so testing or generating primes
 never loads ``dataclasses`` (and with it ``inspect``).
@@ -65,40 +62,6 @@ class ParamSearchError(RuntimeError):
     """Raised when random or sequential parameter search gives up."""
 
 
-def lucas_uv_mod(m: int, P: int, Q: int, n: int) -> tuple[int, int, int]:
-    """(U_m mod n, V_m mod n, Q**m mod n) in O(log m) steps, n odd >= 3.
-
-    Left-to-right binary ladder on the doubling rules
-        U_{2j} = U_j * V_j,      V_{2j} = V_j^2 - 2*Q^j,
-    with the +1 step done through
-        U_{j+1} = (P*U_j + V_j)/2,  V_{j+1} = (D*U_j + P*V_j)/2,
-    where the halving is exact mod odd n via x -> (x + n*(x & 1)) >> 1.
-    """
-    if n < 3 or n % 2 == 0:
-        raise ValueError("modulus must be odd and >= 3")
-    if m < 0:
-        raise ValueError("index must be >= 0")
-    if m == 0:
-        return 0, 2 % n, 1 % n
-    D = P * P - 4 * Q
-    P %= n
-    Q %= n
-    Dn = D % n
-    u, v, qk = 1, P, Q  # sequence values at the index read so far
-    for bit in bin(m)[3:]:
-        # double: j -> 2j
-        u = (u * v) % n
-        v = (v * v - 2 * qk) % n
-        qk = (qk * qk) % n
-        if bit == "1":
-            # advance: 2j -> 2j + 1
-            u, v = (P * u + v) % n, (Dn * u + P * v) % n
-            u = (u + n * (u & 1)) >> 1
-            v = (v + n * (v & 1)) >> 1
-            qk = (qk * Q) % n
-    return u, v, qk
-
-
 def _check_args(n: int, params: LucasParams) -> RoundResult | None:
     if n < 5 or n % 2 == 0:
         raise ValueError("test expects an odd integer n >= 5")
@@ -115,40 +78,19 @@ def _check_args(n: int, params: LucasParams) -> RoundResult | None:
     return None
 
 
-def lucas_round(n: int, params: LucasParams) -> RoundResult:
-    """One round of the plain Lucas test: does n divide U_{n - eps}?"""
-    early = _check_args(n, params)
-    if early is not None:
-        return early
-    eps = jacobi(params.D, n)
-    u, _, _ = lucas_uv_mod(n - eps, params.P, params.Q, n)
-    if u == 0:
-        return PROBABLE_PRIME
-    return RoundResult(Verdict.COMPOSITE, "u-nonzero")
-
-
-def strong_lucas_round(n: int, params: LucasParams) -> RoundResult:
-    """One round of the strong Lucas test.
-
-    Splits n - eps = 2**kappa * q and accepts when U_q == 0 or some
-    V_{2**i * q} == 0 with 0 <= i < kappa.
-
-    The round never forms U or V.  Past _check_args, Q and D are
-    units mod n and P is a unit or 0.  With R = P^2/Q - 2 and
-    W_k = V_k(R, 1), V_{2k}(P, Q) = Q^k * W_k, and for q = 2m + 1
+def _zero_terms(n: int, params: LucasParams) -> list[int]:
+    """Unit multiples of U_q, V_q, V_{2q}, ..., V_{2^(kappa-1) q} mod n,
+    for (n, params) past _check_args, off one chain of W_k = V_k(R, 1),
+    R = P^2/Q - 2 (Q and D are units, P is a unit or 0).  For q = 2m + 1
         D * U_q = Q^(m+1) * (W_{m+1} - W_m),
         P * V_q = Q^(m+1) * (W_{m+1} + W_m),
-        V_{2^i q} = Q^(2^(i-1) q) * W_{2^(i-1) q}   (i >= 1),
-    so each zero test reads off W alone.  A Montgomery ladder gives
-    (W_m, W_{m+1}) at two products per bit of m, through
-        W_{2k} = W_k^2 - 2,  W_{2k+1} = W_k * W_{k+1} - R,
-    and W_q = W_m * W_{m+1} - R starts the square-minus-2 chain.  With
-    P = 0, V_q = 0 (q is odd) and the round accepts; then R = -2 and
-    W_k = 2 * (-1)^k, so the V_q test W_m + W_{m+1} = 0 accepts too.
+        V_{2^i q} = Q^(2^(i-1) q) * W_{2^(i-1) q}   (i >= 1).
+    A Montgomery ladder gives (W_m, W_{m+1}) at two products per bit of
+    m, through W_{2k} = W_k^2 - 2 and W_{2k+1} = W_k * W_{k+1} - R, and
+    W_q = W_m * W_{m+1} - R starts the square-minus-2 chain.  With P = 0,
+    V_q = 0 (q is odd); then R = -2 and W_k = 2 * (-1)^k, so the V_q term
+    W_m + W_{m+1} is 0 too.
     """
-    early = _check_args(n, params)
-    if early is not None:
-        return early
     eps = jacobi(params.D, n)
     kappa, q = split_power_of_two(n - eps)
     R = (params.P * params.P * pow(params.Q, -1, n) - 2) % n
@@ -160,13 +102,37 @@ def strong_lucas_round(n: int, params: LucasParams) -> RoundResult:
         else:
             b = (a * b - R) % n
             a = (a * a - 2) % n
-    if a == b or (a + b) % n == 0:  # U_q == 0 or V_q == 0
-        return PROBABLE_PRIME
-    w = (a * b - R) % n  # W_q, so V_{2q} == 0 iff w == 0
+    w = (a * b - R) % n  # W_q
+    terms = [(b - a) % n, (a + b) % n]
     for _ in range(kappa - 1):
-        if w == 0:
-            return PROBABLE_PRIME
+        terms.append(w)
         w = (w * w - 2) % n
+    return terms
+
+
+def lucas_round(n: int, params: LucasParams) -> RoundResult:
+    """One round of the plain Lucas test: does n divide U_{n - eps}, the
+    product of the factors the strong round tests (Baillie-Wagstaff 1980)?
+    It does exactly when the product of the _zero_terms is 0 mod n."""
+    early = _check_args(n, params)
+    if early is not None:
+        return early
+    product = 1
+    for term in _zero_terms(n, params):
+        product = product * term % n
+    if product == 0:
+        return PROBABLE_PRIME
+    return RoundResult(Verdict.COMPOSITE, "u-nonzero")
+
+
+def strong_lucas_round(n: int, params: LucasParams) -> RoundResult:
+    """One round of the strong Lucas test: does n divide U_q or some
+    V_{2**i * q} with 0 <= i < kappa, that is one of the _zero_terms?"""
+    early = _check_args(n, params)
+    if early is not None:
+        return early
+    if 0 in _zero_terms(n, params):
+        return PROBABLE_PRIME
     return RoundResult(Verdict.COMPOSITE, "no-zero-term")
 
 

@@ -77,8 +77,9 @@ def test_small_counts_build_small_tables(monkeypatch):
     built = _record_pi_tables(monkeypatch)
     assert prime_count_exact(17) == K_BIT_PRIMES[15]
     assert built == [(1 << 17) - 1]
+    # table 1 counts k = 8..20 off one table, built for k = 20 first
     table_rows(1)
-    assert max(built) == (1 << 20) - 1
+    assert built == [(1 << 17) - 1, (1 << 20) - 1]
 
 
 def test_prime_bounds():

@@ -99,10 +99,8 @@ def test_pin_failure_names_the_imports_that_pulled_a_module_in():
 
 def _bounds_run_loads(args: list[str], unused: set[str]) -> set[str]:
     """sys.modules after `slucas bounds <args>` in a fresh interpreter."""
-    loaded = _loads(f"from slucas import cli; cli.main(['bounds', *{args!r}])",
-                    {"click", "slucas.generation", "slucas.classical"} | unused)
-    assert "slucas.bounds" in loaded
-    return loaded
+    return _loads(f"from slucas import cli; cli.main(['bounds', *{args!r}])",
+                  {"click", "slucas.generation", "slucas.classical"} | unused)
 
 
 # a table or single bound needs neither the liar counts nor the Lucas
@@ -112,16 +110,18 @@ TABLE_UNUSED = {"dataclasses", "inspect", "fractions", "slucas.counting",
 
 
 def test_bounds_run_leaves_other_subcommands_unloaded():
-    _bounds_run_loads(["--table", "1"], TABLE_UNUSED)
+    assert "slucas.bounds" in _bounds_run_loads(["--table", "1"], TABLE_UNUSED)
 
 
-@pytest.mark.parametrize("args, unused", [
-    (["--single", "512", "3"], TABLE_UNUSED),
-    # a survey needs the liar counts, but not the Lucas rounds
-    (["--survey-k", "13"], {"dataclasses", "slucas.lucas"}),
+@pytest.mark.parametrize("args, unused, engine", [
+    (["--single", "512", "3"], TABLE_UNUSED, "slucas.bounds"),
+    # a survey needs the liar counts, but not the Lucas rounds or the
+    # bound engines
+    (["--survey-k", "13"], {"dataclasses", "slucas.lucas", "slucas.bounds"},
+     "slucas.survey"),
 ], ids=["single", "survey"])
-def test_bounds_item_loads_only_its_engine(args, unused):
-    _bounds_run_loads(args, unused)
+def test_bounds_item_loads_only_its_engine(args, unused, engine):
+    assert engine in _bounds_run_loads(args, unused)
 
 
 # testing and generating primes load kernel, lucas, classical and
@@ -230,11 +230,12 @@ def test_star_import_binds_every_export():
 SUBMODULE_API = {
     "kernel": ("count_primes_in_range", "is_perfect_square", "jacobi",
                "sieve_primes", "split_power_of_two"),
-    "lucas": ("lucas_round", "lucas_uv_mod"),
+    "lucas": ("lucas_round",),
     "classical": ("fermat_round", "miller_rabin_round"),
     "counting": ("alpha_bar", "fermat_count", "is_twin_prime_product",
-                 "lucas_count", "mr_count", "phi_d", "psp_to_lpsp_compose",
-                 "slpsp_bruteforce", "worst_case_ceiling"),
+                 "lucas_count", "lucas_uv_mod", "mr_count", "phi_d",
+                 "psp_to_lpsp_compose", "slpsp_bruteforce",
+                 "worst_case_ceiling"),
     "bounds": ("ScreenCensus", "asymptotic_check", "chain_rule",
                "n1_bound_coarse", "n1_bound_refined", "nr_bound_split",
                "prime_count_exact", "prime_lower_bound", "qk1_analytic",

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slucas.kernel import (CapacityError, Factorization, check_discriminant,
-                           count_primes_in_range, factorize,
-                           is_perfect_square, jacobi, least_factor,
-                           primes_in, sieve_primes, split_power_of_two)
+from slucas import kernel
+from slucas.kernel import (TRIAL_REACH, CapacityError, Factorization,
+                           check_discriminant, count_primes_in_range,
+                           factorize, is_perfect_square, jacobi,
+                           least_factor, primes_in, sieve_primes,
+                           split_power_of_two)
 
 from conftest import mr_oracle
 
@@ -188,6 +190,32 @@ def test_factorize_roundtrip():
             assert mr_oracle(p)
             prod *= p**e
         assert prod == n == f.n
+
+
+def _prime_by_trial_division(p):
+    return p > 2 and p % 2 == 1 and all(
+        p % d for d in range(3, math.isqrt(p) + 1, 2))
+
+
+@pytest.mark.parametrize("n", [
+    4503599627370449,           # the largest prime below 2^52
+    3 ** 32,
+    67108837 * 67108859,        # two primes near 2^26
+    131101 ** 3,
+    65537 * 65539 * 65543,      # three primes just past the trial reach
+    65537 ** 2 * 1048517,
+])
+def test_factorize_splits_what_trial_division_leaves(monkeypatch, n):
+    # only the primes up to TRIAL_REACH are sieved, whatever n is
+    asked = []
+    primes_to = kernel._primes_to
+    monkeypatch.setattr(kernel, "_primes_to",
+                        lambda limit: asked.append(limit) or primes_to(limit))
+    f = factorize(n)
+    assert f.primes == sorted(f.primes)
+    assert math.prod(p ** r for p, r in f) == n == f.n
+    assert all(_prime_by_trial_division(p) for p in f.primes)
+    assert asked and max(asked) <= TRIAL_REACH == 1 << 16
 
 
 def test_factorization_views():

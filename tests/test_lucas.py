@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slucas.counting import _strong_pass_raw
+from slucas.counting import _lucas_pass_raw, _strong_pass_raw, lucas_uv_mod
 from slucas.kernel import (is_perfect_square, jacobi, sieve_primes,
                            split_power_of_two)
 from slucas.lucas import (PROBABLE_PRIME, LucasParams, ParamSearchError,
                           RoundResult, Verdict, _check_args, lucas_round,
-                          lucas_uv_mod, sample_params, select_d,
-                          strong_lucas_round)
+                          sample_params, select_d, strong_lucas_round)
 
 from conftest import LATE_D_PRIME
 
@@ -148,17 +147,17 @@ def test_known_strong_lucas_pseudoprimes():
     assert not strong_lucas_round(5459, LucasParams(1, -1))
 
 
-def _by_definition(n, params):
+def _by_definition(n, params, passes=_strong_pass_raw, reason="no-zero-term"):
     # the round's result as the (U, V, Q^k) ladder in counting defines it
     early = _check_args(n, params)
     if early is not None:
         return early
-    if _strong_pass_raw(n, params.P, params.Q, params.D):
+    if passes(n, params.P, params.Q, params.D):
         return PROBABLE_PRIME
-    return RoundResult(Verdict.COMPOSITE, "no-zero-term")
+    return RoundResult(Verdict.COMPOSITE, reason)
 
 
-def test_strong_round_matches_definition_exhaustively():
+def _matches_definition_exhaustively(round_, passes, reason):
     # every (P, Q) mod n past the early exits, for every small odd n
     checked = 0
     for n in range(5, 121, 2):
@@ -167,12 +166,22 @@ def test_strong_round_matches_definition_exhaustively():
                 params = LucasParams(P, Q)
                 if _check_args(n, params) is not None:
                     continue
-                expected = (PROBABLE_PRIME
-                            if _strong_pass_raw(n, P, Q, params.D)
-                            else RoundResult(Verdict.COMPOSITE, "no-zero-term"))
-                assert strong_lucas_round(n, params) == expected, (n, P, Q)
+                expected = (PROBABLE_PRIME if passes(n, P, Q, params.D)
+                            else RoundResult(Verdict.COMPOSITE, reason))
+                assert round_(n, params) == expected, (n, P, Q)
                 checked += 1
     assert checked > 150_000
+
+
+def test_strong_round_matches_definition_exhaustively():
+    _matches_definition_exhaustively(strong_lucas_round, _strong_pass_raw,
+                                     "no-zero-term")
+
+
+def test_plain_round_matches_definition_exhaustively():
+    # the plain round tests the product of the strong round's terms, so
+    # it is checked against n | U_{n - eps} itself
+    _matches_definition_exhaustively(lucas_round, _lucas_pass_raw, "u-nonzero")
 
 
 @pytest.mark.parametrize("n, P, Q, kappa, q, passes", [
@@ -204,6 +213,8 @@ def test_strong_round_named_cases(n, P, Q, kappa, q, passes):
     res = strong_lucas_round(n, params)
     assert res == _by_definition(n, params)
     assert bool(res) is passes
+    assert lucas_round(n, params) == _by_definition(
+        n, params, _lucas_pass_raw, "u-nonzero")
 
 
 _MERSENNE_PRIMES = tuple(2 ** p - 1 for p in (61, 89, 107, 127, 521, 607, 1279))
@@ -221,3 +232,5 @@ def test_strong_round_matches_definition_at_scale(data):
     Q = data.draw(st.integers(-n, 2 * n))
     params = LucasParams(P, Q)
     assert strong_lucas_round(n, params) == _by_definition(n, params)
+    assert lucas_round(n, params) == _by_definition(
+        n, params, _lucas_pass_raw, "u-nonzero")
