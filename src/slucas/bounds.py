@@ -319,15 +319,11 @@ def n1_bound_coarse(k: int, l: int = 8, M: int | None = None) -> BoundReport:
         classes=[base * r ** m * m * (m - 1) for m in splits])
 
 
-def n1_bound_refined(k: int, l: int = 8, M: int | None = None,
-                     m_size: float | None = None) -> BoundReport:
-    """Single-round bound with per-class cardinality sums (mid-range k).
-
-    ``m_size`` is the size of the screened candidate set; the analytic
-    upper bracket 2^(k-2.9) is used when not supplied.
-    """
+def n1_bound_refined(k: int, l: int = 8,
+                     M: int | None = None) -> BoundReport:
+    """Single-round bound with per-class cardinality sums (mid-range k)."""
     r = rho(l)
-    size = _power(2.0, k - 2.9) if m_size is None else m_size
+    size = _power(2.0, k - 2.9)  # analytic bracket of the screened set
     splits = _splits(k, M)
     top = splits[-1]
     dens = [_power(2.0, (k - 1) / j) - 1 for j in range(2, top + 1)]

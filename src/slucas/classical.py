@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import math
 
-from .kernel import (SCREEN_REACH, is_perfect_square,
-                     is_strong_probable_prime, least_factor)
+from .kernel import SCREEN_REACH, is_strong_probable_prime, least_factor
 from .lucas import (LucasParams, ParamSearchError, RoundResult, Verdict,
                     PROBABLE_PRIME, lucas_round, sample_params, select_d,
                     strong_lucas_round)
@@ -105,8 +104,8 @@ def baillie_psw(n: int, trial_limit: int = SCREEN_REACH) -> RoundResult:
     base2 = miller_rabin_round(n, 2)
     if not base2:
         return base2
-    if is_perfect_square(n):
+    try:
+        d = select_d(n)
+    except ParamSearchError:  # only a square has no D with (D/n) = -1
         return RoundResult(Verdict.COMPOSITE, "perfect-square")
-    # n is not a square, so the discriminant sweep ends
-    d = select_d(n)
     return strong_lucas_round(n, LucasParams(1, (1 - d) // 4))

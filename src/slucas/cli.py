@@ -21,7 +21,7 @@ import sys
 
 from . import __version__
 from .kernel import (EXACT_SURVEY_MAX_K, FACTOR_LIMIT, MAX_BOUND_K,
-                     MAX_SCREEN_DEPTH, check_discriminant)
+                     MAX_SCREEN_DEPTH, check_discriminant, unlimited_digits)
 
 
 class UsageError(Exception):
@@ -37,17 +37,29 @@ class _Parser(argparse.ArgumentParser):
 
 
 def integer(text: str) -> int:
-    """Integer in decimal or 0x-hex (also 0o/0b, int literal rules)."""
-    return int(text, 0)
+    """Integer of any length in decimal or 0x-hex (int literal rules)."""
+    with unlimited_digits():
+        return int(text, 0)
 
 
-def _open_for_writing(path: str, option: str):
-    """Open an output file before any work is done, so a bad path costs
-    nothing and is reported as a usage error naming it."""
+@contextlib.contextmanager
+def _output(path: str | None, option: str, default=None):
+    """The file at path, or ``default`` when there is none.  It is opened
+    before any work is done, so a bad path costs nothing and is reported
+    as a usage error naming it; a write to it that fails names it too."""
+    if path is None:
+        yield default
+        return
     try:
-        return open(path, "w")
+        fh = open(path, "w")
     except OSError as exc:
         raise UsageError(f"{option}: cannot write {path!r}: {exc.strerror}")
+    try:
+        with fh:
+            yield fh
+    except OSError as exc:
+        exc.filename = path  # a failed write or close names no file
+        raise
 
 
 def _checked(fn, *args, **kwargs):
@@ -97,18 +109,13 @@ def cmd_generate(args) -> int:
 
     cfg = _checked(GenConfig, bits=args.bits, rounds=args.rounds, d=args.d,
                    screen=args.screen, window=args.window, seed=args.seed)
-    transcript = (_open_for_writing(args.transcript, "--transcript")
-                  if args.transcript else contextlib.nullcontext())
-    with transcript as fh:
+    with _output(args.transcript, "--transcript") as fh:
         outcome = (strong_luc_generate(cfg) if args.mode == "uniform"
                    else prime_inc_luc(cfg))
         if fh is not None:
             fh.write(outcome.to_jsonl())
-    if outcome.result is None:
-        print("FAIL")
-        return 1
-    print(outcome.result)
-    return 0
+    print(outcome.result or "FAIL")
+    return 0 if outcome else 1
 
 
 def cmd_count(args) -> int:
@@ -147,9 +154,7 @@ def cmd_bounds(args) -> int:
         raise UsageError(f"--l must be in 1..{MAX_SCREEN_DEPTH}")
     if not 0 < args.c < math.inf:
         raise UsageError("--c must be a finite number > 0")
-    out = (_open_for_writing(args.out, "--out") if args.out
-           else contextlib.nullcontext(sys.stdout))
-    with out as fh:
+    with _output(args.out, "--out", sys.stdout) as fh:
         if args.single:
             from .bounds import format_q, q_bound
             k, r = args.single
@@ -181,7 +186,7 @@ def _parser() -> argparse.ArgumentParser:
         doc = handler.__doc__
         sub = commands.add_parser(name, help=doc, description=doc,
                                   allow_abbrev=False)
-        sub.set_defaults(handler=handler, usage_error=sub.error)
+        sub.set_defaults(handler=handler, parser=sub)
         return sub
 
     sub = command("test", cmd_test)
@@ -258,8 +263,16 @@ def main(argv: list[str] | None = None) -> None:
     args = _parser().parse_args(argv)
     try:
         code = args.handler(args)
+        sys.stdout.flush()
     except UsageError as exc:
-        args.usage_error(str(exc))
+        args.parser.error(str(exc))
+    except OSError as exc:  # a write failed: a full disk, a closed pipe
+        where = "stdout" if exc.filename is None else repr(exc.filename)
+        if exc.filename is None:  # drop what it holds: exit would flush it
+            with contextlib.suppress(OSError):
+                sys.stdout.close()
+        args.parser.exit(2, f"{args.parser.prog}: error: cannot write "
+                            f"{where}: {exc.strerror}\n")
     except KeyboardInterrupt:
         print("Aborted!", file=sys.stderr)
         code = 1

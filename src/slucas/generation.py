@@ -6,35 +6,25 @@ base-2 strong test, then the choice of a discriminant and up to t strong
 Lucas rounds (``classical.run_rounds``); the first candidate to survive
 them all is the result.
 
-  * ``strong_luc_generate`` draws uniform odd k-bit candidates and screens
-    them by the Jacobi filter, a small-prime gcd, the twin-prime-product
-    square check and trial division up to k**2 / 16, with D = 5 unless
-    the config fixes it.
-  * ``prime_inc_luc`` draws one odd k-bit start and walks upward in steps
-    of 2 through a bounded window that ends below 2**k, screening by a
-    sieve of the whole window (screen primes, then the trial-division
-    primes) built once up front, with a discriminant swept per candidate
-    unless the config fixes it; running out of window is a ``Fail``
-    result, not an error.
+``strong_luc_generate`` draws uniform odd k-bit candidates;
+``prime_inc_luc`` walks upward in steps of 2 from one odd k-bit start
+through a window it sieves once up front (``kernel.sieve_window``, the
+sieve ``kernel.sieve_primes`` runs on), and running out of window is a
+``Fail`` result, not an error.
 
-The trial-division stage checks the primes in (1000, k**2 / 16], past the
-paper's screen of at most 166 odd primes.  It exists only for k >= 127,
-where every k-bit candidate exceeds its bound, so it never rejects a
-prime.
-
-Candidates and Lucas parameters come from two separate random streams, so
+Trial division checks the primes in (1000, k**2 / 16], past the paper's
+screen of at most 166 odd primes, from k = 127 on, where every candidate
+exceeds them; both are ``kernel.least_factor``, as in Baillie-PSW.
+Candidates and Lucas parameters come from separate random streams, so
 the candidates drawn do not depend on how many Lucas rounds ran.  Every
 screen rejects only composites, so deepening or adding screens changes
-the work done but not the prime returned (barring a Lucas liar that a
-screen would have caught).  Both generators record a per-candidate
-transcript (value plus rejection stage) and are deterministic given
-(config, seed).
+the work, not the prime returned (barring a Lucas liar that a screen
+would have caught).  Both generators record a per-candidate transcript
+(value plus rejection stage) and are deterministic given (config, seed).
 
-The screen and trial-division stages are ``kernel.least_factor``, as in
-Baillie-PSW; the incremental sieve takes the same primes from
-``kernel.primes_in``.  A generating process loads ``kernel``, ``lucas``,
-``classical`` and this module only: no ``bounds``, no ``dataclasses``
-(the records are NamedTuples), and ``json`` only to write a transcript.
+A generating process loads ``kernel``, ``lucas``, ``classical`` and this
+module only: no ``bounds``, no ``dataclasses`` (the records are
+NamedTuples), and ``json`` only to write a transcript.
 """
 
 from __future__ import annotations
@@ -46,7 +36,7 @@ from typing import NamedTuple
 from .classical import miller_rabin_round, run_rounds
 from .kernel import (MAX_SCREEN_DEPTH, SCREEN_REACH, _primes_to,
                      check_discriminant, is_perfect_square, jacobi,
-                     least_factor, primes_in)
+                     least_factor, primes_in, sieve_window)
 
 # Uniform generation keeps drawing until something survives; this cap turns
 # a pathological config into a diagnosable error instead of a hang.
@@ -130,23 +120,6 @@ def trial_bound(bits: int) -> int:
     this falls under SCREEN_REACH.
     """
     return min(bits * bits // 16, MAX_TRIAL_BOUND)
-
-
-def sieve_window(n0: int, window: int, primes) -> bytearray:
-    """Flags for the walk n0, n0 + 2, ..., n0 + 2*(window - 1), n0 odd.
-
-    Flag i is 1 when some p in ``primes`` (odd) divides n0 + 2*i and
-    n0 + 2*i != p.  Since n0 + 2*i = 0 (mod p) exactly when
-    i = -n0 * 2**-1 (mod p), each prime marks one index class, stride p.
-    """
-    flags = bytearray(window)
-    for p in primes:
-        i = (-n0 * ((p + 1) // 2)) % p
-        if n0 + 2 * i == p:
-            i += p
-        if i < window:
-            flags[i::p] = b"\x01" * ((window - 1 - i) // p + 1)
-    return flags
 
 
 def _draw_odd(bits: int, rng: random.Random) -> int:

@@ -1,14 +1,19 @@
+import errno
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
+import slucas
 from slucas.cli import main
 from slucas.lucas import select_d
 
@@ -234,6 +239,26 @@ def test_count_subcommand(run):
     assert out[0] == "1201/15000"
     assert run("count", 323, "--what", "sl").exit_code == 2   # missing --d
     assert run("count", 10, "--what", "f").exit_code == 2
+
+
+# 10^4400 + 1 = (10^16)^275 + 1, a multiple of 10^16 + 1 = 353 * 449 * ...:
+# 4,401 decimal digits, past the interpreters' default limit of 4,300
+LONG_DECIMAL = "1" + "0" * 4399 + "1"
+
+
+def test_test_reads_a_decimal_past_the_digit_limit(run):
+    decimal, hexadecimal = (run("test", text, "--method", "bpsw")
+                            for text in (LONG_DECIMAL, hex(10 ** 4400 + 1)))
+    assert decimal.output == hexadecimal.output == (
+        "composite method=bpsw rounds=1\n")
+    assert decimal.exit_code == hexadecimal.exit_code == 1
+
+
+def test_count_of_a_long_decimal_is_the_ceiling_error(run):
+    res = run("count", LONG_DECIMAL, "--what", "mr")
+    assert res.exit_code == 2
+    assert "must be below 2^52" in res.output
+    assert "invalid integer value" not in res.output
 
 
 @pytest.mark.parametrize("what", ["sl", "mr", "alpha"])
@@ -476,3 +501,25 @@ def test_unwritable_output_path_is_usage_error(run, tmp_path, option, args,
     assert f"{option}: cannot write {str(path)!r}" in res.output
     assert "Traceback" not in res.output
     assert not any(line.isdigit() for line in res.output.splitlines())
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full, a device every write to fails")
+@pytest.mark.parametrize("args, where", [
+    (("bounds", "--table", "1", "--out", "/dev/full"), "'/dev/full'"),
+    (("generate", "--bits", "5", "--transcript", "/dev/full"), "'/dev/full'"),
+    (("bounds", "--table", "1"), "stdout"),
+    (("generate", "--bits", "64"), "stdout"),
+], ids=["out", "transcript", "bounds-stdout", "generate-stdout"])
+def test_failed_write_is_an_error_without_traceback(args, where):
+    # run as `slucas ARGS > /dev/full` would: the shutdown flush of stdout
+    # must not fail again after the error is reported
+    env = dict(os.environ, PYTHONPATH=str(Path(slucas.__file__).parents[1]))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-c", "from slucas.cli import main; main()",
+             *args], stdout=full, stderr=subprocess.PIPE, env=env, text=True,
+            timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"slucas {args[0]}: error: cannot write {where}: "
+                           f"{os.strerror(errno.ENOSPC)}\n")

@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -84,6 +85,24 @@ def test_sieve_small():
     assert sieve_primes(2) == [2]
     assert sieve_primes(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert len(sieve_primes(10**6)) == 78498
+
+
+def test_sieve_matches_trial_division_at_every_small_limit():
+    # every limit below 5,000 puts each prime, each odd square and both
+    # parities at the last index of the window
+    reference = [p for p in range(2, 5000)
+                 if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    for limit in range(-2, 5000):
+        assert sieve_primes(limit) == reference[:bisect_right(reference,
+                                                              limit)], limit
+
+
+@pytest.mark.parametrize("limit", [1 << 16, 1 << 22])
+def test_sieve_length_matches_sympy_primepi(limit):
+    sympy = pytest.importorskip("sympy")
+    primes = sieve_primes(limit)
+    assert len(primes) == int(sympy.primepi(limit))
+    assert primes[-1] == sympy.prevprime(limit + 1)
 
 
 def _least_factor_oracle(n, lo, hi):
@@ -211,11 +230,26 @@ def test_factorize_splits_what_trial_division_leaves(monkeypatch, n):
     primes_to = kernel._primes_to
     monkeypatch.setattr(kernel, "_primes_to",
                         lambda limit: asked.append(limit) or primes_to(limit))
+    kernel._prime_blocks.cache_clear()  # so the blocks ask for their primes
     f = factorize(n)
     assert f.primes == sorted(f.primes)
     assert math.prod(p ** r for p, r in f) == n == f.n
     assert all(_prime_by_trial_division(p) for p in f.primes)
     assert asked and max(asked) <= TRIAL_REACH == 1 << 16
+
+
+# each side of TRIAL_REACH: squares, a product and a cube of the primes
+# around it, and 2^52 - 1 = 3 * 5 * 53 * 157 * 1613 * 2731 * 8191
+TRIAL_REACH_EDGES = [65521 ** 2, 65537 ** 2, 65521 * 65537, 65537 ** 3,
+                     2 ** 52 - 1]
+
+
+def test_factorize_matches_sympy_factorint():
+    sympy = pytest.importorskip("sympy")
+    rnd = random.Random(20240515)
+    wide = [rnd.randrange(2, 1 << 52) for _ in range(2000)]
+    for n in [*range(2, 1 << 17), *wide, *TRIAL_REACH_EDGES]:
+        assert factorize(n).factors == sorted(sympy.factorint(n).items()), n
 
 
 def test_factorization_views():
