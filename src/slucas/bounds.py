@@ -1,28 +1,19 @@
 """Error-bound calculators for iterated strong Lucas testing.
 
-Everything here is about one question: if a random k-bit candidate survives
-r rounds of the strong Lucas test (or an incremental search does), how
-likely is it to be composite anyway?  The module provides
+If a random k-bit candidate survives r rounds of the strong Lucas test (or
+an incremental search does), how likely is it to be composite anyway?  The
+module has exact censuses of the screened candidate sets, bounds on the
+surviving-liar mass N_r at three levels of refinement (each optimized over
+the split point M), the incremental-search window bounds, and the
+reference-table generators; the exact small-k surveys are in
+``slucas.survey``.
 
-  * exact censuses of the screened candidate sets and prime counts,
-  * closed-form upper bounds on the surviving-liar mass N_r, at several
-    levels of refinement, each optimized over the free split point M,
-  * the conversion q = N/(N + P) to a conditional error probability and
-    the chaining that turns a one-round bound into an all-rounds bound,
-  * bounds for the incremental-search variant (window of s candidates),
-  * table generators that regenerate the package's reference tables.
-
-The exact small-k surveys are in ``slucas.survey``: a table or single bound
-loads only this module and ``kernel``, not ``dataclasses`` or ``fractions``.
-
-Every engine builds its class sums once per call, for all split points at
-once, in one wide-range arithmetic (``_Wide``, a double with its own
-binary exponent): the liar mass passes 2^1024 from k of about 1020 on,
-and the r-round weights fall below 2^-1074 from r of about 1024 on.  It
-rounds as doubles do wherever they reach, so the reference tables come
-out bit for bit as plain doubles give them.  ``BoundReport.terms['log2']``
-stays finite where the value itself is 0.0 or inf.  ``q_bound`` runs up
-to k = MAX_BOUND_K.
+``ENGINES`` is the one table of which engine and sizing bound each k: a
+row per q table, the last row's engine running on to k = MAX_BOUND_K.
+``q_bound`` reads it as the tables do, ``error_bound`` with every class
+family summed.  The engines compute in ``_Wide``, a double with its own
+binary exponent that rounds as doubles do where they reach, so the tables
+come out bit for bit and ``terms['log2']`` stays finite past double range.
 """
 
 from __future__ import annotations
@@ -33,7 +24,7 @@ import operator
 import sys
 from bisect import bisect_right
 from functools import lru_cache, reduce
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .kernel import (MAX_BOUND_K, MAX_SCREEN_DEPTH, CapacityError,
                      _primes_to, count_primes_in_range)
@@ -42,14 +33,8 @@ from .kernel import (MAX_BOUND_K, MAX_SCREEN_DEPTH, CapacityError,
 # PRIME_DENSITY * 2^k / k of them for every k >= 8.
 PRIME_DENSITY = 0.71867
 
-# Exact censuses stop where the exact-census table (k = 17..29) does;
-# q_bound sizes larger k analytically.
+# The largest k the exact census (its prime count) reaches.
 EXACT_CENSUS_MAX_K = 29
-
-# Single-round engines by k: gcd-split through SPLIT_MAX_K, refined class
-# sums through REFINED_MAX_K, the coarse two-term bound beyond.
-SPLIT_MAX_K = 41
-REFINED_MAX_K = 59
 
 
 @lru_cache(maxsize=1)
@@ -62,12 +47,6 @@ def _odd_primes() -> list[int]:
     return _primes_to(limit)[1:]
 
 
-def _least_unscreened_prime(l: int) -> int:
-    if not 1 <= l <= MAX_SCREEN_DEPTH:
-        raise ValueError(f"need 1 <= l <= {MAX_SCREEN_DEPTH}")
-    return _odd_primes()[l]
-
-
 def rho(l: int) -> float:
     """Shrink ratio 1 + 1/p for the (l+1)-th odd prime p.
 
@@ -76,7 +55,9 @@ def rho(l: int) -> float:
     is the resulting loss factor in the geometric class-mass estimates.
     int / int rounds correctly, so this is the double nearest (p + 1)/p.
     """
-    p = _least_unscreened_prime(l)
+    if not 1 <= l <= MAX_SCREEN_DEPTH:
+        raise ValueError(f"need 1 <= l <= {MAX_SCREEN_DEPTH}")
+    p = _odd_primes()[l]
     return (p + 1) / p
 
 
@@ -182,12 +163,11 @@ def screen_census(k: int, l: int = 2, exact: bool = False) -> ScreenCensus:
 class _Wide:
     """m * 2^e for a double m in [0.5, 1) (or 0) and any int e.
 
-    Scaling by a power of two is exact, so each operation below rounds
-    exactly as the same operation on doubles does wherever those stay
-    normal, and it keeps going where they would not: a liar mass passes
-    2^1024 from k of about 1020 on, and the r-round class weights fall
-    below 2^-1074 from r of about 1024 on.  A plain number is used as
-    it is, so it must be a moderate one.
+    Scaling by a power of two is exact, so each operation rounds as on
+    doubles wherever those stay normal, and keeps going where they would
+    not: a liar mass passes 2^1024 from k of about 1020 on, and the
+    r-round weights fall below 2^-1074 from r of about 1024 on.  A plain
+    number is used as it is, so it must be a moderate one.
     """
 
     __slots__ = ("m", "e")
@@ -303,12 +283,9 @@ def _report(source: str, splits: range, **parts: list[_Wide]) -> BoundReport:
 
 
 def n1_bound_coarse(k: int, l: int = 8, M: int | None = None) -> BoundReport:
-    """Two-term single-round liar-mass bound (wide-k workhorse).
-
-    A geometric tail for candidates with many prime factors plus a crude
-    count of the remaining classes.  Omit M to minimize over the
-    admissible range.
-    """
+    """Two-term single-round liar-mass bound (wide-k workhorse): a geometric
+    tail for candidates with many prime factors plus a crude count of the
+    remaining classes.  Omit M to minimize over the admissible range."""
     r = rho(l)
     splits = _splits(k, M)
     base = _power(2.0, k - 2 * math.sqrt(k - 1))
@@ -372,11 +349,10 @@ def nr_bound_split(k: int, r: int, l: int = 8, M: int | None = None,
     """r-round liar-mass bound built on the gcd-split class cardinalities.
 
     ``m_size`` sizes the screened candidate set (analytic bracket when
-    omitted; pass an exact census for small k).  ``parts`` selects which
-    class families feed the sum: "both" is the full bound, "large-gcd" and
-    "small-gcd" isolate one family each — the reference tables plot the
-    dominating family per column, so the table generators use those.
-    The terms hold the tail and the summed families.
+    omitted; pass an exact census for small k).  ``parts`` selects the
+    class families summed: "both" is the full bound, "large-gcd" or
+    "small-gcd" the one family a reference table column sums.  The terms
+    hold the tail and the summed families.
     """
     if parts not in _PARTS:
         raise ValueError(f"unknown parts selector: {parts!r}")
@@ -434,41 +410,51 @@ def qk1_analytic(k: int, l: int = 8) -> float:
     return k * k * 4.0 ** (1.8 - math.sqrt(k)) * r ** (2 * math.sqrt(k - 1) - 2)
 
 
-def q_bound(k: int, r: int = 1, l: int = 8) -> BoundReport:
-    """The reference table's error bound for r rounds on k-bit candidates.
+# ---------------------------------------------------------------------------
+# the engine table: which engine and sizing bound each (k, r)
 
-    Dispatches to the engine that the reference table for this (k, r)
-    column uses: the gcd-split engine for every r >= 2 and for r = 1
-    through k = 41, the refined class sums through k = 59, and the coarse
-    two-term bound beyond, up to k = MAX_BOUND_K.  Up to k = 29 the
-    candidate set and the prime count come from the exact census, past it
-    from the analytic sizes.  The report's value is the probability
-    q = N/(N + P); the terms hold the engine's terms, log2 q as ``log2``,
-    and the liar mass N and prime count P as ``liar_mass_log2`` and
-    ``prime_mass_log2``.
 
-    Where it uses the gcd-split engine it sums one class family, as the
-    tables do: small-gcd for r = 1, large-gcd for r >= 2.  The full sum is
-    1,200x larger at k = 64, r = 2, so for r >= 2 this is the table's
-    number, not a bound on all liars.
-    """
-    if k < 17:
-        raise ValueError("tabulated bounds start at k = 17; "
-                         "use exact_qk1 for smaller k")
+class Engine(NamedTuple):
+    """One row of ENGINES; every r >= 2 runs ``nr_bound_split``."""
+
+    table: int                             # the q table the row feeds
+    ks: range                              # that table's k rows
+    one_round: Callable[..., BoundReport]  # the engine at r = 1
+    exact: bool                            # exact census, else analytic sizes
+    last_q2: int | None                    # last k of a two-round column
+
+
+# in k order; the last row's engine runs on past its table to MAX_BOUND_K
+ENGINES = (
+    Engine(5, range(17, 30), nr_bound_split, True, 26),
+    Engine(4, range(30, 42), nr_bound_split, False, 33),
+    Engine(3, range(42, 60), n1_bound_refined, False, None),
+    Engine(2, range(60, 101), n1_bound_coarse, False, None),
+)
+
+
+def _engine_q(k: int, r: int, l: int, M: int | None = None,
+              full: bool = False) -> BoundReport:
+    """q = N/(N + P) from the ENGINES row for k at split point M (the best
+    when None), summing both gcd-split class families when ``full``, else
+    the tables' one: small-gcd at r = 1, large-gcd at r >= 2."""
+    if k < ENGINES[0].ks.start:
+        raise ValueError(f"the bound engines start at k = "
+                         f"{ENGINES[0].ks.start}; the exact survey "
+                         "(--survey-k) covers smaller k")
     if k > MAX_BOUND_K:
         raise ValueError(f"bounds stop at k = {MAX_BOUND_K}")
-    if k <= EXACT_CENSUS_MAX_K:
+    row = next(e for e in reversed(ENGINES) if e.ks.start <= k)
+    if row.exact:
         census = screen_census(k, l, exact=True)
         m_size, prime_mass = census.survivors, _Wide(census.primes)
     else:
         m_size, prime_mass = None, _prime_mass(k)
-    if r != 1 or k <= SPLIT_MAX_K:
-        parts = "small-gcd" if r == 1 else "large-gcd"
-        rep = nr_bound_split(k, r, l, m_size=m_size, parts=parts)
-    elif k <= REFINED_MAX_K:
-        rep = n1_bound_refined(k, l)
+    if r != 1 or row.one_round is nr_bound_split:
+        parts = "both" if full else "small-gcd" if r == 1 else "large-gcd"
+        rep = nr_bound_split(k, r, l, M, m_size, parts)
     else:
-        rep = n1_bound_coarse(k, l)
+        rep = row.one_round(k, l, M)
     # the engines round as doubles do, so a normal double value is their
     # exact mass; past that range the log2 carries it
     liar_mass = (_Wide(rep.value) if sys.float_info.min <= rep.value < math.inf
@@ -478,6 +464,24 @@ def q_bound(k: int, r: int = 1, l: int = 8) -> BoundReport:
                  prime_mass_log2=prime_mass.log2())
     return BoundReport(value=float(q), m_opt=rep.m_opt, terms=terms,
                        source=rep.source)
+
+
+def q_bound(k: int, r: int = 1, l: int = 8) -> BoundReport:
+    """The reference tables' q = N/(N + P) for r rounds on k-bit candidates.
+
+    The terms hold the engine's terms, log2 q as ``log2``, and log2 N and
+    log2 P as ``liar_mass_log2`` and ``prime_mass_log2``.  Like the tables
+    it sums one gcd-split class family, so for r >= 2 it is the tables'
+    number, not a bound on all liars: ``error_bound`` is.
+    """
+    return _engine_q(k, r, l)
+
+
+def error_bound(k: int, r: int = 1, l: int = 8) -> BoundReport:
+    """The error bound for r rounds on k-bit candidates: q_bound's row with
+    both gcd-split class families summed (1.2e-17 at k = 400, r = 3, where
+    q_bound gives 7.2e-29)."""
+    return _engine_q(k, r, l, full=True)
 
 
 # ---------------------------------------------------------------------------
@@ -555,15 +559,9 @@ def asymptotic_check(k: int, t: int, c: float,
 # table generators
 
 
-# q tables: table -> (k range, last k with a two-round column, or None)
-Q_TABLES = {
-    2: (range(REFINED_MAX_K + 1, 101), None),
-    3: (range(SPLIT_MAX_K + 1, REFINED_MAX_K + 1), None),
-    4: (range(EXACT_CENSUS_MAX_K + 1, SPLIT_MAX_K + 1), 33),
-    5: (range(17, EXACT_CENSUS_MAX_K + 1), 26),
-}
-# every table's k rows, in print order
-TABLE_K_ROWS = {1: range(8, 21), **{t: ks for t, (ks, _) in Q_TABLES.items()},
+# the q tables' ENGINES rows, and every table's k rows in print order
+Q_TABLES = {e.table: e for e in ENGINES}
+TABLE_K_ROWS = {1: range(8, 21), **{e.table: e.ks for e in ENGINES},
                 6: (100, 200, 400, 512, 1024, 2048, 4096)}
 
 
@@ -571,10 +569,8 @@ def table_rows(which: int, l: int = 8, c: float = 1.0) -> tuple[list[str], list[
     """Regenerate one of the six reference tables; returns (header, rows).
 
     1: exact k-bit prime counts against the floor of the analytic bound
-    2: single-round q, coarse engine, k = 60..100
-    3: single-round q, refined engine, k = 42..59
-    4: one- and two-round q, gcd-split engine, analytic sizing, k = 30..41
-    5: the same on exact censuses, k = 17..29
+    2-5: q_bound at one round, and at two where the table has that
+         column, over the k rows of the table's ENGINES row
     6: floor(-log2 y) for the incremental bound at the given c, t = 1..10
     """
     ks = TABLE_K_ROWS.get(which)
@@ -589,17 +585,14 @@ def table_rows(which: int, l: int = 8, c: float = 1.0) -> tuple[list[str], list[
         rows = [[k, prime_count_exact(k), int(prime_lower_bound(k))]
                 for k in ks]
     elif which in Q_TABLES:
-        last_q2 = Q_TABLES[which][1]
+        last_q2 = Q_TABLES[which].last_q2
         header = ["k", "M1", "q1", "M2", "q2"] if last_q2 else ["k", "M", "q1"]
         rows = []
         for k in ks:
-            one = q_bound(k, 1, l)
-            row = [k, one.m_opt, one.value]
-            if last_q2 and k <= last_q2:
-                two = q_bound(k, 2, l)
-                row += [two.m_opt, two.value]
-            elif last_q2:
-                row += [None, None]
+            row = [k]
+            for r in (1, 2) if last_q2 else (1,):
+                rep = q_bound(k, r, l) if r == 1 or k <= last_q2 else None
+                row += [rep.m_opt, rep.value] if rep else [None, None]
             rows.append(row)
     else:
         header = ["k"] + [f"t{t}" for t in range(1, 11)]

@@ -4,11 +4,10 @@ Exit codes: 0 for probable-prime / success, 1 for composite / Fail,
 2 for usage errors.  N and --d are accepted in decimal or 0x-hex.  stdout
 stays machine-parseable; anything chatty goes to stderr.
 
-A process imports only what its subcommand runs: each handler imports
-its modules, and ``bounds`` imports ``slucas.bounds`` or ``slucas.survey``
-in the branch that runs it.
-The limits the help text prints come from ``kernel``, so ``test``,
-``generate`` and ``--version`` never load the bound engines.
+A process imports only what its subcommand runs: each handler, and each
+branch of ``bounds``, imports its own modules, and the help text's limits
+come from ``kernel``, so ``test``, ``generate`` and ``--version`` never
+load the bound engines.
 """
 
 from __future__ import annotations
@@ -34,6 +33,25 @@ class _Parser(argparse.ArgumentParser):
         # any word that starts "-<digit>" is a value, so `--d -0x3` reads
         # as the discriminant -3 (the default pattern knows only decimals)
         self._negative_number_matcher = re.compile(r"-\.?\d")
+
+    def _print_message(self, message, file=None):
+        # argparse drops a failed write; --help and --version report theirs
+        if file is not sys.stdout:
+            return super()._print_message(message, file)
+        try:
+            file.write(message)
+            file.flush()
+        except OSError as exc:
+            self.cannot_write(exc)
+
+    def cannot_write(self, exc: OSError) -> None:
+        """Exit 2 with one line naming the write that failed."""
+        where = "stdout" if exc.filename is None else repr(exc.filename)
+        if exc.filename is None:  # drop what it holds: exit would flush it
+            with contextlib.suppress(OSError):
+                sys.stdout.close()
+        self.exit(2, f"{self.prog}: error: cannot write {where}: "
+                     f"{exc.strerror}\n")
 
 
 def integer(text: str) -> int:
@@ -156,9 +174,9 @@ def cmd_bounds(args) -> int:
         raise UsageError("--c must be a finite number > 0")
     with _output(args.out, "--out", sys.stdout) as fh:
         if args.single:
-            from .bounds import format_q, q_bound
+            from .bounds import error_bound, format_q
             k, r = args.single
-            text = format_q(_checked(q_bound, k, r, args.l)) + "\n"
+            text = format_q(_checked(error_bound, k, r, args.l)) + "\n"
         elif args.survey_k is not None:
             import json
             from .survey import exact_qk1
@@ -267,12 +285,7 @@ def main(argv: list[str] | None = None) -> None:
     except UsageError as exc:
         args.parser.error(str(exc))
     except OSError as exc:  # a write failed: a full disk, a closed pipe
-        where = "stdout" if exc.filename is None else repr(exc.filename)
-        if exc.filename is None:  # drop what it holds: exit would flush it
-            with contextlib.suppress(OSError):
-                sys.stdout.close()
-        args.parser.exit(2, f"{args.parser.prog}: error: cannot write "
-                            f"{where}: {exc.strerror}\n")
+        args.parser.cannot_write(exc)
     except KeyboardInterrupt:
         print("Aborted!", file=sys.stderr)
         code = 1

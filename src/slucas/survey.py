@@ -135,15 +135,9 @@ def exact_qk1(k: int, r: int = 1,
     acceptance ratio alpha_bar^r over the composites, skipping candidates
     sharing a factor with 2d.  The returned survey carries one entry per
     scanned discriminant plus the maximum, which is the number the
-    reference table prints.
-
-    How the sum is formed: for each d, (d/p) is looked up once per prime
-    factor occurring in the window, and each composite n contributes the
-    integer pair (count^r, (n - (d/n) - 1)^r) from the shared strong
-    Lucas count routine.  Blocks of SUM_BLOCK pairs are added pairwise
-    without reducing, each block becomes one Fraction, and the block
-    Fractions are added pairwise; the reduced liar mass is the same as a
-    term-by-term Fraction sum.
+    reference table prints.  For each d, (d/p) is looked up once per
+    prime factor in the window, and each composite n adds the integer
+    pair (count^r, (n - (d/n) - 1)^r), summed exactly by ``_exact_sum``.
     """
     if not 2 <= k <= EXACT_SURVEY_MAX_K:
         raise CapacityError(f"exact surveys cover 2 <= k <= {EXACT_SURVEY_MAX_K}")

@@ -18,10 +18,8 @@ from math import gcd
 
 import pytest
 
-from slucas.bounds import (chain_rule, m_split_range, n1_bound_coarse,
-                           n1_bound_refined, nr_bound_split,
-                           prime_lower_bound, q_bound, qkr_upper,
-                           screen_census, table_rows, ykts_table_cell)
+from slucas.bounds import (_engine_q, chain_rule, m_split_range, q_bound,
+                           table_rows, ykts_table_cell)
 from slucas.classical import baillie_psw, miller_rabin_round
 from slucas.counting import (alpha, alpha_bar, fermat_bruteforce,
                              fermat_count, is_twin_prime_product,
@@ -149,24 +147,8 @@ RELAXED_TOL = 1e-3
 
 
 def q_value_at(k: int, r: int, m_ref: int) -> float:
-    """The bound at a pinned split point, same engine routing as q_bound."""
-    if r == 1 and 42 <= k <= 59:
-        rep = n1_bound_refined(k, 8, M=m_ref)
-        prime_mass = prime_lower_bound(k)
-    elif r == 1 and k >= 60:
-        rep = n1_bound_coarse(k, 8, M=m_ref)
-        prime_mass = prime_lower_bound(k)
-    else:
-        parts = "small-gcd" if r == 1 else "large-gcd"
-        if k <= 29:
-            census = screen_census(k, 8, exact=True)
-            rep = nr_bound_split(k, r, 8, M=m_ref,
-                                 m_size=census.survivors, parts=parts)
-            prime_mass = float(census.primes)
-        else:
-            rep = nr_bound_split(k, r, 8, M=m_ref, parts=parts)
-            prime_mass = prime_lower_bound(k)
-    return qkr_upper(rep.value, prime_mass)
+    """q_bound's value with the split point pinned at m_ref."""
+    return _engine_q(k, r, 8, M=m_ref).value
 
 
 def check_bound_table(ref: dict, r: int, threshold: float):

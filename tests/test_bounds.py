@@ -4,17 +4,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slucas import kernel
-from slucas.bounds import (MAX_BOUND_K, BoundReport, asymptotic_check,
-                           chain_rule, format_json, format_q, format_tsv,
-                           m_split_range, n1_bound_coarse, n1_bound_refined,
-                           nr_bound_split, prime_count_exact,
-                           prime_lower_bound, q_bound, qk1_analytic, qkr_upper,
-                           rho, screen_census, table_rows, ykts_bound,
-                           ykts_table_cell)
+from slucas.bounds import (ENGINES, EXACT_CENSUS_MAX_K, MAX_BOUND_K,
+                           PRIME_DENSITY, TABLE_K_ROWS, BoundReport,
+                           asymptotic_check, chain_rule, error_bound,
+                           format_json, format_q, format_tsv, m_split_range,
+                           n1_bound_coarse, n1_bound_refined, nr_bound_split,
+                           prime_count_exact, prime_lower_bound, q_bound,
+                           qk1_analytic, qkr_upper, rho, screen_census,
+                           table_rows, ykts_bound, ykts_table_cell)
 from slucas.counting import (alpha_bar, is_twin_prime_product,
                              slpsp_bruteforce)
 from slucas.kernel import CapacityError, factorize, jacobi
@@ -211,6 +212,57 @@ def test_q_bound_is_a_probability_at_every_size(k, r):
     assert 0 <= rep.value <= 1
     assert rep.value == pytest.approx(2.0 ** log2, rel=1e-12, abs=1e-323)
     assert math.isfinite(rep.terms["liar_mass_log2"])
+
+
+def test_every_k_falls_in_exactly_one_engine_row():
+    # the last row's engine runs on past its table's rows to MAX_BOUND_K
+    last = ENGINES[-1]
+    for k in range(ENGINES[0].ks.start, MAX_BOUND_K + 1):
+        rows = [e for e in ENGINES
+                if k in e.ks or e is last and k >= e.ks.start]
+        assert len(rows) == 1, k
+    assert all(e.ks[-1] <= EXACT_CENSUS_MAX_K for e in ENGINES if e.exact)
+    with pytest.raises(ValueError, match="--survey-k"):
+        q_bound(ENGINES[0].ks.start - 1, 1)
+
+
+def test_engine_rows_are_the_q_tables_k_rows():
+    assert sorted(e.table for e in ENGINES) == [2, 3, 4, 5]
+    for e in ENGINES:
+        assert TABLE_K_ROWS[e.table] == e.ks
+        assert [row[0] for row in table_rows(e.table)[1]] == list(e.ks)
+
+
+def test_q_bound_changes_engine_exactly_at_the_row_edges():
+    def route(k):
+        # the one-round engine, and whether P is the exact prime count
+        rep = q_bound(k, 1)
+        analytic = math.log2(PRIME_DENSITY) + k - math.log2(k)
+        return (rep.source,
+                rep.terms["prime_mass_log2"] != pytest.approx(analytic))
+
+    assert route(17) == ("multi-round split (small-gcd)", True)
+    assert route(MAX_BOUND_K) == ("single-round coarse", False)
+    assert [k for k in range(18, 200) if route(k) != route(k - 1)] == [
+        30, 42, 60]
+    for k in (17, 30, 42, 60, 1000):
+        assert q_bound(k, 2).source == "multi-round split (large-gcd)"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.integers(17, 129), st.integers(17, MAX_BOUND_K)),
+       st.integers(1, 9))
+@example(MAX_BOUND_K, 1)
+@example(MAX_BOUND_K, 9)
+def test_error_bound_is_a_probability_at_least_q_bound(k, r):
+    # it may rise with k at the row edges, so only r is checked for order
+    rep, more = error_bound(k, r), error_bound(k, r + 1)
+    for b in (rep, more):
+        assert math.isfinite(b.terms["log2"])
+        assert 0 <= b.value <= 1
+    assert rep.value >= q_bound(k, r).value
+    assert more.value <= rep.value
+    assert more.terms["log2"] <= rep.terms["log2"]
 
 
 def test_q_bound_stops_at_max_k():

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -366,15 +367,16 @@ def test_bounds_table_stdout_is_pinned(run, fmt, table):
 
 
 # SHA-256 of the stdout of `slucas bounds --single K R`, one per engine
-# and round count, taken at the same point as the table digests; (33, 2)
-# was retaken when q below 1e-4 moved to 6 significant digits: it printed
-# 0.000056 and prints 5.55257e-05
+# and round count, taken at the same point as the table digests; (17, 1),
+# (17, 2), (29, 2), (33, 2) and (41, 1) were retaken when --single moved
+# from the tables' one-family q_bound to error_bound, which sums both
+# gcd-split class families: (33, 2) printed 5.55257e-05 and prints 0.005202
 SINGLE_STDOUT_SHA256 = {
-    (17, 1): "3c1080673efe62154592f1e00ee8c330008c3006af6c5173c9b86033a4cc89c5",
-    (17, 2): "c044113696fe62153f443f9c2e156b0ebc01c8cf5bf3c2369d62ab37dc770ad1",
-    (29, 2): "72a41e8efbe27868c682f78ddbacf46fbdedb628309f08853cbffe9cd2350482",
-    (33, 2): "4077eba48f8fecf33c86b1c2ccc021c7ef8f23b192ec26e37be2e97e78a221ad",
-    (41, 1): "09cbb40bc944b2f639f84512fb4e58d77a6a0b41b65383df4831ae466444e247",
+    (17, 1): "ce65d7cff7fc09233d4b86a6f771c4c32dc16d182dea717eda45cb6638221aad",
+    (17, 2): "ce807f5f5afc570d278d6747b3f827fa196e06373284fd487386c4d418cd0856",
+    (29, 2): "ec2f65701a0dd2f05843dcab4a06b5dad2c8cb0f5889c1c8e7ea156abe87df84",
+    (33, 2): "7aea145bfda98151923abcf7375613faac9eef8920b779418acdf713d8f4d5ef",
+    (41, 1): "0cc96f3323b77c15511d6849c37528784d7494d730f09fbca891eb16c53f03c1",
     (59, 1): "1cc8cfbea4d03a6d2dbd1b16c93be8574d2bc3ad0723f5f30a67bca39e8b9c53",
     (100, 1): "9654fd6c18df366d5ed2c09b5e311fd1982ed013254d7e18175863afa355d789",
 }
@@ -411,6 +413,13 @@ def test_bounds_single_past_max_k_is_usage_error(run, k):
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
     assert "bounds stop at k = 8192" in res.output
+
+
+def test_bounds_single_below_engines_names_the_survey(run):
+    res = run("bounds", "--single", 16, 1)
+    assert res.exit_code == 2
+    assert ("the bound engines start at k = 17; the exact survey "
+            "(--survey-k) covers smaller k") in res.output
     assert "Traceback" not in res.output
 
 
@@ -505,13 +514,18 @@ def test_unwritable_output_path_is_usage_error(run, tmp_path, option, args,
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"),
                     reason="needs /dev/full, a device every write to fails")
-@pytest.mark.parametrize("args, where", [
-    (("bounds", "--table", "1", "--out", "/dev/full"), "'/dev/full'"),
-    (("generate", "--bits", "5", "--transcript", "/dev/full"), "'/dev/full'"),
-    (("bounds", "--table", "1"), "stdout"),
-    (("generate", "--bits", "64"), "stdout"),
-], ids=["out", "transcript", "bounds-stdout", "generate-stdout"])
-def test_failed_write_is_an_error_without_traceback(args, where):
+@pytest.mark.parametrize("args, prog, where", [
+    (("bounds", "--table", "1", "--out", "/dev/full"), "slucas bounds",
+     "'/dev/full'"),
+    (("generate", "--bits", "5", "--transcript", "/dev/full"),
+     "slucas generate", "'/dev/full'"),
+    (("bounds", "--table", "1"), "slucas bounds", "stdout"),
+    (("generate", "--bits", "64"), "slucas generate", "stdout"),
+    (("--version",), "slucas", "stdout"),
+    (("test", "--help"), "slucas test", "stdout"),
+], ids=["out", "transcript", "bounds-stdout", "generate-stdout", "version",
+        "help"])
+def test_failed_write_is_an_error_without_traceback(args, prog, where):
     # run as `slucas ARGS > /dev/full` would: the shutdown flush of stdout
     # must not fail again after the error is reported
     env = dict(os.environ, PYTHONPATH=str(Path(slucas.__file__).parents[1]))
@@ -521,5 +535,39 @@ def test_failed_write_is_an_error_without_traceback(args, where):
              *args], stdout=full, stderr=subprocess.PIPE, env=env, text=True,
             timeout=60)
     assert proc.returncode == 2
-    assert proc.stderr == (f"slucas {args[0]}: error: cannot write {where}: "
+    assert proc.stderr == (f"{prog}: error: cannot write {where}: "
                            f"{os.strerror(errno.ENOSPC)}\n")
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_examples():
+    """(command, output lines) for each `$ slucas ...` line of the README
+    that output lines follow, up to the next command or the block's end."""
+    examples, current = [], None
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            current = None
+        elif line.startswith("$ slucas "):
+            current = (line[len("$ slucas "):], [])
+            examples.append(current)
+        elif current is not None:
+            current[1].append(line)
+    return [(command, out) for command, out in examples if out]
+
+
+README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize("command, expected", README_EXAMPLES,
+                         ids=[c.split("#")[0].strip() for c, _ in README_EXAMPLES])
+def test_readme_example_prints_what_it_shows(run, monkeypatch, tmp_path,
+                                             command, expected):
+    monkeypatch.chdir(tmp_path)         # for the files an example writes
+    command, echo, _ = command.partition("; echo $?")
+    res = run(*shlex.split(command, comments=True))
+    lines = res.output.splitlines()
+    if echo:
+        lines.append(str(res.exit_code))
+    assert lines == expected

@@ -237,7 +237,7 @@ SUBMODULE_API = {
                  "psp_to_lpsp_compose", "slpsp_bruteforce",
                  "worst_case_ceiling"),
     "bounds": ("ScreenCensus", "asymptotic_check", "chain_rule",
-               "n1_bound_coarse", "n1_bound_refined", "nr_bound_split",
+               "error_bound", "n1_bound_coarse", "n1_bound_refined", "nr_bound_split",
                "prime_count_exact", "prime_lower_bound", "qk1_analytic",
                "qkr_upper", "rho", "screen_census", "table_rows",
                "ykts_bound", "ykts_table_cell"),
