@@ -14,37 +14,31 @@ from .lucas import (LucasParams, ParamSearchError, RoundResult, Verdict,
                     strong_lucas_round)
 
 
-def fermat_round(n: int, a: int) -> RoundResult:
-    """One Fermat round: does a**(n-1) = 1 mod n?
-
-    A base sharing a factor with n certifies compositeness outright, so
-    that case returns Composite carrying the factor rather than a verdict
-    about the congruence.
-    """
+def _base_round(n: int, a: int, name: str, passes, reason: str) -> RoundResult:
+    # a base sharing a factor with n certifies compositeness outright, so
+    # that case returns the factor rather than a verdict on ``passes``
     if n < 3 or n % 2 == 0:
-        raise ValueError("fermat_round expects odd n >= 3")
+        raise ValueError(f"{name} expects odd n >= 3")
     if not 2 <= a <= n - 2:
         raise ValueError("base must satisfy 2 <= a <= n-2")
     g = math.gcd(a, n)
     if g > 1:
         return RoundResult(Verdict.COMPOSITE, "bad-base", g)
-    if pow(a, n - 1, n) == 1:
+    if passes(n, a):
         return PROBABLE_PRIME
-    return RoundResult(Verdict.COMPOSITE, "fermat")
+    return RoundResult(Verdict.COMPOSITE, reason)
+
+
+def fermat_round(n: int, a: int) -> RoundResult:
+    """One Fermat round: does a**(n-1) = 1 mod n?"""
+    return _base_round(n, a, "fermat_round",
+                       lambda n, a: pow(a, n - 1, n) == 1, "fermat")
 
 
 def miller_rabin_round(n: int, a: int) -> RoundResult:
     """One Miller-Rabin round at base a (kernel.is_strong_probable_prime)."""
-    if n < 3 or n % 2 == 0:
-        raise ValueError("miller_rabin_round expects odd n >= 3")
-    if not 2 <= a <= n - 2:
-        raise ValueError("base must satisfy 2 <= a <= n-2")
-    g = math.gcd(a, n)
-    if g > 1:
-        return RoundResult(Verdict.COMPOSITE, "bad-base", g)
-    if is_strong_probable_prime(n, a):
-        return PROBABLE_PRIME
-    return RoundResult(Verdict.COMPOSITE, "miller-rabin")
+    return _base_round(n, a, "miller_rabin_round", is_strong_probable_prime,
+                       "miller-rabin")
 
 
 def run_rounds(n: int, method: str, rounds: int, rng,

@@ -149,6 +149,9 @@ def cmd_count(args) -> int:
             f"{FACTOR_LIMIT}: the counts factor n")
     if what in ("sl", "l", "alpha") and d is None:
         raise UsageError(f"--what {what} needs --d")
+    if what in ("f", "mr") and d is not None:
+        raise UsageError(f"--d applies to the Lucas counts only, "
+                         f"not to --what {what}")
     if what == "sl":
         print(sl_count(n, d))
     elif what == "l":

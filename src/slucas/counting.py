@@ -1,6 +1,14 @@
 """Exact liar counts for the Fermat, Miller-Rabin, Lucas and strong Lucas
 tests, together with brute-force cross-checks and the derived densities.
 
+All four counts are one product over the distinct primes p | n (Monier,
+Theor. Comp. Sci. 1980, for the bases; Arnault, Math. Comp. 1997, for
+the Lucas pairs).  With eps(p) = (D/p) for the pairs and 1 for the bases,
+m = n - eps(n) (its odd part for the strong tests), g_p = gcd(m, p -
+eps(p)), c = 1 for pairs and 0 for bases, k1 the least 2-adic valuation
+of p - eps(p) and s the number of distinct primes, the count is
+    plain:   prod (g_p - c)
+    strong:  prod (g_p - c) + sum_{j < k1} 2^(j*s) * prod g_p.
 All counts are exact integers; the densities are Fractions so nothing is
 rounded until a caller formats it.  lucas_uv_mod's (U, V, Q^m) ladder
 defines both Lucas rounds for the brute-force counts and round tests:
@@ -37,36 +45,53 @@ def phi_d(n: int | Factorization, D: int) -> int:
     return out
 
 
-def _sl_parts(f: Factorization, eps_of) -> tuple[int, int]:
-    """Strong Lucas count of n = f.n and eps(n) = (D/n), from (D/p) alone.
+def _liar_parts(f: Factorization, eps_of, strong: bool) -> tuple[int, int]:
+    """(count, eps(n)) by the module's product formula for n = f.n.
 
-    ``eps_of(p)`` is (D/p) for each prime p | n; the caller has checked
-    gcd(n, 2*D) = 1, so each is +-1 and (D/n) = prod (D/p)^r.  With
-    n - eps(n) = 2^kappa * q (q odd), k1 the least 2-adic valuation of
-    p - eps(p) and s the number of distinct primes, the count is
-        prod (g_p - 1) + (2^(k1*s) - 1)/(2^s - 1) * prod g_p,
-    g_p = gcd(q, p - eps(p)); the middle factor is sum_{j < k1} 2^(j*s).
+    ``eps_of(p)`` is (D/p) for the pair counts, whose caller has checked
+    gcd(n, 2*D) = 1, so eps(n) = prod (D/p)^r; None for the base counts.
+    ``strong`` picks the strong round's count over the plain one's.
     """
-    eps_n = 1
-    shifted = []
-    bits = 0
+    eps_n, shifted, bits = 1, [], 0
     for p, r in f.factors:
-        e = eps_of(p)
+        e = 1 if eps_of is None else eps_of(p)
         if r & 1:
             eps_n *= e
         x = p - e
         shifted.append(x)
         bits |= x
     m = f.n - eps_n
-    q = m // (m & -m)
+    if strong:
+        m //= m & -m
+    c = 0 if eps_of is None else 1
     head = tail = 1
     for x in shifted:
-        g = gcd(q, x)
-        head *= g - 1
+        g = gcd(m, x)
+        head *= g - c
         tail *= g
+    if not strong:
+        return head, eps_n
     s = len(shifted)
     low = bits & -bits      # 2^k1: the OR's lowest bit is the least one
+    # the sum over j < k1 is (2^(k1*s) - 1)/(2^s - 1)
     return head + (low ** s - 1) // ((1 << s) - 1) * tail, eps_n
+
+
+def _pair_parts(n: int | Factorization, D: int,
+                strong: bool) -> tuple[int, int]:
+    # (count, n - eps(n) - 1), or (0, 1) when gcd(n, 2*D) > 1
+    f = _fact(n)
+    if gcd(f.n, 2 * D) > 1:
+        return 0, 1
+    count, eps_n = _liar_parts(f, lambda p: jacobi(D, p), strong)
+    return count, f.n - eps_n - 1
+
+
+def _base_parts(n: int | Factorization, strong: bool, name: str) -> int:
+    f = _fact(n)
+    if f.n % 2 == 0:
+        raise ValueError(f"{name} expects odd n")
+    return _liar_parts(f, None, strong)[0]
 
 
 def sl_count(n: int | Factorization, D: int) -> int:
@@ -77,65 +102,27 @@ def sl_count(n: int | Factorization, D: int) -> int:
     For prime n every admissible pair passes, so the count collapses to
     n - eps - 1.
     """
-    f = _fact(n)
-    if gcd(f.n, 2 * D) > 1:
-        return 0
-    return _sl_parts(f, lambda p: jacobi(D, p))[0]
+    return _pair_parts(n, D, True)[0]
 
 
 def lucas_count(n: int | Factorization, D: int) -> int:
-    """Number of P mod n admitting a Q that the plain Lucas round accepts.
-
-    Product of gcd(n - eps(n), p - eps(p)) - 1 over the distinct prime
-    factors; zero when gcd(n, 2*D) > 1.
-    """
-    f = _fact(n)
-    if gcd(f.n, 2 * D) > 1:
-        return 0
-    eps_n = jacobi(D, f.n)
-    out = 1
-    for p in f.primes:
-        out *= gcd(f.n - eps_n, p - jacobi(D, p)) - 1
-    return out
+    """Number of P mod n the plain Lucas round accepts; 0 if gcd(n, 2D) > 1."""
+    return _pair_parts(n, D, False)[0]
 
 
 def fermat_count(n: int | Factorization) -> int:
     """Number of bases a mod n with a**(n-1) = 1, for odd n >= 3."""
-    f = _fact(n)
-    if f.n % 2 == 0:
-        raise ValueError("fermat_count expects odd n")
-    out = 1
-    for p in f.primes:
-        out *= gcd(f.n - 1, p - 1)
-    return out
+    return _base_parts(n, False, "fermat_count")
 
 
 def mr_count(n: int | Factorization) -> int:
-    """Number of bases a mod n that pass one Miller-Rabin round, odd n >= 3.
-
-    With n - 1 = 2**kappa * q (q odd), l1 the least 2-adic valuation of
-    p - 1 over primes p | n, and s the number of distinct primes:
-        (1 + sum_{j < l1} 2**(j*s)) * prod gcd(q, p - 1).
-    """
-    f = _fact(n)
-    if f.n % 2 == 0:
-        raise ValueError("mr_count expects odd n")
-    _, q = split_power_of_two(f.n - 1)
-    l1 = min(split_power_of_two(p - 1)[0] for p in f.primes)
-    s = f.omega
-    tail = 1
-    for p in f.primes:
-        tail *= gcd(q, p - 1)
-    return (1 + sum(2 ** (j * s) for j in range(l1))) * tail
+    """Number of bases a mod n that pass one Miller-Rabin round, odd n >= 3."""
+    return _base_parts(n, True, "mr_count")
 
 
 def alpha_bar(n: int | Factorization, D: int) -> Fraction:
     """SL count divided by n - eps - 1, exactly."""
-    f = _fact(n)
-    if gcd(f.n, 2 * D) > 1:
-        return Fraction(0)
-    count, eps_n = _sl_parts(f, lambda p: jacobi(D, p))
-    return Fraction(count, f.n - eps_n - 1)
+    return Fraction(*_pair_parts(n, D, True))
 
 
 def alpha(n: int | Factorization, D: int) -> Fraction:

@@ -20,10 +20,14 @@ import contextlib
 import functools
 import itertools
 import math
+import operator
 import sys
 from bisect import bisect_right
 
-SIEVE_LIMIT = 1 << 33
+# The sieve takes about 3.5 bytes per unit of its limit, 60 MB at 2^24;
+# the prime-pi count takes O(sqrt(x)), so it has a cap of its own.
+SIEVE_LIMIT = 1 << 24
+_PI_LIMIT = 1 << 33
 FACTOR_LIMIT = 1 << 52
 
 # factorize trial-divides by the primes up to TRIAL_REACH; what is left,
@@ -222,8 +226,8 @@ def count_primes_in_range(lo: int, hi: int) -> int:
     global _last_pi_table
     if hi <= lo:
         return 0
-    if hi > SIEVE_LIMIT:
-        raise CapacityError(f"range end {hi} exceeds {SIEVE_LIMIT}")
+    if hi > _PI_LIMIT:
+        raise CapacityError(f"range end {hi} exceeds {_PI_LIMIT}")
     x, y = hi - 1, lo - 1
     if x < 2:
         return 0
@@ -297,12 +301,12 @@ def primes_in(lo: int, hi: int) -> list[int]:
     return primes[bisect_right(primes, lo):]
 
 
-def _product(factors) -> int:
-    # balanced product tree: operands of equal size multiply fastest
-    while len(factors) > 1:
-        factors = ([a * b for a, b in zip(factors[::2], factors[1::2])]
-                   + factors[len(factors) & ~1:])  # an odd one out waits
-    return factors[0]
+def _pairwise(terms: list, op):
+    # rounds of adjacent pairs: operands of similar size combine fastest
+    while len(terms) > 1:
+        terms = ([op(a, b) for a, b in zip(terms[::2], terms[1::2])]
+                 + terms[len(terms) & ~1:])  # an odd one out waits
+    return terms[0]
 
 
 @functools.lru_cache(maxsize=16)
@@ -316,8 +320,8 @@ def _prime_blocks(lo: int, hi: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     while primes:
         cut = bisect_right(primes, edge)
         if cut:
-            blocks.append((tuple(primes[:cut]), _product(primes[:cut])))
-            primes = primes[cut:]
+            head, primes = primes[:cut], primes[cut:]
+            blocks.append((tuple(head), _pairwise(head, operator.mul)))
         edge = max(4 * edge, 1 << 12)
     return tuple(blocks)
 

@@ -10,9 +10,9 @@ from functools import lru_cache
 from itertools import islice
 from typing import NamedTuple
 
-from .counting import _sl_parts
+from .counting import _liar_parts
 from .kernel import (EXACT_SURVEY_MAX_K, CapacityError, Factorization,
-                     _method_a_sequence, check_discriminant,
+                     _method_a_sequence, _pairwise, check_discriminant,
                      is_perfect_square, jacobi, sieve_primes,
                      unlimited_digits)
 
@@ -21,17 +21,6 @@ def _fraction_text(x: Fraction) -> str:
     # "p/q" in full: at k = 16 the denominators run to ~7,900 digits
     with unlimited_digits():
         return f"{x.numerator}/{x.denominator}"
-
-
-def _pairwise(terms: list, add):
-    # pairwise rounds keep the operands of similar size, where a running
-    # total would drag an ever-growing one through every add
-    while len(terms) > 1:
-        pairs = [add(a, b) for a, b in zip(terms[::2], terms[1::2])]
-        if len(terms) % 2:
-            pairs.append(terms[-1])
-        terms = pairs
-    return terms[0]
 
 
 # terms per unreduced (numerator, denominator) block in _exact_sum
@@ -160,7 +149,7 @@ def exact_qk1(k: int, r: int = 1,
             if n_prime:
                 primes += 1
             else:
-                count, eps_n = _sl_parts(f, eps_of)
+                count, eps_n = _liar_parts(f, eps_of, True)
                 ratios.append((count ** r, (n - eps_n - 1) ** r))
         mass = _exact_sum(ratios)
         q = mass / (mass + primes) if mass else Fraction(0)

@@ -242,6 +242,16 @@ def test_count_subcommand(run):
     assert run("count", 10, "--what", "f").exit_code == 2
 
 
+@pytest.mark.parametrize("what", ["f", "mr"])
+def test_count_of_bases_rejects_a_discriminant(run, what):
+    # the base counts take no D, as `slucas test` takes none for its
+    # base methods
+    res = run("count", 561, "--what", what, "--d", 5)
+    assert res.exit_code == 2
+    assert "--d applies to the Lucas counts only" in res.output
+    assert "Traceback" not in res.output
+
+
 # 10^4400 + 1 = (10^16)^275 + 1, a multiple of 10^16 + 1 = 353 * 449 * ...:
 # 4,401 decimal digits, past the interpreters' default limit of 4,300
 LONG_DECIMAL = "1" + "0" * 4399 + "1"
@@ -264,14 +274,15 @@ def test_count_of_a_long_decimal_is_the_ceiling_error(run):
 
 @pytest.mark.parametrize("what", ["sl", "mr", "alpha"])
 def test_count_above_factor_ceiling_is_usage_error(run, what):
-    # n = 2^52 + 1 is past the trial-division ceiling of every count
-    res = run("count", 4503599627370497, "--what", what, "--d", 5)
+    # n = 2^52 + 1 is past the trial-division ceiling of every count;
+    # only the Lucas counts take a discriminant
+    d = () if what == "mr" else ("--d", 7)
+    res = run("count", 4503599627370497, "--what", what, *d)
     assert res.exit_code == 2
     assert res.exception is None or isinstance(res.exception, SystemExit)
     assert "2^52" in res.output and "Traceback" not in res.output
     # just below the ceiling the count runs: 2^52 - 1 = 3 * 5 * ...
-    assert run("count", 4503599627370495, "--what", what,
-               "--d", 7).exit_code == 0
+    assert run("count", 4503599627370495, "--what", what, *d).exit_code == 0
 
 
 def test_bounds_single(run):

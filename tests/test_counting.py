@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slucas.counting import (alpha, alpha_bar, fermat_bruteforce, fermat_count,
+from slucas.counting import (BRUTEFORCE_LIMIT, alpha, alpha_bar,
+                             fermat_bruteforce, fermat_count,
                              is_twin_prime_product, lpsp_bruteforce,
                              lucas_count, mr_bruteforce, mr_count, phi_d,
                              psp_to_lpsp_compose, sl_count, slpsp_bruteforce,
@@ -40,11 +41,28 @@ def test_sl_count_known_small_cases():
 ])
 def test_sl_count_on_prime_powers_and_squareful_n(n, D):
     # eps(n) = prod (D/p)^r: an even power drops a (D/p) = -1, an odd one
-    # keeps it, so these cases need the exponent's parity
+    # keeps it, so these cases need the exponent's parity; the base counts
+    # share the same product and 2-adic sum
     assert math.gcd(n, 2 * D) == 1
     count = slpsp_bruteforce(n, D)
     assert sl_count(n, D) == count
     assert alpha_bar(n, D) == Fraction(count, n - jacobi(D, n) - 1)
+    assert lucas_count(n, D) == lpsp_bruteforce(n, D)
+    assert fermat_count(n) == fermat_bruteforce(n)
+    assert mr_count(n) == mr_bruteforce(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(BRUTEFORCE_LIMIT, 1 << 40),
+       st.sampled_from([5, -7, 13, -11, 17, 21, -3, 8, 12]))
+def test_counts_on_primes_past_the_bruteforce_limit(start, D):
+    # every admissible pair and every unit base passes a round on a prime
+    n = start | 1
+    while not mr_oracle(n):
+        n += 2
+    f = factorize(n)
+    assert sl_count(f, D) == lucas_count(f, D) == n - jacobi(D, n) - 1
+    assert fermat_count(f) == mr_count(f) == n - 1
 
 
 def test_sl_count_zero_when_sharing_a_factor():

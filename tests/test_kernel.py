@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slucas import kernel
+from slucas import generation, kernel
 from slucas.kernel import (TRIAL_REACH, CapacityError, Factorization,
                            check_discriminant, count_primes_in_range,
                            factorize, is_perfect_square, jacobi,
@@ -103,6 +103,18 @@ def test_sieve_length_matches_sympy_primepi(limit):
     primes = sieve_primes(limit)
     assert len(primes) == int(sympy.primepi(limit))
     assert primes[-1] == sympy.prevprime(limit + 1)
+
+
+def test_sieve_limit_raises_before_sieving(monkeypatch):
+    # the sieve's memory grows with its limit, so past the cap it must
+    # refuse without building anything; the library's deepest trial
+    # division still fits under the cap
+    def no_sieve(*args):
+        raise AssertionError("sieved past SIEVE_LIMIT")
+    monkeypatch.setattr(kernel, "sieve_window", no_sieve)
+    with pytest.raises(CapacityError):
+        sieve_primes(kernel.SIEVE_LIMIT + 1)
+    assert kernel.SIEVE_LIMIT >= generation.MAX_TRIAL_BOUND
 
 
 def _least_factor_oracle(n, lo, hi):
