@@ -67,8 +67,6 @@ def prime_count_exact(k: int) -> int:
         raise ValueError("need k >= 1")
     if k > EXACT_CENSUS_MAX_K:
         raise CapacityError(f"exact prime counts stop at k = {EXACT_CENSUS_MAX_K}")
-    if k == 1:
-        return 0
     return count_primes_in_range(1 << (k - 1), 1 << k)
 
 
@@ -145,15 +143,15 @@ def screen_census(k: int, l: int = 2, exact: bool = False) -> ScreenCensus:
     """
     if k < 2:
         raise ValueError("need k >= 2")
+    if not 1 <= l <= MAX_SCREEN_DEPTH:
+        raise ValueError(f"need 1 <= l <= {MAX_SCREEN_DEPTH}")
     if not exact:
         return ScreenCensus(k=k, l=l)
-    if k > EXACT_CENSUS_MAX_K:
-        raise CapacityError(f"exact censuses stop at k = {EXACT_CENSUS_MAX_K}")
+    primes = prime_count_exact(k)
     screened = _screened_count(k, l)
     twins = len(_twin_products(k, l))
     return ScreenCensus(k=k, l=l, screened=screened,
-                        survivors=screened - twins,
-                        primes=prime_count_exact(k), twins=twins)
+                        survivors=screened - twins, primes=primes, twins=twins)
 
 
 # ---------------------------------------------------------------------------
@@ -495,21 +493,22 @@ def _window_inner(k: int, top: int) -> tuple[_Wide, ...]:
                                       for j in range(2, top + 1)))
 
 
-def ykts_bound(k: int, t: int, c: float, M: int | None = None) -> BoundReport:
+def ykts_bound(k: int, t: int, c: float) -> BoundReport:
     """Error bound for incremental search: window c*ln(2^k), t rounds.
 
     ``terms['log2']`` is always finite even when the value itself
-    underflows a float.  Omit M to minimize.  A c so large that c*k or the
-    bound itself leaves float range is a ValueError.  A bound above 1
-    (54 at k = 20, t = 1, c = 1) is vacuous: ``value`` is 1.0, ``source``
-    ends in "(vacuous)", and ``terms['log2']`` stays the unclamped log2.
+    underflows a float.  M is the minimizing split point.  A c so large
+    that c*k or the bound itself leaves float range is a ValueError.  A
+    bound above 1 (54 at k = 20, t = 1, c = 1) is vacuous: ``value`` is
+    1.0, ``source`` ends in "(vacuous)", and ``terms['log2']`` stays the
+    unclamped log2.
     """
     if t < 1 or not 0 < c < math.inf:
         raise ValueError("need t >= 1 and finite c > 0")
     ck = c * k
     if math.isinf(ck):
         raise ValueError(f"c * k = {c:g} * {k} is past float range")
-    splits = _splits(k, M)
+    splits = _splits(k, None)
     # class m weighs 2^(m(1-t)) inner[m - 2]; sums[i] adds those weights
     # over m = 3..i + 3
     top = math.ceil(1.2 * splits[-1])
@@ -535,24 +534,19 @@ def ykts_table_cell(k: int, t: int, c: float) -> int:
     return max(0, math.floor(-rep.terms["log2"]))
 
 
-def asymptotic_check(k: int, t: int, c: float,
-                     lam: float | None = None) -> tuple[bool, float]:
+def asymptotic_check(k: int, t: int, c: float) -> tuple[bool, float]:
     """Check the incremental bound against lambda * k^3 * 2^(-sqrt(k)).
 
-    lambda defaults to 2c^2 + 1.  Returns (holds, witness) where witness
+    lambda is 2c^2 + 1.  Returns (holds, witness) where witness
     is the smallest lambda that would make the inequality tight; compared
     in log2 space so huge k cannot underflow.
     """
     if k < 18:
         raise ValueError("asymptotic form needs k >= 18")
-    if lam is None:
-        lam = 2 * c * c + 1
     log2y = ykts_bound(k, t, c).terms["log2"]
     log2_envelope = 3 * math.log2(k) - math.sqrt(k)
     witness = 2.0 ** (log2y - log2_envelope)
-    if lam <= 0:
-        return False, witness
-    return log2y <= math.log2(lam) + log2_envelope, witness
+    return log2y <= math.log2(2 * c * c + 1) + log2_envelope, witness
 
 
 # ---------------------------------------------------------------------------

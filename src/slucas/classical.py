@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import math
 
-from .kernel import SCREEN_REACH, is_strong_probable_prime, least_factor
+from .kernel import (SCREEN_REACH, check_discriminant,
+                     is_strong_probable_prime, least_factor)
 from .lucas import (LucasParams, ParamSearchError, RoundResult, Verdict,
                     PROBABLE_PRIME, lucas_round, sample_params, select_d,
                     strong_lucas_round)
@@ -52,9 +53,16 @@ def run_rounds(n: int, method: str, rounds: int, rng,
     when it is None.  Returns (PROBABLE_PRIME, rounds), or the rejecting
     round's result and number.  A failed sweep (n a square) or parameter
     search (no unit Q) rejects with reason "d-search" or "param-search";
-    neither happens for a prime.
+    neither happens for a prime.  Before any round runs, a ValueError
+    refuses rounds < 1, a d that ``kernel.check_discriminant`` refuses
+    and any d with a base method.
     """
+    if rounds < 1:
+        raise ValueError("need rounds >= 1")
     if method in ("miller-rabin", "fermat"):
+        if d is not None:
+            raise ValueError(f"d applies to the Lucas methods only, "
+                             f"not to {method}")
         check = miller_rabin_round if method == "miller-rabin" else fermat_round
         draw = lambda: rng.randrange(2, n - 1) if n > 5 else 2
     elif method in ("strong-lucas", "lucas"):
@@ -64,6 +72,8 @@ def run_rounds(n: int, method: str, rounds: int, rng,
                 d = select_d(n)
             except ParamSearchError:
                 return RoundResult(Verdict.COMPOSITE, "d-search"), 1
+        else:
+            check_discriminant(d)
         draw = lambda: sample_params(n, d, rng)
     else:
         raise ValueError(f"unknown method {method!r}")

@@ -231,9 +231,9 @@ def _parser() -> argparse.ArgumentParser:
     sub.add_argument("--mode", choices=["uniform", "incremental"],
                      default="uniform", help="[default: %(default)s]")
     sub.add_argument("--window", type=int, default=None,
-                     help="Incremental: candidates before FAIL "
-                          "(default 10*ceil(bits*ln 2)); the walk also "
-                          "stops at 2^bits.")
+                     help="Most candidates tested before FAIL [default: "
+                          "10*ceil(bits*ln 2) incremental, 10^6 uniform]; "
+                          "the incremental walk also stops at 2^bits.")
     sub.add_argument("--d", type=integer, default=None,
                      help="Fix the discriminant.")
     sub.add_argument("--screen", type=int, default=MAX_SCREEN_DEPTH,

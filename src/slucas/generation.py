@@ -1,16 +1,16 @@
 """Probable-prime generation built on the strong Lucas test.
 
-Both generators are one pipeline, ``_search``, over different candidate
-streams and screens.  Each candidate meets the screens in order, then a
-base-2 strong test, then the choice of a discriminant and up to t strong
-Lucas rounds (``classical.run_rounds``); the first candidate to survive
-them all is the result.
+Both generators are one run, ``_search``, over different candidate
+streams and screens.  It tests at most ``window`` candidates; each meets
+the screens in order, a base-2 strong test last, then the choice of a
+discriminant and up to t strong Lucas rounds (``classical.run_rounds``).
+The first candidate to survive them all is the result, and a stream that
+runs dry is a ``Fail`` result, not an error.
 
 ``strong_luc_generate`` draws uniform odd k-bit candidates;
 ``prime_inc_luc`` walks upward in steps of 2 from one odd k-bit start
 through a window it sieves once up front (``kernel.sieve_window``, the
-sieve ``kernel.sieve_primes`` runs on), and running out of window is a
-``Fail`` result, not an error.
+sieve ``kernel.sieve_primes`` runs on).
 
 Trial division checks the primes in (1000, k**2 / 16], past the paper's
 screen of at most 166 odd primes, from k = 127 on, where every candidate
@@ -38,8 +38,8 @@ from .kernel import (MAX_SCREEN_DEPTH, SCREEN_REACH, _primes_to,
                      check_discriminant, is_perfect_square, jacobi,
                      least_factor, primes_in, sieve_window)
 
-# Uniform generation keeps drawing until something survives; this cap turns
-# a pathological config into a diagnosable error instead of a hang.
+# The uniform generator's default window: a config that no k-bit candidate
+# survives ends in Fail after this many draws instead of a hang.
 MAX_UNIFORM_DRAWS = 10 ** 6
 
 # Largest trial-division bound, reached at k = 8192 bits: past it the
@@ -64,10 +64,11 @@ class GenConfig(_GenFields):
     the alternating-sign sweep.  ``screen`` is how many leading odd primes
     the divisibility screen uses (2 to 166); the trial-division stage
     past it follows from ``bits`` alone (primes up to bits**2 / 16).
-    ``window`` (incremental only) is the number of candidates before
-    giving up; None picks 10 * ceil(k * ln 2).  The walk also ends at
-    2**k, so a start near the top gets fewer candidates.  Every way of
-    building one, ``_replace`` and ``_make`` included, checks the knobs.
+    ``window`` is the most candidates either generator tests before it
+    fails; None picks 10 * ceil(k * ln 2) for the incremental walk, which
+    also ends at 2**k, and MAX_UNIFORM_DRAWS for uniform draws.  Every
+    way of building one, ``_replace`` and ``_make`` included, checks the
+    knobs.
     """
 
     __slots__ = ()
@@ -94,8 +95,8 @@ class GenConfig(_GenFields):
 class GenOutcome(NamedTuple):
     """What a generator run produced.
 
-    ``result`` is the probable prime, or None for the incremental
-    generator's Fail.  ``transcript`` has one entry per candidate:
+    ``result`` is the probable prime, or None (Fail) when no candidate in
+    the window survived.  ``transcript`` has one entry per candidate:
     {"n": hex, "stage": where it stopped, "rounds": rounds it survived};
     it defaults to an empty tuple, so no two outcomes share a list.
     """
@@ -127,61 +128,61 @@ def _draw_odd(bits: int, rng: random.Random) -> int:
     return (1 << (bits - 1)) | (rng.getrandbits(bits - 2) << 1) | 1
 
 
-def _search(cfg: GenConfig, candidates, screens, d: int | None) -> GenOutcome:
-    """The candidate loop both generators run.
+def _search(cfg: GenConfig, window: int, candidate, screens,
+            d: int | None) -> GenOutcome:
+    """The whole run of either generator.
 
-    ``candidates`` yields (i, n); ``screens`` is an ordered tuple of
-    (stage, rejects(i, n)), and the first screen that rejects n names its
-    transcript stage.  Survivors meet a base-2 strong test, then up to
-    cfg.rounds strong Lucas rounds with discriminant d (None: swept per
-    candidate by ``run_rounds``) and fresh parameters each, drawn from a
-    stream of their own; round i rejecting gives stage "round-i:<reason>".
-    A failed sweep gives stage "d-search" and counts no round.  Returns at
-    the first accepted candidate, or with result None once the candidates
-    run out.
+    ``candidate(i)`` is the i-th candidate, i < ``window``; ``screens`` is
+    an ordered tuple of (stage, rejects(i, n)) that gets a base-2 strong
+    test as its last stage, and the first screen that rejects n names its
+    transcript stage.  Survivors meet up to cfg.rounds strong Lucas rounds
+    with discriminant d (None: swept per candidate by ``run_rounds``) and
+    fresh parameters each, drawn from a stream of their own; round i
+    rejecting gives stage "round-i:<reason>".  A failed sweep gives stage
+    "d-search" and counts no round.  The result is the first accepted
+    candidate, or None (Fail) once ``window`` candidates are spent.
     """
     # the candidate stream is random.Random(seed); this one is seeded from
     # the same seed under its own label, and both are unseeded for None
     params = random.Random(None if cfg.seed is None
                            else f"slucas-params:{cfg.seed}")
+    # looked up at each call, so a patched or wrapped module name applies
+    screens += (("base-2", lambda i, n: not miller_rabin_round(n, 2)),)
     transcript: list[dict] = []
-    rounds_run = 0
-    for i, n in candidates:
+    rounds_run, result = 0, None
+    for i in range(window):
+        n = candidate(i)
         entry = {"n": hex(n), "stage": "", "rounds": 0}
         transcript.append(entry)
         for stage, rejects in screens:
             if rejects(i, n):
                 break
         else:
-            if not miller_rabin_round(n, 2):
-                stage = "base-2"
+            res, spent = run_rounds(n, "strong-lucas", cfg.rounds, params, d)
+            if res.reason == "d-search":
+                stage = "d-search"
             else:
-                res, spent = run_rounds(n, "strong-lucas", cfg.rounds,
-                                        params, d)
-                if res.reason == "d-search":
-                    stage = "d-search"
-                else:
-                    rounds_run += spent
-                    entry["rounds"] = spent if res else spent - 1
-                    stage = "accepted" if res else f"round-{spent}:{res.reason}"
+                rounds_run += spent
+                entry["rounds"] = spent if res else spent - 1
+                stage = "accepted" if res else f"round-{spent}:{res.reason}"
         entry["stage"] = stage
         if stage == "accepted":
-            return GenOutcome(result=n, candidates_tested=len(transcript),
-                              rounds_run=rounds_run, transcript=transcript)
-    return GenOutcome(result=None, candidates_tested=len(transcript),
+            result = n
+            break
+    return GenOutcome(result=result, candidates_tested=len(transcript),
                       rounds_run=rounds_run, transcript=transcript)
 
 
 def strong_luc_generate(cfg: GenConfig) -> GenOutcome:
     """Uniform-choice generation: draw, screen, test t rounds, repeat.
 
-    The screens, in order: the Jacobi symbol of the discriminant must be
-    -1 (which also rules out a shared factor); the candidate must not be
-    divisible by any of the first ``screen`` odd primes, nor have n + 1 a
-    perfect square (which would allow a twin-prime product through), nor
-    have a prime factor in (1000, trial_bound(bits)] (both by
+    Each of up to ``window`` draws must have (d/n) = -1 (which also rules
+    out a shared factor), no factor among the first ``screen`` odd primes,
+    n + 1 not a perfect square (which would let a twin-prime product
+    through) and no prime factor in (1000, trial_bound(bits)] (both by
     ``least_factor``: one gcd per block product), and must pass a base-2
-    strong test.  Each test round draws fresh parameters.
+    strong test.  Each test round draws fresh parameters; a window with no
+    survivor is a Fail.
     """
     draws = random.Random(cfg.seed)
     d = 5 if cfg.d is None else cfg.d
@@ -195,13 +196,9 @@ def strong_luc_generate(cfg: GenConfig) -> GenOutcome:
         ("trial-division",
          lambda i, n: least_factor(n, SCREEN_REACH, bound) > 1),
     )
-    candidates = ((i, _draw_odd(cfg.bits, draws))
-                  for i in range(MAX_UNIFORM_DRAWS))
-    out = _search(cfg, candidates, screens, d)
-    if out.result is None:
-        raise RuntimeError(f"no survivor in {MAX_UNIFORM_DRAWS} draws; "
-                           f"check the configuration")
-    return out
+    window = cfg.window or MAX_UNIFORM_DRAWS
+    return _search(cfg, window, lambda i: _draw_odd(cfg.bits, draws),
+                   screens, d)
 
 
 def prime_inc_luc(cfg: GenConfig) -> GenOutcome:
@@ -217,9 +214,7 @@ def prime_inc_luc(cfg: GenConfig) -> GenOutcome:
     exhausted.
     """
     draws = random.Random(cfg.seed)
-    window = cfg.window
-    if window is None:
-        window = 10 * math.ceil(cfg.bits * math.log(2))
+    window = cfg.window or 10 * math.ceil(cfg.bits * math.log(2))
     n0 = _draw_odd(cfg.bits, draws)
     window = min(window, ((1 << cfg.bits) - n0 + 1) // 2)
     top = _primes_to(SCREEN_REACH)[cfg.screen]
@@ -232,5 +227,4 @@ def prime_inc_luc(cfg: GenConfig) -> GenOutcome:
          lambda i, n: cfg.d is not None and math.gcd(cfg.d, n) > 1),
         ("trial-division", lambda i, n: divided[i]),
     )
-    candidates = ((i, n0 + 2 * i) for i in range(window))
-    return _search(cfg, candidates, screens, cfg.d)
+    return _search(cfg, window, lambda i: n0 + 2 * i, screens, cfg.d)

@@ -137,6 +137,14 @@ def test_screen_census_returns_at_any_size(k):
     assert screen_census(k) == (k, 2, None, None, None, None)
 
 
+@pytest.mark.parametrize("l", [-1, 0, 167, 400])
+def test_screen_census_refuses_screen_depth_out_of_range(l):
+    # l = -1 would slice the screen to all but its last prime, l = 400
+    # would read past the prime table
+    with pytest.raises(ValueError, match="l <="):
+        screen_census(20, l, exact=True)
+
+
 def test_census_deeper_screen_is_smaller():
     shallow = screen_census(14, l=2, exact=True)
     deep = screen_census(14, l=8, exact=True)

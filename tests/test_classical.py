@@ -219,6 +219,29 @@ def test_run_rounds_rejects_unknown_method():
         run_rounds(104729, "bpsw", 1, random.Random(1))
 
 
+@pytest.mark.parametrize("rounds", [0, -3])
+@pytest.mark.parametrize("method", ROUND_METHODS)
+def test_run_rounds_refuses_fewer_than_one_round(method, rounds):
+    # no round runs, so no verdict on the composite 15 could be given
+    with pytest.raises(ValueError, match="rounds"):
+        run_rounds(15, method, rounds, random.Random(1))
+
+
+@pytest.mark.parametrize("d", [0, 4, 9])
+@pytest.mark.parametrize("method", ["strong-lucas", "lucas"])
+def test_run_rounds_refuses_a_square_discriminant(method, d):
+    # (d/21) is never -1 for a square d, so the composite 21 would pass
+    # some seeds' rounds
+    with pytest.raises(ValueError, match="square"):
+        run_rounds(21, method, 1, random.Random(1), d)
+
+
+@pytest.mark.parametrize("method", ["miller-rabin", "fermat"])
+def test_run_rounds_refuses_d_with_a_base_method(method):
+    with pytest.raises(ValueError, match="Lucas methods only"):
+        run_rounds(104729, method, 1, random.Random(1), 5)
+
+
 def _rfc3526_prime() -> int:
     """The 2048-bit MODP group prime of RFC 3526, a safe prime."""
     mpmath = pytest.importorskip("mpmath")

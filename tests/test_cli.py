@@ -217,6 +217,14 @@ def test_generate_fail_exit_code(run):
     pytest.fail("no FAIL observed")
 
 
+def test_generate_uniform_fail_exit_code(run):
+    # no 5-bit prime passes the Jacobi filter of -17*19*23*29*31
+    res = run("generate", "--bits", 5, "--d", -6678671, "--seed", 1,
+              "--window", 1000)
+    assert (res.exit_code, res.output) == (1, "FAIL\n")
+    assert isinstance(res.exception, SystemExit)     # not a traceback
+
+
 @pytest.mark.parametrize("mode", ["uniform", "incremental"])
 def test_generate_zero_discriminant_is_usage_error(run, mode):
     # 0 = 0^2 is a square discriminant: no candidate could ever pass

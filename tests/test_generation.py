@@ -134,6 +134,24 @@ def test_incremental_fail_on_barren_window():
     assert saw_fail
 
 
+def test_uniform_fail_on_barren_window():
+    # -6678671 = -17*19*23*29*31 is 1 mod 4 and no square, and its Jacobi
+    # symbol is +1 at every 5-bit prime, so every draw is filtered out
+    out = strong_luc_generate(GenConfig(bits=5, d=-6678671, window=1000,
+                                        seed=1))
+    assert not out and out.candidates_tested == 1000
+    assert {e["stage"] for e in out.transcript} <= {"jacobi-filter",
+                                                    "small-factor"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**64), st.integers(16, 64), st.integers(1, 5))
+def test_uniform_window_caps_the_draws(seed, bits, window):
+    out = strong_luc_generate(GenConfig(bits=bits, window=window, seed=seed))
+    assert out.candidates_tested == len(out.transcript) <= window
+    assert out or out.candidates_tested == window
+
+
 def test_incremental_walk_ends_below_two_to_the_bits():
     # a start near 2^bits gets a shorter window, never a (bits+1)-bit prime
     for bits in range(5, 17):
