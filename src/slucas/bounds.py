@@ -113,14 +113,18 @@ def _screened_count(k: int, l: int) -> int:
     # odd integers in [2^(k-1), 2^k) coprime to the first l odd primes, by
     # Legendre's recursion over odd integers: phi(x, a) counts the odd
     # n <= x coprime to the first a of them, and the odd multiples of p_a
-    # are p_a times an odd m <= x // p_a; primes above x divide no n <= x
-    screen = _odd_primes()[:l]
+    # are p_a times an odd m <= x // p_a; primes above x divide no n <= x,
+    # and below p_(a+1)^2 the n are 1 and the primes in (p_a, x] (Meissel),
+    # pi(x) - a: screen_census's prime-pi table holds each x = (2^k-1) // m
+    screen = _odd_primes()[:l + 1]  # and p_(l+1)
 
     @lru_cache(maxsize=None)
     def phi(x: int, a: int) -> int:
         a = bisect_right(screen, x, 0, a)
         if a == 0:
             return (x + 1) // 2
+        if x < screen[a] ** 2:
+            return count_primes_in_range(2, x + 1) - a
         return phi(x, a - 1) - phi(x // screen[a - 1], a - 1)
 
     return phi((1 << k) - 1, l) - phi((1 << (k - 1)) - 1, l)

@@ -232,7 +232,8 @@ def _parser() -> argparse.ArgumentParser:
                      default="uniform", help="[default: %(default)s]")
     sub.add_argument("--window", type=int, default=None,
                      help="Most candidates tested before FAIL [default: "
-                          "10*ceil(bits*ln 2) incremental, 10^6 uniform]; "
+                          "10*ceil(bits*ln 2) incremental, "
+                          "min(10^6, 64*2^(bits-2)) uniform]; "
                           "the incremental walk also stops at 2^bits.")
     sub.add_argument("--d", type=integer, default=None,
                      help="Fix the discriminant.")

@@ -38,8 +38,8 @@ from .kernel import (MAX_SCREEN_DEPTH, SCREEN_REACH, _primes_to,
                      check_discriminant, is_perfect_square, jacobi,
                      least_factor, primes_in, sieve_window)
 
-# The uniform generator's default window: a config that no k-bit candidate
-# survives ends in Fail after this many draws instead of a hang.
+# The cap on the uniform generator's default window of 64 draws per odd
+# k-bit value: a config no candidate survives ends in Fail, not a hang.
 MAX_UNIFORM_DRAWS = 10 ** 6
 
 # Largest trial-division bound, reached at k = 8192 bits: past it the
@@ -66,9 +66,10 @@ class GenConfig(_GenFields):
     past it follows from ``bits`` alone (primes up to bits**2 / 16).
     ``window`` is the most candidates either generator tests before it
     fails; None picks 10 * ceil(k * ln 2) for the incremental walk, which
-    also ends at 2**k, and MAX_UNIFORM_DRAWS for uniform draws.  Every
-    way of building one, ``_replace`` and ``_make`` included, checks the
-    knobs.
+    also ends at 2**k, and min(MAX_UNIFORM_DRAWS, 64 * 2**(k - 2)) for
+    uniform draws, which miss an odd k-bit value with probability below
+    e^-64.  Every way of building one, ``_replace`` and ``_make``
+    included, checks the knobs.
     """
 
     __slots__ = ()
@@ -196,7 +197,7 @@ def strong_luc_generate(cfg: GenConfig) -> GenOutcome:
         ("trial-division",
          lambda i, n: least_factor(n, SCREEN_REACH, bound) > 1),
     )
-    window = cfg.window or MAX_UNIFORM_DRAWS
+    window = cfg.window or min(MAX_UNIFORM_DRAWS, 64 << (cfg.bits - 2))
     return _search(cfg, window, lambda i: _draw_odd(cfg.bits, draws),
                    screens, d)
 

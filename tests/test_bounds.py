@@ -72,6 +72,10 @@ def test_table5_builds_one_prime_pi_table(monkeypatch):
     # that one table holds every smaller k's count, and holds it right
     assert [prime_count_exact(k) for k in range(2, 30)] == list(K_BIT_PRIMES)
     assert built == [(1 << 29) - 1]
+    # the deepest census reads each pi(x) below p_(a+1)^2 off it too
+    screen_census.cache_clear()
+    table_rows(5, l=166)
+    assert built == [(1 << 29) - 1]
 
 
 def test_small_counts_build_small_tables(monkeypatch):

@@ -142,6 +142,9 @@ def test_uniform_fail_on_barren_window():
     assert not out and out.candidates_tested == 1000
     assert {e["stage"] for e in out.transcript} <= {"jacobi-filter",
                                                     "small-factor"}
+    # the default window is 64 draws per odd 5-bit value, not 10^6
+    out = strong_luc_generate(GenConfig(bits=5, d=-6678671, seed=1))
+    assert not out and out.candidates_tested == len(out.transcript) == 512
 
 
 @settings(max_examples=40, deadline=None)

@@ -245,6 +245,15 @@ def test_factorize_splits_what_trial_division_leaves(monkeypatch, n):
     assert asked and max(asked) <= TRIAL_REACH == 1 << 16
 
 
+def test_rho_splits_every_small_odd_composite():
+    # 62 of them, 21 the first, need a second c: from c = 1 the walk
+    # closes on g = n
+    for n in range(9, 10 ** 4, 2):
+        if not mr_oracle(n):
+            d = kernel._rho(n)
+            assert 1 < d < n and n % d == 0, n
+
+
 # each side of TRIAL_REACH: squares, a product and a cube of the primes
 # around it, and 2^52 - 1 = 3 * 5 * 53 * 157 * 1613 * 2731 * 8191
 TRIAL_REACH_EDGES = [65521 ** 2, 65537 ** 2, 65521 * 65537, 65537 ** 3,
