@@ -54,9 +54,11 @@ def run_rounds(n: int, method: str, rounds: int, rng,
     round's result and number.  A failed sweep (n a square) or parameter
     search (no unit Q) rejects with reason "d-search" or "param-search";
     neither happens for a prime.  Before any round runs, a ValueError
-    refuses rounds < 1, a d that ``kernel.check_discriminant`` refuses
-    and any d with a base method.
+    refuses any other n, rounds < 1, a d that ``kernel.check_discriminant``
+    refuses, a d sharing a factor with n and any d with a base method.
     """
+    if n < 5 or n % 2 == 0:
+        raise ValueError("run_rounds expects odd n >= 5")
     if rounds < 1:
         raise ValueError("need rounds >= 1")
     if method in ("miller-rabin", "fermat"):
@@ -74,6 +76,9 @@ def run_rounds(n: int, method: str, rounds: int, rng,
                 return RoundResult(Verdict.COMPOSITE, "d-search"), 1
         else:
             check_discriminant(d)
+            if (shared := math.gcd(d, n)) > 1:
+                raise ValueError(f"d shares the factor {shared} with n; "
+                                 "the Lucas test needs D coprime to n")
         draw = lambda: sample_params(n, d, rng)
     else:
         raise ValueError(f"unknown method {method!r}")

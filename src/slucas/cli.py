@@ -1,8 +1,12 @@
 """Command-line surface: testing, generation, liar counts, bound tables.
 
 Exit codes: 0 for probable-prime / success, 1 for composite / Fail,
-2 for usage errors.  N and --d are accepted in decimal or 0x-hex.  stdout
-stays machine-parseable; anything chatty goes to stderr.
+2 for usage errors.  N and --d are accepted in decimal or 0x-hex, and
+``main`` lifts the digit limit once, so they and every value printed may
+have any length.  stdout stays machine-parseable; anything chatty goes to
+stderr.  A handler checks only what names a flag: the rest is refused by
+the routine it calls (``run_rounds`` a --d, ``factorize`` an N past its
+ceiling, a bound engine its K), through ``_checked``, or by argparse.
 
 A process imports only what its subcommand runs: each handler, and each
 branch of ``bounds``, imports its own modules, and the help text's limits
@@ -19,8 +23,8 @@ import re
 import sys
 
 from . import __version__
-from .kernel import (EXACT_SURVEY_MAX_K, FACTOR_LIMIT, MAX_BOUND_K,
-                     MAX_SCREEN_DEPTH, check_discriminant, unlimited_digits)
+from .kernel import (EXACT_SURVEY_MAX_K, MAX_BOUND_K, MAX_SCREEN_DEPTH,
+                     unlimited_digits)
 
 
 class UsageError(Exception):
@@ -55,9 +59,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def integer(text: str) -> int:
-    """Integer of any length in decimal or 0x-hex (int literal rules)."""
-    with unlimited_digits():
-        return int(text, 0)
+    """Integer in decimal or 0x-hex (int literal rules)."""
+    return int(text, 0)
 
 
 @contextlib.contextmanager
@@ -98,21 +101,14 @@ def cmd_test(args) -> int:
         raise UsageError("n must be odd and >= 5")
     if rounds < 1:
         raise UsageError("rounds must be >= 1")
-    if d is not None and method not in ("lucas", "strong-lucas"):
-        raise UsageError(f"--d applies to the Lucas methods only, "
-                         f"not to --method {method}")
-    if d is not None:
-        _checked(check_discriminant, d)
-        shared = math.gcd(d, n)
-        if shared > 1:
-            raise UsageError(f"--d {d} shares the factor {shared} with n; "
-                             "the Lucas test needs D coprime to n")
     if method == "bpsw":
-        passed = baillie_psw(n)
-        rounds_run = 1
-    else:
-        passed, rounds_run = run_rounds(n, method, rounds,
-                                        random.Random(args.seed), d)
+        if d is not None:
+            raise UsageError("--d applies to the Lucas methods only, "
+                             "not to --method bpsw")
+        passed, rounds_run = baillie_psw(n), 1
+    else:  # run_rounds refuses an unusable d before any round
+        passed, rounds_run = _checked(run_rounds, n, method, rounds,
+                                      random.Random(args.seed), d)
     verdict = "probable prime" if passed else "composite"
     detail = f" method={method} rounds={rounds_run}"
     if d is not None:
@@ -139,38 +135,33 @@ def cmd_generate(args) -> int:
 def cmd_count(args) -> int:
     """Exact count of parameters/bases that one test round accepts for N."""
     from .counting import alpha, fermat_count, lucas_count, mr_count, sl_count
+    from .lucas import ParamSearchError, select_d
 
     n, what, d = args.n, args.what, args.d
     if n < 3 or n % 2 == 0:
         raise UsageError("n must be odd and >= 3")
-    if n >= FACTOR_LIMIT:
-        raise UsageError(
-            f"n must be below 2^{FACTOR_LIMIT.bit_length() - 1} = "
-            f"{FACTOR_LIMIT}: the counts factor n")
-    if what in ("sl", "l", "alpha") and d is None:
-        raise UsageError(f"--what {what} needs --d")
-    if what in ("f", "mr") and d is not None:
-        raise UsageError(f"--d applies to the Lucas counts only, "
-                         f"not to --what {what}")
-    if what == "sl":
-        print(sl_count(n, d))
-    elif what == "l":
-        print(lucas_count(n, d))
-    elif what == "f":
-        print(fermat_count(n))
-    elif what == "mr":
-        print(mr_count(n))
+    count = {"sl": sl_count, "l": lucas_count, "alpha": alpha,
+             "f": fermat_count, "mr": mr_count}[what]
+    if what in ("f", "mr"):
+        if d is not None:
+            raise UsageError("--d applies to the Lucas counts only, "
+                             f"not to --what {what}")
+        value = _checked(count, n)
     else:
-        value = alpha(n, d)
-        print(f"{value.numerator}/{value.denominator} {float(value):.6f}")
+        if d is None:
+            try:
+                d = select_d(n)
+            except ParamSearchError:
+                raise UsageError("n is a square, so method A finds no D; "
+                                 "give one with --d")
+        value = _checked(count, n, d)
+    print(f"{value.numerator}/{value.denominator} {float(value):.6f}"
+          if what == "alpha" else value)
     return 0
 
 
 def cmd_bounds(args) -> int:
     """Error-bound values and the reference tables built from them."""
-    chosen = [x for x in (args.table, args.single, args.survey_k) if x is not None]
-    if len(chosen) != 1:
-        raise UsageError("pick exactly one of --table / --single / --survey-k")
     if not 1 <= args.l <= MAX_SCREEN_DEPTH:
         raise UsageError(f"--l must be in 1..{MAX_SCREEN_DEPTH}")
     if not 0 < args.c < math.inf:
@@ -254,25 +245,26 @@ def _parser() -> argparse.ArgumentParser:
                           "normalized by the group order. "
                           "[default: %(default)s]")
     sub.add_argument("--d", type=integer, default=None,
-                     help="Discriminant (required for sl, l, alpha).")
+                     help="Discriminant for sl, l, alpha [default: method "
+                          "A's, the first of 5, -7, 9, ... with (D/N) = -1].")
 
     sub = command("bounds", cmd_bounds)
-    sub.add_argument("--table", type=int, choices=range(1, 7), default=None,
-                     help="Regenerate a whole reference table.")
-    sub.add_argument("--single", nargs=2, type=int, default=None,
-                     metavar=("K", "R"),
-                     help=f"One error bound: bit size K (17 to {MAX_BOUND_K}), "
-                          "rounds R >= 1. q prints at 6 decimals, or to 6 "
-                          "significant digits below 1e-4.")
+    item = sub.add_mutually_exclusive_group(required=True)
+    item.add_argument("--table", type=int, choices=range(1, 7),
+                      help="Regenerate a whole reference table.")
+    item.add_argument("--single", nargs=2, type=int, metavar=("K", "R"),
+                      help="One error bound: bit size K (17 to "
+                           f"{MAX_BOUND_K}), rounds R >= 1. q prints at 6 "
+                           "decimals, or to 6 significant digits below 1e-4.")
+    item.add_argument("--survey-k", type=int,
+                      help=f"Exact small-k survey (k <= {EXACT_SURVEY_MAX_K}) "
+                           "as JSON.")
     sub.add_argument("--l", type=int, default=8,
                      help="Screen depth the bound engines assume "
                           f"(1 to {MAX_SCREEN_DEPTH}). [default: %(default)s]")
     sub.add_argument("--c", type=float, default=1.0,
                      help="Window constant for the incremental table (> 0). "
                           "[default: %(default)s]")
-    sub.add_argument("--survey-k", type=int, default=None,
-                     help=f"Exact small-k survey (k <= {EXACT_SURVEY_MAX_K}) "
-                          "as JSON.")
     sub.add_argument("--format", choices=["tsv", "json"], default="tsv",
                      help="[default: %(default)s]")
     sub.add_argument("--out", default=None, metavar="PATH",
@@ -282,17 +274,18 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> None:
     """Run the CLI on argv (default sys.argv[1:]); always ends in SystemExit."""
-    args = _parser().parse_args(argv)
-    try:
-        code = args.handler(args)
-        sys.stdout.flush()
-    except UsageError as exc:
-        args.parser.error(str(exc))
-    except OSError as exc:  # a write failed: a full disk, a closed pipe
-        args.parser.cannot_write(exc)
-    except KeyboardInterrupt:
-        print("Aborted!", file=sys.stderr)
-        code = 1
+    with unlimited_digits():
+        args = _parser().parse_args(argv)
+        try:
+            code = args.handler(args)
+            sys.stdout.flush()
+        except UsageError as exc:
+            args.parser.error(str(exc))
+        except OSError as exc:  # a write failed: a full disk, a closed pipe
+            args.parser.cannot_write(exc)
+        except KeyboardInterrupt:
+            print("Aborted!", file=sys.stderr)
+            code = 1
     sys.exit(code)
 
 

@@ -162,7 +162,7 @@ def sieve_primes(limit: int) -> list[int]:
     up to limit that ``sieve_window`` leaves unmarked by the odd primes up
     to sqrt(limit), themselves sieved the same way."""
     if limit > SIEVE_LIMIT:
-        raise CapacityError(f"sieve limit {limit} exceeds {SIEVE_LIMIT}")
+        raise CapacityError(f"sieve limit must be at most {SIEVE_LIMIT}")
     if limit < 2:
         return []
     flags = sieve_window(3, (limit - 1) // 2,
@@ -227,7 +227,7 @@ def count_primes_in_range(lo: int, hi: int) -> int:
     if hi <= lo:
         return 0
     if hi > _PI_LIMIT:
-        raise CapacityError(f"range end {hi} exceeds {_PI_LIMIT}")
+        raise CapacityError(f"range end must be at most {_PI_LIMIT}")
     x, y = hi - 1, lo - 1
     if x < 2:
         return 0
@@ -369,7 +369,8 @@ def factorize(n: int) -> Factorization:
     if n < 2:
         raise ValueError("factorize needs n >= 2")
     if n >= FACTOR_LIMIT:
-        raise CapacityError(f"{n} exceeds the factorization ceiling")
+        raise CapacityError(f"n must be below 2^{FACTOR_LIMIT.bit_length()-1}"
+                            f" = {FACTOR_LIMIT} to be factored")
     reach = min(TRIAL_REACH, 1 << (n.bit_length() + 1) // 2)
     m, factors = n, []
     while m > 1:

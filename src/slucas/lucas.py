@@ -169,8 +169,8 @@ def select_d(n: int) -> int:
     non-principal character, so some D = 1 (mod 4) below 4n has
     (D/n) = -1 and the sweep ends.
     """
-    if n < 5 or n % 2 == 0:
-        raise ValueError("discriminant search expects odd n >= 5")
+    if n < 3 or n % 2 == 0:
+        raise ValueError("discriminant search expects odd n >= 3")
     if is_perfect_square(n):
-        raise ParamSearchError(f"{n} is a square: no D has (D/n) = -1")
+        raise ParamSearchError("n is a square: no D has (D/n) = -1")
     return next(d for d in _method_a_sequence() if jacobi(d, n) == -1)

@@ -198,6 +198,11 @@ def test_run_rounds_square_fails_the_discriminant_sweep(method):
     # no D has (D/37^2) = -1; a fixed D still runs the rounds
     assert run_rounds(37 ** 2, method, 3, random.Random(1)) == (
         RoundResult(Verdict.COMPOSITE, "d-search"), 1)
+    # nor for a square of 4,401 digits, past the interpreters' default
+    # limit of 4,300, which the sweep's refusal used to print
+    square = (10 ** 2200 + 3) ** 2
+    assert run_rounds(square, method, 3, random.Random(1)) == (
+        RoundResult(Verdict.COMPOSITE, "d-search"), 1)
     res, _ = run_rounds(37 ** 2, method, 3, random.Random(1), d=5)
     assert res.reason not in ("", "d-search")
 
@@ -240,6 +245,23 @@ def test_run_rounds_refuses_a_square_discriminant(method, d):
 def test_run_rounds_refuses_d_with_a_base_method(method):
     with pytest.raises(ValueError, match="Lucas methods only"):
         run_rounds(104729, method, 1, random.Random(1), 5)
+
+
+@pytest.mark.parametrize("n", [-5, 3, 4])
+@pytest.mark.parametrize("method", ROUND_METHODS)
+def test_run_rounds_refuses_n_outside_its_domain(method, n):
+    # checked first: run_rounds(3, "miller-rabin", ...) used to fail on the
+    # base it had drawn itself
+    with pytest.raises(ValueError, match="odd n >= 5"):
+        run_rounds(n, method, 0, random.Random(1))
+
+
+@pytest.mark.parametrize("method", ["strong-lucas", "lucas"])
+def test_run_rounds_refuses_d_sharing_a_factor_with_n(method):
+    # the factor, not a verdict: a prime n = 7 shares it with d = 21 too
+    for n in (7, 35):
+        with pytest.raises(ValueError, match="shares the factor 7"):
+            run_rounds(n, method, 1, random.Random(1), 21)
 
 
 def _rfc3526_prime() -> int:

@@ -16,6 +16,8 @@ import pytest
 
 import slucas
 from slucas.cli import main
+from slucas.generation import GenOutcome
+from slucas.kernel import unlimited_digits
 from slucas.lucas import select_d
 
 from conftest import LATE_D_PRIME, mr_oracle
@@ -246,8 +248,19 @@ def test_count_subcommand(run):
     assert run("count", 561, "--what", "f").output.strip() == "320"
     out = run("count", 15251, "--what", "alpha", "--d", 5).output.split()
     assert out[0] == "1201/15000"
-    assert run("count", 323, "--what", "sl").exit_code == 2   # missing --d
+    # without --d the Lucas counts take method A's D, 5 for 323
+    assert run("count", 323, "--what", "sl").output.strip() == "145"
     assert run("count", 10, "--what", "f").exit_code == 2
+
+
+@pytest.mark.parametrize("what", ["sl", "l", "alpha"])
+def test_count_of_a_square_without_d_is_usage_error(run, what):
+    # 1369 = 37^2: no D has (D/n) = -1, so method A has none to give
+    res = run("count", 1369, "--what", what)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "square" in res.output and "--d" in res.output
+    assert run("count", 1369, "--what", what, "--d", 5).exit_code == 0
 
 
 @pytest.mark.parametrize("what", ["f", "mr"])
@@ -263,6 +276,35 @@ def test_count_of_bases_rejects_a_discriminant(run, what):
 # 10^4400 + 1 = (10^16)^275 + 1, a multiple of 10^16 + 1 = 353 * 449 * ...:
 # 4,401 decimal digits, past the interpreters' default limit of 4,300
 LONG_DECIMAL = "1" + "0" * 4399 + "1"
+# 10^4400 + 3 is 3 mod 4, 5 mod 7; 7 times it is 1 mod 4 and no square
+LONG_BAD_D = "1" + "0" * 4399 + "3"
+with unlimited_digits():
+    LONG_D = str(7 * int(LONG_BAD_D))
+
+
+def test_test_prints_a_discriminant_past_the_digit_limit(run):
+    res = run("test", 1009, "--d", LONG_D, "--seed", 9)
+    assert res.output == (
+        f"probable prime method=strong-lucas rounds=1 d={LONG_D}\n")
+    assert res.exit_code == 0
+
+
+@pytest.mark.parametrize("d, fault", [(LONG_D, "shares the factor 7"),
+                                      (LONG_BAD_D, "0 or 1 mod 4")],
+                         ids=["shares-7", "3-mod-4"])
+def test_test_refuses_a_long_discriminant_by_name(run, d, fault):
+    res = run("test", 7, "--d", d)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert fault in res.output
+
+
+def test_generate_prints_a_result_past_the_digit_limit(run, monkeypatch):
+    # cmd_generate imports strong_luc_generate from slucas.generation
+    monkeypatch.setattr("slucas.generation.strong_luc_generate",
+                        lambda cfg: GenOutcome(10 ** 4400 + 1, 1, 1))
+    res = run("generate", "--bits", 64)
+    assert (res.exit_code, res.output) == (0, LONG_DECIMAL + "\n")
 
 
 def test_test_reads_a_decimal_past_the_digit_limit(run):
@@ -505,6 +547,13 @@ def test_bounds_exact_census_at_deepest_screen(run, args):
 def test_bounds_option_exclusivity(run):
     assert run("bounds").exit_code == 2
     assert run("bounds", "--table", 1, "--single", 60, 1).exit_code == 2
+
+
+def test_bounds_help_shows_the_one_required_choice(run):
+    res = run("bounds", "--help")
+    assert res.exit_code == 0
+    assert ("(--table {1,2,3,4,5,6} | --single K R | --survey-k SURVEY_K)"
+            in " ".join(res.output.split()))
 
 
 def test_bounds_out_file(run, tmp_path):

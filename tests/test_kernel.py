@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slucas import generation, kernel
+from slucas.counting import mr_count
 from slucas.kernel import (TRIAL_REACH, CapacityError, Factorization,
                            check_discriminant, count_primes_in_range,
                            factorize, is_perfect_square, jacobi,
@@ -115,6 +116,22 @@ def test_sieve_limit_raises_before_sieving(monkeypatch):
     with pytest.raises(CapacityError):
         sieve_primes(kernel.SIEVE_LIMIT + 1)
     assert kernel.SIEVE_LIMIT >= generation.MAX_TRIAL_BOUND
+
+
+# 4,401 decimal digits, past the interpreters' default limit of 4,300: an
+# error message that printed the value could not be built
+HUGE = 10 ** 4400 + 1
+
+
+@pytest.mark.parametrize("call, limit", [
+    (lambda: factorize(HUGE), kernel.FACTOR_LIMIT),
+    (lambda: mr_count(HUGE), kernel.FACTOR_LIMIT),
+    (lambda: sieve_primes(HUGE - 1), kernel.SIEVE_LIMIT),
+    (lambda: count_primes_in_range(0, HUGE - 1), kernel._PI_LIMIT),
+], ids=["factorize", "mr_count", "sieve_primes", "count_primes_in_range"])
+def test_capacity_error_names_the_limit_not_the_value(call, limit):
+    with pytest.raises(CapacityError, match=f" {limit}"):
+        call()
 
 
 def _least_factor_oracle(n, lo, hi):
