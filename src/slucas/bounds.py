@@ -26,8 +26,8 @@ from bisect import bisect_right
 from functools import lru_cache, reduce
 from typing import Callable, NamedTuple
 
-from .kernel import (MAX_BOUND_K, MAX_SCREEN_DEPTH, CapacityError,
-                     _primes_to, count_primes_in_range)
+from .kernel import (MAX_BOUND_K, MAX_SCREEN_DEPTH, MIN_SCREEN_DEPTH,
+                     CapacityError, _primes_to, count_primes_in_range)
 
 # Lower-bound constant for the count of k-bit primes: more than
 # PRIME_DENSITY * 2^k / k of them for every k >= 8.
@@ -55,8 +55,8 @@ def rho(l: int) -> float:
     is the resulting loss factor in the geometric class-mass estimates.
     int / int rounds correctly, so this is the double nearest (p + 1)/p.
     """
-    if not 1 <= l <= MAX_SCREEN_DEPTH:
-        raise ValueError(f"need 1 <= l <= {MAX_SCREEN_DEPTH}")
+    if not MIN_SCREEN_DEPTH <= l <= MAX_SCREEN_DEPTH:
+        raise ValueError(f"need {MIN_SCREEN_DEPTH} <= l <= {MAX_SCREEN_DEPTH}")
     p = _odd_primes()[l]
     return (p + 1) / p
 
@@ -147,8 +147,8 @@ def screen_census(k: int, l: int = 2, exact: bool = False) -> ScreenCensus:
     """
     if k < 2:
         raise ValueError("need k >= 2")
-    if not 1 <= l <= MAX_SCREEN_DEPTH:
-        raise ValueError(f"need 1 <= l <= {MAX_SCREEN_DEPTH}")
+    if not MIN_SCREEN_DEPTH <= l <= MAX_SCREEN_DEPTH:
+        raise ValueError(f"need {MIN_SCREEN_DEPTH} <= l <= {MAX_SCREEN_DEPTH}")
     if not exact:
         return ScreenCensus(k=k, l=l)
     primes = prime_count_exact(k)
@@ -378,13 +378,6 @@ def nr_bound_split(k: int, r: int, l: int = 8, M: int | None = None,
         tail=[_power(2.0, r * (1 - m)) * size * _power(ro, (m + 1) * r)
               / tail_den for m in splits],
         **families)
-
-
-def qkr_upper(n_r: float, p: float) -> float:
-    """Error probability from liar mass and prime count: N/(N + P)."""
-    if n_r < 0 or p <= 0:
-        raise ValueError("need N >= 0 and P > 0")
-    return n_r / (n_r + p)
 
 
 def chain_rule(q_r: float, r: int, t: int) -> float:

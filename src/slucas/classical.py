@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-from .kernel import (SCREEN_REACH, check_discriminant,
+from .kernel import (MAX_ROUNDS, SCREEN_REACH, check_discriminant,
                      is_strong_probable_prime, least_factor)
 from .lucas import (LucasParams, ParamSearchError, RoundResult, Verdict,
                     PROBABLE_PRIME, lucas_round, sample_params, select_d,
@@ -54,13 +54,14 @@ def run_rounds(n: int, method: str, rounds: int, rng,
     round's result and number.  A failed sweep (n a square) or parameter
     search (no unit Q) rejects with reason "d-search" or "param-search";
     neither happens for a prime.  Before any round runs, a ValueError
-    refuses any other n, rounds < 1, a d that ``kernel.check_discriminant``
-    refuses, a d sharing a factor with n and any d with a base method.
+    refuses any other n, rounds outside 1..MAX_ROUNDS (128), a d that
+    ``kernel.check_discriminant`` refuses, a d sharing a factor with n
+    and any d with a base method.
     """
     if n < 5 or n % 2 == 0:
         raise ValueError("run_rounds expects odd n >= 5")
-    if rounds < 1:
-        raise ValueError("need rounds >= 1")
+    if not 1 <= rounds <= MAX_ROUNDS:
+        raise ValueError(f"need rounds >= 1 and at most {MAX_ROUNDS}")
     if method in ("miller-rabin", "fermat"):
         if d is not None:
             raise ValueError(f"d applies to the Lucas methods only, "

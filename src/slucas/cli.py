@@ -5,8 +5,9 @@ Exit codes: 0 for probable-prime / success, 1 for composite / Fail,
 ``main`` lifts the digit limit once, so they and every value printed may
 have any length.  stdout stays machine-parseable; anything chatty goes to
 stderr.  A handler checks only what names a flag: the rest is refused by
-the routine it calls (``run_rounds`` a --d, ``factorize`` an N past its
-ceiling, a bound engine its K), through ``_checked``, or by argparse.
+the routine it calls (``run_rounds`` a --d or more than MAX_ROUNDS
+rounds, ``GenConfig`` the same for ``generate``, ``factorize`` an N past
+its ceiling, a bound engine its K), through ``_checked``, or by argparse.
 
 A process imports only what its subcommand runs: each handler, and each
 branch of ``bounds``, imports its own modules, and the help text's limits
@@ -23,7 +24,8 @@ import re
 import sys
 
 from . import __version__
-from .kernel import (EXACT_SURVEY_MAX_K, MAX_BOUND_K, MAX_SCREEN_DEPTH,
+from .kernel import (EXACT_SURVEY_MAX_K, MAX_BOUND_K, MAX_ROUNDS,
+                     MAX_SCREEN_DEPTH, MIN_SCREEN_DEPTH, check_discriminant,
                      unlimited_digits)
 
 
@@ -148,7 +150,9 @@ def cmd_count(args) -> int:
                              f"not to --what {what}")
         value = _checked(count, n)
     else:
-        if d is None:
+        if d is not None:  # refused as ``test`` refuses it
+            _checked(check_discriminant, d)
+        else:
             try:
                 d = select_d(n)
             except ParamSearchError:
@@ -162,8 +166,9 @@ def cmd_count(args) -> int:
 
 def cmd_bounds(args) -> int:
     """Error-bound values and the reference tables built from them."""
-    if not 1 <= args.l <= MAX_SCREEN_DEPTH:
-        raise UsageError(f"--l must be in 1..{MAX_SCREEN_DEPTH}")
+    if not MIN_SCREEN_DEPTH <= args.l <= MAX_SCREEN_DEPTH:
+        raise UsageError(f"--l must be in {MIN_SCREEN_DEPTH}.."
+                         f"{MAX_SCREEN_DEPTH}")
     if not 0 < args.c < math.inf:
         raise UsageError("--c must be a finite number > 0")
     with _output(args.out, "--out", sys.stdout) as fh:
@@ -207,8 +212,8 @@ def _parser() -> argparse.ArgumentParser:
         "lucas", "strong-lucas", "miller-rabin", "fermat", "bpsw"],
         help="[default: %(default)s]")
     sub.add_argument("--rounds", "-t", type=int, default=1,
-                     help="Independent rounds (ignored by bpsw). "
-                          "[default: %(default)s]")
+                     help=f"Independent rounds, 1 to {MAX_ROUNDS} (ignored "
+                          "by bpsw). [default: %(default)s]")
     sub.add_argument("--d", type=integer, default=None,
                      help="Fix the Lucas discriminant instead of searching.")
     sub.add_argument("--seed", type=int, default=None,
@@ -218,7 +223,8 @@ def _parser() -> argparse.ArgumentParser:
     sub.add_argument("--bits", type=int, required=True,
                      help="Exact bit size of the output.")
     sub.add_argument("--rounds", "-t", type=int, default=1,
-                     help="[default: %(default)s]")
+                     help=f"Strong Lucas rounds, 1 to {MAX_ROUNDS}. "
+                          "[default: %(default)s]")
     sub.add_argument("--mode", choices=["uniform", "incremental"],
                      default="uniform", help="[default: %(default)s]")
     sub.add_argument("--window", type=int, default=None,
@@ -230,8 +236,8 @@ def _parser() -> argparse.ArgumentParser:
                      help="Fix the discriminant.")
     sub.add_argument("--screen", type=int, default=MAX_SCREEN_DEPTH,
                      help="How many leading odd primes the divisibility "
-                          f"screen uses (2 to {MAX_SCREEN_DEPTH}). "
-                          "[default: %(default)s]")
+                          f"screen uses ({MIN_SCREEN_DEPTH} to "
+                          f"{MAX_SCREEN_DEPTH}). [default: %(default)s]")
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--transcript", default=None, metavar="PATH",
                      help="Write per-candidate JSON lines here.")
@@ -261,7 +267,8 @@ def _parser() -> argparse.ArgumentParser:
                            "as JSON.")
     sub.add_argument("--l", type=int, default=8,
                      help="Screen depth the bound engines assume "
-                          f"(1 to {MAX_SCREEN_DEPTH}). [default: %(default)s]")
+                          f"({MIN_SCREEN_DEPTH} to {MAX_SCREEN_DEPTH}). "
+                          "[default: %(default)s]")
     sub.add_argument("--c", type=float, default=1.0,
                      help="Window constant for the incremental table (> 0). "
                           "[default: %(default)s]")

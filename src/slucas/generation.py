@@ -34,9 +34,10 @@ import random
 from typing import NamedTuple
 
 from .classical import miller_rabin_round, run_rounds
-from .kernel import (MAX_SCREEN_DEPTH, SCREEN_REACH, _primes_to,
-                     check_discriminant, is_perfect_square, jacobi,
-                     least_factor, primes_in, sieve_window)
+from .kernel import (MAX_ROUNDS, MAX_SCREEN_DEPTH, MIN_SCREEN_DEPTH,
+                     SCREEN_REACH, _primes_to, check_discriminant,
+                     is_perfect_square, jacobi, least_factor, primes_in,
+                     sieve_window)
 
 # The cap on the uniform generator's default window of 64 draws per odd
 # k-bit value: a config no candidate survives ends in Fail, not a hang.
@@ -61,9 +62,10 @@ class GenConfig(_GenFields):
 
     ``d`` fixes the discriminant; None means the uniform generator uses 5
     and the incremental one picks a fresh discriminant per candidate by
-    the alternating-sign sweep.  ``screen`` is how many leading odd primes
-    the divisibility screen uses (2 to 166); the trial-division stage
-    past it follows from ``bits`` alone (primes up to bits**2 / 16).
+    the alternating-sign sweep.  ``rounds`` is 1 to 128.  ``screen`` is
+    how many leading odd primes the divisibility screen uses (2 to 166);
+    the trial-division stage past it follows from ``bits`` alone (primes
+    up to bits**2 / 16).
     ``window`` is the most candidates either generator tests before it
     fails; None picks 10 * ceil(k * ln 2) for the incremental walk, which
     also ends at 2**k, and min(MAX_UNIFORM_DRAWS, 64 * 2**(k - 2)) for
@@ -78,10 +80,11 @@ class GenConfig(_GenFields):
         self = super().__new__(cls, *args, **kwargs)
         if self.bits < 5:
             raise ValueError("need bits >= 5")
-        if self.rounds < 1:
-            raise ValueError("need rounds >= 1")
-        if not 2 <= self.screen <= MAX_SCREEN_DEPTH:
-            raise ValueError(f"need 2 <= screen <= {MAX_SCREEN_DEPTH}")
+        if not 1 <= self.rounds <= MAX_ROUNDS:
+            raise ValueError(f"need rounds >= 1 and at most {MAX_ROUNDS}")
+        if not MIN_SCREEN_DEPTH <= self.screen <= MAX_SCREEN_DEPTH:
+            raise ValueError(f"need {MIN_SCREEN_DEPTH} <= screen <= "
+                             f"{MAX_SCREEN_DEPTH}")
         if self.window is not None and self.window < 1:
             raise ValueError("need window >= 1")
         if self.d is not None:

@@ -38,9 +38,14 @@ PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 
 # The small-prime screens, Baillie-PSW's included, use the primes below
 # SCREEN_REACH.  The deepest, MAX_SCREEN_DEPTH leading odd primes, leaves
-# the next prime, the smallest factor left, below SCREEN_REACH too.
+# the next prime, the smallest factor left, below SCREEN_REACH too; the
+# shallowest screens 3 and 5, where the bounds' 2^(k - 2.9) size holds.
 SCREEN_REACH = 1000
+MIN_SCREEN_DEPTH = 2
 MAX_SCREEN_DEPTH = 166
+
+# Most rounds one test or generator runs: (4/15)^128 is below 2^-240.
+MAX_ROUNDS = 128
 
 # Largest k that q_bound and the gcd-split classes accept.
 MAX_BOUND_K = 8192
@@ -102,12 +107,14 @@ def check_discriminant(d: int) -> None:
     """Raise ValueError unless d can be P^2 - 4Q for a non-degenerate pair.
 
     D = P^2 - 4Q is 0 or 1 mod 4, and a square D gives (D/n) = +1 for
-    every n coprime to it, so no round could use it.
+    every n coprime to it, so no round could use it.  The message names
+    d at any length.
     """
-    if d % 4 not in (0, 1):
-        raise ValueError(f"discriminant must be 0 or 1 mod 4: {d}")
-    if is_perfect_square(d):
-        raise ValueError(f"discriminant must not be a square: {d}")
+    with unlimited_digits():
+        if d % 4 not in (0, 1):
+            raise ValueError(f"discriminant must be 0 or 1 mod 4: {d}")
+        if is_perfect_square(d):
+            raise ValueError(f"discriminant must not be a square: {d}")
 
 
 def split_power_of_two(m: int) -> tuple[int, int]:

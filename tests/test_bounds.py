@@ -14,7 +14,7 @@ from slucas.bounds import (ENGINES, EXACT_CENSUS_MAX_K, MAX_BOUND_K,
                            format_json, format_q, format_tsv, m_split_range,
                            n1_bound_coarse, n1_bound_refined, nr_bound_split,
                            prime_count_exact, prime_lower_bound, q_bound,
-                           qk1_analytic, qkr_upper, rho, screen_census,
+                           qk1_analytic, rho, screen_census,
                            table_rows, ykts_bound, ykts_table_cell)
 from slucas.counting import (alpha_bar, is_twin_prime_product,
                              slpsp_bruteforce)
@@ -34,18 +34,17 @@ K_BIT_PRIMES = (2, 2, 2, 5, 7, 13, 23, 43, 75, 137, 255, 464, 872, 1612,
 def test_rho_values():
     assert rho(2) == 8 / 7
     assert rho(8) == 30 / 29
-    assert rho(1) == 6 / 5
     # strictly decreasing toward 1
-    vals = [rho(l) for l in range(1, 12)]
+    vals = [rho(l) for l in range(2, 12)]
     assert all(a > b > 1 for a, b in zip(vals, vals[1:]))
     assert rho(166) == 998 / 997
-    for l in (0, 167, 200):
+    for l in (0, 1, 167, 200):  # the screen depths are 2..166
         with pytest.raises(ValueError):
             rho(l)
     # the float is the double nearest the exact ratio (p + 1)/p
     primes = [p for p in range(3, 1000, 2) if mr_oracle(p)]
     assert all(rho(l) == float(Fraction(primes[l] + 1, primes[l]))
-               for l in range(1, 167))
+               for l in range(2, 167))
 
 
 def test_prime_count_exact_matches_known_counts():
@@ -126,7 +125,7 @@ def test_screen_census_analytic_bracket():
     assert screen_census(48, l=2).screened is None
 
 
-@pytest.mark.parametrize("l", [1, 2, 8, 20, 166])
+@pytest.mark.parametrize("l", [2, 8, 20, 166])
 def test_screened_count_matches_direct_count(l):
     # the Legendre recursion against a plain sweep of the odd k-bit integers
     screen = [p for p in kernel.sieve_primes(1000) if p > 2][:l]
@@ -141,10 +140,11 @@ def test_screen_census_returns_at_any_size(k):
     assert screen_census(k) == (k, 2, None, None, None, None)
 
 
-@pytest.mark.parametrize("l", [-1, 0, 167, 400])
+@pytest.mark.parametrize("l", [-1, 0, 1, 167, 400])
 def test_screen_census_refuses_screen_depth_out_of_range(l):
     # l = -1 would slice the screen to all but its last prime, l = 400
-    # would read past the prime table
+    # would read past the prime table; at l = 1 the engines' 2^(k - 2.9)
+    # is below the screened set's size
     with pytest.raises(ValueError, match="l <="):
         screen_census(20, l, exact=True)
 
@@ -299,13 +299,6 @@ def test_format_q():
     # 2^-9029 = 1.000389558e-2718
     tiny = BoundReport(0.0, 3, {"log2": -9029.0}, "")
     assert format_q(tiny) == "1.00039e-2718"
-
-
-def test_qkr_upper_algebra():
-    assert qkr_upper(1.0, 1.0) == 0.5
-    assert qkr_upper(0.0, 5.0) == 0.0
-    assert 0 < qkr_upper(2.0, 6.0) < 1
-    assert qkr_upper(2.0, 6.0) == 0.25
 
 
 def test_chain_rule_at_threshold():

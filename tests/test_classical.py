@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from slucas.classical import (baillie_psw, fermat_round, miller_rabin_round,
                               run_rounds)
 from slucas import kernel
-from slucas.kernel import (SIEVE_LIMIT, CapacityError, factorize,
+from slucas.kernel import (MAX_ROUNDS, SIEVE_LIMIT, CapacityError, factorize,
                            is_perfect_square, sieve_primes)
 from slucas.lucas import (PROBABLE_PRIME, LucasParams, RoundResult, Verdict,
                           select_d, strong_lucas_round)
@@ -80,6 +80,14 @@ def test_bpsw_large_known_values():
     assert baillie_psw(2**89 - 1)
     assert not baillie_psw((2**31 - 1) * (2**61 - 1))
     assert baillie_psw(10**18 + 9)
+
+
+@pytest.mark.parametrize("p", [1093, 3511])
+def test_bpsw_rejects_the_square_of_a_wieferich_prime(p):
+    # 2^(p-1) = 1 mod p^2 makes p^2 a base-2 strong probable prime, and it
+    # has no factor below 1000, so only the square check rejects it
+    assert baillie_psw(p * p) == RoundResult(Verdict.COMPOSITE,
+                                             "perfect-square")
 
 
 def test_bpsw_accepts_prime_with_late_discriminant():
@@ -230,6 +238,16 @@ def test_run_rounds_refuses_fewer_than_one_round(method, rounds):
     # no round runs, so no verdict on the composite 15 could be given
     with pytest.raises(ValueError, match="rounds"):
         run_rounds(15, method, rounds, random.Random(1))
+
+
+@pytest.mark.parametrize("method", ROUND_METHODS)
+def test_run_rounds_refuses_rounds_past_the_ceiling(method):
+    # refused before any round runs (the CLI tests try 10^20 rounds in a
+    # process of their own, so that a regression cannot hang the suite)
+    with pytest.raises(ValueError, match=f"at most {MAX_ROUNDS}"):
+        run_rounds(1000003, method, MAX_ROUNDS + 1, random.Random(1))
+    assert run_rounds(1000003, method, MAX_ROUNDS, random.Random(1)) == (
+        PROBABLE_PRIME, MAX_ROUNDS)
 
 
 @pytest.mark.parametrize("d", [0, 4, 9])

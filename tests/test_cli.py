@@ -243,6 +243,32 @@ def test_generate_usage_error(run):
     assert run("generate", "--bits", 32, "--screen", 166).exit_code == 0
 
 
+@pytest.mark.parametrize("args", [
+    ("test", 1000003, "-t", 10 ** 20),
+    ("generate", "--bits", 64, "-t", 10 ** 20, "--seed", 1),
+], ids=["test", "generate"])
+def test_rounds_past_the_ceiling_are_refused_at_once(args):
+    # in a process of its own, so that a regression fails here instead of
+    # running 10^20 rounds
+    env = dict(os.environ, PYTHONPATH=str(Path(slucas.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from slucas.cli import main; main()",
+         *map(str, args)], capture_output=True, env=env, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1] == (f"slucas {args[0]}: error: "
+                                            "need rounds >= 1 and at most 128")
+
+
+def test_rounds_at_the_ceiling_are_accepted(run):
+    res = run("test", 1000003, "-t", 128)
+    assert (res.exit_code, res.output) == (
+        0, "probable prime method=strong-lucas rounds=128\n")
+    assert run("generate", "--bits", 64, "-t", 128, "--seed", 1).exit_code == 0
+    assert "1 to 128" in run("test", "--help").output
+    assert "1 to 128" in run("generate", "--help").output
+
+
 def test_count_subcommand(run):
     assert run("count", 323, "--what", "sl", "--d", 5).output.strip() == "145"
     assert run("count", 561, "--what", "f").output.strip() == "320"
@@ -261,6 +287,19 @@ def test_count_of_a_square_without_d_is_usage_error(run, what):
     assert isinstance(res.exception, SystemExit)
     assert "square" in res.output and "--d" in res.output
     assert run("count", 1369, "--what", what, "--d", 5).exit_code == 0
+
+
+@pytest.mark.parametrize("n, d, what", [(35, 3, "alpha"), (323, 9, "sl"),
+                                        (323, 9, "l"), (35, 0, "sl")])
+def test_count_refuses_the_discriminants_test_refuses(run, n, d, what):
+    # the library counts take any D; the CLI refuses what `slucas test`
+    # refuses, with the same message
+    res = run("count", n, "--what", what, "--d", d)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    message = run("test", n, "--d", d).output.splitlines()[-1]
+    assert res.output.splitlines()[-1] == message.replace("test", "count", 1)
+    assert "discriminant must" in message
 
 
 @pytest.mark.parametrize("what", ["f", "mr"])
@@ -326,7 +365,7 @@ def test_count_of_a_long_decimal_is_the_ceiling_error(run):
 def test_count_above_factor_ceiling_is_usage_error(run, what):
     # n = 2^52 + 1 is past the trial-division ceiling of every count;
     # only the Lucas counts take a discriminant
-    d = () if what == "mr" else ("--d", 7)
+    d = () if what == "mr" else ("--d", -7)
     res = run("count", 4503599627370497, "--what", what, *d)
     assert res.exit_code == 2
     assert res.exception is None or isinstance(res.exception, SystemExit)
@@ -534,7 +573,21 @@ def test_bounds_bad_screen_depth_or_window_is_usage_error(run, args):
 
 def test_bounds_screen_depth_limits_accepted(run):
     assert run("bounds", "--l", 166, "--single", 60, 1).exit_code == 0
-    assert run("bounds", "--l", 1, "--single", 60, 1).exit_code == 0
+    assert run("bounds", "--l", 2, "--single", 60, 1).exit_code == 0
+
+
+@pytest.mark.parametrize("args", [("--single", 30, 1), ("--table", 2),
+                                  ("--survey-k", 13)])
+def test_bounds_screen_depth_one_is_usage_error(run, args):
+    # the engines size the screened set as 2^(k - 2.9), an upper bound
+    # only once 3 and 5 are screened; `generate --screen 1` is refused too
+    res = run("bounds", "--l", 1, *args)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.splitlines()[-1] == ("slucas bounds: error: --l must "
+                                           "be in 2..166")
+    assert "need 2 <= screen <= 166" in run(
+        "generate", "--bits", 64, "--screen", 1).output
 
 
 @pytest.mark.parametrize("args", [("--single", 17, 1), ("--table", 5)])

@@ -9,8 +9,9 @@ from slucas import generation
 from slucas.generation import (MAX_SCREEN_DEPTH, GenConfig, GenOutcome,
                                prime_inc_luc, sieve_window,
                                strong_luc_generate)
-from slucas.kernel import (SCREEN_REACH, _prime_blocks, _primes_to, jacobi,
-                           least_factor, primes_in, sieve_primes)
+from slucas.kernel import (MAX_ROUNDS, SCREEN_REACH, _prime_blocks,
+                           _primes_to, jacobi, least_factor, primes_in,
+                           sieve_primes)
 from slucas.lucas import PROBABLE_PRIME
 
 from conftest import mr_oracle
@@ -65,6 +66,13 @@ def test_config_validation():
         GenConfig(bits=4)
     with pytest.raises(ValueError):
         GenConfig(bits=32, rounds=0)
+    for rounds in (MAX_ROUNDS + 1, 10 ** 20):  # a prime would meet them all
+        with pytest.raises(ValueError, match=f"at most {MAX_ROUNDS}"):
+            GenConfig(bits=64, rounds=rounds)
+    assert GenConfig(bits=64, rounds=MAX_ROUNDS).rounds == 128
+    # 4,401 digits, past the interpreters' default limit on decimal text
+    with pytest.raises(ValueError, match="0 or 1 mod 4"):
+        GenConfig(bits=64, d=10 ** 4400 + 3)
     with pytest.raises(ValueError):
         GenConfig(bits=32, d=9)        # square discriminant
     with pytest.raises(ValueError, match="square"):

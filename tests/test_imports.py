@@ -239,8 +239,8 @@ SUBMODULE_API = {
     "bounds": ("ScreenCensus", "asymptotic_check", "chain_rule",
                "error_bound", "n1_bound_coarse", "n1_bound_refined", "nr_bound_split",
                "prime_count_exact", "prime_lower_bound", "qk1_analytic",
-               "qkr_upper", "rho", "screen_census", "table_rows",
-               "ykts_bound", "ykts_table_cell"),
+               "rho", "screen_census", "table_rows", "ykts_bound",
+               "ykts_table_cell"),
     "survey": ("ExactSurvey", "exact_qk1"),
 }
 SUBMODULE_OF = {name: module for module, names in SUBMODULE_API.items()

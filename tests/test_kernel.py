@@ -62,6 +62,11 @@ def test_check_discriminant_accepts_exactly_non_square_p2_minus_4q():
             fault = "square" if d in forms else "0 or 1 mod 4"
             with pytest.raises(ValueError, match=fault):
                 check_discriminant(d)
+    # 4,401 digits, past the interpreters' default limit on decimal text
+    with pytest.raises(ValueError, match="0 or 1 mod 4"):
+        check_discriminant(10 ** 4400 + 3)
+    with pytest.raises(ValueError, match="square"):
+        check_discriminant(10 ** 4400)
 
 
 def test_split_power_of_two():
