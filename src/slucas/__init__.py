@@ -17,7 +17,7 @@ _EXPORTS = {
               "sample_params", "select_d", "strong_lucas_round"),
     "classical": ("baillie_psw", "run_rounds"),
     "counting": ("alpha", "sl_count"),
-    "bounds": ("BoundReport", "q_bound"),
+    "bounds": ("BoundReport", "error_bound"),
     "generation": ("GenConfig", "GenOutcome", "prime_inc_luc",
                    "strong_luc_generate"),
 }

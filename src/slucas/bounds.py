@@ -10,10 +10,11 @@ reference-table generators; the exact small-k surveys are in
 
 ``ENGINES`` is the one table of which engine and sizing bound each k: a
 row per q table, the last row's engine running on to k = MAX_BOUND_K.
-``q_bound`` reads it as the tables do, ``error_bound`` with every class
-family summed.  The engines compute in ``_Wide``, a double with its own
-binary exponent that rounds as doubles do where they reach, so the tables
-come out bit for bit and ``terms['log2']`` stays finite past double range.
+The tables read it with one class family summed, ``error_bound`` (the
+one public q) with both.  The engines compute in ``_Wide``, a double with
+its own binary exponent that rounds as doubles do where they reach, so the
+tables come out bit for bit and ``terms['log2']`` stays finite past double
+range.
 """
 
 from __future__ import annotations
@@ -461,21 +462,13 @@ def _engine_q(k: int, r: int, l: int, M: int | None = None,
                        source=rep.source)
 
 
-def q_bound(k: int, r: int = 1, l: int = 8) -> BoundReport:
-    """The reference tables' q = N/(N + P) for r rounds on k-bit candidates.
+def error_bound(k: int, r: int = 1, l: int = 8) -> BoundReport:
+    """The error bound for r rounds on k-bit candidates: q = N/(N + P)
+    from the ENGINES row for k, both gcd-split class families summed.
 
     The terms hold the engine's terms, log2 q as ``log2``, and log2 N and
-    log2 P as ``liar_mass_log2`` and ``prime_mass_log2``.  Like the tables
-    it sums one gcd-split class family, so for r >= 2 it is the tables'
-    number, not a bound on all liars: ``error_bound`` is.
+    log2 P as ``liar_mass_log2`` and ``prime_mass_log2``.
     """
-    return _engine_q(k, r, l)
-
-
-def error_bound(k: int, r: int = 1, l: int = 8) -> BoundReport:
-    """The error bound for r rounds on k-bit candidates: q_bound's row with
-    both gcd-split class families summed (1.2e-17 at k = 400, r = 3, where
-    q_bound gives 7.2e-29)."""
     return _engine_q(k, r, l, full=True)
 
 
@@ -531,21 +524,6 @@ def ykts_table_cell(k: int, t: int, c: float) -> int:
     return max(0, math.floor(-rep.terms["log2"]))
 
 
-def asymptotic_check(k: int, t: int, c: float) -> tuple[bool, float]:
-    """Check the incremental bound against lambda * k^3 * 2^(-sqrt(k)).
-
-    lambda is 2c^2 + 1.  Returns (holds, witness) where witness
-    is the smallest lambda that would make the inequality tight; compared
-    in log2 space so huge k cannot underflow.
-    """
-    if k < 18:
-        raise ValueError("asymptotic form needs k >= 18")
-    log2y = ykts_bound(k, t, c).terms["log2"]
-    log2_envelope = 3 * math.log2(k) - math.sqrt(k)
-    witness = 2.0 ** (log2y - log2_envelope)
-    return log2y <= math.log2(2 * c * c + 1) + log2_envelope, witness
-
-
 # ---------------------------------------------------------------------------
 # table generators
 
@@ -560,8 +538,8 @@ def table_rows(which: int, l: int = 8, c: float = 1.0) -> tuple[list[str], list[
     """Regenerate one of the six reference tables; returns (header, rows).
 
     1: exact k-bit prime counts against the floor of the analytic bound
-    2-5: q_bound at one round, and at two where the table has that
-         column, over the k rows of the table's ENGINES row
+    2-5: the engines' q at one round, and at two where the table has
+         that column, over the k rows of the table's ENGINES row
     6: floor(-log2 y) for the incremental bound at the given c, t = 1..10
     """
     ks = TABLE_K_ROWS.get(which)
@@ -582,7 +560,7 @@ def table_rows(which: int, l: int = 8, c: float = 1.0) -> tuple[list[str], list[
         for k in ks:
             row = [k]
             for r in (1, 2) if last_q2 else (1,):
-                rep = q_bound(k, r, l) if r == 1 or k <= last_q2 else None
+                rep = _engine_q(k, r, l) if r == 1 or k <= last_q2 else None
                 row += [rep.m_opt, rep.value] if rep else [None, None]
             rows.append(row)
     else:
@@ -592,13 +570,26 @@ def table_rows(which: int, l: int = 8, c: float = 1.0) -> tuple[list[str], list[
     return header, rows
 
 
+def _ceil_scaled(x: float, places: int) -> int:
+    """ceil(x * 10^places) for a finite double x and places >= 0, exactly."""
+    n, d = x.as_integer_ratio()
+    return -(-n * 10 ** places // d)
+
+
+def _fixed6(x: float) -> str:
+    """x at 6 decimals, rounded up."""
+    units = _ceil_scaled(x, 6)
+    return f"{units // 10 ** 6}.{units % 10 ** 6:06d}"
+
+
 def format_tsv(header: list[str], rows: list[list]) -> str:
-    """Tab-separated rendering, floats at 6 decimals, blanks for None."""
+    """Tab-separated rendering, floats at 6 decimals rounded up (a bound
+    never prints below itself), blanks for None."""
     def cell(v) -> str:
         if v is None:
             return ""
         if isinstance(v, float):
-            return f"{v:.6f}"
+            return _fixed6(v)
         return str(v)
 
     lines = ["\t".join(header)]
@@ -607,19 +598,28 @@ def format_tsv(header: list[str], rows: list[list]) -> str:
 
 
 def format_q(rep: BoundReport) -> str:
-    """q at 6 decimals, or to 6 significant digits once below 1e-4.
+    """q at 6 decimals, or to 6 significant digits once below 1e-4, both
+    rounded up.
 
-    Read off ``terms['log2']``, so a q below the smallest double still
-    prints its mantissa and exponent.
+    A q below the smallest normal double is read off ``terms['log2']``,
+    so it still prints its mantissa and exponent.
     """
-    if rep.value >= 1e-4:
-        return f"{rep.value:.6f}"
-    log10 = rep.terms["log2"] * math.log10(2)
-    exponent = math.floor(log10)
-    mantissa = f"{10 ** (log10 - exponent):.6g}"
-    if mantissa == "10":
-        mantissa, exponent = "1", exponent + 1
-    return f"{mantissa}e{exponent:+03d}"
+    q = rep.value
+    if q >= 1e-4:
+        return _fixed6(q)
+    if q >= sys.float_info.min:
+        exponent = math.floor(math.log10(q))
+        digits = _ceil_scaled(q, 5 - exponent)
+        if digits > 10 ** 6:  # log10 rounded across a power of ten
+            exponent += 1
+            digits = _ceil_scaled(q, 5 - exponent)
+    else:
+        log10 = rep.terms["log2"] * math.log10(2)
+        exponent = math.floor(log10)
+        digits = math.ceil(10 ** (log10 - exponent + 5))
+    if digits == 10 ** 6:
+        digits, exponent = 10 ** 5, exponent + 1
+    return f"{digits / 10 ** 5:.6g}e{exponent:+03d}"
 
 
 def format_json(header: list[str], rows: list[list]) -> str:

@@ -6,8 +6,9 @@ Exit codes: 0 for probable-prime / success, 1 for composite / Fail,
 have any length.  stdout stays machine-parseable; anything chatty goes to
 stderr.  A handler checks only what names a flag: the rest is refused by
 the routine it calls (``run_rounds`` a --d or more than MAX_ROUNDS
-rounds, ``GenConfig`` the same for ``generate``, ``factorize`` an N past
-its ceiling, a bound engine its K), through ``_checked``, or by argparse.
+rounds, ``GenConfig`` the same and a --window past MAX_WINDOW for
+``generate``, ``factorize`` an N past its ceiling, a bound engine its
+K), through ``_checked``, or by argparse.
 
 A process imports only what its subcommand runs: each handler, and each
 branch of ``bounds``, imports its own modules, and the help text's limits
@@ -25,8 +26,8 @@ import sys
 
 from . import __version__
 from .kernel import (EXACT_SURVEY_MAX_K, MAX_BOUND_K, MAX_ROUNDS,
-                     MAX_SCREEN_DEPTH, MIN_SCREEN_DEPTH, check_discriminant,
-                     unlimited_digits)
+                     MAX_SCREEN_DEPTH, MAX_WINDOW, MIN_SCREEN_DEPTH,
+                     check_discriminant, unlimited_digits)
 
 
 class UsageError(Exception):
@@ -228,10 +229,11 @@ def _parser() -> argparse.ArgumentParser:
     sub.add_argument("--mode", choices=["uniform", "incremental"],
                      default="uniform", help="[default: %(default)s]")
     sub.add_argument("--window", type=int, default=None,
-                     help="Most candidates tested before FAIL [default: "
-                          "10*ceil(bits*ln 2) incremental, "
-                          "min(10^6, 64*2^(bits-2)) uniform]; "
-                          "the incremental walk also stops at 2^bits.")
+                     help="Most candidates tested before FAIL, 1 to "
+                          f"{MAX_WINDOW} [default: 10*ceil(bits*ln 2) "
+                          f"incremental, min({MAX_WINDOW}, 64*2^(bits-2)) "
+                          "uniform]; the incremental walk also stops at "
+                          "2^bits.")
     sub.add_argument("--d", type=integer, default=None,
                      help="Fix the discriminant.")
     sub.add_argument("--screen", type=int, default=MAX_SCREEN_DEPTH,
@@ -261,14 +263,18 @@ def _parser() -> argparse.ArgumentParser:
     item.add_argument("--single", nargs=2, type=int, metavar=("K", "R"),
                       help="One error bound: bit size K (17 to "
                            f"{MAX_BOUND_K}), rounds R >= 1. q prints at 6 "
-                           "decimals, or to 6 significant digits below 1e-4.")
+                           "decimals, or to 6 significant digits below 1e-4, "
+                           "rounded up.")
     item.add_argument("--survey-k", type=int,
                       help=f"Exact small-k survey (k <= {EXACT_SURVEY_MAX_K}) "
                            "as JSON.")
     sub.add_argument("--l", type=int, default=8,
                      help="Screen depth the bound engines assume "
-                          f"({MIN_SCREEN_DEPTH} to {MAX_SCREEN_DEPTH}). "
-                          "[default: %(default)s]")
+                          f"({MIN_SCREEN_DEPTH} to {MAX_SCREEN_DEPTH}); 8 "
+                          "is the least at which they carry the paper's "
+                          "(4/15)^t claim at every K from 17 to 100. "
+                          "--survey-k always screens 3 and 5, whatever "
+                          "--l is. [default: %(default)s]")
     sub.add_argument("--c", type=float, default=1.0,
                      help="Window constant for the incremental table (> 0). "
                           "[default: %(default)s]")

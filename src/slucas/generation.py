@@ -34,14 +34,10 @@ import random
 from typing import NamedTuple
 
 from .classical import miller_rabin_round, run_rounds
-from .kernel import (MAX_ROUNDS, MAX_SCREEN_DEPTH, MIN_SCREEN_DEPTH,
-                     SCREEN_REACH, _primes_to, check_discriminant,
-                     is_perfect_square, jacobi, least_factor, primes_in,
-                     sieve_window)
-
-# The cap on the uniform generator's default window of 64 draws per odd
-# k-bit value: a config no candidate survives ends in Fail, not a hang.
-MAX_UNIFORM_DRAWS = 10 ** 6
+from .kernel import (MAX_ROUNDS, MAX_SCREEN_DEPTH, MAX_WINDOW,
+                     MIN_SCREEN_DEPTH, SCREEN_REACH, _primes_to,
+                     check_discriminant, is_perfect_square, jacobi,
+                     least_factor, primes_in, sieve_window)
 
 # Largest trial-division bound, reached at k = 8192 bits: past it the
 # sieve and the cached primes (about 300,000 of them) would keep growing.
@@ -67,11 +63,11 @@ class GenConfig(_GenFields):
     the trial-division stage past it follows from ``bits`` alone (primes
     up to bits**2 / 16).
     ``window`` is the most candidates either generator tests before it
-    fails; None picks 10 * ceil(k * ln 2) for the incremental walk, which
-    also ends at 2**k, and min(MAX_UNIFORM_DRAWS, 64 * 2**(k - 2)) for
-    uniform draws, which miss an odd k-bit value with probability below
-    e^-64.  Every way of building one, ``_replace`` and ``_make``
-    included, checks the knobs.
+    fails, 1 to MAX_WINDOW; None picks 10 * ceil(k * ln 2) for the
+    incremental walk, which also ends at 2**k, and min(MAX_WINDOW,
+    64 * 2**(k - 2)) for uniform draws, which miss an odd k-bit value
+    with probability below e^-64.  Every way of building one, ``_replace``
+    and ``_make`` included, checks the knobs.
     """
 
     __slots__ = ()
@@ -85,8 +81,8 @@ class GenConfig(_GenFields):
         if not MIN_SCREEN_DEPTH <= self.screen <= MAX_SCREEN_DEPTH:
             raise ValueError(f"need {MIN_SCREEN_DEPTH} <= screen <= "
                              f"{MAX_SCREEN_DEPTH}")
-        if self.window is not None and self.window < 1:
-            raise ValueError("need window >= 1")
+        if self.window is not None and not 1 <= self.window <= MAX_WINDOW:
+            raise ValueError(f"need window >= 1 and at most {MAX_WINDOW}")
         if self.d is not None:
             check_discriminant(self.d)
         return self
@@ -200,7 +196,7 @@ def strong_luc_generate(cfg: GenConfig) -> GenOutcome:
         ("trial-division",
          lambda i, n: least_factor(n, SCREEN_REACH, bound) > 1),
     )
-    window = cfg.window or min(MAX_UNIFORM_DRAWS, 64 << (cfg.bits - 2))
+    window = cfg.window or min(MAX_WINDOW, 64 << (cfg.bits - 2))
     return _search(cfg, window, lambda i: _draw_odd(cfg.bits, draws),
                    screens, d)
 

@@ -47,7 +47,11 @@ MAX_SCREEN_DEPTH = 166
 # Most rounds one test or generator runs: (4/15)^128 is below 2^-240.
 MAX_ROUNDS = 128
 
-# Largest k that q_bound and the gcd-split classes accept.
+# Most candidates one generator run tests, and the cap on the uniform
+# default window: a config no candidate survives ends in Fail, not a hang.
+MAX_WINDOW = 10 ** 6
+
+# Largest k that the bound engines and the gcd-split classes accept.
 MAX_BOUND_K = 8192
 
 # Exact small-k surveys (slucas.survey) factor every candidate in the window.

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from slucas import kernel
 from slucas.bounds import (ENGINES, EXACT_CENSUS_MAX_K, MAX_BOUND_K,
                            PRIME_DENSITY, TABLE_K_ROWS, BoundReport,
-                           asymptotic_check, chain_rule, error_bound,
-                           format_json, format_q, format_tsv, m_split_range,
+                           _engine_q, chain_rule, error_bound, format_json,
+                           format_q, format_tsv, m_split_range,
                            n1_bound_coarse, n1_bound_refined, nr_bound_split,
-                           prime_count_exact, prime_lower_bound, q_bound,
-                           qk1_analytic, rho, screen_census,
-                           table_rows, ykts_bound, ykts_table_cell)
+                           prime_count_exact, prime_lower_bound, qk1_analytic,
+                           rho, screen_census, table_rows, ykts_bound,
+                           ykts_table_cell)
 from slucas.counting import (alpha_bar, is_twin_prime_product,
                              slpsp_bruteforce)
 from slucas.kernel import CapacityError, factorize, jacobi
@@ -157,7 +157,7 @@ def test_census_deeper_screen_is_smaller():
 
 
 def test_single_round_bound_reports():
-    rep = q_bound(60, 1)
+    rep = _engine_q(60, 1, 8)
     assert isinstance(rep, BoundReport)
     assert rep.m_opt == 9
     assert abs(rep.value - 0.204541) < 5e-6
@@ -218,7 +218,7 @@ def test_q_bound_is_a_probability_at_every_size(k, r):
     # the liar mass passes 2^1024 from k of about 1020 on and the r-round
     # weights fall below 2^-1074 from r of about 1024 on; q stays a
     # probability with a finite log2 either way
-    rep = q_bound(k, r)
+    rep = _engine_q(k, r, 8)
     log2 = rep.terms["log2"]
     assert math.isfinite(log2) and log2 <= 0
     assert 0 <= rep.value <= 1
@@ -235,7 +235,7 @@ def test_every_k_falls_in_exactly_one_engine_row():
         assert len(rows) == 1, k
     assert all(e.ks[-1] <= EXACT_CENSUS_MAX_K for e in ENGINES if e.exact)
     with pytest.raises(ValueError, match="--survey-k"):
-        q_bound(ENGINES[0].ks.start - 1, 1)
+        _engine_q(ENGINES[0].ks.start - 1, 1, 8)
 
 
 def test_engine_rows_are_the_q_tables_k_rows():
@@ -248,7 +248,7 @@ def test_engine_rows_are_the_q_tables_k_rows():
 def test_q_bound_changes_engine_exactly_at_the_row_edges():
     def route(k):
         # the one-round engine, and whether P is the exact prime count
-        rep = q_bound(k, 1)
+        rep = _engine_q(k, 1, 8)
         analytic = math.log2(PRIME_DENSITY) + k - math.log2(k)
         return (rep.source,
                 rep.terms["prime_mass_log2"] != pytest.approx(analytic))
@@ -258,7 +258,7 @@ def test_q_bound_changes_engine_exactly_at_the_row_edges():
     assert [k for k in range(18, 200) if route(k) != route(k - 1)] == [
         30, 42, 60]
     for k in (17, 30, 42, 60, 1000):
-        assert q_bound(k, 2).source == "multi-round split (large-gcd)"
+        assert _engine_q(k, 2, 8).source == "multi-round split (large-gcd)"
 
 
 @settings(max_examples=40, deadline=None)
@@ -272,16 +272,16 @@ def test_error_bound_is_a_probability_at_least_q_bound(k, r):
     for b in (rep, more):
         assert math.isfinite(b.terms["log2"])
         assert 0 <= b.value <= 1
-    assert rep.value >= q_bound(k, r).value
+    assert rep.value >= _engine_q(k, r, 8).value
     assert more.value <= rep.value
     assert more.terms["log2"] <= rep.terms["log2"]
 
 
 def test_q_bound_stops_at_max_k():
-    assert q_bound(MAX_BOUND_K, 3, 166).value > 0
+    assert _engine_q(MAX_BOUND_K, 3, 166).value > 0
     for k in (MAX_BOUND_K + 1, 10 ** 8):
         with pytest.raises(ValueError, match=f"k = {MAX_BOUND_K}"):
-            q_bound(k, 3)
+            _engine_q(k, 3, 8)
     with pytest.raises(ValueError, match=f"k = {MAX_BOUND_K}"):
         nr_bound_split(MAX_BOUND_K + 1, 2)
 
@@ -290,15 +290,31 @@ def test_format_q():
     def fmt(q):
         return format_q(BoundReport(q, 3, {"log2": math.log2(q)}, ""))
 
-    assert fmt(0.2045404367) == "0.204540"
-    assert fmt(1e-4) == "0.000100"
+    # every digit rounds up, so a bound never prints below itself
+    assert fmt(0.2045404367) == "0.204541"
+    assert fmt(0.25) == "0.250000"              # exact values stay put
+    assert fmt(1e-4) == "0.000101"              # the double is above 10^-4
     assert fmt(5.552569e-05) == "5.55257e-05"
+    assert fmt(5.552561e-05) == "5.55257e-05"
     assert fmt(9.9999999e-05) == "1e-04"       # the mantissa rounds up to 10
-    assert fmt(2.5e-300) == "2.5e-300"
+    assert fmt(2.5e-300) == "2.5e-300"          # the double is below it
+    assert fmt(1e-300) == "1.00001e-300"        # and this one above
     # below the smallest double only the log2 is left to print from:
     # 2^-9029 = 1.000389558e-2718
     tiny = BoundReport(0.0, 3, {"log2": -9029.0}, "")
     assert format_q(tiny) == "1.00039e-2718"
+
+
+def test_table_cells_round_up():
+    # the tsv q cells round up as format_q does; json keeps the double
+    x = 0.2045404367
+    assert format_tsv(["q"], [[x], [0.25], [0.0]]) == (
+        "q\n0.204541\n0.250000\n0.000000\n")
+    assert json.loads(format_json(["q"], [[x]])) == [{"q": x}]
+    header, rows = table_rows(3)
+    for row, line in zip(rows, format_tsv(header, rows).splitlines()[1:]):
+        printed = Fraction(line.split("\t")[2])
+        assert 0 <= printed - Fraction(row[2]) < Fraction(1, 10 ** 6)
 
 
 def test_chain_rule_at_threshold():
@@ -363,12 +379,6 @@ def test_ykts_bound_past_float_range_is_value_error():
         ykts_bound(100, 1, 1e300)          # the bound overflows
     # at c = 1e155 some split points overflow, the minimum does not
     assert ykts_bound(100, 1, 1e155).terms["log2"] < 1024
-
-
-def test_asymptotic_check_holds_for_defaults():
-    for k in (64, 128, 256, 1024):
-        holds, witness = asymptotic_check(k, 2, 1.0)
-        assert holds, witness
 
 
 def test_method_a_discriminant_sequence():
@@ -508,6 +518,33 @@ def test_table_formats_round_trip():
 
 def test_bound_engine_stays_under_thresholds():
     for k in range(42, 101):
-        assert q_bound(k, 1).value < 4 / 19
+        assert _engine_q(k, 1, 8).value < 4 / 19
     for k in range(30, 34):
-        assert q_bound(k, 2).value < 16 / 241
+        assert _engine_q(k, 2, 8).value < 16 / 241
+    # the paper's claim through error_bound, from screen depth 8 on: one
+    # prime less in the screen and the smallest k lose both routes
+    assert _claim_routes(8) == ([*range(17, 27), *range(30, 34)], [])
+    assert _claim_routes(7)[1] == [17, 18, 19]
+
+
+def _claim_routes(l):
+    """The k in 17..100 whose error_bound at screen depth l reaches the
+    paper's claim q_t <= (4/15)^t for every t only by the two-round route,
+    and those it reaches by neither.  Either q1 <= 4/19, so that chain_rule
+    from one round gives it, or q1 < 4/15 and q2 <= (4/15)^2 / (1 +
+    (4/15)^2), so that chain_rule from two rounds does."""
+    second, neither = [], []
+    for k in range(17, 101):
+        q1 = error_bound(k, 1, l).value
+        if q1 <= 4 / 19:
+            assert all(chain_rule(q1, 1, t) <= (4 / 15) ** t
+                       for t in range(2, 11)), k
+            continue
+        q2 = error_bound(k, 2, l).value
+        if q1 < 4 / 15 and q2 <= (4 / 15) ** 2 / (1 + (4 / 15) ** 2):
+            assert all(chain_rule(q2, 2, t) <= (4 / 15) ** t
+                       for t in range(3, 11)), k
+            second.append(k)
+        else:
+            neither.append(k)
+    return second, neither

@@ -17,7 +17,7 @@ import pytest
 import slucas
 from slucas.cli import main
 from slucas.generation import GenOutcome
-from slucas.kernel import unlimited_digits
+from slucas.kernel import MAX_WINDOW, unlimited_digits
 from slucas.lucas import select_d
 
 from conftest import LATE_D_PRIME, mr_oracle
@@ -243,21 +243,41 @@ def test_generate_usage_error(run):
     assert run("generate", "--bits", 32, "--screen", 166).exit_code == 0
 
 
-@pytest.mark.parametrize("args", [
-    ("test", 1000003, "-t", 10 ** 20),
-    ("generate", "--bits", 64, "-t", 10 ** 20, "--seed", 1),
-], ids=["test", "generate"])
-def test_rounds_past_the_ceiling_are_refused_at_once(args):
+def _refused_in_own_process(args, error):
     # in a process of its own, so that a regression fails here instead of
-    # running 10^20 rounds
+    # running for ever or running out of memory
     env = dict(os.environ, PYTHONPATH=str(Path(slucas.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", "from slucas.cli import main; main()",
          *map(str, args)], capture_output=True, env=env, text=True, timeout=30)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr.splitlines()[-1] == (f"slucas {args[0]}: error: "
-                                            "need rounds >= 1 and at most 128")
+    assert proc.stderr.splitlines()[-1] == f"slucas {args[0]}: error: {error}"
+
+
+@pytest.mark.parametrize("args", [
+    ("test", 1000003, "-t", 10 ** 20),
+    ("generate", "--bits", 64, "-t", 10 ** 20, "--seed", 1),
+], ids=["test", "generate"])
+def test_rounds_past_the_ceiling_are_refused_at_once(args):
+    _refused_in_own_process(args, "need rounds >= 1 and at most 128")
+
+
+@pytest.mark.parametrize("args", [
+    # no 5-bit prime passes d = 93, so every draw of the window would run
+    ("--bits", 5, "--d", 93, "--window", 10 ** 20, "--seed", 1),
+    # the incremental sieve would ask for a byte per candidate up front
+    ("--bits", 64, "--mode", "incremental", "--window", 10 ** 20),
+], ids=["uniform", "incremental"])
+def test_window_past_the_ceiling_is_refused_at_once(args):
+    _refused_in_own_process(("generate", *args),
+                            "need window >= 1 and at most 1000000")
+
+
+def test_window_at_the_ceiling_is_accepted(run):
+    res = run("generate", "--bits", 64, "--window", MAX_WINDOW, "--seed", 1)
+    assert res.exit_code == 0
+    assert f"1 to {MAX_WINDOW}" in run("generate", "--help").output
 
 
 def test_rounds_at_the_ceiling_are_accepted(run):
@@ -439,14 +459,13 @@ def test_bounds_survey_stdout_is_pinned(run, k):
     assert digest == SURVEY_STDOUT_SHA256[k]
 
 
-# SHA-256 of the stdout of `slucas bounds --table T --format F`, taken
-# before q_bound and table_rows were folded into one engine chain
+# SHA-256 of the stdout of `slucas bounds --table T --format F`
 TABLE_STDOUT_SHA256 = {
     ("tsv", 1): "7180c0f5514a3f8c78453f4f38a1732a6c6c6f5a5eb8a312ee5c652bdea7e758",
-    ("tsv", 2): "fea0943e7c2f7d66df0e2f2c3a64617f1b5cb3940252e31366c4317b3c763ffb",
-    ("tsv", 3): "89bf62fce6c3a69b57567aa3accfb1b64b691059c99092e2d8e94f1bfb931cf9",
-    ("tsv", 4): "65a5c0d727290993a35918046ee4abff2578f22f9322ff1d9817625b646b876a",
-    ("tsv", 5): "4d992921123883bc5b8f00416e06d6010bff5200e98ef3cb5fc39aa165be67bd",
+    ("tsv", 2): "95484d866c94b0d25e16a5d2e4593cbc04295a619c93ba8c9103d5ec279db54d",
+    ("tsv", 3): "066ad3ff1c4c7908e209e4979a5c397cb7a43092f382168193dea22ef1a7d449",
+    ("tsv", 4): "d1e748b70f024c83ce3dbb8da8411f257d8ec890d035f0ec3505df2d075023da",
+    ("tsv", 5): "df0a9106e11cec4168f124ad677e55420be3dc78233b3e835a480cc67e19c308",
     ("tsv", 6): "3a477e5e278e1ebaff0cb2bc6ec27c2f2529027d5aa646b91ac6a3cc20da5485",
     ("json", 1): "81223c18d16d06b9672bebb2c7eb3ae2ff0ecab846bf0041c135eb141d8ab739",
     ("json", 2): "e3dc098c844e633b52ed161fc584167b72468e411a8a0e87cb56f9f79775fa38",
@@ -467,18 +486,15 @@ def test_bounds_table_stdout_is_pinned(run, fmt, table):
 
 
 # SHA-256 of the stdout of `slucas bounds --single K R`, one per engine
-# and round count, taken at the same point as the table digests; (17, 1),
-# (17, 2), (29, 2), (33, 2) and (41, 1) were retaken when --single moved
-# from the tables' one-family q_bound to error_bound, which sums both
-# gcd-split class families: (33, 2) printed 5.55257e-05 and prints 0.005202
+# and round count
 SINGLE_STDOUT_SHA256 = {
     (17, 1): "ce65d7cff7fc09233d4b86a6f771c4c32dc16d182dea717eda45cb6638221aad",
-    (17, 2): "ce807f5f5afc570d278d6747b3f827fa196e06373284fd487386c4d418cd0856",
-    (29, 2): "ec2f65701a0dd2f05843dcab4a06b5dad2c8cb0f5889c1c8e7ea156abe87df84",
+    (17, 2): "f6d724229ef71f5fcf94abde8babfdc88ba188a0646bf774a3a984025e772816",
+    (29, 2): "46a4a29ea802c115e3a1f6e5038486745cdf56f1395ef9021a1faec2691b32d7",
     (33, 2): "7aea145bfda98151923abcf7375613faac9eef8920b779418acdf713d8f4d5ef",
-    (41, 1): "0cc96f3323b77c15511d6849c37528784d7494d730f09fbca891eb16c53f03c1",
+    (41, 1): "2de9be50f3b721792f3a30b093e5bb45a404f44dd0e07f6abeb9d2fb93a523b6",
     (59, 1): "1cc8cfbea4d03a6d2dbd1b16c93be8574d2bc3ad0723f5f30a67bca39e8b9c53",
-    (100, 1): "9654fd6c18df366d5ed2c09b5e311fd1982ed013254d7e18175863afa355d789",
+    (100, 1): "a3954538706d5b8f170d964102a157448b4d180b324cfe4dbab1e77b9ca6011f",
 }
 
 
@@ -692,3 +708,11 @@ def test_readme_example_prints_what_it_shows(run, monkeypatch, tmp_path,
     if echo:
         lines.append(str(res.exit_code))
     assert lines == expected
+
+
+def test_readme_library_block_runs_as_written():
+    # so that a name the package drops cannot outlive its docs
+    library = README.read_text().partition("\n## Library\n")[2]
+    code = library.partition("```python\n")[2].partition("```")[0]
+    assert "from slucas import" in code
+    exec(compile(code, str(README), "exec"), {})

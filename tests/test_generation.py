@@ -9,7 +9,7 @@ from slucas import generation
 from slucas.generation import (MAX_SCREEN_DEPTH, GenConfig, GenOutcome,
                                prime_inc_luc, sieve_window,
                                strong_luc_generate)
-from slucas.kernel import (MAX_ROUNDS, SCREEN_REACH, _prime_blocks,
+from slucas.kernel import (MAX_ROUNDS, MAX_WINDOW, SCREEN_REACH, _prime_blocks,
                            _primes_to, jacobi, least_factor, primes_in,
                            sieve_primes)
 from slucas.lucas import PROBABLE_PRIME
@@ -86,8 +86,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         GenConfig(bits=32, screen=200)
     assert GenConfig(bits=32).screen == MAX_SCREEN_DEPTH == 166
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="window >= 1"):
         GenConfig(bits=32, window=0)
+    with pytest.raises(ValueError, match=f"at most {MAX_WINDOW}"):
+        GenConfig(bits=32, window=MAX_WINDOW + 1)
+    assert GenConfig(bits=32, window=MAX_WINDOW).window == 10 ** 6
     GenConfig(bits=32, d=-7)           # fine
 
 

@@ -207,7 +207,7 @@ PUBLIC_API = {
     "sample_params", "select_d", "strong_lucas_round",
     "baillie_psw", "run_rounds",
     "alpha", "sl_count",
-    "BoundReport", "q_bound",
+    "BoundReport", "error_bound",
     "GenConfig", "GenOutcome", "prime_inc_luc", "strong_luc_generate",
     "__version__",
 }
@@ -236,11 +236,10 @@ SUBMODULE_API = {
                  "lucas_count", "lucas_uv_mod", "mr_count", "phi_d",
                  "psp_to_lpsp_compose", "slpsp_bruteforce",
                  "worst_case_ceiling"),
-    "bounds": ("ScreenCensus", "asymptotic_check", "chain_rule",
-               "error_bound", "n1_bound_coarse", "n1_bound_refined", "nr_bound_split",
-               "prime_count_exact", "prime_lower_bound", "qk1_analytic",
-               "rho", "screen_census", "table_rows", "ykts_bound",
-               "ykts_table_cell"),
+    "bounds": ("ScreenCensus", "chain_rule", "n1_bound_coarse",
+               "n1_bound_refined", "nr_bound_split", "prime_count_exact",
+               "prime_lower_bound", "qk1_analytic", "rho", "screen_census",
+               "table_rows", "ykts_bound", "ykts_table_cell"),
     "survey": ("ExactSurvey", "exact_qk1"),
 }
 SUBMODULE_OF = {name: module for module, names in SUBMODULE_API.items()
