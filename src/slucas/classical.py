@@ -10,12 +10,25 @@ import math
 
 from .kernel import (MAX_ROUNDS, SCREEN_REACH, check_discriminant,
                      is_strong_probable_prime, least_factor)
-from .lucas import (LucasParams, ParamSearchError, RoundResult, Verdict,
-                    PROBABLE_PRIME, lucas_round, sample_params, select_d,
+from .lucas import (COMPOSITE, PROBABLE_PRIME, LucasParams, ParamSearchError,
+                    RoundResult, lucas_round, sample_params, select_d,
                     strong_lucas_round)
 
+# The rejections that carry no factor, built once (see lucas.PROBABLE_PRIME).
+MILLER_RABIN = RoundResult(COMPOSITE, "miller-rabin")
+FERMAT = RoundResult(COMPOSITE, "fermat")
+PERFECT_SQUARE = RoundResult(COMPOSITE, "perfect-square")
+D_SEARCH = RoundResult(COMPOSITE, "d-search")
+PARAM_SEARCH = RoundResult(COMPOSITE, "param-search")
 
-def _base_round(n: int, a: int, name: str, passes, reason: str) -> RoundResult:
+# baillie_psw's trial-division rejection for each prime below SCREEN_REACH,
+# built when the prime first rejects an n; a larger factor, which only a
+# larger trial_limit finds, is built afresh, so at most 168 entries.
+_trial_rejections: dict[int, RoundResult] = {}
+
+
+def _base_round(n: int, a: int, name: str, passes,
+                rejection: RoundResult) -> RoundResult:
     # a base sharing a factor with n certifies compositeness outright, so
     # that case returns the factor rather than a verdict on ``passes``
     if n < 3 or n % 2 == 0:
@@ -24,22 +37,20 @@ def _base_round(n: int, a: int, name: str, passes, reason: str) -> RoundResult:
         raise ValueError("base must satisfy 2 <= a <= n-2")
     g = math.gcd(a, n)
     if g > 1:
-        return RoundResult(Verdict.COMPOSITE, "bad-base", g)
-    if passes(n, a):
-        return PROBABLE_PRIME
-    return RoundResult(Verdict.COMPOSITE, reason)
+        return RoundResult(COMPOSITE, "bad-base", g)
+    return PROBABLE_PRIME if passes(n, a) else rejection
 
 
 def fermat_round(n: int, a: int) -> RoundResult:
     """One Fermat round: does a**(n-1) = 1 mod n?"""
     return _base_round(n, a, "fermat_round",
-                       lambda n, a: pow(a, n - 1, n) == 1, "fermat")
+                       lambda n, a: pow(a, n - 1, n) == 1, FERMAT)
 
 
 def miller_rabin_round(n: int, a: int) -> RoundResult:
     """One Miller-Rabin round at base a (kernel.is_strong_probable_prime)."""
     return _base_round(n, a, "miller_rabin_round", is_strong_probable_prime,
-                       "miller-rabin")
+                       MILLER_RABIN)
 
 
 def run_rounds(n: int, method: str, rounds: int, rng,
@@ -74,7 +85,7 @@ def run_rounds(n: int, method: str, rounds: int, rng,
             try:
                 d = select_d(n)
             except ParamSearchError:
-                return RoundResult(Verdict.COMPOSITE, "d-search"), 1
+                return D_SEARCH, 1
         else:
             check_discriminant(d)
             if (shared := math.gcd(d, n)) > 1:
@@ -87,7 +98,7 @@ def run_rounds(n: int, method: str, rounds: int, rng,
         try:
             res = check(n, draw())
         except ParamSearchError:
-            res = RoundResult(Verdict.COMPOSITE, "param-search")
+            res = PARAM_SEARCH
         if not res:
             return res, i
     return PROBABLE_PRIME, rounds
@@ -110,12 +121,18 @@ def baillie_psw(n: int, trial_limit: int = SCREEN_REACH) -> RoundResult:
     if p == n:
         return PROBABLE_PRIME
     if p > 1:
-        return RoundResult(Verdict.COMPOSITE, "trial-division", p)
-    base2 = miller_rabin_round(n, 2)
-    if not base2:
-        return base2
+        res = _trial_rejections.get(p)
+        if res is None:
+            res = RoundResult(COMPOSITE, "trial-division", p)
+            if p < SCREEN_REACH:
+                _trial_rejections[p] = res
+        return res
+    # n is odd, at least 5 and has no factor below trial_limit: all that
+    # miller_rabin_round would check before the strong test itself
+    if not is_strong_probable_prime(n, 2):
+        return MILLER_RABIN
     try:
         d = select_d(n)
     except ParamSearchError:  # only a square has no D with (D/n) = -1
-        return RoundResult(Verdict.COMPOSITE, "perfect-square")
+        return PERFECT_SQUARE
     return strong_lucas_round(n, LucasParams(1, (1 - d) // 4))

@@ -100,16 +100,12 @@ def cmd_test(args) -> int:
     from .classical import baillie_psw, run_rounds
 
     n, method, rounds, d = args.n, args.method, args.rounds, args.d
-    if n < 5 or n % 2 == 0:
-        raise UsageError("n must be odd and >= 5")
-    if rounds < 1:
-        raise UsageError("rounds must be >= 1")
-    if method == "bpsw":
+    if method == "bpsw":  # bpsw ignores --rounds
         if d is not None:
             raise UsageError("--d applies to the Lucas methods only, "
                              "not to --method bpsw")
-        passed, rounds_run = baillie_psw(n), 1
-    else:  # run_rounds refuses an unusable d before any round
+        passed, rounds_run = _checked(baillie_psw, n), 1
+    else:  # run_rounds refuses a bad n, rounds or d before any round
         passed, rounds_run = _checked(run_rounds, n, method, rounds,
                                       random.Random(args.seed), d)
     verdict = "probable prime" if passed else "composite"

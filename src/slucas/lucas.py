@@ -29,6 +29,11 @@ class Verdict(enum.Enum):
     BAD_PARAMS = "bad-params"
 
 
+# The members as module globals: a global read is cheaper than the enum's
+# class attribute lookup, and every round builds or tests a verdict.
+PRIME, COMPOSITE, BAD_PARAMS = Verdict
+
+
 class RoundResult(NamedTuple):
     """Outcome of one test round.
 
@@ -41,10 +46,14 @@ class RoundResult(NamedTuple):
     factor: int | None = None
 
     def __bool__(self) -> bool:
-        return self.verdict is Verdict.PROBABLE_PRIME
+        return self.verdict is PRIME
 
 
-PROBABLE_PRIME = RoundResult(Verdict.PROBABLE_PRIME)
+# Results that carry no factor are immutable and built once; compare
+# results with == or bool, as only the Verdict members are singletons.
+PROBABLE_PRIME = RoundResult(PRIME)
+NO_ZERO_TERM = RoundResult(COMPOSITE, "no-zero-term")
+U_NONZERO = RoundResult(COMPOSITE, "u-nonzero")
 
 
 class LucasParams(NamedTuple):
@@ -67,14 +76,14 @@ def _check_args(n: int, params: LucasParams) -> RoundResult | None:
         raise ValueError("test expects an odd integer n >= 5")
     P, Q, D = params.P, params.Q, params.D
     if D == 0:
-        return RoundResult(Verdict.BAD_PARAMS, "square-discriminant")
+        return RoundResult(BAD_PARAMS, "square-discriminant")
     for name, value in (("P", P), ("Q", Q), ("D", D)):
         g = math.gcd(value, n)
         if 1 < g < n:
-            return RoundResult(Verdict.COMPOSITE, f"gcd-{name}", g)
+            return RoundResult(COMPOSITE, f"gcd-{name}", g)
         if g == n and name != "P":
             # Q or D divisible by n: the sequence degenerates
-            return RoundResult(Verdict.BAD_PARAMS, f"{name}-vanishes")
+            return RoundResult(BAD_PARAMS, f"{name}-vanishes")
     return None
 
 
@@ -122,7 +131,7 @@ def lucas_round(n: int, params: LucasParams) -> RoundResult:
         product = product * term % n
     if product == 0:
         return PROBABLE_PRIME
-    return RoundResult(Verdict.COMPOSITE, "u-nonzero")
+    return U_NONZERO
 
 
 def strong_lucas_round(n: int, params: LucasParams) -> RoundResult:
@@ -133,7 +142,7 @@ def strong_lucas_round(n: int, params: LucasParams) -> RoundResult:
         return early
     if 0 in _zero_terms(n, params):
         return PROBABLE_PRIME
-    return RoundResult(Verdict.COMPOSITE, "no-zero-term")
+    return NO_ZERO_TERM
 
 
 MAX_PARAM_TRIES = 128

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slucas import classical, kernel
 from slucas.classical import (baillie_psw, fermat_round, miller_rabin_round,
                               run_rounds)
-from slucas import kernel
-from slucas.kernel import (MAX_ROUNDS, SIEVE_LIMIT, CapacityError, factorize,
-                           is_perfect_square, sieve_primes)
+from slucas.kernel import (MAX_ROUNDS, SCREEN_REACH, SIEVE_LIMIT,
+                           CapacityError, factorize, is_perfect_square,
+                           sieve_primes)
 from slucas.lucas import (PROBABLE_PRIME, LucasParams, RoundResult, Verdict,
                           select_d, strong_lucas_round)
 
@@ -18,7 +19,7 @@ from conftest import LATE_D_PRIME
 
 def test_fermat_round_basics():
     assert fermat_round(341, 2)          # classic base-2 pseudoprime
-    assert not fermat_round(341, 3)
+    assert fermat_round(341, 3) == RoundResult(Verdict.COMPOSITE, "fermat")
     assert fermat_round(561, 2) and fermat_round(561, 5)  # Carmichael
     res = fermat_round(561, 3)           # shared factor detected via gcd
     assert res.verdict is Verdict.COMPOSITE and res.factor == 3
@@ -26,7 +27,8 @@ def test_fermat_round_basics():
 
 def test_miller_rabin_round_basics():
     assert miller_rabin_round(2047, 2)   # smallest strong pseudoprime base 2
-    assert not miller_rabin_round(2047, 3)
+    assert miller_rabin_round(2047, 3) == RoundResult(Verdict.COMPOSITE,
+                                                      "miller-rabin")
     assert not miller_rabin_round(561, 2)
     assert not miller_rabin_round(341, 2)
 
@@ -132,6 +134,21 @@ def test_bpsw_trial_stage_edge_cases():
                       (3 * 997, 3), (19 * 23, 19), (997 * 1009, 997)):
         assert baillie_psw(n) == RoundResult(
             Verdict.COMPOSITE, "trial-division", factor)
+
+
+def test_bpsw_trial_rejections_stay_bounded():
+    # a factor past SCREEN_REACH is reported but not kept
+    assert baillie_psw(1009 * 1013, trial_limit=2000) == RoundResult(
+        Verdict.COMPOSITE, "trial-division", 1009)
+    assert all(p < SCREEN_REACH for p in classical._trial_rejections)
+    assert len(classical._trial_rejections) <= len(sieve_primes(SCREEN_REACH))
+
+
+def test_bpsw_trial_rejections_by_one_prime_agree():
+    first, second = baillie_psw(7 * 10007), baillie_psw(7 * 10009)
+    assert first == second == RoundResult(Verdict.COMPOSITE,
+                                          "trial-division", 7)
+    assert classical._trial_rejections[7] == first
 
 
 # strong pseudoprimes to base 2 that no prime below 1000 divides

@@ -77,6 +77,16 @@ def test_test_usage_errors(run):
     assert run("test", "notanumber").exit_code == 2
 
 
+def test_test_bpsw_takes_n_from_3(run):
+    # baillie_psw, not the CLI, owns bpsw's domain: 3 passes, 4 is refused
+    res = run("test", 3, "--method", "bpsw")
+    assert (res.exit_code, res.output) == (
+        0, "probable prime method=bpsw rounds=1\n")
+    res = run("test", 4, "--method", "bpsw")
+    assert res.exit_code == 2
+    assert "odd n >= 3" in res.output and "Traceback" not in res.output
+
+
 def test_test_all_methods_agree_on_primes(run):
     for method in ("lucas", "strong-lucas", "miller-rabin", "fermat", "bpsw"):
         res = run("test", 65537, "--method", method, "--seed", 1)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from slucas.counting import _lucas_pass_raw, _strong_pass_raw, lucas_uv_mod
 from slucas.kernel import (is_perfect_square, jacobi, sieve_primes,
                            split_power_of_two)
+from slucas import lucas
 from slucas.lucas import (PROBABLE_PRIME, LucasParams, ParamSearchError,
                           RoundResult, Verdict, _check_args, lucas_round,
                           sample_params, select_d, strong_lucas_round)
@@ -51,6 +52,19 @@ def test_mod_ladder_matches_exact(m, P, Q):
     u, v = naive_uv(m, P, Q)
     um, vm, _ = lucas_uv_mod(m, P, Q, n)
     assert um == u % n and vm == v % n
+
+
+def test_verdict_constants_are_the_members():
+    assert lucas.PRIME is Verdict.PROBABLE_PRIME
+    assert lucas.COMPOSITE is Verdict.COMPOSITE
+    assert lucas.BAD_PARAMS is Verdict.BAD_PARAMS
+
+
+@pytest.mark.parametrize("verdict", list(Verdict))
+def test_result_is_true_only_for_a_probable_prime(verdict):
+    expected = verdict is Verdict.PROBABLE_PRIME
+    assert bool(RoundResult(verdict)) is expected
+    assert bool(RoundResult(verdict, "some-reason", 7)) is expected
 
 
 def test_round_rejects_shared_factor():
