@@ -8,8 +8,8 @@ the split point M), the incremental-search window bounds, and the
 reference-table generators; the exact small-k surveys are in
 ``slucas.survey``.
 
-``ENGINES`` is the one table of which engine and sizing bound each k: a
-row per q table, the last row's engine running on to k = MAX_BOUND_K.
+``ENGINES`` is the one table of which engine bounds each k: a row per
+q table, the last row's engine running on to k = MAX_BOUND_K.
 The tables read it with one class family summed, ``error_bound`` (the
 one public q) with both.  The engines compute in ``_Wide``, a double with
 its own binary exponent that rounds as doubles do where they reach, so the
@@ -27,14 +27,15 @@ from bisect import bisect_right
 from functools import lru_cache, reduce
 from typing import Callable, NamedTuple
 
-from .kernel import (MAX_BOUND_K, MAX_SCREEN_DEPTH, MIN_SCREEN_DEPTH,
-                     CapacityError, _primes_to, count_primes_in_range)
+from .kernel import (MAX_BOUND_K, MAX_SCREEN_DEPTH, MIN_BOUND_K,
+                     MIN_SCREEN_DEPTH, CapacityError, _primes_to,
+                     count_primes_in_range)
 
 # Lower-bound constant for the count of k-bit primes: more than
 # PRIME_DENSITY * 2^k / k of them for every k >= 8.
 PRIME_DENSITY = 0.71867
 
-# The largest k the exact census (its prime count) reaches.
+# The largest k the exact census reaches; the engines read it up to there.
 EXACT_CENSUS_MAX_K = 29
 
 
@@ -407,7 +408,7 @@ def qk1_analytic(k: int, l: int = 8) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the engine table: which engine and sizing bound each (k, r)
+# the engine table: which engine bounds each (k, r)
 
 
 class Engine(NamedTuple):
@@ -416,16 +417,15 @@ class Engine(NamedTuple):
     table: int                             # the q table the row feeds
     ks: range                              # that table's k rows
     one_round: Callable[..., BoundReport]  # the engine at r = 1
-    exact: bool                            # exact census, else analytic sizes
     last_q2: int | None                    # last k of a two-round column
 
 
 # in k order; the last row's engine runs on past its table to MAX_BOUND_K
 ENGINES = (
-    Engine(5, range(17, 30), nr_bound_split, True, 26),
-    Engine(4, range(30, 42), nr_bound_split, False, 33),
-    Engine(3, range(42, 60), n1_bound_refined, False, None),
-    Engine(2, range(60, 101), n1_bound_coarse, False, None),
+    Engine(5, range(MIN_BOUND_K, EXACT_CENSUS_MAX_K + 1), nr_bound_split, 26),
+    Engine(4, range(30, 42), nr_bound_split, 33),
+    Engine(3, range(42, 60), n1_bound_refined, None),
+    Engine(2, range(60, 101), n1_bound_coarse, None),
 )
 
 
@@ -434,14 +434,13 @@ def _engine_q(k: int, r: int, l: int, M: int | None = None,
     """q = N/(N + P) from the ENGINES row for k at split point M (the best
     when None), summing both gcd-split class families when ``full``, else
     the tables' one: small-gcd at r = 1, large-gcd at r >= 2."""
-    if k < ENGINES[0].ks.start:
-        raise ValueError(f"the bound engines start at k = "
-                         f"{ENGINES[0].ks.start}; the exact survey "
-                         "(--survey-k) covers smaller k")
+    if k < MIN_BOUND_K:
+        raise ValueError(f"the bound engines start at k = {MIN_BOUND_K}; "
+                         "the exact survey (--survey-k) covers smaller k")
     if k > MAX_BOUND_K:
         raise ValueError(f"bounds stop at k = {MAX_BOUND_K}")
     row = next(e for e in reversed(ENGINES) if e.ks.start <= k)
-    if row.exact:
+    if k <= EXACT_CENSUS_MAX_K:
         census = screen_census(k, l, exact=True)
         m_size, prime_mass = census.survivors, _Wide(census.primes)
     else:

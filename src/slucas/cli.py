@@ -26,8 +26,8 @@ import sys
 
 from . import __version__
 from .kernel import (EXACT_SURVEY_MAX_K, MAX_BOUND_K, MAX_ROUNDS,
-                     MAX_SCREEN_DEPTH, MAX_WINDOW, MIN_SCREEN_DEPTH,
-                     check_discriminant, unlimited_digits)
+                     MAX_SCREEN_DEPTH, MAX_WINDOW, MIN_BOUND_K,
+                     MIN_SCREEN_DEPTH, check_discriminant, unlimited_digits)
 
 
 class UsageError(Exception):
@@ -257,7 +257,7 @@ def _parser() -> argparse.ArgumentParser:
     item.add_argument("--table", type=int, choices=range(1, 7),
                       help="Regenerate a whole reference table.")
     item.add_argument("--single", nargs=2, type=int, metavar=("K", "R"),
-                      help="One error bound: bit size K (17 to "
+                      help=f"One error bound: bit size K ({MIN_BOUND_K} to "
                            f"{MAX_BOUND_K}), rounds R >= 1. q prints at 6 "
                            "decimals, or to 6 significant digits below 1e-4, "
                            "rounded up.")
@@ -268,8 +268,8 @@ def _parser() -> argparse.ArgumentParser:
                      help="Screen depth the bound engines assume "
                           f"({MIN_SCREEN_DEPTH} to {MAX_SCREEN_DEPTH}); 8 "
                           "is the least at which they carry the paper's "
-                          "(4/15)^t claim at every K from 17 to 100. "
-                          "--survey-k always screens 3 and 5, whatever "
+                          f"(4/15)^t claim at every K from {MIN_BOUND_K} to "
+                          "100. --survey-k always screens 3 and 5, whatever "
                           "--l is. [default: %(default)s]")
     sub.add_argument("--c", type=float, default=1.0,
                      help="Window constant for the incremental table (> 0). "

@@ -135,12 +135,8 @@ def alpha(n: int | Factorization, D: int) -> Fraction:
 
 def is_twin_prime_product(n: int | Factorization) -> bool:
     """True iff n = p * (p + 2) with both factors prime."""
-    f = _fact(n)
-    if f.omega != 2 or not f.is_squarefree():
-        return False
-    # factorize returns prime factors, so p and r are prime already
-    p, r = f.primes
-    return r == p + 2
+    factors = _fact(n).factors  # prime already, ascending
+    return factors[0][1] == 1 and factors[1:] == [(factors[0][0] + 2, 1)]
 
 
 def worst_case_ceiling(n: int | Factorization) -> Fraction:

@@ -51,7 +51,9 @@ MAX_ROUNDS = 128
 # default window: a config no candidate survives ends in Fail, not a hang.
 MAX_WINDOW = 10 ** 6
 
-# Largest k that the bound engines and the gcd-split classes accept.
+# Least and largest k the bound engines accept; the gcd-split classes stop
+# at MAX_BOUND_K too.
+MIN_BOUND_K = 17
 MAX_BOUND_K = 8192
 
 # Exact small-k surveys (slucas.survey) factor every candidate in the window.
@@ -255,7 +257,6 @@ class Factorization:
     """Prime-power decomposition of a positive integer.
 
     factors is an ascending list of (p, r) pairs; n is the product.
-    omega/big_omega give the distinct and with-multiplicity factor counts.
     """
 
     __slots__ = ("n", "factors")
@@ -263,21 +264,6 @@ class Factorization:
     def __init__(self, n: int, factors: list[tuple[int, int]]):
         self.n = n
         self.factors = factors
-
-    @property
-    def omega(self) -> int:
-        return len(self.factors)
-
-    @property
-    def big_omega(self) -> int:
-        return sum(r for _, r in self.factors)
-
-    @property
-    def primes(self) -> list[int]:
-        return [p for p, _ in self.factors]
-
-    def is_squarefree(self) -> bool:
-        return all(r == 1 for _, r in self.factors)
 
     def __iter__(self):
         return iter(self.factors)

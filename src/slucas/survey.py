@@ -10,10 +10,10 @@ from functools import lru_cache
 from itertools import islice
 from typing import NamedTuple
 
-from .counting import _liar_parts
-from .kernel import (EXACT_SURVEY_MAX_K, CapacityError, Factorization,
-                     _method_a_sequence, _pairwise, check_discriminant,
-                     is_perfect_square, jacobi, sieve_primes,
+from .counting import _liar_parts, is_twin_prime_product
+from .kernel import (EXACT_SURVEY_MAX_K, MAX_ROUNDS, CapacityError,
+                     Factorization, _method_a_sequence, _pairwise, _primes_to,
+                     check_discriminant, is_perfect_square, jacobi,
                      unlimited_digits)
 
 
@@ -94,7 +94,7 @@ def _survey_window(k: int) -> tuple:
     """
     top = 1 << k
     least = bytearray(top)
-    for p in reversed(sieve_primes(math.isqrt(top - 1))[1:]):
+    for p in reversed(_primes_to(math.isqrt(top - 1))[1:]):
         least[p * p::p] = bytes([p]) * len(range(p * p, top, p))
     rows = []
     for n in range((top >> 1) | 1, top, 2):
@@ -109,9 +109,9 @@ def _survey_window(k: int) -> tuple:
             factors.append((p, r))
         if m > 1:
             factors.append((m, 1))
-        if factors[0][1] == 1 and factors[1:] == [(factors[0][0] + 2, 1)]:
-            continue  # twin-prime product p(p + 2)
-        rows.append((n, Factorization(n, factors), factors == [(n, 1)]))
+        f = Factorization(n, factors)
+        if not is_twin_prime_product(f):
+            rows.append((n, f, factors == [(n, 1)]))
     return tuple(rows)
 
 
@@ -130,8 +130,8 @@ def exact_qk1(k: int, r: int = 1,
     """
     if not 2 <= k <= EXACT_SURVEY_MAX_K:
         raise CapacityError(f"exact surveys cover 2 <= k <= {EXACT_SURVEY_MAX_K}")
-    if r < 1:
-        raise ValueError("need r >= 1")
+    if not 1 <= r <= MAX_ROUNDS:
+        raise ValueError(f"need rounds >= 1 and at most {MAX_ROUNDS}")
     if d_scan is None:
         d_scan = method_a_discriminants(12)
     surveys = []

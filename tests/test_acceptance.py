@@ -332,7 +332,7 @@ def test_criterion_08_exact_small_k_survey():
         survey = exact_qk1(k)
         # 1% spot-check of the closed-form liar count against brute force
         window = _survey_window(k)
-        composites = [(n, f) for n, f in window if f.big_omega > 1]
+        composites = [(n, f) for n, f in window if f.factors != [(n, 1)]]
         size = min(len(composites), max(3, len(composites) // 100))
         for n, f in sampler.sample(composites, size):
             D = next(d for d in scan if gcd(n, 2 * d) == 1)
@@ -351,7 +351,7 @@ def test_criterion_08_exact_small_k_survey():
         for n, f in window:
             if gcd(n, 2 * best.d) > 1:
                 continue
-            if f.big_omega == 1:
+            if f.factors == [(n, 1)]:
                 primes += 1
             else:
                 mass += alpha_bar(f, best.d)

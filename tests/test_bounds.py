@@ -8,17 +8,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slucas import kernel
-from slucas.bounds import (ENGINES, EXACT_CENSUS_MAX_K, MAX_BOUND_K,
-                           PRIME_DENSITY, TABLE_K_ROWS, BoundReport,
-                           _engine_q, chain_rule, error_bound, format_json,
-                           format_q, format_tsv, m_split_range,
-                           n1_bound_coarse, n1_bound_refined, nr_bound_split,
-                           prime_count_exact, prime_lower_bound, qk1_analytic,
-                           rho, screen_census, table_rows, ykts_bound,
+from slucas.bounds import (ENGINES, MAX_BOUND_K, PRIME_DENSITY,
+                           TABLE_K_ROWS, BoundReport, _engine_q, chain_rule,
+                           error_bound, format_json, format_q, format_tsv,
+                           m_split_range, n1_bound_coarse, n1_bound_refined,
+                           nr_bound_split, prime_count_exact,
+                           prime_lower_bound, qk1_analytic, rho,
+                           screen_census, table_rows, ykts_bound,
                            ykts_table_cell)
 from slucas.counting import (alpha_bar, is_twin_prime_product,
                              slpsp_bruteforce)
-from slucas.kernel import CapacityError, factorize, jacobi
+from slucas.kernel import (MAX_ROUNDS, MIN_BOUND_K, CapacityError, factorize,
+                           jacobi)
 from slucas.survey import (SUM_BLOCK, _exact_sum, _survey_window, exact_qk1,
                            method_a_discriminants)
 
@@ -229,13 +230,12 @@ def test_q_bound_is_a_probability_at_every_size(k, r):
 def test_every_k_falls_in_exactly_one_engine_row():
     # the last row's engine runs on past its table's rows to MAX_BOUND_K
     last = ENGINES[-1]
-    for k in range(ENGINES[0].ks.start, MAX_BOUND_K + 1):
+    for k in range(MIN_BOUND_K, MAX_BOUND_K + 1):
         rows = [e for e in ENGINES
                 if k in e.ks or e is last and k >= e.ks.start]
         assert len(rows) == 1, k
-    assert all(e.ks[-1] <= EXACT_CENSUS_MAX_K for e in ENGINES if e.exact)
     with pytest.raises(ValueError, match="--survey-k"):
-        _engine_q(ENGINES[0].ks.start - 1, 1, 8)
+        _engine_q(MIN_BOUND_K - 1, 1, 8)
 
 
 def test_engine_rows_are_the_q_tables_k_rows():
@@ -398,6 +398,28 @@ def test_exact_survey_tiny_sizes():
     assert s.best.d == 5
     with pytest.raises(CapacityError):
         exact_qk1(40)
+
+
+def test_exact_survey_rounds_ceiling(monkeypatch):
+    # refused before the window is built, as run_rounds refuses them
+    assert len(exact_qk1(6, MAX_ROUNDS).per_d) == 12
+    monkeypatch.setattr("slucas.survey._survey_window", None)
+    for r in (0, MAX_ROUNDS + 1, 10 ** 6):
+        with pytest.raises(ValueError,
+                           match=f"need rounds >= 1 and at most {MAX_ROUNDS}"):
+            exact_qk1(6, r)
+
+
+def test_survey_window_is_the_census_set():
+    # the survey factors the very set the census counts: the odd k-bit n
+    # coprime to 3 and 5, twin products dropped; its primes are the k-bit
+    # primes but for 3 and 5 themselves, which fall at k = 2 and 3
+    for k in range(2, 17):
+        rows = _survey_window(k)
+        census = screen_census(k, 2, exact=True)
+        assert len(rows) == census.survivors, k
+        if k >= 4:
+            assert sum(n_prime for _, _, n_prime in rows) == census.primes, k
 
 
 def test_survey_window_matches_trial_division():

@@ -261,9 +261,9 @@ def test_factorize_splits_what_trial_division_leaves(monkeypatch, n):
                         lambda limit: asked.append(limit) or primes_to(limit))
     kernel._prime_blocks.cache_clear()  # so the blocks ask for their primes
     f = factorize(n)
-    assert f.primes == sorted(f.primes)
+    assert f.factors == sorted(f.factors)
     assert math.prod(p ** r for p, r in f) == n == f.n
-    assert all(mr_oracle(p) for p in f.primes)
+    assert all(mr_oracle(p) for p, _ in f.factors)
     assert asked and max(asked) <= TRIAL_REACH == 1 << 16
 
 
@@ -292,8 +292,7 @@ def test_factorize_matches_sympy_factorint():
 
 def test_factorization_views():
     f = factorize(2**3 * 3 * 7**2)
-    assert f.omega == 3
-    assert f.big_omega == 6
-    assert f.primes == [2, 3, 7]
-    assert not f.is_squarefree()
-    assert factorize(105).is_squarefree()
+    assert list(f) == f.factors == [(2, 3), (3, 1), (7, 2)]
+    assert repr(f) == "Factorization(1176 = 2^3 * 3 * 7^2)"
+    assert f == Factorization(1176, [(2, 3), (3, 1), (7, 2)])
+    assert f != factorize(105)
