@@ -23,12 +23,11 @@ import itertools
 import math
 import operator
 import sys
-from bisect import bisect_right
 from functools import lru_cache, reduce
 from typing import Callable, NamedTuple
 
 from .kernel import (MAX_BOUND_K, MAX_SCREEN_DEPTH, MIN_BOUND_K,
-                     MIN_SCREEN_DEPTH, CapacityError, _primes_to,
+                     MIN_SCREEN_DEPTH, CapacityError, _phi, _primes_to,
                      count_primes_in_range)
 
 # Lower-bound constant for the count of k-bit primes: more than
@@ -64,7 +63,7 @@ def rho(l: int) -> float:
 
 
 def prime_count_exact(k: int) -> int:
-    """Exact number of k-bit primes, by the prime-pi recursion."""
+    """Exact number of k-bit primes, each pi by Meissel's formula."""
     if k < 1:
         raise ValueError("need k >= 1")
     if k > EXACT_CENSUS_MAX_K:
@@ -112,24 +111,9 @@ class ScreenCensus(NamedTuple):
 
 
 def _screened_count(k: int, l: int) -> int:
-    # odd integers in [2^(k-1), 2^k) coprime to the first l odd primes, by
-    # Legendre's recursion over odd integers: phi(x, a) counts the odd
-    # n <= x coprime to the first a of them, and the odd multiples of p_a
-    # are p_a times an odd m <= x // p_a; primes above x divide no n <= x,
-    # and below p_(a+1)^2 the n are 1 and the primes in (p_a, x] (Meissel),
-    # pi(x) - a: screen_census's prime-pi table holds each x = (2^k-1) // m
-    screen = _odd_primes()[:l + 1]  # and p_(l+1)
-
-    @lru_cache(maxsize=None)
-    def phi(x: int, a: int) -> int:
-        a = bisect_right(screen, x, 0, a)
-        if a == 0:
-            return (x + 1) // 2
-        if x < screen[a] ** 2:
-            return count_primes_in_range(2, x + 1) - a
-        return phi(x, a - 1) - phi(x // screen[a - 1], a - 1)
-
-    return phi((1 << k) - 1, l) - phi((1 << (k - 1)) - 1, l)
+    # odd integers in [2^(k-1), 2^k) coprime to the first l odd primes: the
+    # n <= x divisible by none of the first l + 1 primes number phi(x, l + 1)
+    return _phi((1 << k) - 1, l + 1) - _phi((1 << (k - 1)) - 1, l + 1)
 
 
 def _twin_products(k: int, l: int) -> list[int]:
@@ -544,10 +528,6 @@ def table_rows(which: int, l: int = 8, c: float = 1.0) -> tuple[list[str], list[
     ks = TABLE_K_ROWS.get(which)
     if ks is None:
         raise ValueError(f"no table {which}; pick 1..6")
-    if ks[-1] <= EXACT_CENSUS_MAX_K:
-        # the prime-pi table behind the largest k's count holds every
-        # smaller k's count too, so build it first and the rest read it
-        prime_count_exact(ks[-1])
     if which == 1:
         header = ["k", "primes", "bound_floor"]
         rows = [[k, prime_count_exact(k), int(prime_lower_bound(k))]

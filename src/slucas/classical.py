@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-from .kernel import (MAX_ROUNDS, SCREEN_REACH, check_discriminant,
+from .kernel import (SCREEN_REACH, check_discriminant, check_rounds,
                      is_strong_probable_prime, least_factor)
 from .lucas import (COMPOSITE, PROBABLE_PRIME, LucasParams, ParamSearchError,
                     RoundResult, lucas_round, sample_params, select_d,
@@ -71,8 +71,7 @@ def run_rounds(n: int, method: str, rounds: int, rng,
     """
     if n < 5 or n % 2 == 0:
         raise ValueError("run_rounds expects odd n >= 5")
-    if not 1 <= rounds <= MAX_ROUNDS:
-        raise ValueError(f"need rounds >= 1 and at most {MAX_ROUNDS}")
+    check_rounds(rounds)
     if method in ("miller-rabin", "fermat"):
         if d is not None:
             raise ValueError(f"d applies to the Lucas methods only, "

@@ -34,9 +34,9 @@ import random
 from typing import NamedTuple
 
 from .classical import miller_rabin_round, run_rounds
-from .kernel import (MAX_ROUNDS, MAX_SCREEN_DEPTH, MAX_WINDOW,
-                     MIN_SCREEN_DEPTH, SCREEN_REACH, _primes_to,
-                     check_discriminant, is_perfect_square, jacobi,
+from .kernel import (MAX_SCREEN_DEPTH, MAX_WINDOW, MIN_SCREEN_DEPTH,
+                     SCREEN_REACH, _primes_to, check_discriminant,
+                     check_rounds, is_perfect_square, jacobi,
                      least_factor, primes_in, sieve_window)
 
 # Largest trial-division bound, reached at k = 8192 bits: past it the
@@ -76,8 +76,7 @@ class GenConfig(_GenFields):
         self = super().__new__(cls, *args, **kwargs)
         if self.bits < 5:
             raise ValueError("need bits >= 5")
-        if not 1 <= self.rounds <= MAX_ROUNDS:
-            raise ValueError(f"need rounds >= 1 and at most {MAX_ROUNDS}")
+        check_rounds(self.rounds)
         if not MIN_SCREEN_DEPTH <= self.screen <= MAX_SCREEN_DEPTH:
             raise ValueError(f"need {MIN_SCREEN_DEPTH} <= screen <= "
                              f"{MAX_SCREEN_DEPTH}")

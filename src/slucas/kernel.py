@@ -1,8 +1,9 @@
 """Low-level integer routines: Jacobi symbol, the window sieve and the
-prime sieve built on it, prime counting by the prime-pi recursion,
+prime sieve built on it, Legendre's phi and Meissel's prime count on it,
 factorization (the small-prime screen ``least_factor``, then Pollard
 rho), the strong probable-prime test, a perfect-square check, the
-method-A discriminant sweep and the check that a discriminant is usable.
+method-A discriminant sweep, and the checks that a discriminant and a
+number of rounds are usable.
 
 Every module that needs small primes slices one cached table here
 (``_primes_to``), which grows on demand; the size limits the CLI prints,
@@ -25,7 +26,8 @@ import sys
 from bisect import bisect_right
 
 # The sieve takes about 3.5 bytes per unit of its limit, 60 MB at 2^24;
-# the prime-pi count takes O(sqrt(x)), so it has a cap of its own.
+# Meissel's count of the primes up to x sieves to x^(2/3) and takes
+# O(x^(2/3)) steps, so its cap keeps that sieve at 2^22.
 SIEVE_LIMIT = 1 << 24
 _PI_LIMIT = 1 << 33
 FACTOR_LIMIT = 1 << 52
@@ -123,6 +125,12 @@ def check_discriminant(d: int) -> None:
             raise ValueError(f"discriminant must not be a square: {d}")
 
 
+def check_rounds(r: int) -> None:
+    """Raise ValueError unless 1 <= r <= MAX_ROUNDS."""
+    if not 1 <= r <= MAX_ROUNDS:
+        raise ValueError(f"need rounds >= 1 and at most {MAX_ROUNDS}")
+
+
 def split_power_of_two(m: int) -> tuple[int, int]:
     """Write m = 2**kappa * q with q odd and return (kappa, q)."""
     if m <= 0:
@@ -178,79 +186,85 @@ def sieve_primes(limit: int) -> list[int]:
         raise CapacityError(f"sieve limit must be at most {SIEVE_LIMIT}")
     if limit < 2:
         return []
-    flags = sieve_window(3, (limit - 1) // 2,
-                         sieve_primes(math.isqrt(limit))[1:])
+    return [2, *_unmarked(3, limit, sieve_primes(math.isqrt(limit))[1:])]
+
+
+def _unmarked(lo: int, hi: int, primes):
+    """The odd n in [lo, hi], lo odd, that ``sieve_window`` leaves unmarked
+    by ``primes``: with the odd primes up to sqrt(hi), the primes there."""
+    flags = sieve_window(lo, (hi - lo) // 2 + 1, primes)
     unmarked = flags.translate(bytes.maketrans(b"\0\1", b"\1\0"))
-    return [2, *itertools.compress(range(3, limit + 1, 2), unmarked)]
+    return itertools.compress(range(lo, hi + 1, 2), unmarked)
 
 
-def _prime_pi_table(x: int) -> tuple[list[int], list[int]]:
-    """Lucy_Hedgehog's prime-pi recursion for x >= 1.
+@functools.lru_cache(maxsize=None)
+def _coprime_counts(a: int) -> tuple[int, list[int]]:
+    """(m, counts) for m the product of the first a <= 6 primes: counts[r]
+    is the number of n in 1..r coprime to m, for 0 <= r <= m."""
+    primes = _primes_to(13)[:a]
+    m = math.prod(primes)
+    coprime = bytearray(b"\x01") * m  # n = 1..m
+    for p in primes:
+        coprime[p - 1::p] = bytes(m // p)
+    return m, list(itertools.accumulate(coprime, initial=0))
 
-    Returns (small, large) with small[v] = pi(v) for 0 <= v <= isqrt(x)
-    and large[i] = pi(x // i) for 1 <= i <= isqrt(x).  Both start as the
-    count of 2..v; sifting by each prime p <= sqrt(x) in turn removes the
-    integers whose least prime factor is p, in O(x^(3/4)) steps overall.
+
+def _phi(x: int, a: int) -> int:
+    """Legendre's phi(x, a): the n in 1..x divisible by none of the first
+    a primes, for a < pi(2^12) = 564.  With phi(y, 6) periodic mod 30030,
+    phi(y, b) = phi(y, 6) - sum_(6 < i <= b) phi(y // p_i, i - 1): a term
+    with y // p_i >= p_i^2 is expanded in turn, one below counts 1 and the
+    primes in (p_(i-1), y // p_i] (Meissel), and from y // p_i < p_i on, 1.
     """
-    r = math.isqrt(x)
-    small = [max(v - 1, 0) for v in range(r + 1)]
-    large = [0] + [x // i - 1 for i in range(1, r + 1)]
-    for p in range(2, r + 1):
-        if small[p] == small[p - 1]:
-            continue  # p is composite
-        below = small[p - 1]
-        top = min(r, x // (p * p))  # large[i] with x // i >= p^2
-        mid = min(top, r // p)      # ... of which i*p <= r stays in large
-        xp = x // p
-        large[1:mid + 1] = [a - b + below for a, b in
-                            zip(large[1:mid + 1], large[p:mid * p + 1:p])]
-        large[mid + 1:top + 1] = [large[i] - small[xp // i] + below
-                                  for i in range(mid + 1, top + 1)]
-        small[p * p:] = [small[v] - small[v // p] + below
-                         for v in range(p * p, r + 1)]
-    return small, large
+    small = _primes_to(1 << 12)
+    a = bisect_right(small, x, 0, a)  # p_a <= x, or a = 0
+    m, counts = _coprime_counts(min(a, 6))
+    primes = _primes_to(min(x, small[a] ** 2))  # each y // p_i < p_(a+1)^2
+    total, todo = 0, [(x, a, 1)]
+    while todo:
+        y, b, sign = todo.pop()
+        part = y // m * counts[m] + counts[y % m]
+        for i in range(6, b):  # the term phi(y // p_(i+1), i)
+            p = primes[i]
+            z = y // p
+            if z < p:
+                part -= b - i
+                break
+            if z < p * p:
+                part -= bisect_right(primes, z) - i + 1
+            elif i == 6:
+                part -= z // m * counts[m] + counts[z % m]
+            else:
+                todo.append((z, i, -sign))
+        total += sign * part
+    return total
 
 
-# The last prime-pi table built, as (x, small, large).  A later count whose
-# ends it holds reads them from it: once x = 2^k - 1, that is every
-# pi(2^j - 1) with j <= k, since (2^k - 1) // 2^(k - j) = 2^j - 1.
-_last_pi_table: tuple[int, list[int], list[int]] | None = None
-
-
-def _pi_from(table: tuple[int, list[int], list[int]], v: int) -> int | None:
-    """pi(v) when the table holds it (v <= sqrt(x) or v = x // i), else None."""
-    x, small, large = table
-    if v < len(small):
-        return small[max(v, 0)]
-    if v <= x and x // (x // v) == v:
-        return large[x // v]
-    return None
+@functools.lru_cache(maxsize=128)
+def _prime_pi(x: int) -> int:
+    """pi(x) by Meissel's formula, O(x^(2/3)) steps: with a = pi(x^(1/3))
+    and b = pi(sqrt(x)),
+    pi(x) = phi(x, a) + a - 1 - sum_(a < i <= b) (pi(x // p_i) - i + 1),
+    each pi(x // p_i) read off the prime table, as x // p_i < x^(2/3).
+    Cached: the counts of adjacent dyadic ranges share an end."""
+    if x < 2:
+        return 0
+    c = round(x ** (1 / 3))
+    c -= c ** 3 > x  # the float root is within one of x^(1/3) below 2^53
+    primes = _primes_to(x // c)
+    a = bisect_right(primes, c)
+    b = bisect_right(primes, math.isqrt(x))
+    return _phi(x, a) + a - 1 - sum(bisect_right(primes, x // p) - i
+                                    for i, p in enumerate(primes[a:b], a))
 
 
 def count_primes_in_range(lo: int, hi: int) -> int:
-    """Number of primes p with lo <= p < hi, as pi(hi - 1) - pi(lo - 1).
-
-    One prime-pi table at x = hi - 1 also holds pi(lo - 1) whenever
-    lo - 1 <= sqrt(x) or lo - 1 = x // i; dyadic ranges [2^(k-1), 2^k)
-    always qualify.  Any other lo pays for a second table.  The table is
-    kept, so counting the dyadic ranges from the largest k down builds it
-    only once.
-    """
-    global _last_pi_table
+    """Number of primes p with lo <= p < hi, as pi(hi - 1) - pi(lo - 1)."""
     if hi <= lo:
         return 0
     if hi > _PI_LIMIT:
         raise CapacityError(f"range end must be at most {_PI_LIMIT}")
-    x, y = hi - 1, lo - 1
-    if x < 2:
-        return 0
-    table = _last_pi_table
-    if table is None or _pi_from(table, x) is None:
-        table = _last_pi_table = (x, *_prime_pi_table(x))
-    below = _pi_from(table, y)
-    if below is None:
-        below = _prime_pi_table(y)[1][1]
-    return _pi_from(table, x) - below
+    return _prime_pi(hi - 1) - _prime_pi(lo - 1)
 
 
 class Factorization:
@@ -284,11 +298,17 @@ _table_limit = 0
 
 def _primes_to(limit: int) -> list[int]:
     """The primes <= limit, sliced from the one cached table.  A larger
-    limit re-sieves it to max(limit, 2^10); a failed sieve keeps it."""
+    limit grows it to max(limit, 2^10), sieving only the odd numbers past
+    its old end; a failed sieve keeps it."""
     global _table, _table_limit
     if _table_limit < limit:
         new_limit = max(limit, 1 << 10)
-        _table, _table_limit = sieve_primes(new_limit), new_limit
+        if _table_limit and new_limit <= SIEVE_LIMIT:
+            odd = _primes_to(math.isqrt(new_limit))[1:]
+            _table += _unmarked(_table_limit + 1 | 1, new_limit, odd)
+        else:  # the first table, or a CapacityError that keeps the last
+            _table = sieve_primes(new_limit)
+        _table_limit = new_limit
     return _table[:bisect_right(_table, limit)]
 
 

@@ -11,10 +11,10 @@ from itertools import islice
 from typing import NamedTuple
 
 from .counting import _liar_parts, is_twin_prime_product
-from .kernel import (EXACT_SURVEY_MAX_K, MAX_ROUNDS, CapacityError,
-                     Factorization, _method_a_sequence, _pairwise, _primes_to,
-                     check_discriminant, is_perfect_square, jacobi,
-                     unlimited_digits)
+from .kernel import (EXACT_SURVEY_MAX_K, CapacityError, Factorization,
+                     _method_a_sequence, _pairwise, _primes_to,
+                     check_discriminant, check_rounds, is_perfect_square,
+                     jacobi, unlimited_digits)
 
 
 def _fraction_text(x: Fraction) -> str:
@@ -130,8 +130,7 @@ def exact_qk1(k: int, r: int = 1,
     """
     if not 2 <= k <= EXACT_SURVEY_MAX_K:
         raise CapacityError(f"exact surveys cover 2 <= k <= {EXACT_SURVEY_MAX_K}")
-    if not 1 <= r <= MAX_ROUNDS:
-        raise ValueError(f"need rounds >= 1 and at most {MAX_ROUNDS}")
+    check_rounds(r)
     if d_scan is None:
         d_scan = method_a_discriminants(12)
     surveys = []

@@ -53,38 +53,16 @@ def test_prime_count_exact_matches_known_counts():
     assert [prime_count_exact(k) for k in range(2, 30)] == list(K_BIT_PRIMES)
 
 
-def _record_pi_tables(monkeypatch) -> list[int]:
-    # start with no kept table and log the x of every table built
-    built = []
-    build = kernel._prime_pi_table
-    monkeypatch.setattr(kernel, "_last_pi_table", None)
-    monkeypatch.setattr(kernel, "_prime_pi_table",
-                        lambda x: built.append(x) or build(x))
-    return built
-
-
-def test_table5_builds_one_prime_pi_table(monkeypatch):
-    built = _record_pi_tables(monkeypatch)
-    screen_census.cache_clear()
-    header, rows = table_rows(5)
-    assert [row[0] for row in rows] == list(range(17, 30))
-    assert built == [(1 << 29) - 1]
-    # that one table holds every smaller k's count, and holds it right
-    assert [prime_count_exact(k) for k in range(2, 30)] == list(K_BIT_PRIMES)
-    assert built == [(1 << 29) - 1]
-    # the deepest census reads each pi(x) below p_(a+1)^2 off it too
-    screen_census.cache_clear()
-    table_rows(5, l=166)
-    assert built == [(1 << 29) - 1]
-
-
-def test_small_counts_build_small_tables(monkeypatch):
-    built = _record_pi_tables(monkeypatch)
-    assert prime_count_exact(17) == K_BIT_PRIMES[15]
-    assert built == [(1 << 17) - 1]
-    # table 1 counts k = 8..20 off one table, built for k = 20 first
-    table_rows(1)
-    assert built == [(1 << 17) - 1, (1 << 20) - 1]
+def test_census_at_the_deepest_screen():
+    # l = 166: the odd 22-bit integers the first 166 odd primes leave
+    # unmarked, counted by a sieve, and the k = 29 row behind table 5
+    screen = kernel._primes_to(1000)[1:167]
+    marked = kernel.sieve_window((1 << 21) + 1, 1 << 20, screen)
+    c = screen_census(22, 166, exact=True)
+    assert c.screened == marked.count(0) == 161245
+    assert (c.survivors, c.twins, c.primes) == (161230, 15, K_BIT_PRIMES[20])
+    assert screen_census(29, 166, exact=True) == (
+        29, 166, 21944160, 21944059, K_BIT_PRIMES[27], 101)
 
 
 def test_prime_bounds():

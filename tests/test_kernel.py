@@ -7,12 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slucas import generation, kernel
+from slucas.classical import run_rounds
 from slucas.counting import mr_count
-from slucas.kernel import (TRIAL_REACH, CapacityError, Factorization,
-                           check_discriminant, count_primes_in_range,
-                           factorize, is_perfect_square, jacobi,
-                           least_factor, primes_in, sieve_primes,
-                           split_power_of_two)
+from slucas.generation import GenConfig
+from slucas.kernel import (MAX_ROUNDS, TRIAL_REACH, CapacityError,
+                           Factorization, check_discriminant,
+                           count_primes_in_range, factorize,
+                           is_perfect_square, jacobi, least_factor,
+                           primes_in, sieve_primes, split_power_of_two)
+from slucas.survey import exact_qk1
 
 from conftest import mr_oracle
 
@@ -231,6 +234,52 @@ def test_count_primes_in_range_matches_sympy():
         assert count_primes_in_range(lo, hi) == expected
 
     check()
+
+
+def test_prime_table_grows_past_its_end(monkeypatch):
+    # each larger limit sieves only the odd numbers past the old end
+    monkeypatch.setattr(kernel, "_table", [])
+    monkeypatch.setattr(kernel, "_table_limit", 0)
+    for limit in (10, 1025, 1026, 4099, 70000, 70001):
+        assert kernel._primes_to(limit) == sieve_primes(limit), limit
+
+
+def test_phi_matches_a_direct_count():
+    # Legendre's phi(x, a), the n in 1..x that none of the first a primes
+    # divides, against a running count for every x < 3000 and a <= 20
+    primes = sieve_primes(71)
+    for a in range(21):
+        count = 0
+        for x in range(3000):
+            count += x > 0 and all(x % p for p in primes[:a])
+            assert kernel._phi(x, a) == count, (x, a)
+    # from 17^3 = 4913 on, terms are expanded in turn: against a sieve
+    primes, top = sieve_primes(541), 10 ** 6  # the first 100 primes
+    for a in (7, 20, 100):
+        marked = bytearray(top + 1)
+        for p in primes[:a]:
+            marked[p::p] = b"\x01" * (top // p)
+        for x in (4913, 65537, top):
+            assert kernel._phi(x, a) == marked.count(0, 1, x + 1), (x, a)
+
+
+def test_prime_pi_known_values():
+    assert count_primes_in_range(0, 10**9 + 1) == 50_847_534
+    assert count_primes_in_range(0, 2**32 + 1) == 203_280_221
+
+
+@pytest.mark.parametrize("r", [0, MAX_ROUNDS + 1])
+@pytest.mark.parametrize("call", [
+    lambda r: run_rounds(1000003, "strong-lucas", r, random.Random(1)),
+    lambda r: GenConfig(bits=64, rounds=r),
+    lambda r: exact_qk1(6, r),
+], ids=["run_rounds", "GenConfig", "exact_qk1"])
+def test_rounds_ceiling_refused_alike(monkeypatch, call, r):
+    # one check and one message, before any parameter search or window
+    monkeypatch.setattr("slucas.classical.select_d", None)
+    monkeypatch.setattr("slucas.survey._survey_window", None)
+    with pytest.raises(ValueError, match="^need rounds >= 1 and at most 128$"):
+        call(r)
 
 
 def test_factorize_roundtrip():
