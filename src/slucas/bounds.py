@@ -26,15 +26,15 @@ import sys
 from functools import lru_cache, reduce
 from typing import Callable, NamedTuple
 
-from .kernel import (MAX_BOUND_K, MAX_SCREEN_DEPTH, MIN_BOUND_K,
-                     MIN_SCREEN_DEPTH, CapacityError, _phi, _primes_to,
+from .kernel import (MAX_BOUND_K, MAX_BOUND_ROUNDS, MAX_SCREEN_DEPTH,
+                     MIN_BOUND_K, _phi, _primes_to, check_screen_depth,
                      count_primes_in_range)
 
 # Lower-bound constant for the count of k-bit primes: more than
 # PRIME_DENSITY * 2^k / k of them for every k >= 8.
 PRIME_DENSITY = 0.71867
 
-# The largest k the exact census reaches; the engines read it up to there.
+# The last k at which the engines read the exact census: table 5's last row.
 EXACT_CENSUS_MAX_K = 29
 
 
@@ -56,18 +56,15 @@ def rho(l: int) -> float:
     is the resulting loss factor in the geometric class-mass estimates.
     int / int rounds correctly, so this is the double nearest (p + 1)/p.
     """
-    if not MIN_SCREEN_DEPTH <= l <= MAX_SCREEN_DEPTH:
-        raise ValueError(f"need {MIN_SCREEN_DEPTH} <= l <= {MAX_SCREEN_DEPTH}")
+    check_screen_depth(l)
     p = _odd_primes()[l]
     return (p + 1) / p
 
 
 def prime_count_exact(k: int) -> int:
-    """Exact number of k-bit primes, each pi by Meissel's formula."""
+    """Exact number of k-bit primes, k <= 33, each pi by Meissel's formula."""
     if k < 1:
         raise ValueError("need k >= 1")
-    if k > EXACT_CENSUS_MAX_K:
-        raise CapacityError(f"exact prime counts stop at k = {EXACT_CENSUS_MAX_K}")
     return count_primes_in_range(1 << (k - 1), 1 << k)
 
 
@@ -128,13 +125,12 @@ def _twin_products(k: int, l: int) -> list[int]:
 def screen_census(k: int, l: int = 2, exact: bool = False) -> ScreenCensus:
     """Census of odd k-bit candidates surviving the small-prime screen.
 
-    With ``exact`` the counts are computed outright (k <= 29, the prime
-    count being the limiting step); otherwise they are left as None.
+    With ``exact`` the counts are computed outright, up to the prime
+    count's reach of k = 33; otherwise they are left as None.
     """
     if k < 2:
         raise ValueError("need k >= 2")
-    if not MIN_SCREEN_DEPTH <= l <= MAX_SCREEN_DEPTH:
-        raise ValueError(f"need {MIN_SCREEN_DEPTH} <= l <= {MAX_SCREEN_DEPTH}")
+    check_screen_depth(l)
     if not exact:
         return ScreenCensus(k=k, l=l)
     primes = prime_count_exact(k)
@@ -344,8 +340,8 @@ def nr_bound_split(k: int, r: int, l: int = 8, M: int | None = None,
     """
     if parts not in _PARTS:
         raise ValueError(f"unknown parts selector: {parts!r}")
-    if r < 1:
-        raise ValueError("need r >= 1")
+    if not 1 <= r <= MAX_BOUND_ROUNDS:
+        raise ValueError(f"need 1 <= r <= {MAX_BOUND_ROUNDS}")
     ro = rho(l)
     size = _power(2.0, k - 2.9) if m_size is None else m_size
     splits = _splits(k, M)
@@ -476,8 +472,8 @@ def ykts_bound(k: int, t: int, c: float) -> BoundReport:
     1.0, ``source`` ends in "(vacuous)", and ``terms['log2']`` stays the
     unclamped log2.
     """
-    if t < 1 or not 0 < c < math.inf:
-        raise ValueError("need t >= 1 and finite c > 0")
+    if not (1 <= t <= MAX_BOUND_ROUNDS and 0 < c < math.inf):
+        raise ValueError(f"need 1 <= t <= {MAX_BOUND_ROUNDS} and finite c > 0")
     ck = c * k
     if math.isinf(ck):
         raise ValueError(f"c * k = {c:g} * {k} is past float range")

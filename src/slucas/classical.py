@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import math
 
-from .kernel import (SCREEN_REACH, check_discriminant, check_rounds,
-                     is_strong_probable_prime, least_factor)
+from .kernel import (SCREEN_REACH, check_discriminant, check_odd,
+                     check_rounds, is_strong_probable_prime, least_factor)
 from .lucas import (COMPOSITE, PROBABLE_PRIME, LucasParams, ParamSearchError,
                     RoundResult, lucas_round, sample_params, select_d,
                     strong_lucas_round)
@@ -27,12 +27,10 @@ PARAM_SEARCH = RoundResult(COMPOSITE, "param-search")
 _trial_rejections: dict[int, RoundResult] = {}
 
 
-def _base_round(n: int, a: int, name: str, passes,
-                rejection: RoundResult) -> RoundResult:
+def _base_round(n: int, a: int, passes, rejection: RoundResult) -> RoundResult:
     # a base sharing a factor with n certifies compositeness outright, so
     # that case returns the factor rather than a verdict on ``passes``
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"{name} expects odd n >= 3")
+    check_odd(n, 3)
     if not 2 <= a <= n - 2:
         raise ValueError("base must satisfy 2 <= a <= n-2")
     g = math.gcd(a, n)
@@ -43,14 +41,12 @@ def _base_round(n: int, a: int, name: str, passes,
 
 def fermat_round(n: int, a: int) -> RoundResult:
     """One Fermat round: does a**(n-1) = 1 mod n?"""
-    return _base_round(n, a, "fermat_round",
-                       lambda n, a: pow(a, n - 1, n) == 1, FERMAT)
+    return _base_round(n, a, lambda n, a: pow(a, n - 1, n) == 1, FERMAT)
 
 
 def miller_rabin_round(n: int, a: int) -> RoundResult:
     """One Miller-Rabin round at base a (kernel.is_strong_probable_prime)."""
-    return _base_round(n, a, "miller_rabin_round", is_strong_probable_prime,
-                       MILLER_RABIN)
+    return _base_round(n, a, is_strong_probable_prime, MILLER_RABIN)
 
 
 def run_rounds(n: int, method: str, rounds: int, rng,
@@ -69,8 +65,7 @@ def run_rounds(n: int, method: str, rounds: int, rng,
     ``kernel.check_discriminant`` refuses, a d sharing a factor with n
     and any d with a base method.
     """
-    if n < 5 or n % 2 == 0:
-        raise ValueError("run_rounds expects odd n >= 5")
+    check_odd(n, 5)
     check_rounds(rounds)
     if method in ("miller-rabin", "fermat"):
         if d is not None:
@@ -112,8 +107,7 @@ def baillie_psw(n: int, trial_limit: int = SCREEN_REACH) -> RoundResult:
     round with P = 1, Q = (1 - D)/4 for the first D of 5, -7, 9, ...
     with (D/n) = -1.  Deterministic: repeated calls always agree.
     """
-    if n < 3 or n % 2 == 0:
-        raise ValueError("baillie_psw expects odd n >= 3")
+    check_odd(n, 3)
     if n == 3:
         return PROBABLE_PRIME  # the base-2 round below needs n >= 5
     p = least_factor(n, 1, trial_limit - 1)

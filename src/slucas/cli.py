@@ -4,11 +4,11 @@ Exit codes: 0 for probable-prime / success, 1 for composite / Fail,
 2 for usage errors.  N and --d are accepted in decimal or 0x-hex, and
 ``main`` lifts the digit limit once, so they and every value printed may
 have any length.  stdout stays machine-parseable; anything chatty goes to
-stderr.  A handler checks only what names a flag: the rest is refused by
-the routine it calls (``run_rounds`` a --d or more than MAX_ROUNDS
-rounds, ``GenConfig`` the same and a --window past MAX_WINDOW for
-``generate``, ``factorize`` an N past its ceiling, a bound engine its
-K), through ``_checked``, or by argparse.
+stderr.  A handler checks only what names a flag: the rest is refused,
+through ``_checked``, by the ``kernel`` checks the routine it calls
+makes (an N, rounds, --d, --screen) or by that routine (a --window,
+an N past ``factorize``'s ceiling, a bound engine's K or R), or by
+argparse.
 
 A process imports only what its subcommand runs: each handler, and each
 branch of ``bounds``, imports its own modules, and the help text's limits
@@ -25,9 +25,10 @@ import re
 import sys
 
 from . import __version__
-from .kernel import (EXACT_SURVEY_MAX_K, MAX_BOUND_K, MAX_ROUNDS,
-                     MAX_SCREEN_DEPTH, MAX_WINDOW, MIN_BOUND_K,
-                     MIN_SCREEN_DEPTH, check_discriminant, unlimited_digits)
+from .kernel import (EXACT_SURVEY_MAX_K, MAX_BOUND_K, MAX_BOUND_ROUNDS,
+                     MAX_ROUNDS, MAX_SCREEN_DEPTH, MAX_WINDOW, MIN_BOUND_K,
+                     MIN_SCREEN_DEPTH, check_discriminant, check_odd,
+                     check_screen_depth, unlimited_digits)
 
 
 class UsageError(Exception):
@@ -137,8 +138,7 @@ def cmd_count(args) -> int:
     from .lucas import ParamSearchError, select_d
 
     n, what, d = args.n, args.what, args.d
-    if n < 3 or n % 2 == 0:
-        raise UsageError("n must be odd and >= 3")
+    _checked(check_odd, n, 3)
     count = {"sl": sl_count, "l": lucas_count, "alpha": alpha,
              "f": fermat_count, "mr": mr_count}[what]
     if what in ("f", "mr"):
@@ -163,9 +163,7 @@ def cmd_count(args) -> int:
 
 def cmd_bounds(args) -> int:
     """Error-bound values and the reference tables built from them."""
-    if not MIN_SCREEN_DEPTH <= args.l <= MAX_SCREEN_DEPTH:
-        raise UsageError(f"--l must be in {MIN_SCREEN_DEPTH}.."
-                         f"{MAX_SCREEN_DEPTH}")
+    _checked(check_screen_depth, args.l)
     if not 0 < args.c < math.inf:
         raise UsageError("--c must be a finite number > 0")
     with _output(args.out, "--out", sys.stdout) as fh:
@@ -258,9 +256,9 @@ def _parser() -> argparse.ArgumentParser:
                       help="Regenerate a whole reference table.")
     item.add_argument("--single", nargs=2, type=int, metavar=("K", "R"),
                       help=f"One error bound: bit size K ({MIN_BOUND_K} to "
-                           f"{MAX_BOUND_K}), rounds R >= 1. q prints at 6 "
-                           "decimals, or to 6 significant digits below 1e-4, "
-                           "rounded up.")
+                           f"{MAX_BOUND_K}), rounds R (1 to "
+                           f"{MAX_BOUND_ROUNDS}). q prints at 6 decimals, or "
+                           "to 6 significant digits below 1e-4, rounded up.")
     item.add_argument("--survey-k", type=int,
                       help=f"Exact small-k survey (k <= {EXACT_SURVEY_MAX_K}) "
                            "as JSON.")

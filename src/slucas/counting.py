@@ -21,7 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .kernel import Factorization, factorize, jacobi, split_power_of_two
+from .kernel import (Factorization, check_odd, factorize, jacobi,
+                     split_power_of_two)
 
 BRUTEFORCE_LIMIT = 10 ** 4
 
@@ -37,8 +38,8 @@ def phi_d(n: int | Factorization, D: int) -> int:
     p**(r-1) * (p - eps_D(p)); requires gcd(n, 2*D) = 1.
     """
     f = _fact(n)
-    if f.n % 2 == 0 or gcd(f.n, 2 * D) > 1:
-        raise ValueError("phi_d needs n odd and coprime to 2*D")
+    if gcd(f.n, 2 * D) > 1:
+        raise ValueError("need n coprime to 2*D")
     out = 1
     for p, r in f:
         out *= p ** (r - 1) * (p - jacobi(D, p))
@@ -87,10 +88,9 @@ def _pair_parts(n: int | Factorization, D: int,
     return count, f.n - eps_n - 1
 
 
-def _base_parts(n: int | Factorization, strong: bool, name: str) -> int:
+def _base_parts(n: int | Factorization, strong: bool) -> int:
     f = _fact(n)
-    if f.n % 2 == 0:
-        raise ValueError(f"{name} expects odd n")
+    check_odd(f.n, 3)
     return _liar_parts(f, None, strong)[0]
 
 
@@ -112,12 +112,12 @@ def lucas_count(n: int | Factorization, D: int) -> int:
 
 def fermat_count(n: int | Factorization) -> int:
     """Number of bases a mod n with a**(n-1) = 1, for odd n >= 3."""
-    return _base_parts(n, False, "fermat_count")
+    return _base_parts(n, False)
 
 
 def mr_count(n: int | Factorization) -> int:
     """Number of bases a mod n that pass one Miller-Rabin round, odd n >= 3."""
-    return _base_parts(n, True, "mr_count")
+    return _base_parts(n, True)
 
 
 def alpha_bar(n: int | Factorization, D: int) -> Fraction:
@@ -162,8 +162,7 @@ def lucas_uv_mod(m: int, P: int, Q: int, n: int) -> tuple[int, int, int]:
         U_{j+1} = (P*U_j + V_j)/2,  V_{j+1} = (D*U_j + P*V_j)/2,
     where the halving is exact mod odd n via x -> (x + n*(x & 1)) >> 1.
     """
-    if n < 3 or n % 2 == 0:
-        raise ValueError("modulus must be odd and >= 3")
+    check_odd(n, 3)
     if m < 0:
         raise ValueError("index must be >= 0")
     if m == 0:
@@ -208,8 +207,7 @@ def _lucas_pass_raw(n: int, P: int, Q: int, D: int) -> bool:
 
 
 def _check_bruteforce(n: int) -> None:
-    if n < 3 or n % 2 == 0:
-        raise ValueError("need odd n >= 3")
+    check_odd(n, 3)
     if n >= BRUTEFORCE_LIMIT:
         raise ValueError(f"brute force capped at n < {BRUTEFORCE_LIMIT}")
 

@@ -34,10 +34,10 @@ import random
 from typing import NamedTuple
 
 from .classical import miller_rabin_round, run_rounds
-from .kernel import (MAX_SCREEN_DEPTH, MAX_WINDOW, MIN_SCREEN_DEPTH,
-                     SCREEN_REACH, _primes_to, check_discriminant,
-                     check_rounds, is_perfect_square, jacobi,
-                     least_factor, primes_in, sieve_window)
+from .kernel import (MAX_SCREEN_DEPTH, MAX_WINDOW, SCREEN_REACH, _primes_to,
+                     check_discriminant, check_rounds, check_screen_depth,
+                     is_perfect_square, jacobi, least_factor, primes_in,
+                     sieve_window)
 
 # Largest trial-division bound, reached at k = 8192 bits: past it the
 # sieve and the cached primes (about 300,000 of them) would keep growing.
@@ -77,9 +77,7 @@ class GenConfig(_GenFields):
         if self.bits < 5:
             raise ValueError("need bits >= 5")
         check_rounds(self.rounds)
-        if not MIN_SCREEN_DEPTH <= self.screen <= MAX_SCREEN_DEPTH:
-            raise ValueError(f"need {MIN_SCREEN_DEPTH} <= screen <= "
-                             f"{MAX_SCREEN_DEPTH}")
+        check_screen_depth(self.screen)
         if self.window is not None and not 1 <= self.window <= MAX_WINDOW:
             raise ValueError(f"need window >= 1 and at most {MAX_WINDOW}")
         if self.d is not None:

@@ -2,8 +2,8 @@
 prime sieve built on it, Legendre's phi and Meissel's prime count on it,
 factorization (the small-prime screen ``least_factor``, then Pollard
 rho), the strong probable-prime test, a perfect-square check, the
-method-A discriminant sweep, and the checks that a discriminant and a
-number of rounds are usable.
+method-A discriminant sweep, and the checks that an n, a screen depth,
+a discriminant and a number of rounds are usable.
 
 Every module that needs small primes slices one cached table here
 (``_primes_to``), which grows on demand; the size limits the CLI prints,
@@ -48,6 +48,11 @@ MAX_SCREEN_DEPTH = 166
 
 # Most rounds one test or generator runs: (4/15)^128 is below 2^-240.
 MAX_ROUNDS = 128
+
+# Most rounds a bound engine prices: at 10^6, log2 q is about -902,188 at
+# k = 17 and -906,266 at k = 8192, so its double carries q to about 10^-10
+# relative, well past the 6 digits printed (at 10^12, to only 10^-4).
+MAX_BOUND_ROUNDS = 10 ** 6
 
 # Most candidates one generator run tests, and the cap on the uniform
 # default window: a config no candidate survives ends in Fail, not a hang.
@@ -129,6 +134,19 @@ def check_rounds(r: int) -> None:
     """Raise ValueError unless 1 <= r <= MAX_ROUNDS."""
     if not 1 <= r <= MAX_ROUNDS:
         raise ValueError(f"need rounds >= 1 and at most {MAX_ROUNDS}")
+
+
+def check_odd(n: int, least: int) -> None:
+    """Raise ValueError unless n is odd and at least ``least``."""
+    if n < least or n % 2 == 0:
+        raise ValueError(f"need odd n >= {least}")
+
+
+def check_screen_depth(l: int) -> None:
+    """Raise ValueError unless MIN_SCREEN_DEPTH <= l <= MAX_SCREEN_DEPTH."""
+    if not MIN_SCREEN_DEPTH <= l <= MAX_SCREEN_DEPTH:
+        raise ValueError(f"need screen depth {MIN_SCREEN_DEPTH} <= l <= "
+                         f"{MAX_SCREEN_DEPTH}")
 
 
 def split_power_of_two(m: int) -> tuple[int, int]:
@@ -384,7 +402,7 @@ def factorize(n: int) -> Factorization:
     2^ceil(bits(n) / 2)), is a power of two at least sqrt(n): a small n
     builds only the blocks it needs, and at most 16 reaches get cached."""
     if n < 2:
-        raise ValueError("factorize needs n >= 2")
+        raise ValueError("need n >= 2 to factor")
     if n >= FACTOR_LIMIT:
         raise CapacityError(f"n must be below 2^{FACTOR_LIMIT.bit_length()-1}"
                             f" = {FACTOR_LIMIT} to be factored")

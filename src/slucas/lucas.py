@@ -19,8 +19,8 @@ import math
 import random
 from typing import NamedTuple
 
-from .kernel import (_method_a_sequence, is_perfect_square, jacobi,
-                     split_power_of_two)
+from .kernel import (_method_a_sequence, check_odd, is_perfect_square,
+                     jacobi, split_power_of_two)
 
 
 class Verdict(enum.Enum):
@@ -72,8 +72,7 @@ class ParamSearchError(RuntimeError):
 
 
 def _check_args(n: int, params: LucasParams) -> RoundResult | None:
-    if n < 5 or n % 2 == 0:
-        raise ValueError("test expects an odd integer n >= 5")
+    check_odd(n, 5)
     P, Q, D = params.P, params.Q, params.D
     if D == 0:
         return RoundResult(BAD_PARAMS, "square-discriminant")
@@ -154,8 +153,7 @@ def sample_params(n: int, D: int, rng: random.Random) -> LucasParams:
     Q is pinned by Q = (P^2 - D)/4 mod n; pairs with gcd(Q, n) > 1 are
     rejected and redrawn, up to 128 attempts.
     """
-    if n < 5 or n % 2 == 0:
-        raise ValueError("parameter sampling expects odd n >= 5")
+    check_odd(n, 5)
     if math.gcd(D, n) != 1:
         raise ValueError("discriminant must be coprime to n")
     inv4 = pow(4, -1, n)
@@ -178,8 +176,7 @@ def select_d(n: int) -> int:
     non-principal character, so some D = 1 (mod 4) below 4n has
     (D/n) = -1 and the sweep ends.
     """
-    if n < 3 or n % 2 == 0:
-        raise ValueError("discriminant search expects odd n >= 3")
+    check_odd(n, 3)
     if is_perfect_square(n):
         raise ParamSearchError("n is a square: no D has (D/n) = -1")
     return next(d for d in _method_a_sequence() if jacobi(d, n) == -1)

@@ -18,18 +18,19 @@ from slucas.bounds import (ENGINES, MAX_BOUND_K, PRIME_DENSITY,
                            ykts_table_cell)
 from slucas.counting import (alpha_bar, is_twin_prime_product,
                              slpsp_bruteforce)
-from slucas.kernel import (MAX_ROUNDS, MIN_BOUND_K, CapacityError, factorize,
-                           jacobi)
+from slucas.kernel import (MAX_BOUND_ROUNDS, MAX_ROUNDS, MIN_BOUND_K,
+                           CapacityError, factorize, jacobi)
 from slucas.survey import (SUM_BLOCK, _exact_sum, _survey_window, exact_qk1,
                            method_a_discriminants)
 
 from conftest import mr_oracle
 
-# Number of k-bit primes, 2^(k-1) <= p < 2^k, for k = 2..29; from k = 3 on
+# Number of k-bit primes, 2^(k-1) <= p < 2^k, for k = 2..33; from k = 3 on
 # this is OEIS A036378 (primes in (2^(k-1), 2^k]); k = 2 also counts 2.
 K_BIT_PRIMES = (2, 2, 2, 5, 7, 13, 23, 43, 75, 137, 255, 464, 872, 1612,
                 3030, 5709, 10749, 20390, 38635, 73586, 140336, 268216,
-                513708, 985818, 1894120, 3645744, 7027290, 13561907)
+                513708, 985818, 1894120, 3645744, 7027290, 13561907,
+                26207278, 50697537, 98182656, 190335585)
 
 
 def test_rho_values():
@@ -49,8 +50,11 @@ def test_rho_values():
 
 
 def test_prime_count_exact_matches_known_counts():
-    # the exact censuses of the k = 17..29 table rest on these counts
-    assert [prime_count_exact(k) for k in range(2, 30)] == list(K_BIT_PRIMES)
+    # the exact censuses of the k = 17..29 table rest on these counts; the
+    # prime count reaches 2^33, so k = 30..33 count too, and k = 34 is past
+    assert [prime_count_exact(k) for k in range(2, 34)] == list(K_BIT_PRIMES)
+    with pytest.raises(CapacityError, match="at most 8589934592"):
+        prime_count_exact(34)
 
 
 def test_census_at_the_deepest_screen():
@@ -348,6 +352,19 @@ def test_ykts_bound_is_a_probability():
     assert ykts_bound(113, 1, 1.0).value < 1
     assert ykts_bound(23, 3, 1.0).value == 1.0
     assert ykts_bound(24, 3, 1.0).value < 1
+
+
+@pytest.mark.parametrize("bound", [
+    lambda r: error_bound(17, r), lambda r: error_bound(8192, r),
+    lambda r: ykts_bound(17, r, 1.0),
+], ids=["error_bound-17", "error_bound-8192", "ykts_bound"])
+def test_bound_rounds_ceiling(bound):
+    # at the ceiling log2 q still fits a double to 10^-10 relative; past it
+    # the count of rounds is refused, at any size, before any float work
+    assert -2e6 < bound(MAX_BOUND_ROUNDS).terms["log2"] < -9e5
+    for r in (0, MAX_BOUND_ROUNDS + 1, 10 ** 400):
+        with pytest.raises(ValueError, match=f"<= {MAX_BOUND_ROUNDS}"):
+            bound(r)
 
 
 def test_ykts_bound_past_float_range_is_value_error():

@@ -533,6 +533,31 @@ def test_bounds_single_prints_nonzero_q_at_every_size(run, args):
         assert len(mantissa.replace(".", "")) <= 6
 
 
+@pytest.mark.parametrize("args", [
+    ("test", 4), ("test", 4, "--method", "bpsw"), ("count", 4),
+    ("generate", "--bits", 64, "--screen", 1),
+    ("bounds", "--l", 1, "--single", 60, 1),
+])
+def test_refusals_name_no_function(run, args):
+    # the kernel checks word each refusal by the input, not by the routine
+    res = run(*args)
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    for word in ("run_rounds", "baillie_psw", "expects", "Traceback"):
+        assert word not in res.output
+
+
+def test_bounds_single_rounds_ceiling(run):
+    # past 10^6 rounds log2 q no longer carries q's 6 printed digits, and
+    # a 400-digit R overflowed the float arithmetic with a traceback
+    assert run("bounds", "--single", 17, 10 ** 6).exit_code == 0
+    for r in (10 ** 6 + 1, 10 ** 400):
+        res = run("bounds", "--single", 17, r)
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+        assert res.output.splitlines()[-1] == (
+            "slucas bounds: error: need 1 <= r <= 1000000")
+        assert "Traceback" not in res.output
+
+
 @pytest.mark.parametrize("k", [8193, 100000000])
 def test_bounds_single_past_max_k_is_usage_error(run, k):
     res = run("bounds", "--single", k, 3)
@@ -610,9 +635,9 @@ def test_bounds_screen_depth_one_is_usage_error(run, args):
     res = run("bounds", "--l", 1, *args)
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
-    assert res.output.splitlines()[-1] == ("slucas bounds: error: --l must "
-                                           "be in 2..166")
-    assert "need 2 <= screen <= 166" in run(
+    assert res.output.splitlines()[-1] == ("slucas bounds: error: need "
+                                           "screen depth 2 <= l <= 166")
+    assert "need screen depth 2 <= l <= 166" in run(
         "generate", "--bits", 64, "--screen", 1).output
 
 

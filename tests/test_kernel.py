@@ -1,3 +1,4 @@
+import argparse
 import math
 import random
 from bisect import bisect_right
@@ -7,14 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slucas import generation, kernel
-from slucas.classical import run_rounds
-from slucas.counting import mr_count
+from slucas.classical import baillie_psw, fermat_round, run_rounds
+from slucas.cli import UsageError, cmd_count
+from slucas.counting import (fermat_count, lucas_uv_mod, mr_count,
+                             slpsp_bruteforce)
 from slucas.generation import GenConfig
 from slucas.kernel import (MAX_ROUNDS, TRIAL_REACH, CapacityError,
-                           Factorization, check_discriminant,
-                           count_primes_in_range, factorize,
-                           is_perfect_square, jacobi, least_factor,
-                           primes_in, sieve_primes, split_power_of_two)
+                           Factorization, check_discriminant, check_odd,
+                           check_screen_depth, count_primes_in_range,
+                           factorize, is_perfect_square, jacobi,
+                           least_factor, primes_in, sieve_primes,
+                           split_power_of_two)
+from slucas.lucas import (LucasParams, sample_params, select_d,
+                          strong_lucas_round)
 from slucas.survey import exact_qk1
 
 from conftest import mr_oracle
@@ -280,6 +286,46 @@ def test_rounds_ceiling_refused_alike(monkeypatch, call, r):
     monkeypatch.setattr("slucas.survey._survey_window", None)
     with pytest.raises(ValueError, match="^need rounds >= 1 and at most 128$"):
         call(r)
+
+
+@pytest.mark.parametrize("least", [3, 5])
+def test_check_odd_boundaries(least):
+    for n in (least - 2, least - 1, least + 1):
+        with pytest.raises(ValueError, match=f"^need odd n >= {least}$"):
+            check_odd(n, least)
+    check_odd(least, least)
+    check_odd(least + 2, least)
+
+
+def test_check_screen_depth_boundaries():
+    for l in (1, 167):
+        with pytest.raises(ValueError,
+                           match="^need screen depth 2 <= l <= 166$"):
+            check_screen_depth(l)
+    check_screen_depth(2)
+    check_screen_depth(166)
+
+
+@pytest.mark.parametrize("call, least", [
+    (lambda n: strong_lucas_round(n, LucasParams(1, -1)), 5),
+    (lambda n: sample_params(n, 5, random.Random(1)), 5),
+    (select_d, 3),
+    (lambda n: fermat_round(n, 2), 3),
+    (lambda n: run_rounds(n, "strong-lucas", 1, random.Random(1)), 5),
+    (baillie_psw, 3),
+    (lambda n: lucas_uv_mod(1, 1, -1, n), 3),
+    (lambda n: slpsp_bruteforce(n, 5), 3),
+    (fermat_count, 3),
+    (lambda n: cmd_count(argparse.Namespace(n=n, what="sl", d=None)), 3),
+], ids=["lucas._check_args", "sample_params", "select_d", "_base_round",
+        "run_rounds", "baillie_psw", "lucas_uv_mod", "_check_bruteforce",
+        "_base_parts", "cmd_count"])
+def test_odd_n_refused_alike(call, least):
+    # one check, kernel.check_odd, and one message that names no function
+    for n in (least - 1, least + 1):
+        with pytest.raises((ValueError, UsageError),
+                           match=f"^need odd n >= {least}$"):
+            call(n)
 
 
 def test_factorize_roundtrip():
