@@ -27,8 +27,8 @@ from functools import lru_cache, reduce
 from typing import Callable, NamedTuple
 
 from .kernel import (MAX_BOUND_K, MAX_BOUND_ROUNDS, MAX_SCREEN_DEPTH,
-                     MIN_BOUND_K, _phi, _primes_to, check_screen_depth,
-                     count_primes_in_range)
+                     MIN_BOUND_K, _phi, check_bound_rounds,
+                     check_screen_depth, count_primes_in_range, sieve_primes)
 
 # Lower-bound constant for the count of k-bit primes: more than
 # PRIME_DENSITY * 2^k / k of them for every k >= 8.
@@ -45,7 +45,7 @@ def _odd_primes() -> list[int]:
     # n-th prime is below n (ln n + ln ln n) (Rosser, n >= 6)
     n = MAX_SCREEN_DEPTH + max(m_split_range(MAX_BOUND_K)) + 1
     limit = int(n * (math.log(n) + math.log(math.log(n))))
-    return _primes_to(limit)[1:]
+    return sieve_primes(limit)[1:]
 
 
 def rho(l: int) -> float:
@@ -115,7 +115,7 @@ def _screened_count(k: int, l: int) -> int:
 
 def _twin_products(k: int, l: int) -> list[int]:
     lo, hi = 1 << (k - 1), 1 << k
-    primes = _primes_to(math.isqrt(hi) + 3)
+    primes = sieve_primes(math.isqrt(hi) + 3)
     screen = _odd_primes()[:l]
     twins = (p * q for p, q in zip(primes, primes[1:]) if q == p + 2)
     return [n for n in twins if lo <= n < hi and all(n % q for q in screen)]
@@ -340,8 +340,7 @@ def nr_bound_split(k: int, r: int, l: int = 8, M: int | None = None,
     """
     if parts not in _PARTS:
         raise ValueError(f"unknown parts selector: {parts!r}")
-    if not 1 <= r <= MAX_BOUND_ROUNDS:
-        raise ValueError(f"need 1 <= r <= {MAX_BOUND_ROUNDS}")
+    check_bound_rounds(r)
     ro = rho(l)
     size = _power(2.0, k - 2.9) if m_size is None else m_size
     splits = _splits(k, M)
@@ -419,6 +418,7 @@ def _engine_q(k: int, r: int, l: int, M: int | None = None,
                          "the exact survey (--survey-k) covers smaller k")
     if k > MAX_BOUND_K:
         raise ValueError(f"bounds stop at k = {MAX_BOUND_K}")
+    check_bound_rounds(r)  # before the census
     row = next(e for e in reversed(ENGINES) if e.ks.start <= k)
     if k <= EXACT_CENSUS_MAX_K:
         census = screen_census(k, l, exact=True)

@@ -6,7 +6,7 @@ method-A discriminant sweep, and the checks that an n, a screen depth,
 a discriminant and a number of rounds are usable.
 
 Every module that needs small primes slices one cached table here
-(``_primes_to``), which grows on demand; the size limits the CLI prints,
+(``sieve_primes``), which grows on demand; the size limits the CLI prints,
 and the lift of the digit limit on decimal text, are here too, so using
 them loads no engine.  This module imports only modules loaded at
 interpreter startup: every process loads it.
@@ -136,6 +136,12 @@ def check_rounds(r: int) -> None:
         raise ValueError(f"need rounds >= 1 and at most {MAX_ROUNDS}")
 
 
+def check_bound_rounds(r: int) -> None:
+    """Raise ValueError unless 1 <= r <= MAX_BOUND_ROUNDS."""
+    if not 1 <= r <= MAX_BOUND_ROUNDS:
+        raise ValueError(f"need 1 <= r <= {MAX_BOUND_ROUNDS}")
+
+
 def check_odd(n: int, least: int) -> None:
     """Raise ValueError unless n is odd and at least ``least``."""
     if n < least or n % 2 == 0:
@@ -196,30 +202,34 @@ def sieve_window(n0: int, window: int, primes) -> bytearray:
     return flags
 
 
+_table = [2]
+_table_limit = 2
+
+
 def sieve_primes(limit: int) -> list[int]:
-    """All primes <= limit, ascending: 2, then the odd numbers 3, 5, ...,
-    up to limit that ``sieve_window`` leaves unmarked by the odd primes up
-    to sqrt(limit), themselves sieved the same way."""
+    """All primes <= limit, ascending, sliced from the one cached table.
+    A larger limit first reads the odd primes up to sqrt(limit) from the
+    table (which may grow it), then appends the odd numbers past its end
+    that ``sieve_window`` leaves unmarked by them; a limit past the cap
+    leaves the table as it was."""
+    global _table_limit
     if limit > SIEVE_LIMIT:
         raise CapacityError(f"sieve limit must be at most {SIEVE_LIMIT}")
-    if limit < 2:
-        return []
-    return [2, *_unmarked(3, limit, sieve_primes(math.isqrt(limit))[1:])]
-
-
-def _unmarked(lo: int, hi: int, primes):
-    """The odd n in [lo, hi], lo odd, that ``sieve_window`` leaves unmarked
-    by ``primes``: with the odd primes up to sqrt(hi), the primes there."""
-    flags = sieve_window(lo, (hi - lo) // 2 + 1, primes)
-    unmarked = flags.translate(bytes.maketrans(b"\0\1", b"\1\0"))
-    return itertools.compress(range(lo, hi + 1, 2), unmarked)
+    if _table_limit < limit:
+        odd = sieve_primes(math.isqrt(limit))[1:]
+        lo = _table_limit + 1 | 1  # the end after that call
+        flags = sieve_window(lo, (limit - lo) // 2 + 1, odd)
+        unmarked = flags.translate(bytes.maketrans(b"\0\1", b"\1\0"))
+        _table.extend(itertools.compress(range(lo, limit + 1, 2), unmarked))
+        _table_limit = limit
+    return _table[:bisect_right(_table, limit)]
 
 
 @functools.lru_cache(maxsize=None)
 def _coprime_counts(a: int) -> tuple[int, list[int]]:
     """(m, counts) for m the product of the first a <= 6 primes: counts[r]
     is the number of n in 1..r coprime to m, for 0 <= r <= m."""
-    primes = _primes_to(13)[:a]
+    primes = sieve_primes(13)[:a]
     m = math.prod(primes)
     coprime = bytearray(b"\x01") * m  # n = 1..m
     for p in primes:
@@ -234,10 +244,10 @@ def _phi(x: int, a: int) -> int:
     with y // p_i >= p_i^2 is expanded in turn, one below counts 1 and the
     primes in (p_(i-1), y // p_i] (Meissel), and from y // p_i < p_i on, 1.
     """
-    small = _primes_to(1 << 12)
+    small = sieve_primes(1 << 12)
     a = bisect_right(small, x, 0, a)  # p_a <= x, or a = 0
     m, counts = _coprime_counts(min(a, 6))
-    primes = _primes_to(min(x, small[a] ** 2))  # each y // p_i < p_(a+1)^2
+    primes = sieve_primes(min(x, small[a] ** 2))  # each y // p_i < p_(a+1)^2
     total, todo = 0, [(x, a, 1)]
     while todo:
         y, b, sign = todo.pop()
@@ -269,7 +279,7 @@ def _prime_pi(x: int) -> int:
         return 0
     c = round(x ** (1 / 3))
     c -= c ** 3 > x  # the float root is within one of x^(1/3) below 2^53
-    primes = _primes_to(x // c)
+    primes = sieve_primes(x // c)
     a = bisect_right(primes, c)
     b = bisect_right(primes, math.isqrt(x))
     return _phi(x, a) + a - 1 - sum(bisect_right(primes, x // p) - i
@@ -310,29 +320,9 @@ class Factorization:
                 and self.factors == other.factors)
 
 
-_table: list[int] = []
-_table_limit = 0
-
-
-def _primes_to(limit: int) -> list[int]:
-    """The primes <= limit, sliced from the one cached table.  A larger
-    limit grows it to max(limit, 2^10), sieving only the odd numbers past
-    its old end; a failed sieve keeps it."""
-    global _table, _table_limit
-    if _table_limit < limit:
-        new_limit = max(limit, 1 << 10)
-        if _table_limit and new_limit <= SIEVE_LIMIT:
-            odd = _primes_to(math.isqrt(new_limit))[1:]
-            _table += _unmarked(_table_limit + 1 | 1, new_limit, odd)
-        else:  # the first table, or a CapacityError that keeps the last
-            _table = sieve_primes(new_limit)
-        _table_limit = new_limit
-    return _table[:bisect_right(_table, limit)]
-
-
 def primes_in(lo: int, hi: int) -> list[int]:
     """The primes p with lo < p <= hi, ascending."""
-    primes = _primes_to(hi)
+    primes = sieve_primes(hi)
     return primes[bisect_right(primes, lo):]
 
 

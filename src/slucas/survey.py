@@ -11,10 +11,11 @@ from itertools import islice
 from typing import NamedTuple
 
 from .counting import _liar_parts, is_twin_prime_product
-from .kernel import (EXACT_SURVEY_MAX_K, CapacityError, Factorization,
-                     _method_a_sequence, _pairwise, _primes_to,
-                     check_discriminant, check_rounds, is_perfect_square,
-                     jacobi, unlimited_digits)
+from .kernel import (EXACT_SURVEY_MAX_K, MIN_SCREEN_DEPTH, SCREEN_REACH,
+                     CapacityError, Factorization, _method_a_sequence,
+                     _pairwise, check_discriminant, check_rounds,
+                     is_perfect_square, jacobi, sieve_primes,
+                     unlimited_digits)
 
 
 def _fraction_text(x: Fraction) -> str:
@@ -84,7 +85,8 @@ def method_a_discriminants(count: int) -> list[int]:
 @lru_cache(maxsize=4)
 def _survey_window(k: int) -> tuple:
     """Rows (n, factorization, n is prime) for the odd k-bit n coprime to
-    15, minus the twin products p(p + 2).
+    the first MIN_SCREEN_DEPTH odd primes, 3 and 5, minus the twin products
+    p(p + 2).
 
     least[n] is the least prime factor of an odd composite n (< 256 for
     k <= 16), 0 for a prime; the largest p <= 2^(k/2) marks first.  This
@@ -94,11 +96,12 @@ def _survey_window(k: int) -> tuple:
     """
     top = 1 << k
     least = bytearray(top)
-    for p in reversed(_primes_to(math.isqrt(top - 1))[1:]):
+    for p in reversed(sieve_primes(math.isqrt(top - 1))[1:]):
         least[p * p::p] = bytes([p]) * len(range(p * p, top, p))
+    screen = math.prod(sieve_primes(SCREEN_REACH)[1:MIN_SCREEN_DEPTH + 1])
     rows = []
     for n in range((top >> 1) | 1, top, 2):
-        if n % 3 == 0 or n % 5 == 0:
+        if math.gcd(n, screen) > 1:
             continue
         factors, m = [], n
         while p := least[m]:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from slucas import kernel
+from slucas import bounds, kernel
 from slucas.bounds import (ENGINES, MAX_BOUND_K, PRIME_DENSITY,
                            TABLE_K_ROWS, BoundReport, _engine_q, chain_rule,
                            error_bound, format_json, format_q, format_tsv,
@@ -60,7 +60,7 @@ def test_prime_count_exact_matches_known_counts():
 def test_census_at_the_deepest_screen():
     # l = 166: the odd 22-bit integers the first 166 odd primes leave
     # unmarked, counted by a sieve, and the k = 29 row behind table 5
-    screen = kernel._primes_to(1000)[1:167]
+    screen = kernel.sieve_primes(1000)[1:167]
     marked = kernel.sieve_window((1 << 21) + 1, 1 << 20, screen)
     c = screen_census(22, 166, exact=True)
     assert c.screened == marked.count(0) == 161245
@@ -355,13 +355,18 @@ def test_ykts_bound_is_a_probability():
 
 
 @pytest.mark.parametrize("bound", [
-    lambda r: error_bound(17, r), lambda r: error_bound(8192, r),
-    lambda r: ykts_bound(17, r, 1.0),
-], ids=["error_bound-17", "error_bound-8192", "ykts_bound"])
-def test_bound_rounds_ceiling(bound):
+    lambda r: error_bound(17, r), lambda r: error_bound(29, r),
+    lambda r: error_bound(8192, r), lambda r: ykts_bound(17, r, 1.0),
+], ids=["error_bound-17", "error_bound-29", "error_bound-8192", "ykts_bound"])
+def test_bound_rounds_ceiling(monkeypatch, bound):
     # at the ceiling log2 q still fits a double to 10^-10 relative; past it
     # the count of rounds is refused, at any size, before any float work
+    # and before the census the engines read up to EXACT_CENSUS_MAX_K
     assert -2e6 < bound(MAX_BOUND_ROUNDS).terms["log2"] < -9e5
+
+    def no_census(*args, **kwargs):
+        raise AssertionError("built the census for a refused r")
+    monkeypatch.setattr(bounds, "screen_census", no_census)
     for r in (0, MAX_BOUND_ROUNDS + 1, 10 ** 400):
         with pytest.raises(ValueError, match=f"<= {MAX_BOUND_ROUNDS}"):
             bound(r)

@@ -14,7 +14,7 @@ from slucas.kernel import (MAX_ROUNDS, SCREEN_REACH, SIEVE_LIMIT,
 from slucas.lucas import (PROBABLE_PRIME, LucasParams, RoundResult, Verdict,
                           select_d, strong_lucas_round)
 
-from conftest import LATE_D_PRIME
+from conftest import LATE_D_PRIME, mr_oracle
 
 
 def test_fermat_round_basics():
@@ -200,14 +200,15 @@ def test_run_rounds_counts_rounds(method):
 
 
 def test_oversized_trial_limit_leaves_the_prime_table_whole(monkeypatch):
-    # A fresh process: the shared table is empty until something asks.
-    monkeypatch.setattr(kernel, "_table", [])
-    monkeypatch.setattr(kernel, "_table_limit", 0)
+    # A fresh process: the shared table holds only 2 until something asks.
+    monkeypatch.setattr(kernel, "_table", [2])
+    monkeypatch.setattr(kernel, "_table_limit", 2)
     with pytest.raises(CapacityError):
         baillie_psw(1_000_003, trial_limit=SIEVE_LIMIT + 2)
+    assert (kernel._table, kernel._table_limit) == ([2], 2)
     assert factorize(15).factors == [(3, 1), (5, 1)]
     assert baillie_psw(15).verdict is Verdict.COMPOSITE
-    assert kernel._primes_to(2000) == sieve_primes(2000)
+    assert sieve_primes(2000) == [p for p in range(2, 2001) if mr_oracle(p)]
 
 
 def test_run_rounds_stops_at_the_rejecting_round():

@@ -10,8 +10,7 @@ from slucas.generation import (MAX_SCREEN_DEPTH, GenConfig, GenOutcome,
                                prime_inc_luc, sieve_window,
                                strong_luc_generate)
 from slucas.kernel import (MAX_ROUNDS, MAX_WINDOW, SCREEN_REACH, _prime_blocks,
-                           _primes_to, jacobi, least_factor, primes_in,
-                           sieve_primes)
+                           jacobi, least_factor, primes_in, sieve_primes)
 from slucas.lucas import PROBABLE_PRIME
 
 from conftest import mr_oracle
@@ -200,7 +199,7 @@ def test_window_sieve_flags_screen_multiples():
 def test_gcd_screen_spares_screen_primes():
     # the uniform generator's screen: the first MAX_SCREEN_DEPTH odd primes
     primes = [p for p in sieve_primes(1000) if p > 2][:MAX_SCREEN_DEPTH]
-    top = _primes_to(SCREEN_REACH)[MAX_SCREEN_DEPTH]
+    top = sieve_primes(SCREEN_REACH)[MAX_SCREEN_DEPTH]
     assert primes_in(2, top) == primes
     for n in range(17, 1 << 11, 2):
         want = any(n % p == 0 and n != p for p in primes)
@@ -242,7 +241,7 @@ def test_screen_depth_leaves_result_unchanged(seed, bits, gen):
 
 def test_trial_stage_bounds():
     # the stage starts past every screen prime and, below 127 bits, is empty
-    assert _primes_to(SCREEN_REACH)[MAX_SCREEN_DEPTH] < SCREEN_REACH
+    assert sieve_primes(SCREEN_REACH)[MAX_SCREEN_DEPTH] < SCREEN_REACH
     assert generation.trial_bound(126) < SCREEN_REACH
     assert generation.trial_bound(127) == 1008
     assert primes_in(SCREEN_REACH, generation.trial_bound(126)) == []

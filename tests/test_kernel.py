@@ -102,9 +102,11 @@ def test_sieve_small():
     assert len(sieve_primes(10**6)) == 78498
 
 
-def test_sieve_matches_trial_division_at_every_small_limit():
-    # every limit below 5,000 puts each prime, each odd square and both
-    # parities at the last index of the window
+def test_sieve_matches_trial_division_at_every_small_limit(monkeypatch):
+    # from a fresh table, every limit below 5,000 puts each prime, each odd
+    # square and both parities at the last index of the window
+    monkeypatch.setattr(kernel, "_table", [2])
+    monkeypatch.setattr(kernel, "_table_limit", 2)
     reference = [p for p in range(2, 5000)
                  if all(p % d for d in range(2, math.isqrt(p) + 1))]
     for limit in range(-2, 5000):
@@ -127,8 +129,10 @@ def test_sieve_limit_raises_before_sieving(monkeypatch):
     def no_sieve(*args):
         raise AssertionError("sieved past SIEVE_LIMIT")
     monkeypatch.setattr(kernel, "sieve_window", no_sieve)
+    table = list(kernel._table), kernel._table_limit
     with pytest.raises(CapacityError):
         sieve_primes(kernel.SIEVE_LIMIT + 1)
+    assert (kernel._table, kernel._table_limit) == table
     assert kernel.SIEVE_LIMIT >= generation.MAX_TRIAL_BOUND
 
 
@@ -243,11 +247,15 @@ def test_count_primes_in_range_matches_sympy():
 
 
 def test_prime_table_grows_past_its_end(monkeypatch):
-    # each larger limit sieves only the odd numbers past the old end
-    monkeypatch.setattr(kernel, "_table", [])
-    monkeypatch.setattr(kernel, "_table_limit", 0)
-    for limit in (10, 1025, 1026, 4099, 70000, 70001):
-        assert kernel._primes_to(limit) == sieve_primes(limit), limit
+    # each larger limit sieves only the odd numbers past the table's end
+    # as it stands after the primes up to sqrt(limit) are read: at 2000
+    # that read grows the table from 10 to 44 first
+    sympy = pytest.importorskip("sympy")
+    monkeypatch.setattr(kernel, "_table", [2])
+    monkeypatch.setattr(kernel, "_table_limit", 2)
+    for limit in (10, 2000, 2001, 4_000_000):
+        assert sieve_primes(limit) == list(sympy.primerange(limit + 1)), limit
+        assert kernel._table_limit == limit
 
 
 def test_phi_matches_a_direct_count():
@@ -351,9 +359,9 @@ def test_factorize_roundtrip():
 def test_factorize_splits_what_trial_division_leaves(monkeypatch, n):
     # only the primes up to TRIAL_REACH are sieved, whatever n is
     asked = []
-    primes_to = kernel._primes_to
-    monkeypatch.setattr(kernel, "_primes_to",
-                        lambda limit: asked.append(limit) or primes_to(limit))
+    sieve = kernel.sieve_primes
+    monkeypatch.setattr(kernel, "sieve_primes",
+                        lambda limit: asked.append(limit) or sieve(limit))
     kernel._prime_blocks.cache_clear()  # so the blocks ask for their primes
     f = factorize(n)
     assert f.factors == sorted(f.factors)
