@@ -26,9 +26,9 @@ import sys
 from functools import lru_cache, reduce
 from typing import Callable, NamedTuple
 
-from .kernel import (MAX_BOUND_K, MAX_BOUND_ROUNDS, MAX_SCREEN_DEPTH,
-                     MIN_BOUND_K, _phi, check_bound_rounds,
-                     check_screen_depth, count_primes_in_range, sieve_primes)
+from .kernel import (MAX_BOUND_K, MAX_SCREEN_DEPTH, MIN_BOUND_K, _phi,
+                     check_bound_rounds, check_screen_depth,
+                     count_primes_in_range, sieve_primes)
 
 # Lower-bound constant for the count of k-bit primes: more than
 # PRIME_DENSITY * 2^k / k of them for every k >= 8.
@@ -74,16 +74,20 @@ def m_split_range(k: int) -> range:
 
 
 def _splits(k: int, M: int | None) -> range:
-    """The split points to try: M alone when given, else the whole range."""
+    """The split points to try: M alone when given, else the whole range;
+    every engine's one k check, made before any other work."""
+    if k < MIN_BOUND_K:
+        raise ValueError(f"the bound engines start at k = {MIN_BOUND_K}; "
+                         "the exact survey (--survey-k) covers smaller k")
+    if k > MAX_BOUND_K:
+        raise ValueError(f"bounds stop at k = {MAX_BOUND_K}")
     splits = m_split_range(k)
-    if M is not None:
-        if M not in splits:
-            raise ValueError(f"split point M={M} outside [3, 2*sqrt(k-1)-1] "
-                             f"for k={k}")
-        return range(M, M + 1)
-    if not splits:
-        raise ValueError(f"no admissible split point for k={k}")
-    return splits
+    if M is None:
+        return splits
+    if M not in splits:
+        raise ValueError(f"split point M={M} outside [3, 2*sqrt(k-1)-1] "
+                         f"for k={k}")
+    return range(M, M + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +288,8 @@ def n1_bound_refined(k: int, l: int = 8,
                      M: int | None = None) -> BoundReport:
     """Single-round bound with per-class cardinality sums (mid-range k)."""
     r = rho(l)
-    size = _power(2.0, k - 2.9)  # analytic bracket of the screened set
     splits = _splits(k, M)
+    size = _power(2.0, k - 2.9)  # analytic bracket of the screened set
     top = splits[-1]
     dens = [_power(2.0, (k - 1) / j) - 1 for j in range(2, top + 1)]
     # sums[M - 2]: the class sums over m = 2..M, over 2^k, for every M
@@ -310,8 +314,6 @@ def _gcd_classes(k: int, l: int, top: int) -> dict:
     non-squarefree stragglers), ``small_gcd`` the candidates where every
     such share is small; the second is empty until m = 4.
     """
-    if k > MAX_BOUND_K:
-        raise ValueError(f"the gcd-split classes stop at k = {MAX_BOUND_K}")
     dens = [_power(2.0, (k - 1) / j) + 1 for j in range(2, top + 1)]
     # products of the unscreened odd primes from the (l+1)-th on
     prods = itertools.accumulate(_odd_primes()[l:l + top - 1], operator.mul)
@@ -342,8 +344,8 @@ def nr_bound_split(k: int, r: int, l: int = 8, M: int | None = None,
         raise ValueError(f"unknown parts selector: {parts!r}")
     check_bound_rounds(r)
     ro = rho(l)
-    size = _power(2.0, k - 2.9) if m_size is None else m_size
     splits = _splits(k, M)
+    size = _power(2.0, k - 2.9) if m_size is None else m_size
     classes = _gcd_classes(k, l, splits[-1])
     # each family summed over m = 2..M with weights (rho/2)^(m r), every M
     weights = [_power(ro / 2, m * r) for m in range(2, splits[-1] + 1)]
@@ -377,11 +379,9 @@ def chain_rule(q_r: float, r: int, t: int) -> float:
 def qk1_analytic(k: int, l: int = 8) -> float:
     """Closed-form single-round error bound k^2 4^(1.8-sqrt(k)) rho^(2*sqrt(k-1)-2).
 
-    Strictly decreasing from k = 10 on and below 4/19 once k reaches 101;
-    useful as an any-k fallback when no table row applies.
+    Strictly decreasing from k = 10 on and below 4/19 once k reaches 101.
     """
-    if k < 2:
-        raise ValueError("need k >= 2")
+    _splits(k, None)  # the engines' k range
     r = rho(l)
     return k * k * 4.0 ** (1.8 - math.sqrt(k)) * r ** (2 * math.sqrt(k - 1) - 2)
 
@@ -413,12 +413,8 @@ def _engine_q(k: int, r: int, l: int, M: int | None = None,
     """q = N/(N + P) from the ENGINES row for k at split point M (the best
     when None), summing both gcd-split class families when ``full``, else
     the tables' one: small-gcd at r = 1, large-gcd at r >= 2."""
-    if k < MIN_BOUND_K:
-        raise ValueError(f"the bound engines start at k = {MIN_BOUND_K}; "
-                         "the exact survey (--survey-k) covers smaller k")
-    if k > MAX_BOUND_K:
-        raise ValueError(f"bounds stop at k = {MAX_BOUND_K}")
-    check_bound_rounds(r)  # before the census
+    _splits(k, M)  # k, M and r are refused before the census
+    check_bound_rounds(r)
     row = next(e for e in reversed(ENGINES) if e.ks.start <= k)
     if k <= EXACT_CENSUS_MAX_K:
         census = screen_census(k, l, exact=True)
@@ -472,12 +468,13 @@ def ykts_bound(k: int, t: int, c: float) -> BoundReport:
     1.0, ``source`` ends in "(vacuous)", and ``terms['log2']`` stays the
     unclamped log2.
     """
-    if not (1 <= t <= MAX_BOUND_ROUNDS and 0 < c < math.inf):
-        raise ValueError(f"need 1 <= t <= {MAX_BOUND_ROUNDS} and finite c > 0")
+    check_bound_rounds(t)
+    if not 0 < c < math.inf:
+        raise ValueError("need finite c > 0")
+    splits = _splits(k, None)
     ck = c * k
     if math.isinf(ck):
         raise ValueError(f"c * k = {c:g} * {k} is past float range")
-    splits = _splits(k, None)
     # class m weighs 2^(m(1-t)) inner[m - 2]; sums[i] adds those weights
     # over m = 3..i + 3
     top = math.ceil(1.2 * splits[-1])

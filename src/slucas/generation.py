@@ -33,11 +33,11 @@ import math
 import random
 from typing import NamedTuple
 
-from .classical import miller_rabin_round, run_rounds
+from .classical import run_rounds
 from .kernel import (MAX_SCREEN_DEPTH, MAX_WINDOW, SCREEN_REACH,
                      check_discriminant, check_rounds, check_screen_depth,
-                     is_perfect_square, jacobi, least_factor, primes_in,
-                     sieve_primes, sieve_window)
+                     is_perfect_square, is_strong_probable_prime, jacobi,
+                     least_factor, primes_in, sieve_primes, sieve_window)
 
 # Largest trial-division bound, reached at k = 8192 bits: past it the
 # sieve and the cached primes (about 300,000 of them) would keep growing.
@@ -144,7 +144,7 @@ def _search(cfg: GenConfig, window: int, candidate, screens,
     params = random.Random(None if cfg.seed is None
                            else f"slucas-params:{cfg.seed}")
     # looked up at each call, so a patched or wrapped module name applies
-    screens += (("base-2", lambda i, n: not miller_rabin_round(n, 2)),)
+    screens += (("base-2", lambda i, n: not is_strong_probable_prime(n, 2)),)
     transcript: list[dict] = []
     rounds_run, result = 0, None
     for i in range(window):

@@ -58,8 +58,7 @@ MAX_BOUND_ROUNDS = 10 ** 6
 # default window: a config no candidate survives ends in Fail, not a hang.
 MAX_WINDOW = 10 ** 6
 
-# Least and largest k the bound engines accept; the gcd-split classes stop
-# at MAX_BOUND_K too.
+# Least and largest k the bound engines accept (checked in bounds._splits).
 MIN_BOUND_K = 17
 MAX_BOUND_K = 8192
 

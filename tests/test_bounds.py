@@ -268,6 +268,24 @@ def test_q_bound_stops_at_max_k():
         nr_bound_split(MAX_BOUND_K + 1, 2)
 
 
+@pytest.mark.parametrize("engine", [
+    n1_bound_coarse, n1_bound_refined, lambda k: nr_bound_split(k, 1),
+    lambda k: ykts_bound(k, 1, 1.0), qk1_analytic, error_bound,
+], ids=["n1_bound_coarse", "n1_bound_refined", "nr_bound_split",
+        "ykts_bound", "qk1_analytic", "error_bound"])
+def test_every_engine_refuses_k_outside_its_range(monkeypatch, engine):
+    # one check refuses k before any split range or float work, so a huge k
+    # can neither overflow a double nor run for hours
+    def no_work(*args):
+        raise AssertionError("worked on a refused k")
+    monkeypatch.setattr(bounds, "m_split_range", no_work)
+    monkeypatch.setattr(bounds, "_power", no_work)
+    for k in (-5, 0, MIN_BOUND_K - 1, MAX_BOUND_K + 1, 10 ** 30, 10 ** 400):
+        with pytest.raises(ValueError, match=f"start at k = {MIN_BOUND_K};"
+                           f"|bounds stop at k = {MAX_BOUND_K}$"):
+            engine(k)
+
+
 def test_format_q():
     def fmt(q):
         return format_q(BoundReport(q, 3, {"log2": math.log2(q)}, ""))
@@ -370,6 +388,9 @@ def test_bound_rounds_ceiling(monkeypatch, bound):
     for r in (0, MAX_BOUND_ROUNDS + 1, 10 ** 400):
         with pytest.raises(ValueError, match=f"<= {MAX_BOUND_ROUNDS}"):
             bound(r)
+    # so is a split point outside the range at k
+    with pytest.raises(ValueError, match="split point M=99"):
+        _engine_q(29, 1, 8, M=99)
 
 
 def test_ykts_bound_past_float_range_is_value_error():

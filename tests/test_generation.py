@@ -11,7 +11,6 @@ from slucas.generation import (MAX_SCREEN_DEPTH, GenConfig, GenOutcome,
                                strong_luc_generate)
 from slucas.kernel import (MAX_ROUNDS, MAX_WINDOW, SCREEN_REACH, _prime_blocks,
                            jacobi, least_factor, primes_in, sieve_primes)
-from slucas.lucas import PROBABLE_PRIME
 
 from conftest import mr_oracle
 
@@ -306,8 +305,8 @@ def test_trial_division_leaves_result_unchanged(seed, bits, gen):
 def test_base2_pretest_leaves_result_unchanged(seed, bits, gen):
     cfg = GenConfig(bits=bits, rounds=2, seed=seed)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(generation, "miller_rabin_round",
-                   lambda n, a: PROBABLE_PRIME)
+        mp.setattr(generation, "is_strong_probable_prime",
+                   lambda n, a: True)
         unscreened = gen(cfg).result
     assert gen(cfg).result == unscreened
 
