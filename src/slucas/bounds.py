@@ -26,9 +26,9 @@ import sys
 from functools import lru_cache, reduce
 from typing import Callable, NamedTuple
 
-from .kernel import (MAX_BOUND_K, MAX_SCREEN_DEPTH, MIN_BOUND_K, _phi,
-                     check_bound_rounds, check_screen_depth,
-                     count_primes_in_range, sieve_primes)
+from .kernel import (MAX_BOUND_K, MIN_BOUND_K, _phi, check_bound_rounds,
+                     check_rounds, check_screen_depth, count_primes_in_range,
+                     odd_primes, sieve_primes)
 
 # Lower-bound constant for the count of k-bit primes: more than
 # PRIME_DENSITY * 2^k / k of them for every k >= 8.
@@ -36,16 +36,6 @@ PRIME_DENSITY = 0.71867
 
 # The last k at which the engines read the exact census: table 5's last row.
 EXACT_CENSUS_MAX_K = 29
-
-
-@lru_cache(maxsize=1)
-def _odd_primes() -> list[int]:
-    # rho(l) reads odd prime l, the gcd-split classes odd primes up to
-    # l + M - 2 for M up to the largest split point at MAX_BOUND_K; the
-    # n-th prime is below n (ln n + ln ln n) (Rosser, n >= 6)
-    n = MAX_SCREEN_DEPTH + max(m_split_range(MAX_BOUND_K)) + 1
-    limit = int(n * (math.log(n) + math.log(math.log(n))))
-    return sieve_primes(limit)[1:]
 
 
 def rho(l: int) -> float:
@@ -57,7 +47,7 @@ def rho(l: int) -> float:
     int / int rounds correctly, so this is the double nearest (p + 1)/p.
     """
     check_screen_depth(l)
-    p = _odd_primes()[l]
+    p = odd_primes(l + 1)[l]
     return (p + 1) / p
 
 
@@ -120,7 +110,7 @@ def _screened_count(k: int, l: int) -> int:
 def _twin_products(k: int, l: int) -> list[int]:
     lo, hi = 1 << (k - 1), 1 << k
     primes = sieve_primes(math.isqrt(hi) + 3)
-    screen = _odd_primes()[:l]
+    screen = odd_primes(l)
     twins = (p * q for p, q in zip(primes, primes[1:]) if q == p + 2)
     return [n for n in twins if lo <= n < hi and all(n % q for q in screen)]
 
@@ -236,7 +226,11 @@ def _prime_mass(k: int) -> _Wide:
 
 
 def prime_lower_bound(k: int) -> float:
-    """Guaranteed-to-be-exceeded lower bound on the number of k-bit primes."""
+    """Guaranteed-to-be-exceeded lower bound on the number of k-bit primes,
+    for 8 <= k <= 1034: below 8 it fails at k = 1, 4, 6 and 7, and past
+    1034 it is no finite double."""
+    if not 8 <= k <= 1034:
+        raise ValueError("the prime-count bound covers 8 <= k <= 1034")
     return float(_prime_mass(k))
 
 
@@ -316,7 +310,7 @@ def _gcd_classes(k: int, l: int, top: int) -> dict:
     """
     dens = [_power(2.0, (k - 1) / j) + 1 for j in range(2, top + 1)]
     # products of the unscreened odd primes from the (l+1)-th on
-    prods = itertools.accumulate(_odd_primes()[l:l + top - 1], operator.mul)
+    prods = itertools.accumulate(odd_primes(l + top - 1)[l:], operator.mul)
     return {"large_gcd": itertools.accumulate(
                 3.0 / _integer(p) / d for p, d in zip(prods, dens)),
             "small_gcd": (sum((2.0 ** (m + 1 - j) - 4) / dens[j - 2]
@@ -364,13 +358,15 @@ def nr_bound_split(k: int, r: int, l: int = 8, M: int | None = None,
 
 
 def chain_rule(q_r: float, r: int, t: int) -> float:
-    """Extend an r-round error bound to t > r rounds.
+    """Extend an r-round error bound to t > r rounds, r and t in 1..128.
 
     q_t <= (4/15)^(t-r) * q_r / (1 - q_r); at q_r = 4/19 the right side
     collapses to (4/15)^t, which is why 4/19 is the single-round target.
     """
     if not 0 <= q_r < 1:
         raise ValueError("need 0 <= q_r < 1")
+    check_rounds(r)
+    check_rounds(t)
     if t <= r:
         raise ValueError("need t > r")
     return (4 / 15) ** (t - r) * q_r / (1 - q_r)

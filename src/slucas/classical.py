@@ -9,7 +9,8 @@ from __future__ import annotations
 import math
 
 from .kernel import (SCREEN_REACH, check_discriminant, check_odd,
-                     check_rounds, is_strong_probable_prime, least_factor)
+                     check_rounds, is_strong_probable_prime, least_factor,
+                     sieve_primes)
 from .lucas import (COMPOSITE, PROBABLE_PRIME, LucasParams, ParamSearchError,
                     RoundResult, lucas_round, sample_params, select_d,
                     strong_lucas_round)
@@ -21,10 +22,9 @@ PERFECT_SQUARE = RoundResult(COMPOSITE, "perfect-square")
 D_SEARCH = RoundResult(COMPOSITE, "d-search")
 PARAM_SEARCH = RoundResult(COMPOSITE, "param-search")
 
-# baillie_psw's trial-division rejection for each prime below SCREEN_REACH,
-# built when the prime first rejects an n; a larger factor, which only a
-# larger trial_limit finds, is built afresh, so at most 168 entries.
-_trial_rejections: dict[int, RoundResult] = {}
+# baillie_psw's trial-division rejection for each prime below SCREEN_REACH
+_trial_rejections = {p: RoundResult(COMPOSITE, "trial-division", p)
+                     for p in sieve_primes(SCREEN_REACH)}
 
 
 def _base_round(n: int, a: int, passes, rejection: RoundResult) -> RoundResult:
@@ -115,10 +115,8 @@ def baillie_psw(n: int, trial_limit: int = SCREEN_REACH) -> RoundResult:
         return PROBABLE_PRIME
     if p > 1:
         res = _trial_rejections.get(p)
-        if res is None:
+        if res is None:  # a factor past SCREEN_REACH
             res = RoundResult(COMPOSITE, "trial-division", p)
-            if p < SCREEN_REACH:
-                _trial_rejections[p] = res
         return res
     # n is odd, at least 5 and has no factor below trial_limit: all that
     # miller_rabin_round would check before the strong test itself

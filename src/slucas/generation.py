@@ -10,7 +10,7 @@ runs dry is a ``Fail`` result, not an error.
 ``strong_luc_generate`` draws uniform odd k-bit candidates;
 ``prime_inc_luc`` walks upward in steps of 2 from one odd k-bit start
 through a window it sieves once up front (``kernel.sieve_window``, the
-sieve that grows the prime table ``kernel.sieve_primes`` slices).
+sieve that grows the one prime table in ``kernel``).
 
 Trial division checks the primes in (1000, k**2 / 16], past the paper's
 screen of at most 166 odd primes, from k = 127 on, where every candidate
@@ -37,7 +37,7 @@ from .classical import run_rounds
 from .kernel import (MAX_SCREEN_DEPTH, MAX_WINDOW, SCREEN_REACH,
                      check_discriminant, check_rounds, check_screen_depth,
                      is_perfect_square, is_strong_probable_prime, jacobi,
-                     least_factor, primes_in, sieve_primes, sieve_window)
+                     least_factor, odd_primes, primes_in, sieve_window)
 
 # Largest trial-division bound, reached at k = 8192 bits: past it the
 # sieve and the cached primes (about 300,000 of them) would keep growing.
@@ -183,7 +183,7 @@ def strong_luc_generate(cfg: GenConfig) -> GenOutcome:
     """
     draws = random.Random(cfg.seed)
     d = 5 if cfg.d is None else cfg.d
-    top = sieve_primes(SCREEN_REACH)[cfg.screen]  # the screen is (2, top]
+    top = odd_primes(cfg.screen)[-1]  # the screen is (2, top]
     bound = trial_bound(cfg.bits)
     screens = (
         ("jacobi-filter", lambda i, n: jacobi(d, n) != -1),
@@ -214,8 +214,7 @@ def prime_inc_luc(cfg: GenConfig) -> GenOutcome:
     window = cfg.window or 10 * math.ceil(cfg.bits * math.log(2))
     n0 = _draw_odd(cfg.bits, draws)
     window = min(window, ((1 << cfg.bits) - n0 + 1) // 2)
-    top = sieve_primes(SCREEN_REACH)[cfg.screen]
-    flagged = sieve_window(n0, window, primes_in(2, top))
+    flagged = sieve_window(n0, window, odd_primes(cfg.screen))
     divided = sieve_window(n0, window,
                            primes_in(SCREEN_REACH, trial_bound(cfg.bits)))
     screens = (

@@ -5,11 +5,11 @@ rho), the strong probable-prime test, a perfect-square check, the
 method-A discriminant sweep, and the checks that an n, a screen depth,
 a discriminant and a number of rounds are usable.
 
-Every module that needs small primes slices one cached table here
-(``sieve_primes``), which grows on demand; the size limits the CLI prints,
-and the lift of the digit limit on decimal text, are here too, so using
-them loads no engine.  This module imports only modules loaded at
-interpreter startup: every process loads it.
+Every module that needs small primes reads one cached table here, which
+grows on demand: by limit (``sieve_primes``) or by count (``odd_primes``).
+The size limits the CLI prints, and the lift of the digit limit on decimal
+text, are here too, so using them loads no engine.  This module imports
+only modules loaded at interpreter startup: every process loads it.
 
 Everything here works on plain Python ints, which are arbitrary precision,
 so values of several thousand bits are fine throughout.
@@ -224,6 +224,14 @@ def sieve_primes(limit: int) -> list[int]:
     return _table[:bisect_right(_table, limit)]
 
 
+def odd_primes(count: int) -> list[int]:
+    """The first ``count`` odd primes; the table grows to hold them."""
+    limit = SCREEN_REACH
+    while len(sieve_primes(limit)) <= count:
+        limit *= 2
+    return _table[1:count + 1]
+
+
 @functools.lru_cache(maxsize=None)
 def _coprime_counts(a: int) -> tuple[int, list[int]]:
     """(m, counts) for m the product of the first a <= 6 primes: counts[r]
@@ -238,12 +246,12 @@ def _coprime_counts(a: int) -> tuple[int, list[int]]:
 
 def _phi(x: int, a: int) -> int:
     """Legendre's phi(x, a): the n in 1..x divisible by none of the first
-    a primes, for a < pi(2^12) = 564.  With phi(y, 6) periodic mod 30030,
+    a primes.  With phi(y, 6) periodic mod 30030,
     phi(y, b) = phi(y, 6) - sum_(6 < i <= b) phi(y // p_i, i - 1): a term
     with y // p_i >= p_i^2 is expanded in turn, one below counts 1 and the
     primes in (p_(i-1), y // p_i] (Meissel), and from y // p_i < p_i on, 1.
     """
-    small = sieve_primes(1 << 12)
+    small = [2, *odd_primes(a)]
     a = bisect_right(small, x, 0, a)  # p_a <= x, or a = 0
     m, counts = _coprime_counts(min(a, 6))
     primes = sieve_primes(min(x, small[a] ** 2))  # each y // p_i < p_(a+1)^2

@@ -11,11 +11,10 @@ from itertools import islice
 from typing import NamedTuple
 
 from .counting import _liar_parts, is_twin_prime_product
-from .kernel import (EXACT_SURVEY_MAX_K, MIN_SCREEN_DEPTH, SCREEN_REACH,
-                     CapacityError, Factorization, _method_a_sequence,
-                     _pairwise, check_discriminant, check_rounds,
-                     is_perfect_square, jacobi, sieve_primes,
-                     unlimited_digits)
+from .kernel import (EXACT_SURVEY_MAX_K, MIN_SCREEN_DEPTH, CapacityError,
+                     Factorization, _method_a_sequence, _pairwise,
+                     check_discriminant, check_rounds, is_perfect_square,
+                     jacobi, odd_primes, sieve_primes, unlimited_digits)
 
 
 def _fraction_text(x: Fraction) -> str:
@@ -98,7 +97,7 @@ def _survey_window(k: int) -> tuple:
     least = bytearray(top)
     for p in reversed(sieve_primes(math.isqrt(top - 1))[1:]):
         least[p * p::p] = bytes([p]) * len(range(p * p, top, p))
-    screen = math.prod(sieve_primes(SCREEN_REACH)[1:MIN_SCREEN_DEPTH + 1])
+    screen = math.prod(odd_primes(MIN_SCREEN_DEPTH))
     rows = []
     for n in range((top >> 1) | 1, top, 2):
         if math.gcd(n, screen) > 1:

@@ -337,6 +337,35 @@ def test_chain_rule_validates():
         chain_rule(0.1, 3, 2)
 
 
+@pytest.mark.parametrize("args", [(0.1, 0, 5), (0.1, 1, 10 ** 400),
+                                  (0.1, 1, 565)])
+def test_chain_rule_refuses_rounds_outside_one_to_max(args):
+    # r = 0 once gave 1.5e-4, t = 10^400 an OverflowError and t = 565 a
+    # bound of 0.0
+    with pytest.raises(ValueError) as info:
+        chain_rule(*args)
+    assert type(info.value) is ValueError
+    assert "\n" not in str(info.value)
+    assert chain_rule(0.1, 1, MAX_ROUNDS) > 0
+
+
+@pytest.mark.parametrize("k", [1, 4, 6, 7, -3, 0, 10 ** 400, 1035])
+def test_prime_lower_bound_refuses_k_outside_its_range(k):
+    with pytest.raises(ValueError) as info:
+        prime_lower_bound(k)
+    assert type(info.value) is ValueError
+    assert "\n" not in str(info.value)
+
+
+def test_prime_lower_bound_range_is_where_it_holds():
+    # below k = 8 the analytic count exceeds the true one at k = 1, 4, 6
+    # and 7 (2.87 against 2 at k = 4); past k = 1034 it is no finite double
+    for k in (1, 4, 6, 7):
+        assert float(bounds._prime_mass(k)) > prime_count_exact(k), k
+    assert prime_lower_bound(1034) < math.inf
+    assert float(bounds._prime_mass(1035)) == math.inf
+
+
 def test_qk1_analytic_profile():
     v100 = qk1_analytic(100)
     v400 = qk1_analytic(400)

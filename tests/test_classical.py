@@ -151,6 +151,15 @@ def test_bpsw_trial_rejections_by_one_prime_agree():
     assert classical._trial_rejections[7] == first
 
 
+def test_bpsw_trial_rejections_are_built_at_import():
+    # one for each prime below SCREEN_REACH, and no call adds or replaces one
+    before = dict(classical._trial_rejections)
+    assert sorted(before) == sieve_primes(SCREEN_REACH - 1)
+    assert baillie_psw(1009 * 1013, trial_limit=2000).factor == 1009
+    assert baillie_psw(7 * 10007) is before[7]
+    assert classical._trial_rejections == before
+
+
 # strong pseudoprimes to base 2 that no prime below 1000 divides
 _BASE2_STRONG_PSEUDOPRIMES = (
     3825123056546413051,           # 149491 * 747451 * 34233211

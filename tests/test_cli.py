@@ -410,6 +410,19 @@ def test_bounds_single(run):
     assert abs(float(res.output.strip()) - 0.204541) < 5e-6
 
 
+@pytest.mark.parametrize("args, out", [
+    # the deepest prime read of any engine: the odd primes up to the 345th
+    (("bounds", "--single", 8192, 2, "--l", 166), "3.66958e-72"),
+    (("generate", "--bits", 128, "--screen", 2, "--seed", 5),
+     "263249761750761310932103580445104081243"),
+    (("generate", "--bits", 128, "--mode", "incremental", "--screen", 2,
+      "--seed", 5), "231142839961929762117858816107869960333"),
+])
+def test_screen_depth_extremes_are_pinned(run, args, out):
+    res = run(*args)
+    assert (res.exit_code, res.output) == (0, out + "\n")
+
+
 def test_bounds_table_tsv(run):
     res = run("bounds", "--table", 1)
     lines = res.output.strip().split("\n")

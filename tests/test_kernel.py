@@ -17,8 +17,8 @@ from slucas.kernel import (MAX_ROUNDS, TRIAL_REACH, CapacityError,
                            Factorization, check_discriminant, check_odd,
                            check_screen_depth, count_primes_in_range,
                            factorize, is_perfect_square, jacobi,
-                           least_factor, primes_in, sieve_primes,
-                           split_power_of_two)
+                           least_factor, odd_primes, primes_in,
+                           sieve_primes, split_power_of_two)
 from slucas.lucas import (LucasParams, sample_params, select_d,
                           strong_lucas_round)
 from slucas.survey import exact_qk1
@@ -256,6 +256,22 @@ def test_prime_table_grows_past_its_end(monkeypatch):
     for limit in (10, 2000, 2001, 4_000_000):
         assert sieve_primes(limit) == list(sympy.primerange(limit + 1)), limit
         assert kernel._table_limit == limit
+
+
+def test_odd_primes_reads_each_count_off_a_fresh_table(monkeypatch):
+    # counts across the table's doublings from SCREEN_REACH: the deepest
+    # screen (166) and the prime after it, pi(2^11) = 309 for the prime
+    # count's phi, 345 for the gcd-split classes at l = 166 and k = 8192
+    monkeypatch.setattr(kernel, "_table", [2])
+    monkeypatch.setattr(kernel, "_table_limit", 2)
+    odd = [n for n in range(3, 5000, 2)
+           if all(n % d for d in range(3, math.isqrt(n) + 1, 2))]
+    for count in (0, 1, 166, 167, 309, 345, 600):
+        assert odd_primes(count) == odd[:count], count
+    assert len(set(kernel._table)) == len(kernel._table)
+    # phi reads past the 564 primes up to 2^12: all it counts above 1 is
+    # the primes in (p_600, 10^6], as p_601^2 > 10^6
+    assert kernel._phi(10 ** 6, 600) == 1 + 78498 - 600
 
 
 def test_phi_matches_a_direct_count():
