@@ -241,10 +241,10 @@ def prime_lower_bound(k: int) -> float:
 class BoundReport(NamedTuple):
     """A bound value together with how it was assembled.
 
-    ``terms['log2']`` is log2 of the value, finite where ``value`` is 0.0
-    or, for a liar mass, inf; the other ``*_log2`` terms are the log2 of
-    the parts it sums.  ``ykts_bound`` clamps a vacuous bound above 1 to
-    ``value`` 1.0 and keeps the unclamped log2.
+    ``terms['log2']`` is log2 of the value, finite where ``value`` under-
+    or overflowed to 0.0 or inf and -inf only for an exact 0; the other
+    ``*_log2`` terms are the log2 of the parts it sums.  ``ykts_bound``
+    clamps a vacuous bound above 1 to 1.0 and keeps the unclamped log2.
     """
 
     value: float
@@ -566,14 +566,14 @@ def format_tsv(header: list[str], rows: list[list]) -> str:
 
 
 def format_q(rep: BoundReport) -> str:
-    """q at 6 decimals, or to 6 significant digits once below 1e-4, both
-    rounded up.
+    """q at 6 decimals, or to 6 significant digits once in (0, 1e-4),
+    both rounded up.
 
     A q below the smallest normal double is read off ``terms['log2']``,
-    so it still prints its mantissa and exponent.
+    so it still prints its mantissa and exponent; log2 -inf is an exact 0.
     """
     q = rep.value
-    if q >= 1e-4:
+    if q >= 1e-4 or rep.terms["log2"] == -math.inf:
         return _fixed6(q)
     if q >= sys.float_info.min:
         exponent = math.floor(math.log10(q))

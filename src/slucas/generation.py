@@ -33,7 +33,7 @@ import math
 import random
 from typing import NamedTuple
 
-from .classical import run_rounds
+from .classical import D_SEARCH, run_rounds
 from .kernel import (MAX_SCREEN_DEPTH, MAX_WINDOW, SCREEN_REACH,
                      check_discriminant, check_rounds, check_screen_depth,
                      is_perfect_square, is_strong_probable_prime, jacobi,
@@ -149,20 +149,19 @@ def _search(cfg: GenConfig, window: int, candidate, screens,
     rounds_run, result = 0, None
     for i in range(window):
         n = candidate(i)
-        entry = {"n": hex(n), "stage": "", "rounds": 0}
-        transcript.append(entry)
+        survived = 0
         for stage, rejects in screens:
             if rejects(i, n):
                 break
         else:
             res, spent = run_rounds(n, "strong-lucas", cfg.rounds, params, d)
-            if res.reason == "d-search":
+            if res == D_SEARCH:
                 stage = "d-search"
             else:
                 rounds_run += spent
-                entry["rounds"] = spent if res else spent - 1
+                survived = spent if res else spent - 1
                 stage = "accepted" if res else f"round-{spent}:{res.reason}"
-        entry["stage"] = stage
+        transcript.append({"n": hex(n), "stage": stage, "rounds": survived})
         if stage == "accepted":
             result = n
             break

@@ -303,6 +303,9 @@ def test_format_q():
     # 2^-9029 = 1.000389558e-2718
     tiny = BoundReport(0.0, 3, {"log2": -9029.0}, "")
     assert format_q(tiny) == "1.00039e-2718"
+    # an exact 0 has no digits to read off its log2
+    zero = BoundReport(0.0, 3, {"log2": -math.inf}, "")
+    assert format_q(zero) == "0.000000"
 
 
 def test_table_cells_round_up():
