@@ -6,7 +6,7 @@ module has exact censuses of the screened candidate sets, bounds on the
 surviving-liar mass N_r at three levels of refinement (each optimized over
 the split point M), the incremental-search window bounds, and the
 reference-table generators; the exact small-k surveys are in
-``slucas.survey``.
+``slucas.counting``.
 
 ``ENGINES`` is the one table of which engine bounds each k: a row per
 q table, the last row's engine running on to k = MAX_BOUND_K.

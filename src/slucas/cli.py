@@ -173,7 +173,7 @@ def cmd_bounds(args) -> int:
             text = format_q(_checked(error_bound, k, r, args.l)) + "\n"
         elif args.survey_k is not None:
             import json
-            from .survey import exact_qk1
+            from .counting import exact_qk1
             survey = _checked(exact_qk1, args.survey_k)
             text = json.dumps(survey.as_dict(), indent=2) + "\n"
         else:

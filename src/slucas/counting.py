@@ -14,15 +14,26 @@ rounded until a caller formats it.  lucas_uv_mod's (U, V, Q^m) ladder
 defines both Lucas rounds for the brute-force counts and round tests:
 n | U_{n-eps} = U_q * V_q * ... * V_{2^(kappa-1) q}, or n | one factor
 (Baillie-Wagstaff, "Lucas Pseudoprimes", Math. Comp. 1980).
+
+The exact small-k surveys (``exact_qk1``) price every composite in the
+screened k-bit window with the strong pair count, one error value per D.
+Of the CLI's commands only ``slucas count`` and ``bounds --survey-k``
+load this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from functools import cache, lru_cache, partial
+from itertools import islice
+from math import gcd, isqrt, prod
+from typing import NamedTuple
 
-from .kernel import (Factorization, check_odd, factorize, jacobi,
-                     split_power_of_two)
+from .kernel import (EXACT_SURVEY_MAX_K, MIN_SCREEN_DEPTH, CapacityError,
+                     Factorization, _method_a_sequence, _pairwise,
+                     check_discriminant, check_odd, check_rounds, factorize,
+                     is_perfect_square, jacobi, odd_primes, sieve_primes,
+                     split_power_of_two, unlimited_digits)
 
 BRUTEFORCE_LIMIT = 10 ** 4
 
@@ -47,11 +58,12 @@ def phi_d(n: int | Factorization, D: int) -> int:
 
 
 def _liar_parts(f: Factorization, eps_of, strong: bool) -> tuple[int, int]:
-    """(count, eps(n)) by the module's product formula for n = f.n.
+    """(count, n - eps(n) - 1) by the module's product formula for n = f.n.
 
     ``eps_of(p)`` is (D/p) for the pair counts, whose caller has checked
-    gcd(n, 2*D) = 1, so eps(n) = prod (D/p)^r; None for the base counts.
-    ``strong`` picks the strong round's count over the plain one's.
+    gcd(n, 2*D) = 1, so eps(n) = prod (D/p)^r; None for the base counts,
+    which read only the count.  ``strong`` picks the strong round's count
+    over the plain one's.
     """
     eps_n, shifted, bits = 1, [], 0
     for p, r in f.factors:
@@ -71,21 +83,19 @@ def _liar_parts(f: Factorization, eps_of, strong: bool) -> tuple[int, int]:
         head *= g - c
         tail *= g
     if not strong:
-        return head, eps_n
+        return head, f.n - eps_n - 1
     s = len(shifted)
     low = bits & -bits      # 2^k1: the OR's lowest bit is the least one
     # the sum over j < k1 is (2^(k1*s) - 1)/(2^s - 1)
-    return head + (low ** s - 1) // ((1 << s) - 1) * tail, eps_n
+    return head + (low ** s - 1) // ((1 << s) - 1) * tail, f.n - eps_n - 1
 
 
-def _pair_parts(n: int | Factorization, D: int,
-                strong: bool) -> tuple[int, int]:
-    # (count, n - eps(n) - 1), or (0, 1) when gcd(n, 2*D) > 1
-    f = _fact(n)
-    if gcd(f.n, 2 * D) > 1:
-        return 0, 1
-    count, eps_n = _liar_parts(f, lambda p: jacobi(D, p), strong)
-    return count, f.n - eps_n - 1
+def _pair_parts(fs: list[Factorization], D: int,
+                strong: bool) -> list[tuple[int, int]]:
+    # (count, n - eps(n) - 1) for each n = f.n coprime to 2*D, in input
+    # order; the cache computes (D/p) once for each distinct prime
+    eps_of = cache(partial(jacobi, D))
+    return [_liar_parts(f, eps_of, strong) for f in fs if gcd(f.n, 2 * D) == 1]
 
 
 def _base_parts(n: int | Factorization, strong: bool) -> int:
@@ -102,12 +112,12 @@ def sl_count(n: int | Factorization, D: int) -> int:
     For prime n every admissible pair passes, so the count collapses to
     n - eps - 1.
     """
-    return _pair_parts(n, D, True)[0]
+    return sum(count for count, _ in _pair_parts([_fact(n)], D, True))
 
 
 def lucas_count(n: int | Factorization, D: int) -> int:
     """Number of P mod n the plain Lucas round accepts; 0 if gcd(n, 2D) > 1."""
-    return _pair_parts(n, D, False)[0]
+    return sum(count for count, _ in _pair_parts([_fact(n)], D, False))
 
 
 def fermat_count(n: int | Factorization) -> int:
@@ -122,7 +132,8 @@ def mr_count(n: int | Factorization) -> int:
 
 def alpha_bar(n: int | Factorization, D: int) -> Fraction:
     """SL count divided by n - eps - 1, exactly."""
-    return Fraction(*_pair_parts(n, D, True))
+    parts = _pair_parts([_fact(n)], D, True)
+    return Fraction(*parts[0]) if parts else Fraction(0)
 
 
 def alpha(n: int | Factorization, D: int) -> Fraction:
@@ -267,3 +278,142 @@ def psp_to_lpsp_compose(n: int, b: int, c: int) -> LucasParams:
     if gcd(n, b * c * (b - c)) != 1:
         raise ValueError("need gcd(n, b*c*(b-c)) = 1")
     return LucasParams((b + c) % n, (b * c) % n)
+
+
+def _fraction_text(x: Fraction) -> str:
+    # "p/q" in full: at k = 16 the denominators run to ~7,900 digits
+    with unlimited_digits():
+        return f"{x.numerator}/{x.denominator}"
+
+
+# terms per unreduced (numerator, denominator) block in _exact_sum
+SUM_BLOCK = 256
+
+
+def _add_ratios(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    return x[0] * y[1] + y[0] * x[1], x[1] * y[1]
+
+
+def _exact_sum(ratios: list[tuple[int, int]]) -> Fraction:
+    # each block of integer ratios is added without reducing, then becomes
+    # one Fraction, and the Fractions are added pairwise; Fractions are
+    # canonical, so the reduced total is the same whatever the grouping
+    if not ratios:
+        return Fraction(0)
+    blocks = [Fraction(*_pairwise(ratios[i:i + SUM_BLOCK], _add_ratios))
+              for i in range(0, len(ratios), SUM_BLOCK)]
+    return _pairwise(blocks, Fraction.__add__)
+
+
+class DiscriminantSurvey(NamedTuple):
+    """Exact error measurement for one discriminant over a k-bit window."""
+
+    d: int
+    liar_mass: Fraction   # sum of alpha_bar^r over surviving composites
+    composites: int       # composites coprime to 2d in the window
+    primes: int           # primes coprime to 2d in the window
+    q: Fraction           # liar_mass / (liar_mass + primes)
+
+    def as_dict(self) -> dict:
+        return {"d": self.d, "q": float(self.q),
+                "q_exact": _fraction_text(self.q),
+                "liar_mass": _fraction_text(self.liar_mass),
+                "composites": self.composites, "primes": self.primes}
+
+
+class ExactSurvey(NamedTuple):
+    """Per-discriminant exact error probabilities for small k."""
+
+    k: int
+    r: int
+    per_d: tuple[DiscriminantSurvey, ...]
+    best: DiscriminantSurvey  # the entry of largest q
+
+    def as_dict(self) -> dict:
+        return {"k": self.k, "r": self.r, "max_q": float(self.best.q),
+                "argmax_d": self.best.d,
+                "per_d": [s.as_dict() for s in self.per_d]}
+
+
+def method_a_discriminants(count: int) -> list[int]:
+    """First ``count`` values of the alternating scan 5, -7, 9, -11, ...
+
+    squares dropped (they never arise as a usable discriminant).
+    """
+    usable = (d for d in _method_a_sequence() if not is_perfect_square(d))
+    return list(islice(usable, count))
+
+
+@lru_cache(maxsize=4)
+def _survey_window(k: int) -> tuple:
+    """Rows (n, factorization, n is prime) for the odd k-bit n coprime to
+    the first MIN_SCREEN_DEPTH odd primes, 3 and 5, minus the twin products
+    p(p + 2).
+
+    least[n] is the least prime factor of an odd composite n (< 256 for
+    k <= 16), 0 for a prime; the largest p <= 2^(k/2) marks first.  This
+    table is the one sieve outside ``kernel``: at k = 16 it builds the
+    8,734 rows in 21 ms, where ``kernel.factorize`` on each takes 43 ms
+    (Python 3.11, 2-CPU Xeon).
+    """
+    top = 1 << k
+    least = bytearray(top)
+    for p in reversed(sieve_primes(isqrt(top - 1))[1:]):
+        least[p * p::p] = bytes([p]) * len(range(p * p, top, p))
+    screen = prod(odd_primes(MIN_SCREEN_DEPTH))
+    rows = []
+    for n in range((top >> 1) | 1, top, 2):
+        if gcd(n, screen) > 1:
+            continue
+        factors, m = [], n
+        while p := least[m]:
+            r = 0
+            while m % p == 0:
+                m //= p
+                r += 1
+            factors.append((p, r))
+        if m > 1:
+            factors.append((m, 1))
+        f = Factorization(n, factors)
+        if not is_twin_prime_product(f):
+            rows.append((n, f, factors == [(n, 1)]))
+    return tuple(rows)
+
+
+def exact_qk1(k: int, r: int = 1,
+              d_scan: list[int] | None = None) -> ExactSurvey:
+    """Exact r-round error probability at small k, one value per discriminant.
+
+    Enumerates every odd k-bit candidate coprime to 15 (twin-prime
+    products removed), factors it, and accumulates the exact per-candidate
+    acceptance ratio alpha_bar^r over the composites, skipping candidates
+    sharing a factor with 2d.  The returned survey carries one entry per
+    scanned discriminant plus the maximum, which is the number the
+    reference table prints.  For each d, ``_pair_parts`` prices every
+    composite at once, and each adds the integer pair (count^r,
+    (n - (d/n) - 1)^r), summed exactly by ``_exact_sum``.
+    """
+    if not 2 <= k <= EXACT_SURVEY_MAX_K:
+        raise CapacityError(f"exact surveys cover 2 <= k <= {EXACT_SURVEY_MAX_K}")
+    check_rounds(r)
+    if d_scan is None:
+        d_scan = method_a_discriminants(12)
+    if not d_scan:
+        raise ValueError("need at least one discriminant")
+    for d in d_scan:
+        check_discriminant(d)
+    window = _survey_window(k)
+    composites = [f for _, f, n_prime in window if not n_prime]
+    primes = [n for n, _, n_prime in window if n_prime]
+    surveys = []
+    for d in d_scan:
+        ratios = _pair_parts(composites, d, True)
+        if r > 1:
+            ratios = [(count ** r, m ** r) for count, m in ratios]
+        mass = _exact_sum(ratios)
+        coprime = sum(1 for n in primes if gcd(n, 2 * d) == 1)
+        q = mass / (mass + coprime) if mass else Fraction(0)
+        surveys.append(DiscriminantSurvey(
+            d=d, liar_mass=mass, composites=len(ratios), primes=coprime, q=q))
+    return ExactSurvey(k=k, r=r, per_d=tuple(surveys),
+                       best=max(surveys, key=lambda s: s.q))

@@ -62,8 +62,8 @@ MAX_WINDOW = 10 ** 6
 MIN_BOUND_K = 17
 MAX_BOUND_K = 8192
 
-# Exact small-k surveys (slucas.survey) factor every candidate in the window;
-# past k = 16 least factors outgrow survey._survey_window's bytearray (< 2^8).
+# Exact small-k surveys factor every candidate in the window; past k = 16
+# least factors outgrow counting._survey_window's bytearray (< 2^8).
 EXACT_SURVEY_MAX_K = 16
 
 

@@ -25,16 +25,16 @@ import pytest
 from slucas.bounds import (_engine_q, chain_rule, format_tsv, m_split_range,
                            table_rows, ykts_table_cell)
 from slucas.classical import baillie_psw, miller_rabin_round
-from slucas.counting import (alpha, alpha_bar, fermat_bruteforce,
+from slucas.counting import (alpha, alpha_bar, exact_qk1, fermat_bruteforce,
                              fermat_count, is_twin_prime_product,
-                             lpsp_bruteforce, lucas_count, mr_bruteforce,
+                             lpsp_bruteforce, lucas_count,
+                             method_a_discriminants, mr_bruteforce,
                              mr_count, psp_to_lpsp_compose, sl_count,
                              slpsp_bruteforce)
 from slucas.generation import GenConfig, prime_inc_luc, strong_luc_generate
 from slucas.kernel import factorize, sieve_primes
 from slucas.lucas import (LucasParams, lucas_round, sample_params, select_d,
                           strong_lucas_round)
-from slucas.survey import exact_qk1, method_a_discriminants
 
 from conftest import mr_oracle
 

@@ -16,12 +16,11 @@ from slucas.bounds import (ENGINES, MAX_BOUND_K, PRIME_DENSITY,
                            prime_lower_bound, qk1_analytic, rho,
                            screen_census, table_rows, ykts_bound,
                            ykts_table_cell)
-from slucas.counting import (alpha_bar, is_twin_prime_product,
-                             slpsp_bruteforce)
+from slucas.counting import (SUM_BLOCK, _exact_sum, _survey_window,
+                             alpha_bar, exact_qk1, is_twin_prime_product,
+                             method_a_discriminants, slpsp_bruteforce)
 from slucas.kernel import (MAX_BOUND_ROUNDS, MAX_ROUNDS, MIN_BOUND_K,
                            CapacityError, factorize, jacobi)
-from slucas.survey import (SUM_BLOCK, _exact_sum, _survey_window, exact_qk1,
-                           method_a_discriminants)
 
 from conftest import mr_oracle
 
@@ -456,11 +455,23 @@ def test_exact_survey_tiny_sizes():
 def test_exact_survey_rounds_ceiling(monkeypatch):
     # refused before the window is built, as run_rounds refuses them
     assert len(exact_qk1(6, MAX_ROUNDS).per_d) == 12
-    monkeypatch.setattr("slucas.survey._survey_window", None)
+    monkeypatch.setattr("slucas.counting._survey_window", None)
     for r in (0, MAX_ROUNDS + 1, 10 ** 6):
         with pytest.raises(ValueError,
                            match=f"need rounds >= 1 and at most {MAX_ROUNDS}"):
             exact_qk1(6, r)
+
+
+@pytest.mark.parametrize("k, d_scan, message", [
+    (8, [], "need at least one discriminant"),
+    (16, [5, -7, 13, 7], "discriminant must be 0 or 1 mod 4: 7"),
+], ids=["empty", "bad-last"])
+def test_exact_survey_scan_refused_before_window(monkeypatch, k, d_scan,
+                                                 message):
+    # every d is checked before the window is built or any d is priced
+    monkeypatch.setattr("slucas.counting._survey_window", None)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        exact_qk1(k, 1, d_scan)
 
 
 def test_survey_window_is_the_census_set():

@@ -600,8 +600,8 @@ def test_bounds_survey_defect_is_not_a_usage_error(run, monkeypatch):
     def broken(k):
         raise ZeroDivisionError("defect")
 
-    # cmd_bounds imports exact_qk1 from slucas.survey in its survey branch
-    monkeypatch.setattr("slucas.survey.exact_qk1", broken)
+    # cmd_bounds imports exact_qk1 from slucas.counting in its survey branch
+    monkeypatch.setattr("slucas.counting.exact_qk1", broken)
     res = run("bounds", "--survey-k", 8)
     assert res.exit_code == 1
     assert isinstance(res.exception, ZeroDivisionError)
@@ -611,7 +611,7 @@ def test_interrupt_is_reported_without_traceback(run, monkeypatch):
     def interrupted(k):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr("slucas.survey.exact_qk1", interrupted)
+    monkeypatch.setattr("slucas.counting.exact_qk1", interrupted)
     res = run("bounds", "--survey-k", 8)
     assert res.exit_code == 1
     assert res.output == "Aborted!\n"

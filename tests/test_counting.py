@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slucas.counting import (BRUTEFORCE_LIMIT, alpha, alpha_bar,
+from slucas.counting import (BRUTEFORCE_LIMIT, _pair_parts, alpha, alpha_bar,
                              fermat_bruteforce, fermat_count,
                              is_twin_prime_product, lpsp_bruteforce,
                              lucas_count, mr_bruteforce, mr_count, phi_d,
@@ -69,6 +69,18 @@ def test_sl_count_zero_when_sharing_a_factor():
     assert sl_count(15, 5) == 0      # gcd(15, 10) > 1
     assert sl_count(21, -7) == 0
     assert sl_count(9, 5) > 0        # coprime case is positive
+
+
+def test_pair_parts_prices_a_list_in_order():
+    # a prime power, an n sharing 5 with 2D and a three-prime n: only the
+    # sharing n is dropped, and the others keep their order and get their
+    # own sl_count over n - (D/n) - 1
+    kept = (7 ** 3, 7 * 23 * 41)
+    fs = [factorize(n) for n in (kept[0], 45, kept[1])]
+    assert _pair_parts(fs, 5, True) == [
+        (sl_count(n, 5), n - jacobi(5, n) - 1) for n in kept]
+    assert [count for count, _ in _pair_parts(fs, 5, True)] == [7, 1095]
+    assert alpha_bar(45, 5) == Fraction(0)
 
 
 def test_counts_accept_factorization_inputs():

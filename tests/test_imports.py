@@ -106,7 +106,7 @@ def _bounds_run_loads(args: list[str], unused: set[str]) -> set[str]:
 # a table or single bound needs neither the liar counts nor the Lucas
 # rounds, and no dataclasses (which pull in inspect) or fractions
 TABLE_UNUSED = {"dataclasses", "inspect", "fractions", "slucas.counting",
-                "slucas.lucas", "slucas.survey"}
+                "slucas.lucas"}
 
 
 def test_bounds_run_leaves_other_subcommands_unloaded():
@@ -118,7 +118,7 @@ def test_bounds_run_leaves_other_subcommands_unloaded():
     # a survey needs the liar counts, but not the Lucas rounds or the
     # bound engines
     (["--survey-k", "13"], {"dataclasses", "slucas.lucas", "slucas.bounds"},
-     "slucas.survey"),
+     "slucas.counting"),
 ], ids=["single", "survey"])
 def test_bounds_item_loads_only_its_engine(args, unused, engine):
     assert engine in _bounds_run_loads(args, unused)
@@ -127,8 +127,8 @@ def test_bounds_item_loads_only_its_engine(args, unused, engine):
 # testing and generating primes load kernel, lucas, classical and
 # generation only: no bound engine, no dataclasses, and json only for a
 # transcript
-PRIME_UNUSED = {"slucas.bounds", "slucas.counting", "slucas.survey",
-                "dataclasses", "inspect", "fractions"}
+PRIME_UNUSED = {"slucas.bounds", "slucas.counting", "dataclasses",
+                "inspect", "fractions"}
 CLI = "from slucas import cli; cli.main({})"
 
 
@@ -232,15 +232,14 @@ SUBMODULE_API = {
                "sieve_primes", "split_power_of_two"),
     "lucas": ("lucas_round",),
     "classical": ("fermat_round", "miller_rabin_round"),
-    "counting": ("alpha_bar", "fermat_count", "is_twin_prime_product",
-                 "lucas_count", "lucas_uv_mod", "mr_count", "phi_d",
-                 "psp_to_lpsp_compose", "slpsp_bruteforce",
-                 "worst_case_ceiling"),
+    "counting": ("ExactSurvey", "alpha_bar", "exact_qk1", "fermat_count",
+                 "is_twin_prime_product", "lucas_count", "lucas_uv_mod",
+                 "mr_count", "phi_d", "psp_to_lpsp_compose",
+                 "slpsp_bruteforce", "worst_case_ceiling"),
     "bounds": ("ScreenCensus", "chain_rule", "n1_bound_coarse",
                "n1_bound_refined", "nr_bound_split", "prime_count_exact",
                "prime_lower_bound", "qk1_analytic", "rho", "screen_census",
                "table_rows", "ykts_bound", "ykts_table_cell"),
-    "survey": ("ExactSurvey", "exact_qk1"),
 }
 SUBMODULE_OF = {name: module for module, names in SUBMODULE_API.items()
                 for name in names}

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from slucas import generation, kernel
 from slucas.classical import baillie_psw, fermat_round, run_rounds
 from slucas.cli import UsageError, cmd_count
-from slucas.counting import (fermat_count, lucas_uv_mod, mr_count,
-                             slpsp_bruteforce)
+from slucas.counting import (exact_qk1, fermat_count, lucas_uv_mod,
+                             mr_count, slpsp_bruteforce)
 from slucas.generation import GenConfig
 from slucas.kernel import (MAX_ROUNDS, TRIAL_REACH, CapacityError,
                            Factorization, check_discriminant, check_odd,
@@ -21,7 +21,6 @@ from slucas.kernel import (MAX_ROUNDS, TRIAL_REACH, CapacityError,
                            sieve_primes, split_power_of_two)
 from slucas.lucas import (LucasParams, sample_params, select_d,
                           strong_lucas_round)
-from slucas.survey import exact_qk1
 
 from conftest import mr_oracle
 
@@ -307,7 +306,7 @@ def test_prime_pi_known_values():
 def test_rounds_ceiling_refused_alike(monkeypatch, call, r):
     # one check and one message, before any parameter search or window
     monkeypatch.setattr("slucas.classical.select_d", None)
-    monkeypatch.setattr("slucas.survey._survey_window", None)
+    monkeypatch.setattr("slucas.counting._survey_window", None)
     with pytest.raises(ValueError, match="^need rounds >= 1 and at most 128$"):
         call(r)
 
