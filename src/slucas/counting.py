@@ -17,6 +17,8 @@ n | U_{n-eps} = U_q * V_q * ... * V_{2^(kappa-1) q}, or n | one factor
 
 The exact small-k surveys (``exact_qk1``) price every composite in the
 screened k-bit window with the strong pair count, one error value per D.
+Every n here is factored by ``kernel.factorize``: a least-factor table
+below 2^16, gcd blocks of the primes up to 2^16 above it, then rho.
 Of the CLI's commands only ``slucas count`` and ``bounds --survey-k``
 load this module.
 """
@@ -26,14 +28,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from itertools import islice
-from math import gcd, isqrt, prod
+from math import gcd, prod
 from typing import NamedTuple
 
 from .kernel import (EXACT_SURVEY_MAX_K, MIN_SCREEN_DEPTH, CapacityError,
                      Factorization, _method_a_sequence, _pairwise,
                      check_discriminant, check_odd, check_rounds, factorize,
-                     is_perfect_square, jacobi, odd_primes, sieve_primes,
-                     split_power_of_two, unlimited_digits)
+                     is_perfect_square, jacobi, odd_primes, split_power_of_two,
+                     unlimited_digits)
 
 BRUTEFORCE_LIMIT = 10 ** 4
 
@@ -99,9 +101,8 @@ def _pair_parts(fs: list[Factorization], D: int,
 
 
 def _base_parts(n: int | Factorization, strong: bool) -> int:
-    f = _fact(n)
-    check_odd(f.n, 3)
-    return _liar_parts(f, None, strong)[0]
+    check_odd(n.n if isinstance(n, Factorization) else n, 3)
+    return _liar_parts(_fact(n), None, strong)[0]
 
 
 def sl_count(n: int | Factorization, D: int) -> int:
@@ -348,35 +349,14 @@ def method_a_discriminants(count: int) -> list[int]:
 def _survey_window(k: int) -> tuple:
     """Rows (n, factorization, n is prime) for the odd k-bit n coprime to
     the first MIN_SCREEN_DEPTH odd primes, 3 and 5, minus the twin products
-    p(p + 2).
-
-    least[n] is the least prime factor of an odd composite n (< 256 for
-    k <= 16), 0 for a prime; the largest p <= 2^(k/2) marks first.  This
-    table is the one sieve outside ``kernel``: at k = 16 it builds the
-    8,734 rows in 21 ms, where ``kernel.factorize`` on each takes 43 ms
-    (Python 3.11, 2-CPU Xeon).
-    """
-    top = 1 << k
-    least = bytearray(top)
-    for p in reversed(sieve_primes(isqrt(top - 1))[1:]):
-        least[p * p::p] = bytes([p]) * len(range(p * p, top, p))
+    p(p + 2)."""
     screen = prod(odd_primes(MIN_SCREEN_DEPTH))
     rows = []
-    for n in range((top >> 1) | 1, top, 2):
-        if gcd(n, screen) > 1:
-            continue
-        factors, m = [], n
-        while p := least[m]:
-            r = 0
-            while m % p == 0:
-                m //= p
-                r += 1
-            factors.append((p, r))
-        if m > 1:
-            factors.append((m, 1))
-        f = Factorization(n, factors)
-        if not is_twin_prime_product(f):
-            rows.append((n, f, factors == [(n, 1)]))
+    for n in range((1 << k - 1) | 1, 1 << k, 2):
+        if gcd(n, screen) == 1:
+            f = factorize(n)
+            if not is_twin_prime_product(f):
+                rows.append((n, f, f.factors == [(n, 1)]))
     return tuple(rows)
 
 

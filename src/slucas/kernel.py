@@ -1,9 +1,10 @@
 """Low-level integer routines: Jacobi symbol, the window sieve and the
 prime sieve built on it, Legendre's phi and Meissel's prime count on it,
-factorization (the small-prime screen ``least_factor``, then Pollard
-rho), the strong probable-prime test, a perfect-square check, the
-method-A discriminant sweep, and the checks that an n, a screen depth,
-a discriminant and a number of rounds are usable.
+factorization (a least-factor table below 2^16, the gcd blocks of
+``least_factor`` up to 2^16 above it, then Pollard rho), the strong
+probable-prime test, a perfect-square check, the method-A discriminant
+sweep, and the checks that an n, a screen depth, a discriminant and a
+number of rounds are usable.
 
 Every module that needs small primes reads one cached table here, which
 grows on demand: by limit (``sieve_primes``) or by count (``odd_primes``).
@@ -62,8 +63,8 @@ MAX_WINDOW = 10 ** 6
 MIN_BOUND_K = 17
 MAX_BOUND_K = 8192
 
-# Exact small-k surveys factor every candidate in the window; past k = 16
-# least factors outgrow counting._survey_window's bytearray (< 2^8).
+# Exact small-k surveys factor every candidate in the window; up to k = 16
+# each is below TRIAL_REACH, so factorize reads it off its least-factor table.
 EXACT_SURVEY_MAX_K = 16
 
 
@@ -392,23 +393,34 @@ def _rho(n: int) -> int:
             return g
 
 
+@functools.cache
+def _least_factors() -> bytes:
+    """least[m] for m < TRIAL_REACH: the least prime factor of a composite
+    m (below 2^8), else 0; the largest prime below 2^8 marks its multiples
+    first, so each smaller prime overwrites the ones it divides."""
+    least = bytearray(TRIAL_REACH)
+    for p in reversed(sieve_primes(math.isqrt(TRIAL_REACH - 1))):
+        least[p * p::p] = bytes([p]) * ((TRIAL_REACH - 1 - p * p) // p + 1)
+    return bytes(least)
+
+
 def factorize(n: int) -> Factorization:
-    """Factor n: divide out the least prime up to the reach that
-    ``least_factor`` finds until there is none, then the primes ``_rho``
-    splits from the rest (a part is prime below TRIAL_REACH^2, or when the
-    strong tests to PRIME_BASES pass).  The reach, min(TRIAL_REACH,
-    2^ceil(bits(n) / 2)), is a power of two at least sqrt(n): a small n
-    builds only the blocks it needs, and at most 16 reaches get cached."""
+    """Factor n: divide out the least prime factor of what is left, read
+    off ``_least_factors`` below TRIAL_REACH and found by ``least_factor``
+    up to TRIAL_REACH above it, until there is none, then the primes
+    ``_rho`` splits from the rest (a part is prime below TRIAL_REACH^2, or
+    when the strong tests to PRIME_BASES pass)."""
     if n < 2:
         raise ValueError("need n >= 2 to factor")
     if n >= FACTOR_LIMIT:
         raise CapacityError(f"n must be below 2^{FACTOR_LIMIT.bit_length()-1}"
                             f" = {FACTOR_LIMIT} to be factored")
-    reach = min(TRIAL_REACH, 1 << (n.bit_length() + 1) // 2)
+    least = _least_factors()
     m, factors = n, []
     while m > 1:
-        p = least_factor(m, 1, reach)
-        if p == 1:
+        if m < TRIAL_REACH:
+            p = least[m] or m
+        elif (p := least_factor(m, 1, TRIAL_REACH)) == 1:
             p = m
             while p >= TRIAL_REACH * TRIAL_REACH and not all(
                     is_strong_probable_prime(p, a) for a in PRIME_BASES):
@@ -418,4 +430,5 @@ def factorize(n: int) -> Factorization:
             m //= p
             r += 1
         factors.append((p, r))
-    return Factorization(n, sorted(factors))
+    factors.sort()
+    return Factorization(n, factors)

@@ -486,22 +486,39 @@ def test_survey_window_is_the_census_set():
             assert sum(n_prime for _, _, n_prime in rows) == census.primes, k
 
 
+def _trial_division(n):
+    # ascending (p, r) pairs, dividing by every d from 2 up to sqrt(n)
+    factors, d = [], 2
+    while d * d <= n:
+        r = 0
+        while n % d == 0:
+            n //= d
+            r += 1
+        if r:
+            factors.append((d, r))
+        d += 1
+    return factors + [(n, 1)] * (n > 1)
+
+
 def test_survey_window_matches_trial_division():
-    # the window is factored off a least-prime-factor table; trial division
-    # must give the same rows: every odd k-bit n coprime to 15, twin-prime
-    # products p(p+2) dropped, each with its factorization and primality
+    # the window is factored off kernel's least-factor table; plain trial
+    # division must give the same rows: every odd k-bit n coprime to 15,
+    # twin-prime products p(p+2) dropped, each with its factorization and
+    # primality
     for k in range(2, 13):
         expected = []
         for n in range((1 << (k - 1)) | 1, 1 << k, 2):
             if n % 3 == 0 or n % 5 == 0:
                 continue
-            f = factorize(n)
-            if not is_twin_prime_product(f):
-                expected.append((n, f, mr_oracle(n)))
+            factors = _trial_division(n)
+            twin = (len(factors) == 2 and factors[0][1] == factors[1][1] == 1
+                    and factors[1][0] == factors[0][0] + 2)
+            if not twin:
+                expected.append((n, factors, mr_oracle(n)))
         rows = _survey_window(k)
         assert [n for n, _, _ in rows] == [n for n, _, _ in expected], k
-        for (n, f, n_prime), (_, ref, ref_prime) in zip(rows, expected):
-            assert f.factors == ref.factors, n
+        for (n, f, n_prime), (_, factors, ref_prime) in zip(rows, expected):
+            assert f.factors == factors, n
             assert f.n == n and n_prime == ref_prime, n
 
 

@@ -12,7 +12,7 @@ from slucas.counting import (BRUTEFORCE_LIMIT, _pair_parts, alpha, alpha_bar,
                              psp_to_lpsp_compose, sl_count, slpsp_bruteforce,
                              worst_case_ceiling)
 from slucas.classical import fermat_round
-from slucas.kernel import factorize, jacobi
+from slucas.kernel import Factorization, factorize, jacobi
 from slucas.lucas import lucas_round
 
 from conftest import mr_oracle
@@ -89,6 +89,21 @@ def test_counts_accept_factorization_inputs():
     assert lucas_count(f, 5) == lucas_count(323, 5)
     assert fermat_count(f) == fermat_count(323)
     assert mr_count(f) == mr_count(323)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mr_count(1),
+    lambda: fermat_count(2 ** 52),
+    lambda: mr_count(2 * 1000003 * 1000033),
+    lambda: mr_count(Factorization(10, [(2, 1), (5, 1)])),
+], ids=["one", "past-factor-limit", "even-rho", "even-factorization"])
+def test_base_counts_check_n_before_factoring(monkeypatch, call):
+    # n is refused before it is factored: no capacity error, no rho walk
+    def refuse(n):
+        raise AssertionError(f"factored {n}")
+    monkeypatch.setattr("slucas.counting.factorize", refuse)
+    with pytest.raises(ValueError, match="^need odd n >= 3$"):
+        call()
 
 
 def test_fermat_count_on_carmichael_numbers():
