@@ -375,7 +375,9 @@ def chain_rule(q_r: float, r: int, t: int) -> float:
 def qk1_analytic(k: int, l: int = 8) -> float:
     """Closed-form single-round error bound k^2 4^(1.8-sqrt(k)) rho^(2*sqrt(k-1)-2).
 
-    Strictly decreasing from k = 10 on and below 4/19 once k reaches 101.
+    d(ln q)/dk = 2/k - ln 4/(2 sqrt k) + ln rho/sqrt(k-1) < 0 at every l and
+    k >= 17: rho <= 8/7, and sqrt k times it falls from -0.07 at k = 17.  So
+    q <= 4/19 from k = 153, 118, 101, 89 (l = 2, 4, 8, 166) on, past 8192 too.
     """
     _splits(k, None)  # the engines' k range
     r = rho(l)

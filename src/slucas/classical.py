@@ -1,8 +1,8 @@
 """Fermat and Miller-Rabin rounds, the multi-round driver for every round
-method, and the Baillie-PSW check: trial division, a base-2 strong test
-and one strong Lucas round with Selfridge's method-A parameters
-(Baillie and Wagstaff, "Lucas Pseudoprimes", Math. Comp. 1980).  The
-trial division is ``kernel.least_factor``, the generators' screen."""
+method, and Baillie-PSW (Baillie and Wagstaff, "Lucas Pseudoprimes", Math.
+Comp. 1980): trial division by the primes below 1000 (SCREEN_REACH, which
+no parameter moves; ``kernel.least_factor``, the generators' screen), a
+base-2 strong test and one strong Lucas round with method-A parameters."""
 
 from __future__ import annotations
 
@@ -72,7 +72,7 @@ def run_rounds(n: int, method: str, rounds: int, rng,
             raise ValueError(f"d applies to the Lucas methods only, "
                              f"not to {method}")
         check = miller_rabin_round if method == "miller-rabin" else fermat_round
-        draw = lambda: rng.randrange(2, n - 1) if n > 5 else 2
+        draw = lambda: rng.randrange(2, n - 1)
     elif method in ("strong-lucas", "lucas"):
         check = strong_lucas_round if method == "strong-lucas" else lucas_round
         if d is None:
@@ -98,27 +98,21 @@ def run_rounds(n: int, method: str, rounds: int, rng,
     return PROBABLE_PRIME, rounds
 
 
-def baillie_psw(n: int, trial_limit: int = SCREEN_REACH) -> RoundResult:
+def baillie_psw(n: int) -> RoundResult:
     """Baillie-PSW: base-2 strong test plus a method-A strong Lucas round.
 
-    Steps: trial division by the primes below trial_limit (n passes if
+    Steps: trial division by the primes below SCREEN_REACH (n passes if
     it is one, else fails on the least that divides it); a base-2
     Miller-Rabin round; perfect-square rejection; then one strong Lucas
     round with P = 1, Q = (1 - D)/4 for the first D of 5, -7, 9, ...
     with (D/n) = -1.  Deterministic: repeated calls always agree.
     """
     check_odd(n, 3)
-    if n == 3:
-        return PROBABLE_PRIME  # the base-2 round below needs n >= 5
-    p = least_factor(n, 1, trial_limit - 1)
-    if p == n:
+    if (p := least_factor(n, 1, SCREEN_REACH - 1)) == n:
         return PROBABLE_PRIME
     if p > 1:
-        res = _trial_rejections.get(p)
-        if res is None:  # a factor past SCREEN_REACH
-            res = RoundResult(COMPOSITE, "trial-division", p)
-        return res
-    # n is odd, at least 5 and has no factor below trial_limit: all that
+        return _trial_rejections[p]
+    # n is odd, at least 5 and has no factor below SCREEN_REACH: all that
     # miller_rabin_round would check before the strong test itself
     if not is_strong_probable_prime(n, 2):
         return MILLER_RABIN

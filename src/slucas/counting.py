@@ -18,7 +18,7 @@ n | U_{n-eps} = U_q * V_q * ... * V_{2^(kappa-1) q}, or n | one factor
 The exact small-k surveys (``exact_qk1``) price every composite in the
 screened k-bit window with the strong pair count, one error value per D.
 Every n here is factored by ``kernel.factorize``: a least-factor table
-below 2^16, gcd blocks of the primes up to 2^16 above it, then rho.
+below 2^16, gcd blocks of primes to 2^12, 2^14 or 2^16 above it, then rho.
 Of the CLI's commands only ``slucas count`` and ``bounds --survey-k``
 load this module.
 """

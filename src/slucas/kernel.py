@@ -1,7 +1,7 @@
 """Low-level integer routines: Jacobi symbol, the window sieve and the
 prime sieve built on it, Legendre's phi and Meissel's prime count on it,
-factorization (a least-factor table below 2^16, the gcd blocks of
-``least_factor`` up to 2^16 above it, then Pollard rho), the strong
+factorization (a least-factor table below 2^16, above it the gcd blocks
+of ``least_factor`` up to 2^12, 2^14 or 2^16, then Pollard rho), the strong
 probable-prime test, a perfect-square check, the method-A discriminant
 sweep, and the checks that an n, a screen depth, a discriminant and a
 number of rounds are usable.
@@ -406,10 +406,10 @@ def _least_factors() -> bytes:
 
 def factorize(n: int) -> Factorization:
     """Factor n: divide out the least prime factor of what is left, read
-    off ``_least_factors`` below TRIAL_REACH and found by ``least_factor``
-    up to TRIAL_REACH above it, until there is none, then the primes
-    ``_rho`` splits from the rest (a part is prime below TRIAL_REACH^2, or
-    when the strong tests to PRIME_BASES pass)."""
+    off ``_least_factors`` below TRIAL_REACH, else found by ``least_factor``
+    up to the first of 2^12, 2^14, TRIAL_REACH whose square exceeds it,
+    until none is left; ``_rho`` splits the rest (a part is prime below
+    TRIAL_REACH^2, or when the strong tests to PRIME_BASES pass)."""
     if n < 2:
         raise ValueError("need n >= 2 to factor")
     if n >= FACTOR_LIMIT:
@@ -420,7 +420,8 @@ def factorize(n: int) -> Factorization:
     while m > 1:
         if m < TRIAL_REACH:
             p = least[m] or m
-        elif (p := least_factor(m, 1, TRIAL_REACH)) == 1:
+        elif (p := least_factor(m, 1, 1 << 12 if m < 1 << 24 else
+                                1 << 14 if m < 1 << 28 else TRIAL_REACH)) == 1:
             p = m
             while p >= TRIAL_REACH * TRIAL_REACH and not all(
                     is_strong_probable_prime(p, a) for a in PRIME_BASES):

@@ -405,7 +405,7 @@ def test_criterion_10_generator_soundness():
            f"exercised at start 115 (seed {seed115})", budget=300)
 
 
-def test_criterion_11_bpsw_sweep():
+def test_criterion_11_bpsw_sweep(monkeypatch):
     limit = 10**6
     sieve = bytearray([1]) * limit
     sieve[0] = sieve[1] = 0
@@ -420,10 +420,11 @@ def test_criterion_11_bpsw_sweep():
             false_accepts.append(n)
         elif sieve[n] and not got:
             false_rejects.append(n)
-    # second sweep with the trial-division screen off, so the base-2 and
-    # strong Lucas stages carry the verdict for every composite
+    # second sweep with the trial-division screen off (a reach of 3), so
+    # the base-2 and strong Lucas stages carry the verdict for every composite
+    monkeypatch.setattr("slucas.classical.SCREEN_REACH", 3)
     for n in range(9, limit, 2):
-        if not sieve[n] and baillie_psw(n, trial_limit=3):
+        if not sieve[n] and baillie_psw(n):
             false_accepts.append(("unscreened", n))
     report(11, "Baillie-PSW sweep below 10^6 (screened + unscreened)",
            not false_accepts and not false_rejects,

@@ -375,6 +375,20 @@ def test_qk1_analytic_profile():
     assert math.log2(qk1_analytic(1024)) < -30
 
 
+@pytest.mark.parametrize("l, first", [(2, 153), (4, 118), (8, 101),
+                                      (166, 89)])
+def test_qk1_analytic_decreases_and_crosses_four_nineteenths(l, first):
+    # the first k with q <= 4/19 at each l, and a strict fall on 17..8192;
+    # sqrt(k) times d(ln q)/dk at the largest rho, 8/7, is negative at 17
+    qs = [qk1_analytic(k, l) for k in range(MIN_BOUND_K, MAX_BOUND_K + 1)]
+    assert all(a > b for a, b in zip(qs, qs[1:]))
+    assert qk1_analytic(first - 1, l) > 4 / 19 >= qk1_analytic(first, l)
+    k, r = MIN_BOUND_K, rho(2)
+    assert r == max(rho(j) for j in range(2, 167)) == 8 / 7
+    assert 2 / k - math.log(4) / (2 * math.sqrt(k)) + \
+        math.log(r) / math.sqrt(k - 1) < 0
+
+
 def test_ykts_known_cells():
     assert ykts_table_cell(100, 1, 1) == 0
     assert ykts_table_cell(1024, 1, 1) == 31

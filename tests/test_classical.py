@@ -5,16 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slucas import classical, kernel
+from slucas import classical
 from slucas.classical import (baillie_psw, fermat_round, miller_rabin_round,
                               run_rounds)
-from slucas.kernel import (MAX_ROUNDS, SCREEN_REACH, SIEVE_LIMIT,
-                           CapacityError, factorize, is_perfect_square,
+from slucas.kernel import (MAX_ROUNDS, SCREEN_REACH, is_perfect_square,
                            sieve_primes)
 from slucas.lucas import (PROBABLE_PRIME, LucasParams, RoundResult, Verdict,
                           select_d, strong_lucas_round)
 
-from conftest import LATE_D_PRIME, mr_oracle
+from conftest import LATE_D_PRIME
 
 
 def test_fermat_round_basics():
@@ -63,18 +62,18 @@ def test_bpsw_agrees_with_oracle_on_a_window(is_prime):
 
 
 def test_bpsw_rejects_even_or_tiny_input():
-    assert baillie_psw(3)
-    assert baillie_psw(3, trial_limit=3)    # no trial prime reaches 3
+    assert baillie_psw(3) == PROBABLE_PRIME  # a trial prime itself
     for bad in (1, 2, 4, 10**6):
         with pytest.raises(ValueError):
             baillie_psw(bad)
 
 
-def test_bpsw_variants_reject_classic_pseudoprimes():
-    # trial_limit=3 disables the small-prime screen so the base-2 and
+def test_bpsw_variants_reject_classic_pseudoprimes(monkeypatch):
+    # a reach of 3 turns the small-prime screen off, so the base-2 and
     # Lucas stages do the actual work
+    monkeypatch.setattr(classical, "SCREEN_REACH", 3)
     for n in (341, 561, 645, 1105, 1729, 2047, 2465, 3277, 5459, 5777):
-        assert not baillie_psw(n, trial_limit=3)
+        assert not baillie_psw(n)
 
 
 def test_bpsw_large_known_values():
@@ -98,11 +97,9 @@ def test_bpsw_accepts_prime_with_late_discriminant():
     assert baillie_psw(LATE_D_PRIME)
 
 
-def _bpsw_reference(n, trial_limit):
+def _bpsw_reference(n, reach):
     # the plain trial loop, then the same base-2 and Lucas stages
-    if n == 3:
-        return PROBABLE_PRIME
-    for p in sieve_primes(trial_limit - 1):
+    for p in sieve_primes(reach - 1):
         if n == p:
             return PROBABLE_PRIME
         if n % p == 0:
@@ -116,13 +113,15 @@ def _bpsw_reference(n, trial_limit):
     return strong_lucas_round(n, LucasParams(1, (1 - d) // 4))
 
 
-@pytest.mark.parametrize("trial_limit", [3, 30, 1000])
-def test_bpsw_matches_plain_trial_loop(trial_limit):
-    # small n, and 4,096 consecutive odd n at the size the sweep benchmark runs
-    for n in itertools.chain(range(3, 10 ** 5, 2),
+@pytest.mark.parametrize("reach", [3, 30, SCREEN_REACH])
+def test_bpsw_matches_plain_trial_loop(monkeypatch, reach):
+    # small n, and 4,096 consecutive odd n at the size the sweep benchmark
+    # runs; n = 3 is left out, since a reach of 3 sends it to the base-2
+    # round, which needs n >= 5
+    monkeypatch.setattr(classical, "SCREEN_REACH", reach)
+    for n in itertools.chain(range(5, 10 ** 5, 2),
                              range(2 ** 63 + 1, 2 ** 63 + 1 + 2 * 4096, 2)):
-        assert baillie_psw(n, trial_limit=trial_limit) == \
-            _bpsw_reference(n, trial_limit), n
+        assert baillie_psw(n) == _bpsw_reference(n, reach), n
 
 
 def test_bpsw_trial_stage_edge_cases():
@@ -137,9 +136,6 @@ def test_bpsw_trial_stage_edge_cases():
 
 
 def test_bpsw_trial_rejections_stay_bounded():
-    # a factor past SCREEN_REACH is reported but not kept
-    assert baillie_psw(1009 * 1013, trial_limit=2000) == RoundResult(
-        Verdict.COMPOSITE, "trial-division", 1009)
     assert all(p < SCREEN_REACH for p in classical._trial_rejections)
     assert len(classical._trial_rejections) <= len(sieve_primes(SCREEN_REACH))
 
@@ -155,7 +151,6 @@ def test_bpsw_trial_rejections_are_built_at_import():
     # one for each prime below SCREEN_REACH, and no call adds or replaces one
     before = dict(classical._trial_rejections)
     assert sorted(before) == sieve_primes(SCREEN_REACH - 1)
-    assert baillie_psw(1009 * 1013, trial_limit=2000).factor == 1009
     assert baillie_psw(7 * 10007) is before[7]
     assert classical._trial_rejections == before
 
@@ -208,16 +203,19 @@ def test_run_rounds_counts_rounds(method):
     assert not res and spent == 1
 
 
-def test_oversized_trial_limit_leaves_the_prime_table_whole(monkeypatch):
-    # A fresh process: the shared table holds only 2 until something asks.
-    monkeypatch.setattr(kernel, "_table", [2])
-    monkeypatch.setattr(kernel, "_table_limit", 2)
-    with pytest.raises(CapacityError):
-        baillie_psw(1_000_003, trial_limit=SIEVE_LIMIT + 2)
-    assert (kernel._table, kernel._table_limit) == ([2], 2)
-    assert factorize(15).factors == [(3, 1), (5, 1)]
-    assert baillie_psw(15).verdict is Verdict.COMPOSITE
-    assert sieve_primes(2000) == [p for p in range(2, 2001) if mr_oracle(p)]
+@pytest.mark.parametrize("method", ["miller-rabin", "fermat"])
+def test_run_rounds_draws_both_bases_at_five(monkeypatch, method):
+    # at n = 5 the one draw randrange(2, n - 1) ranges over 2 and 3, both
+    # valid bases, and a prime passes every round at either
+    name = "miller_rabin_round" if method == "miller-rabin" else "fermat_round"
+    check, bases = getattr(classical, name), []
+    monkeypatch.setattr(classical, name,
+                        lambda n, a: bases.append(a) or check(n, a))
+    for seed in range(3):
+        bases.clear()
+        assert run_rounds(5, method, MAX_ROUNDS, random.Random(seed)) == (
+            PROBABLE_PRIME, MAX_ROUNDS)
+        assert len(bases) == MAX_ROUNDS and set(bases) == {2, 3}, seed
 
 
 def test_run_rounds_stops_at_the_rejecting_round():

@@ -385,6 +385,29 @@ def test_factorize_splits_what_trial_division_leaves(monkeypatch, n):
     assert asked and max(asked) <= TRIAL_REACH == 1 << 16
 
 
+@pytest.mark.parametrize("n, reaches", [
+    (1000003, [1 << 12]),             # a prime below 2^24
+    (3 * 65537, [1 << 12, 1 << 12]),  # and both cofactors of this one
+    (2 ** 31 - 1, [1 << 16]),         # a prime past 2^28
+    (4093 ** 2, [1 << 12]),           # the primes around 2^12 and 2^14,
+    (4093 * 4099, [1 << 12]),         # where the reach steps: 4093 * 4099
+    (4099 ** 2, [1 << 14]),           # < 2^24 < 4099^2 and 16381^2 < 2^28
+    (16381 ** 2, [1 << 14]),          # < 16381 * 16411
+    (16381 * 16411, [1 << 16]),
+])
+def test_factorize_stops_its_gcd_blocks_past_the_root(monkeypatch, n,
+                                                      reaches):
+    # past the table, least_factor reaches the first of 2^12, 2^14 and
+    # TRIAL_REACH whose square exceeds the cofactor
+    sympy = pytest.importorskip("sympy")
+    asked = []
+    least_factor = kernel.least_factor
+    monkeypatch.setattr(kernel, "least_factor", lambda m, lo, hi:
+                        asked.append(hi) or least_factor(m, lo, hi))
+    assert factorize(n).factors == sorted(sympy.factorint(n).items())
+    assert asked == reaches
+
+
 def test_rho_splits_every_small_odd_composite():
     # 62 of them, 21 the first, need a second c: from c = 1 the walk
     # closes on g = n
