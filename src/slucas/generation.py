@@ -22,15 +22,25 @@ the work, not the prime returned (barring a Lucas liar that a screen
 would have caught).  Both generators record a per-candidate transcript
 (value plus rejection stage) and are deterministic given (config, seed).
 
+From POOL_BITS bits on, the base-2 tests run in worker processes
+(``workers``), while this process reads ahead: it screens the next
+candidates and sends their tests while the workers run earlier ones, and
+takes the answers back in candidate order.  The screens, the Lucas
+rounds and both random streams stay in the calling process, so the
+prime, the counts and the transcript are those of an inline run.
+
 A generating process loads ``kernel``, ``lucas``, ``classical`` and this
 module only: no ``bounds``, no ``dataclasses`` (the records are
-NamedTuples), and ``json`` only to write a transcript.
+NamedTuples), ``json`` only to write a transcript, and ``workers`` only
+from POOL_BITS bits on.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
+from collections import deque
 from typing import NamedTuple
 
 from .classical import D_SEARCH, run_rounds
@@ -42,6 +52,11 @@ from .kernel import (MAX_SCREEN_DEPTH, MAX_WINDOW, SCREEN_REACH,
 # Largest trial-division bound, reached at k = 8192 bits: past it the
 # sieve and the cached primes (about 300,000 of them) would keep growing.
 MAX_TRIAL_BOUND = 1 << 22
+
+# From this size on, base-2 tests go to the workers.  Below it, a process
+# that makes one prime, as `slucas generate` does, spends more on forking
+# and ending them than they save it.
+POOL_BITS = 768
 
 
 class _GenFields(NamedTuple):
@@ -125,13 +140,50 @@ def _draw_odd(bits: int, rng: random.Random) -> int:
     return (1 << (bits - 1)) | (rng.getrandbits(bits - 2) << 1) | 1
 
 
+def _stages(window: int, candidate, screens, bits: int):
+    """Each candidate i < ``window`` in order, with the stage that stopped
+    it: the first of ``screens`` to reject it, else "base-2" if a base-2
+    strong test does, else None.
+
+    With a pool, the tests of up to two candidates per worker run ahead of
+    the one yielded; closing the generator waits for them, so none
+    outlives the search, and puts the pool back for the next one.
+    """
+    pool = None
+    if bits >= POOL_BITS:
+        from . import workers
+        pool = workers.take()
+    ahead = deque()  # (n, stage, whether a worker tests n), oldest first
+    i = 0
+    try:
+        while i < window or ahead:
+            while i < window and (not ahead or pool and pool.room()):
+                n = candidate(i)
+                for stage, rejects in screens:
+                    if rejects(i, n):
+                        break
+                else:
+                    stage = None
+                asked = stage is None and pool is not None and pool.ask(n)
+                ahead.append((n, stage, asked))
+                i += 1
+            n, stage, asked = ahead.popleft()
+            if stage is None and not (pool.answer(n) if asked
+                                      else is_strong_probable_prime(n, 2)):
+                stage = "base-2"
+            yield n, stage
+    finally:
+        if pool is not None:
+            pool.release()
+
+
 def _search(cfg: GenConfig, window: int, candidate, screens,
             d: int | None) -> GenOutcome:
     """The whole run of either generator.
 
     ``candidate(i)`` is the i-th candidate, i < ``window``; ``screens`` is
-    an ordered tuple of (stage, rejects(i, n)) that gets a base-2 strong
-    test as its last stage, and the first screen that rejects n names its
+    an ordered tuple of (stage, rejects(i, n)), after which comes a base-2
+    strong test (``_stages``), and the first that rejects n names its
     transcript stage.  Survivors meet up to cfg.rounds strong Lucas rounds
     with discriminant d (None: swept per candidate by ``run_rounds``) and
     fresh parameters each, drawn from a stream of their own; round i
@@ -143,28 +195,27 @@ def _search(cfg: GenConfig, window: int, candidate, screens,
     # the same seed under its own label, and both are unseeded for None
     params = random.Random(None if cfg.seed is None
                            else f"slucas-params:{cfg.seed}")
-    # looked up at each call, so a patched or wrapped module name applies
-    screens += (("base-2", lambda i, n: not is_strong_probable_prime(n, 2)),)
     transcript: list[dict] = []
     rounds_run, result = 0, None
-    for i in range(window):
-        n = candidate(i)
-        survived = 0
-        for stage, rejects in screens:
-            if rejects(i, n):
+    with contextlib.closing(_stages(window, candidate, screens,
+                                    cfg.bits)) as stages:
+        for n, stage in stages:
+            survived = 0
+            if stage is None:
+                res, spent = run_rounds(n, "strong-lucas", cfg.rounds,
+                                        params, d)
+                if res == D_SEARCH:
+                    stage = "d-search"
+                else:
+                    rounds_run += spent
+                    survived = spent if res else spent - 1
+                    stage = ("accepted" if res
+                             else f"round-{spent}:{res.reason}")
+            transcript.append({"n": hex(n), "stage": stage,
+                               "rounds": survived})
+            if stage == "accepted":
+                result = n
                 break
-        else:
-            res, spent = run_rounds(n, "strong-lucas", cfg.rounds, params, d)
-            if res == D_SEARCH:
-                stage = "d-search"
-            else:
-                rounds_run += spent
-                survived = spent if res else spent - 1
-                stage = "accepted" if res else f"round-{spent}:{res.reason}"
-        transcript.append({"n": hex(n), "stage": stage, "rounds": survived})
-        if stage == "accepted":
-            result = n
-            break
     return GenOutcome(result=result, candidates_tested=len(transcript),
                       rounds_run=rounds_run, transcript=transcript)
 

@@ -4,8 +4,10 @@ import io
 import json
 import os
 import shlex
+import signal
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from fractions import Fraction
@@ -615,6 +617,43 @@ def test_interrupt_is_reported_without_traceback(run, monkeypatch):
     res = run("bounds", "--survey-k", 8)
     assert res.exit_code == 1
     assert res.output == "Aborted!\n"
+
+
+def _generate_in_own_session(*args) -> subprocess.Popen:
+    # a session, and so a process group, of its own: the group is what
+    # Ctrl-C reaches, and what must be empty once the run ends
+    env = dict(os.environ, PYTHONPATH=str(Path(slucas.__file__).parents[1]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "slucas.cli", "generate", *map(str, args)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+
+
+def _group_is_gone(pgid: int) -> bool:
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def test_a_pooled_run_leaves_no_process_behind(run):
+    proc = _generate_in_own_session("--bits", 1024, "--seed", 1)
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, "")
+    assert out == run("generate", "--bits", 1024, "--seed", 1).output
+    assert out.endswith("7007300520071388643877\n") and len(out) == 310
+    assert _group_is_gone(proc.pid)
+
+
+def test_ctrl_c_ends_a_pooled_run_and_its_workers():
+    # seed 3 tests 5,832 candidates, seconds of work with or without a pool
+    proc = _generate_in_own_session("--bits", 2048, "--seed", 3)
+    time.sleep(1)
+    os.killpg(proc.pid, signal.SIGINT)
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out, err) == (1, "", "Aborted!\n")
+    assert _group_is_gone(proc.pid)
 
 
 @pytest.mark.parametrize("args", [

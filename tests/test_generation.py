@@ -1,13 +1,15 @@
 import hashlib
 import json
 import math
+import os
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slucas import generation
-from slucas.generation import (MAX_SCREEN_DEPTH, GenConfig, GenOutcome,
-                               prime_inc_luc, sieve_window,
+from slucas import generation, workers
+from slucas.generation import (MAX_SCREEN_DEPTH, POOL_BITS, GenConfig,
+                               GenOutcome, prime_inc_luc, sieve_window,
                                strong_luc_generate)
 from slucas.kernel import (MAX_ROUNDS, MAX_WINDOW, SCREEN_REACH, _prime_blocks,
                            jacobi, least_factor, primes_in, sieve_primes)
@@ -349,3 +351,109 @@ def test_transcripts_match_pinned_digests(gen, kwargs, digest):
     out = gen(GenConfig(**kwargs))
     assert hashlib.sha256(out.to_jsonl().encode()).hexdigest() == digest
     assert out.candidates_tested == len(out.transcript)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets the CPU count a call that forks the pool sees; the test gets a
+    pool table of its own, whose pool is closed at its end."""
+    pools = {}
+    monkeypatch.setattr(workers, "_pools", pools)
+    yield lambda count: monkeypatch.setattr(os, "sched_getaffinity",
+                                            lambda pid: set(range(count)))
+    for pool in pools.values():
+        pool.close()
+
+
+# (generator, config, whether the window ends in FAIL): several seeds at
+# both sizes the pool serves; windows that end in FAIL, one whose last
+# candidate is the prime, and one shorter than the read-ahead of two
+# tests per worker
+POOLED_RUNS = [
+    *[(gen, dict(bits=1024, rounds=3, seed=s), False)
+      for gen in GENERATORS for s in range(3)],
+    *[(gen, dict(bits=2048, rounds=2, seed=0), False) for gen in GENERATORS],
+    (strong_luc_generate, dict(bits=1024, rounds=3, window=60, seed=0), True),
+    (strong_luc_generate, dict(bits=1024, rounds=3, window=60, seed=4),
+     False),
+    (prime_inc_luc, dict(bits=1024, rounds=3, window=40, seed=0), True),
+    (prime_inc_luc, dict(bits=1024, rounds=3, window=3, seed=2), True),
+    (prime_inc_luc, dict(bits=2048, rounds=3, window=3, seed=20), True),
+]
+
+
+@pytest.mark.parametrize("gen, kwargs, fails", POOLED_RUNS, ids=[
+    "-".join([gen.__name__, *(f"{k}{v}" for k, v in kwargs.items())])
+    for gen, kwargs, _ in POOLED_RUNS])
+def test_pool_gives_the_inline_outcome(cpus, gen, kwargs, fails):
+    cfg = GenConfig(**kwargs)
+    cpus(1)
+    inline = gen(cfg)
+    assert not workers._pools
+    cpus(2)
+    pooled = gen(cfg)
+    pool = workers._pools[os.getpid()]
+    assert len(pool.pids) == 2 and pool.sent == pool.read > 0
+    assert pooled == inline and pooled.to_jsonl() == inline.to_jsonl()
+    assert (pooled.result is None) is fails
+    if kwargs.get("window") == 60:
+        assert pooled.candidates_tested == 60
+
+
+def test_below_pool_bits_every_test_runs_inline(cpus):
+    cpus(2)
+    for gen in GENERATORS:
+        gen(GenConfig(bits=POOL_BITS - 1, rounds=3, seed=0))
+    assert not workers._pools
+
+
+def test_a_dead_worker_costs_the_pool_not_the_outcome(cpus):
+    cfgs = [GenConfig(bits=1024, rounds=3, seed=s) for s in range(3)]
+    cpus(1)
+    inline = [strong_luc_generate(cfg) for cfg in cfgs]
+    cpus(2)
+    assert strong_luc_generate(cfgs[0]) == inline[0]
+    pool = workers._pools[os.getpid()]
+    os.kill(pool.pids[0], signal.SIGKILL)
+    os.waitpid(pool.pids[0], 0)
+    # the call finishes inline and drops the pool ...
+    assert strong_luc_generate(cfgs[1]) == inline[1]
+    assert not pool.pids and not workers._pools
+    # ... and the next one forks a fresh pool
+    assert strong_luc_generate(cfgs[2]) == inline[2]
+    fresh = workers._pools[os.getpid()]
+    assert fresh is not pool and len(fresh.pids) == 2 and fresh.sent > 0
+
+
+def test_workers_ignore_ctrl_c(cpus):
+    # Ctrl-C reaches the whole process group; the caller handles it
+    cpus(2)
+    cfg = GenConfig(bits=1024, rounds=3, seed=0)
+    expected = strong_luc_generate(cfg)
+    pool = workers._pools[os.getpid()]
+    for pid in pool.pids:
+        os.kill(pid, signal.SIGINT)
+    assert strong_luc_generate(cfg) == expected
+    assert workers._pools[os.getpid()] is pool and len(pool.pids) == 2
+
+
+def test_a_forked_child_forks_a_pool_of_its_own(cpus):
+    cpus(2)
+    cfg = GenConfig(bits=1024, rounds=3, seed=0)
+    expected = strong_luc_generate(cfg)
+    parents = workers._pools[os.getpid()]
+    pid = os.fork()
+    if pid == 0:  # the child must not go on running the suite
+        code = 1
+        try:
+            signal.alarm(60)
+            same = strong_luc_generate(cfg) == expected
+            own = workers._pools.pop(os.getpid())
+            own.close()
+            code = 0 if same and own is not parents else 2
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert strong_luc_generate(cfg) == expected
+    assert workers._pools[os.getpid()] is parents

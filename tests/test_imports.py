@@ -97,10 +97,15 @@ def test_pin_failure_names_the_imports_that_pulled_a_module_in():
         _loads("import slucas.lucas", {"slucas.kernel"})
 
 
+# the generators' worker pool is os.fork and pipes: no process runs these
+POOL_UNUSED = {"concurrent.futures", "multiprocessing"}
+
+
 def _bounds_run_loads(args: list[str], unused: set[str]) -> set[str]:
     """sys.modules after `slucas bounds <args>` in a fresh interpreter."""
     return _loads(f"from slucas import cli; cli.main(['bounds', *{args!r}])",
-                  {"click", "slucas.generation", "slucas.classical"} | unused)
+                  {"click", "slucas.generation", "slucas.classical"}
+                  | POOL_UNUSED | unused)
 
 
 # a table or single bound needs neither the liar counts nor the Lucas
@@ -125,10 +130,10 @@ def test_bounds_item_loads_only_its_engine(args, unused, engine):
 
 
 # testing and generating primes load kernel, lucas, classical and
-# generation only: no bound engine, no dataclasses, and json only for a
-# transcript
+# generation only: no bound engine, no dataclasses, no process pool
+# module, and json only for a transcript
 PRIME_UNUSED = {"slucas.bounds", "slucas.counting", "dataclasses",
-                "inspect", "fractions"}
+                "inspect", "fractions"} | POOL_UNUSED
 CLI = "from slucas import cli; cli.main({})"
 
 
@@ -146,7 +151,20 @@ CLI = "from slucas import cli; cli.main({})"
 ], ids=["uniform", "incremental", "bpsw", "cli-test", "cli-generate",
         "cli-incremental", "cli-version"])
 def test_prime_paths_load_no_bound_engine(code):
-    _loads(code, PRIME_UNUSED | {"json"})
+    _loads(code, PRIME_UNUSED | {"json", "slucas.workers"})
+
+
+@pytest.mark.parametrize("mode", ["uniform", "incremental"])
+def test_pooled_generation_loads_only_the_workers_module(mode):
+    # past POOL_BITS the base-2 tests run in forked workers
+    code = CLI.format(["generate", "--bits", "1024", "--seed", "1",
+                       "--mode", mode])
+    assert "slucas.workers" in _loads(code, PRIME_UNUSED | {"json"})
+
+
+def test_count_loads_no_pool_module():
+    _loads(CLI.format(["count", "1000036000099", "--what", "mr"]),
+           POOL_UNUSED | {"slucas.generation", "slucas.bounds"})
 
 
 def test_transcript_alone_loads_json(tmp_path):
