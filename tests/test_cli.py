@@ -647,8 +647,10 @@ def test_a_pooled_run_leaves_no_process_behind(run):
 
 
 def test_ctrl_c_ends_a_pooled_run_and_its_workers():
-    # seed 3 tests 5,832 candidates, seconds of work with or without a pool
-    proc = _generate_in_own_session("--bits", 2048, "--seed", 3)
+    # seed 3 tests 5,832 candidates, and 128 rounds on the prime add
+    # seconds more: the run is still going after 1 s on any machine
+    proc = _generate_in_own_session("--bits", 2048, "--seed", 3,
+                                    "--rounds", 128)
     time.sleep(1)
     os.killpg(proc.pid, signal.SIGINT)
     out, err = proc.communicate(timeout=60)
