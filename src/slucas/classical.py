@@ -64,6 +64,24 @@ def run_rounds(n: int, method: str, rounds: int, rng,
     refuses any other n, rounds outside 1..MAX_ROUNDS (128), a d that
     ``kernel.check_discriminant`` refuses, a d sharing a factor with n
     and any d with a base method.
+
+    It is ``draw_rounds``, ``round_result`` and ``first_rejection`` with
+    each round run as it is drawn; the generators' worker pool runs the
+    same three with its rounds drawn up front.
+    """
+    check, draws = draw_rounds(n, method, rounds, rng, d)
+    return first_rejection(round_result(check, n, drawn) for drawn in draws)
+
+
+def draw_rounds(n: int, method: str, rounds: int, rng, d: int | None = None):
+    """``run_rounds``' checks and set-up: returns (check, draws).
+
+    ``check(n, drawn)`` is one round of ``method``.  ``draws`` yields each
+    round's base or (P, Q), drawn from rng only when it is asked for, at
+    most ``rounds`` of them; a failed sweep for d or parameter search
+    yields its rejection in place of a draw and ends there.  The sweep
+    runs here, and every ValueError ``run_rounds`` names is raised here,
+    before any draw.
     """
     check_odd(n, 5)
     check_rounds(rounds)
@@ -79,7 +97,7 @@ def run_rounds(n: int, method: str, rounds: int, rng,
             try:
                 d = select_d(n)
             except ParamSearchError:
-                return D_SEARCH, 1
+                return check, iter((D_SEARCH,))
         else:
             check_discriminant(d)
             if (shared := math.gcd(d, n)) > 1:
@@ -88,14 +106,33 @@ def run_rounds(n: int, method: str, rounds: int, rng,
         draw = lambda: sample_params(n, d, rng)
     else:
         raise ValueError(f"unknown method {method!r}")
-    for i in range(1, rounds + 1):
+    return check, _draws(draw, rounds)
+
+
+def _draws(draw, rounds: int):
+    for _ in range(rounds):
         try:
-            res = check(n, draw())
+            yield draw()
         except ParamSearchError:
-            res = PARAM_SEARCH
+            yield PARAM_SEARCH
+            return
+
+
+def round_result(check, n: int, drawn) -> RoundResult:
+    """One round: ``check`` on n with a drawn base or (P, Q), or the
+    rejection ``draw_rounds`` yielded in its place."""
+    return drawn if isinstance(drawn, RoundResult) else check(n, drawn)
+
+
+def first_rejection(results) -> tuple[RoundResult, int]:
+    """The first rejecting result among ``results``, in round order, with
+    its round number, or (PROBABLE_PRIME, how many passed); it reads no
+    result past that rejection."""
+    spent = 0
+    for spent, res in enumerate(results, 1):
         if not res:
-            return res, i
-    return PROBABLE_PRIME, rounds
+            return res, spent
+    return PROBABLE_PRIME, spent
 
 
 def baillie_psw(n: int) -> RoundResult:

@@ -22,23 +22,28 @@ the work, not the prime returned (barring a Lucas liar that a screen
 would have caught).  Both generators record a per-candidate transcript
 (value plus rejection stage) and are deterministic given (config, seed).
 
-From POOL_BITS bits on, the base-2 tests run in worker processes
-(``workers``), while this process reads ahead: it screens the next
-candidates and sends their tests while the workers run earlier ones, and
-takes the answers back in candidate order.  The screens, the Lucas
-rounds and both random streams stay in the calling process, so the
-prime, the counts and the transcript are those of an inline run.
+From POOL_BITS bits on at a process's first call, and from
+LATER_POOL_BITS bits on at its later ones, the base-2 tests and the
+survivors' Lucas rounds 2..t run in worker processes (``workers``).
+This process reads ahead while a worker is free: it screens the next
+candidates and sends their tests to whichever worker answers first, and
+takes the answers back in candidate order.  For a survivor it draws all
+t parameter pairs up front, runs round 1 while the workers run the next
+rounds, and rewinds the parameter stream to where a serial run would
+stop.  The screens, the draws and the choice of discriminant stay in
+the calling process, so the prime, the counts and the transcript are
+those of an inline run.
 
 A generating process loads ``kernel``, ``lucas``, ``classical`` and this
 module only: no ``bounds``, no ``dataclasses`` (the records are
 NamedTuples), ``json`` only to write a transcript, and ``workers`` only
-from POOL_BITS bits on.
+for a call that runs on the pool.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
+import os
 import random
 from collections import deque
 from typing import NamedTuple
@@ -53,10 +58,14 @@ from .kernel import (MAX_SCREEN_DEPTH, MAX_WINDOW, SCREEN_REACH,
 # sieve and the cached primes (about 300,000 of them) would keep growing.
 MAX_TRIAL_BOUND = 1 << 22
 
-# From this size on, base-2 tests go to the workers.  Below it, a process
-# that makes one prime, as `slucas generate` does, spends more on forking
-# and ending them than they save it.
+# From this size on, a process's first call runs on the workers.  Below
+# it, a process that makes one prime, as `slucas generate` does, spends
+# more on forking and ending them than they save it.
 POOL_BITS = 768
+# From this size on, every later call runs on them: a process that has
+# made a prime this large will likely make more.
+LATER_POOL_BITS = 512
+_callers: set[int] = set()  # processes that made a call of LATER_POOL_BITS
 
 
 class _GenFields(NamedTuple):
@@ -140,41 +149,66 @@ def _draw_odd(bits: int, rng: random.Random) -> int:
     return (1 << (bits - 1)) | (rng.getrandbits(bits - 2) << 1) | 1
 
 
-def _stages(window: int, candidate, screens, bits: int):
+def _take_pool(bits: int):
+    """The worker pool for a call at ``bits``, or None to run it inline:
+    from POOL_BITS bits at a process's first call, and from
+    LATER_POOL_BITS at every call after one of that size."""
+    if bits < LATER_POOL_BITS:
+        return None
+    pid = os.getpid()
+    if pid not in _callers:
+        _callers.add(pid)
+        if bits < POOL_BITS:
+            return None
+    from . import workers
+    return workers.take()
+
+
+def _stages(window: int, candidate, screens, pool):
     """Each candidate i < ``window`` in order, with the stage that stopped
     it: the first of ``screens`` to reject it, else "base-2" if a base-2
     strong test does, else None.
 
-    With a pool, the tests of up to two candidates per worker run ahead of
-    the one yielded; closing the generator waits for them, so none
-    outlives the search, and puts the pool back for the next one.
+    With a pool, this screens ahead until it holds one survivor of the
+    screens that no worker tests yet, sends it to the first worker free,
+    and waits for whichever answers first.  A candidate is yielded once its
+    stage is known, before any refill, so a base-2 pass leaves at most one
+    test in flight per other worker.
     """
-    pool = None
-    if bits >= POOL_BITS:
-        from . import workers
-        pool = workers.take()
-    ahead = deque()  # (n, stage, whether a worker tests n), oldest first
+    ahead = deque()  # [n, stage, ticket of its test on the pool], oldest first
+    deck = None  # the survivor in ``ahead`` that waits for a free worker
     i = 0
-    try:
-        while i < window or ahead:
-            while i < window and (not ahead or pool and pool.room()):
-                n = candidate(i)
-                for stage, rejects in screens:
-                    if rejects(i, n):
-                        break
-                else:
-                    stage = None
-                asked = stage is None and pool is not None and pool.ask(n)
-                ahead.append((n, stage, asked))
-                i += 1
-            n, stage, asked = ahead.popleft()
-            if stage is None and not (pool.answer(n) if asked
-                                      else is_strong_probable_prime(n, 2)):
-                stage = "base-2"
+    while ahead or i < window:
+        pooled = pool is not None and bool(pool.pids)
+        if not pooled:  # none, or closed: every test left runs here
+            deck = None
+        head = ahead[0] if ahead else None
+        if head is not None and head is not deck and not (
+                pooled and pool.waiting(head[2])):
+            n, stage, ticket = ahead.popleft()
+            if stage is None:
+                passed = None if ticket is None else pool.passes(ticket)
+                if passed is None:  # tested here, or lost with its worker
+                    passed = is_strong_probable_prime(n, 2)
+                if not passed:
+                    stage = "base-2"
             yield n, stage
-    finally:
-        if pool is not None:
-            pool.release()
+        elif deck is not None and pool.idle():
+            deck[2] = pool.test(deck[0])
+            deck = None
+        elif i < window and deck is None and (pooled or not ahead):
+            n = candidate(i)
+            for stage, rejects in screens:
+                if rejects(i, n):
+                    break
+            else:
+                stage = None
+            ahead.append([n, stage, None])
+            if stage is None and pooled:
+                deck = ahead[-1]
+            i += 1
+        else:
+            pool.wait()
 
 
 def _search(cfg: GenConfig, window: int, candidate, screens,
@@ -197,13 +231,15 @@ def _search(cfg: GenConfig, window: int, candidate, screens,
                            else f"slucas-params:{cfg.seed}")
     transcript: list[dict] = []
     rounds_run, result = 0, None
-    with contextlib.closing(_stages(window, candidate, screens,
-                                    cfg.bits)) as stages:
-        for n, stage in stages:
+    pool = _take_pool(cfg.bits)
+    try:
+        for n, stage in _stages(window, candidate, screens, pool):
             survived = 0
             if stage is None:
-                res, spent = run_rounds(n, "strong-lucas", cfg.rounds,
-                                        params, d)
+                res, spent = (
+                    run_rounds(n, "strong-lucas", cfg.rounds, params, d)
+                    if pool is None else
+                    pool.run_rounds(n, cfg.rounds, params, d))
                 if res == D_SEARCH:
                     stage = "d-search"
                 else:
@@ -216,6 +252,10 @@ def _search(cfg: GenConfig, window: int, candidate, screens,
             if stage == "accepted":
                 result = n
                 break
+    finally:
+        # the tests read ahead are waited for, so none outlives the search
+        if pool is not None:
+            pool.release()
     return GenOutcome(result=result, candidates_tested=len(transcript),
                       rounds_run=rounds_run, transcript=transcript)
 

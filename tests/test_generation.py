@@ -7,10 +7,10 @@ import signal
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slucas import generation, workers
-from slucas.generation import (MAX_SCREEN_DEPTH, POOL_BITS, GenConfig,
-                               GenOutcome, prime_inc_luc, sieve_window,
-                               strong_luc_generate)
+from slucas import classical, generation, lucas, workers
+from slucas.generation import (LATER_POOL_BITS, MAX_SCREEN_DEPTH, POOL_BITS,
+                               GenConfig, GenOutcome, prime_inc_luc,
+                               sieve_window, strong_luc_generate)
 from slucas.kernel import (MAX_ROUNDS, MAX_WINDOW, SCREEN_REACH, _prime_blocks,
                            jacobi, least_factor, primes_in, sieve_primes)
 
@@ -356,9 +356,11 @@ def test_transcripts_match_pinned_digests(gen, kwargs, digest):
 @pytest.fixture
 def cpus(monkeypatch):
     """Sets the CPU count a call that forks the pool sees; the test gets a
-    pool table of its own, whose pool is closed at its end."""
+    pool table of its own, whose pool is closed at its end, and starts as
+    a process that has made no call yet."""
     pools = {}
     monkeypatch.setattr(workers, "_pools", pools)
+    monkeypatch.setattr(generation, "_callers", set())
     yield lambda count: monkeypatch.setattr(os, "sched_getaffinity",
                                             lambda pid: set(range(count)))
     for pool in pools.values():
@@ -366,12 +368,13 @@ def cpus(monkeypatch):
 
 
 # (generator, config, whether the window ends in FAIL): several seeds at
-# both sizes the pool serves; windows that end in FAIL, one whose last
-# candidate is the prime, and one shorter than the read-ahead of two
-# tests per worker
+# the sizes the pool serves, a process's second call from 512 bits on;
+# windows that end in FAIL, one whose last candidate is the prime, and
+# windows of three candidates; one round, which no worker runs, and
+# eight, more rounds than workers
 POOLED_RUNS = [
-    *[(gen, dict(bits=1024, rounds=3, seed=s), False)
-      for gen in GENERATORS for s in range(3)],
+    *[(gen, dict(bits=bits, rounds=3, seed=s), False)
+      for bits in (512, 1024) for gen in GENERATORS for s in range(3)],
     *[(gen, dict(bits=2048, rounds=2, seed=0), False) for gen in GENERATORS],
     (strong_luc_generate, dict(bits=1024, rounds=3, window=60, seed=0), True),
     (strong_luc_generate, dict(bits=1024, rounds=3, window=60, seed=4),
@@ -379,6 +382,8 @@ POOLED_RUNS = [
     (prime_inc_luc, dict(bits=1024, rounds=3, window=40, seed=0), True),
     (prime_inc_luc, dict(bits=1024, rounds=3, window=3, seed=2), True),
     (prime_inc_luc, dict(bits=2048, rounds=3, window=3, seed=20), True),
+    (prime_inc_luc, dict(bits=512, rounds=1, seed=3), False),
+    (strong_luc_generate, dict(bits=512, rounds=8, seed=3), False),
 ]
 
 
@@ -400,10 +405,81 @@ def test_pool_gives_the_inline_outcome(cpus, gen, kwargs, fails):
         assert pooled.candidates_tested == 60
 
 
-def test_below_pool_bits_every_test_runs_inline(cpus):
+def test_the_pool_starts_at_a_process_s_second_call_from_512_bits(cpus):
     cpus(2)
-    for gen in GENERATORS:
-        gen(GenConfig(bits=POOL_BITS - 1, rounds=3, seed=0))
+    for gen in GENERATORS:  # never below LATER_POOL_BITS, first or later
+        for _ in range(2):
+            gen(GenConfig(bits=LATER_POOL_BITS - 1, rounds=3, seed=0))
+    assert not workers._pools
+    cfg = GenConfig(bits=POOL_BITS - 1, rounds=3, seed=0)
+    expected = prime_inc_luc(cfg)  # the first call of that size: inline
+    assert not workers._pools
+    assert prime_inc_luc(cfg) == expected  # the second forks the pool
+    assert len(workers._pools[os.getpid()].pids) == 2
+
+
+def _reject_when_p_is_0_mod_3(calls):
+    """A strong Lucas round that also rejects every P divisible by 3, and
+    appends (n, P) to ``calls`` for each round run in this process."""
+    def round_(n, params):
+        calls.append((n, params.P))
+        if params.P % 3 == 0:
+            return lucas.NO_ZERO_TERM
+        return lucas.strong_lucas_round(n, params)
+    return round_
+
+
+def test_a_rejection_in_a_worker_rewinds_the_parameter_stream(cpus,
+                                                              monkeypatch):
+    # seed 0 meets rejections at rounds 1, 2 and 3 before its prime
+    inline_calls, pooled_calls = [], []
+    cfg = GenConfig(bits=512, rounds=3, seed=0)
+    monkeypatch.setattr(classical, "strong_lucas_round",
+                        _reject_when_p_is_0_mod_3(inline_calls))
+    cpus(1)
+    inline = prime_inc_luc(cfg)
+    monkeypatch.setattr(classical, "strong_lucas_round",
+                        _reject_when_p_is_0_mod_3(pooled_calls))
+    # patched before the pool forks, so its workers run it
+    monkeypatch.setattr(workers, "strong_lucas_round",
+                        _reject_when_p_is_0_mod_3([]))
+    cpus(2)
+    pooled = prime_inc_luc(cfg)
+    assert pooled == inline and pooled.to_jsonl() == inline.to_jsonl()
+    stages = [e["stage"].split(":")[0] for e in inline.transcript]
+    assert {"round-1", "round-2", "round-3", "accepted"} <= set(stages)
+    # a round-2 rejection ran in a worker: this process ran round 1 only
+    for entry in inline.transcript:
+        if entry["stage"].startswith("round-2:"):
+            n = int(entry["n"], 16)
+            calls = [call for call in inline_calls if call[0] == n]
+            assert [call for call in pooled_calls if call[0] == n] == calls[:1]
+    # every survivor's first pair is the inline run's: the stream rewound
+    assert dict(reversed(pooled_calls)) == dict(reversed(inline_calls))
+
+
+def test_a_worker_killed_in_a_round_costs_the_pool_not_the_outcome(
+        cpus, monkeypatch):
+    cfg = GenConfig(bits=1024, rounds=3, seed=1)
+    cpus(1)
+    inline = strong_luc_generate(cfg)
+    # a worker asked for a round kills itself before it answers
+    monkeypatch.setattr(workers, "strong_lucas_round",
+                        lambda n, params: os.kill(os.getpid(),
+                                                  signal.SIGKILL))
+    cpus(2)
+
+    def hung(signum, frame):
+        raise TimeoutError("the call waited on its dead worker")
+
+    # a caller blind to the death would wait on its pipe for ever
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        assert strong_luc_generate(cfg) == inline
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     assert not workers._pools
 
 

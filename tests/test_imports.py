@@ -99,6 +99,8 @@ def test_pin_failure_names_the_imports_that_pulled_a_module_in():
 
 # the generators' worker pool is os.fork and pipes: no process runs these
 POOL_UNUSED = {"concurrent.futures", "multiprocessing"}
+# and only a process that runs them loads these
+POOL_ONLY = {"slucas.workers", "select"}
 
 
 def _bounds_run_loads(args: list[str], unused: set[str]) -> set[str]:
@@ -151,15 +153,23 @@ CLI = "from slucas import cli; cli.main({})"
 ], ids=["uniform", "incremental", "bpsw", "cli-test", "cli-generate",
         "cli-incremental", "cli-version"])
 def test_prime_paths_load_no_bound_engine(code):
-    _loads(code, PRIME_UNUSED | {"json", "slucas.workers"})
+    _loads(code, PRIME_UNUSED | POOL_ONLY | {"json"})
+
+
+@pytest.mark.parametrize("mode", ["uniform", "incremental"])
+def test_one_shot_generation_below_pool_bits_loads_no_pool(mode):
+    # a process's first call forks no pool below POOL_BITS (768)
+    code = CLI.format(["generate", "--bits", "512", "--seed", "1",
+                       "--mode", mode])
+    _loads(code, PRIME_UNUSED | POOL_ONLY | {"json"})
 
 
 @pytest.mark.parametrize("mode", ["uniform", "incremental"])
 def test_pooled_generation_loads_only_the_workers_module(mode):
-    # past POOL_BITS the base-2 tests run in forked workers
+    # past POOL_BITS the base-2 tests and Lucas rounds run in forked workers
     code = CLI.format(["generate", "--bits", "1024", "--seed", "1",
                        "--mode", mode])
-    assert "slucas.workers" in _loads(code, PRIME_UNUSED | {"json"})
+    assert POOL_ONLY <= _loads(code, PRIME_UNUSED | {"json"})
 
 
 def test_count_loads_no_pool_module():
