@@ -24,11 +24,12 @@ import math
 import operator
 import sys
 from functools import lru_cache, reduce
-from typing import Callable, NamedTuple
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 from .kernel import (MAX_BOUND_K, MIN_BOUND_K, _phi, check_bound_rounds,
-                     check_rounds, check_screen_depth, count_primes_in_range,
-                     odd_primes, sieve_primes)
+                     check_integer, check_rounds, check_screen_depth,
+                     count_primes_in_range, odd_primes, sieve_primes)
 
 # Lower-bound constant for the count of k-bit primes: more than
 # PRIME_DENSITY * 2^k / k of them for every k >= 8.
@@ -66,6 +67,7 @@ def m_split_range(k: int) -> range:
 def _splits(k: int, M: int | None) -> range:
     """The split points to try: M alone when given, else the whole range;
     every engine's one k check, made before any other work."""
+    check_integer(k, "k")
     if k < MIN_BOUND_K:
         raise ValueError(f"the bound engines start at k = {MIN_BOUND_K}; "
                          "the exact survey (--survey-k) covers smaller k")
@@ -74,6 +76,7 @@ def _splits(k: int, M: int | None) -> range:
     splits = m_split_range(k)
     if M is None:
         return splits
+    check_integer(M, "split point M")
     if M not in splits:
         raise ValueError(f"split point M={M} outside [3, 2*sqrt(k-1)-1] "
                          f"for k={k}")
@@ -245,23 +248,32 @@ class BoundReport(NamedTuple):
     or overflowed to 0.0 or inf and -inf only for an exact 0; the other
     ``*_log2`` terms are the log2 of the parts it sums.  ``ykts_bound``
     clamps a vacuous bound above 1 to 1.0 and keeps the unclamped log2.
+    ``class_log2`` maps each family summed over m to the log2 of its scaled
+    terms at m = 2..m_opt; the coarse and window bounds sum no family.
     """
 
     value: float
     m_opt: int
     terms: dict[str, float]
     source: str
+    class_log2: Mapping[str, tuple[float, ...]] = MappingProxyType({})
 
 
-def _report(source: str, splits: range, **parts: list[_Wide]) -> BoundReport:
+def _report(source: str, splits: range, **parts: list | tuple) -> BoundReport:
     """The report at the split point whose parts sum least, first on ties;
-    ``parts[name][i]`` is that part at ``splits[i]``, summed in this order."""
+    ``parts[name][i]`` is that part at ``splits[i]``, summed in this order,
+    or a class family (scale, terms for m = 2..): scale * their sum to M."""
+    families = {name: p for name, p in parts.items() if type(p) is tuple}
+    for name, (scale, family) in families.items():
+        sums = [s * scale for s in itertools.accumulate(family)]
+        parts[name] = sums[splits.start - 2:]
     totals = [reduce(operator.add, column) for column in zip(*parts.values())]
     i = min(range(len(totals)), key=totals.__getitem__)
     terms = {"log2": totals[i].log2()}
     terms.update((f"{name}_log2", part[i].log2()) for name, part in parts.items())
-    return BoundReport(value=float(totals[i]), m_opt=splits[i], terms=terms,
-                       source=source)
+    return BoundReport(float(totals[i]), splits[i], terms, source, {
+        name: tuple((term * scale).log2() for term in family[:splits[i] - 1])
+        for name, (scale, family) in families.items()})
 
 
 def n1_bound_coarse(k: int, l: int = 8, M: int | None = None) -> BoundReport:
@@ -280,22 +292,18 @@ def n1_bound_coarse(k: int, l: int = 8, M: int | None = None) -> BoundReport:
 
 def n1_bound_refined(k: int, l: int = 8,
                      M: int | None = None) -> BoundReport:
-    """Single-round bound with per-class cardinality sums (mid-range k)."""
+    """Single-round bound with one family of per-class sums (mid-range k)."""
     r = rho(l)
     splits = _splits(k, M)
     size = _power(2.0, k - 2.9)  # analytic bracket of the screened set
-    top = splits[-1]
-    dens = [_power(2.0, (k - 1) / j) - 1 for j in range(2, top + 1)]
-    # sums[M - 2]: the class sums over m = 2..M, over 2^k, for every M
-    sums = list(itertools.accumulate(
-        (r / 2) ** m * sum((2.0 ** (m + 1 - j) - 1) / dens[j - 2]
-                           for j in range(2, m + 1))
-        for m in range(2, top + 1)))
-    two_k = _power(2.0, k)
+    dens = [_power(2.0, (k - 1) / j) - 1 for j in range(2, splits[-1] + 1)]
     return _report(
         "single-round refined", splits,
         tail=[2.0 ** (1 - m) * r ** (m + 1) / (2 - r) * size for m in splits],
-        classes=[two_k * sums[m - 2] for m in splits])
+        classes=(_power(2.0, k), [
+            (r / 2) ** m * sum((2.0 ** (m + 1 - j) - 1) / dens[j - 2]
+                               for j in range(2, m + 1))
+            for m in range(2, splits[-1] + 1)]))
 
 
 def _gcd_classes(k: int, l: int, top: int) -> dict:
@@ -332,29 +340,29 @@ def nr_bound_split(k: int, r: int, l: int = 8, M: int | None = None,
     omitted; pass an exact census for small k).  ``parts`` selects the
     class families summed: "both" is the full bound, "large-gcd" or
     "small-gcd" the one family a reference table column sums.  The terms
-    hold the tail and the summed families.
+    hold the tail and the summed families, ``class_log2`` their classes.
     """
     if parts not in _PARTS:
         raise ValueError(f"unknown parts selector: {parts!r}")
     check_bound_rounds(r)
     ro = rho(l)
     splits = _splits(k, M)
-    size = _power(2.0, k - 2.9) if m_size is None else m_size
+    if m_size is None:
+        size = _power(2.0, k - 2.9)
+    elif not (isinstance(m_size, (int, float)) and 0 <= m_size < math.inf):
+        raise ValueError(f"need a finite m_size >= 0, not {m_size!r}")
+    else:
+        size = _integer(m_size) if isinstance(m_size, int) else _Wide(m_size)
     classes = _gcd_classes(k, l, splits[-1])
-    # each family summed over m = 2..M with weights (rho/2)^(m r), every M
     weights = [_power(ro / 2, m * r) for m in range(2, splits[-1] + 1)]
     scale = _power(2.0, r) * _power(2.0, k)
-    families = {}
-    for name in _PARTS[parts]:
-        sums = list(itertools.accumulate(map(operator.mul, weights,
-                                             classes[name])))
-        families[name] = [sums[m - 2] * scale for m in splits]
     tail_den = _power(2.0, r) - _power(ro, r)
     return _report(
         f"multi-round split ({parts})", splits,
         tail=[_power(2.0, r * (1 - m)) * size * _power(ro, (m + 1) * r)
               / tail_den for m in splits],
-        **families)
+        **{name: (scale, list(map(operator.mul, weights, classes[name])))
+           for name in _PARTS[parts]})
 
 
 def chain_rule(q_r: float, r: int, t: int) -> float:
@@ -431,8 +439,7 @@ def _engine_q(k: int, r: int, l: int, M: int | None = None,
     q = liar_mass / (liar_mass + prime_mass)
     terms = dict(rep.terms, log2=q.log2(), liar_mass_log2=liar_mass.log2(),
                  prime_mass_log2=prime_mass.log2())
-    return BoundReport(value=float(q), m_opt=rep.m_opt, terms=terms,
-                       source=rep.source)
+    return rep._replace(value=float(q), terms=terms)
 
 
 def error_bound(k: int, r: int = 1, l: int = 8) -> BoundReport:

@@ -33,9 +33,9 @@ from typing import NamedTuple
 
 from .kernel import (EXACT_SURVEY_MAX_K, MIN_SCREEN_DEPTH, CapacityError,
                      Factorization, _method_a_sequence, _pairwise,
-                     check_discriminant, check_odd, check_rounds, factorize,
-                     is_perfect_square, jacobi, odd_primes, split_power_of_two,
-                     unlimited_digits)
+                     check_discriminant, check_integer, check_odd,
+                     check_rounds, factorize, is_perfect_square, jacobi,
+                     odd_primes, split_power_of_two, unlimited_digits)
 
 BRUTEFORCE_LIMIT = 10 ** 4
 
@@ -373,6 +373,7 @@ def exact_qk1(k: int, r: int = 1,
     composite at once, and each adds the integer pair (count^r,
     (n - (d/n) - 1)^r), summed exactly by ``_exact_sum``.
     """
+    check_integer(k, "k")
     if not 2 <= k <= EXACT_SURVEY_MAX_K:
         raise CapacityError(f"exact surveys cover 2 <= k <= {EXACT_SURVEY_MAX_K}")
     check_rounds(r)

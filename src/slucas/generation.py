@@ -50,9 +50,10 @@ from typing import NamedTuple
 
 from .classical import D_SEARCH, run_rounds
 from .kernel import (MAX_SCREEN_DEPTH, MAX_WINDOW, SCREEN_REACH,
-                     check_discriminant, check_rounds, check_screen_depth,
-                     is_perfect_square, is_strong_probable_prime, jacobi,
-                     least_factor, odd_primes, primes_in, sieve_window)
+                     check_discriminant, check_integer, check_rounds,
+                     check_screen_depth, is_perfect_square,
+                     is_strong_probable_prime, jacobi, least_factor,
+                     odd_primes, primes_in, sieve_window)
 
 # Largest trial-division bound, reached at k = 8192 bits: past it the
 # sieve and the cached primes (about 300,000 of them) would keep growing.
@@ -98,12 +99,15 @@ class GenConfig(_GenFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        check_integer(self.bits, "bits")
         if self.bits < 5:
             raise ValueError("need bits >= 5")
         check_rounds(self.rounds)
         check_screen_depth(self.screen)
-        if self.window is not None and not 1 <= self.window <= MAX_WINDOW:
-            raise ValueError(f"need window >= 1 and at most {MAX_WINDOW}")
+        if self.window is not None:
+            check_integer(self.window, "window")
+            if not 1 <= self.window <= MAX_WINDOW:
+                raise ValueError(f"need window >= 1 and at most {MAX_WINDOW}")
         if self.d is not None:
             check_discriminant(self.d)
         return self

@@ -3,8 +3,8 @@ prime sieve built on it, Legendre's phi and Meissel's prime count on it,
 factorization (a least-factor table below 2^16, above it the gcd blocks
 of ``least_factor`` up to 2^12, 2^14 or 2^16, then Pollard rho), the strong
 probable-prime test, a perfect-square check, the method-A discriminant
-sweep, and the checks that an n, a screen depth, a discriminant and a
-number of rounds are usable.
+sweep, and the checks that an n, a screen depth, a discriminant, a
+number of rounds and any other integer argument are usable.
 
 Every module that needs small primes reads one cached table here, which
 grows on demand: by limit (``sieve_primes``) or by count (``odd_primes``).
@@ -131,14 +131,23 @@ def check_discriminant(d: int) -> None:
             raise ValueError(f"discriminant must not be a square: {d}")
 
 
+def check_integer(value: int, what: str) -> None:
+    """Raise ValueError unless value is an int: a float size or count would
+    pass the range checks, then answer or fail further in."""
+    if not isinstance(value, int):
+        raise ValueError(f"{what} must be an int, not {value!r}")
+
+
 def check_rounds(r: int) -> None:
-    """Raise ValueError unless 1 <= r <= MAX_ROUNDS."""
+    """Raise ValueError unless r is an int with 1 <= r <= MAX_ROUNDS."""
+    check_integer(r, "rounds")
     if not 1 <= r <= MAX_ROUNDS:
         raise ValueError(f"need rounds >= 1 and at most {MAX_ROUNDS}")
 
 
 def check_bound_rounds(r: int) -> None:
-    """Raise ValueError unless 1 <= r <= MAX_BOUND_ROUNDS."""
+    """Raise ValueError unless r is an int with 1 <= r <= MAX_BOUND_ROUNDS."""
+    check_integer(r, "rounds")
     if not 1 <= r <= MAX_BOUND_ROUNDS:
         raise ValueError(f"need 1 <= r <= {MAX_BOUND_ROUNDS}")
 
@@ -150,7 +159,9 @@ def check_odd(n: int, least: int) -> None:
 
 
 def check_screen_depth(l: int) -> None:
-    """Raise ValueError unless MIN_SCREEN_DEPTH <= l <= MAX_SCREEN_DEPTH."""
+    """Raise ValueError unless l is an int, MIN_SCREEN_DEPTH <= l <=
+    MAX_SCREEN_DEPTH."""
+    check_integer(l, "screen depth")
     if not MIN_SCREEN_DEPTH <= l <= MAX_SCREEN_DEPTH:
         raise ValueError(f"need screen depth {MIN_SCREEN_DEPTH} <= l <= "
                          f"{MAX_SCREEN_DEPTH}")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -436,6 +437,78 @@ def test_bound_rounds_ceiling(monkeypatch, bound):
     # so is a split point outside the range at k
     with pytest.raises(ValueError, match="split point M=99"):
         _engine_q(29, 1, 8, M=99)
+
+
+# sha256 over repr((value, m_opt, terms, source)) of every report that
+# grid_reports makes: each bit of every value and term, not 6 digits
+GRID_SHA256 = "72ac73b647e26e30210290aafb591c17dce36ab6ad1d6d6feb43fca9f5aeb7c7"
+
+
+def grid_reports():
+    """error_bound, _engine_q and the three engines across every ENGINES
+    row edge, past double range in k and r, and at three screen depths."""
+    for k in (17, 20, 29, 30, 41, 42, 59, 60, 100, 1024, 8192):
+        for l in (2, 8, 166):
+            for r in (1, 2, 3, 1100):
+                yield error_bound(k, r, l)
+                yield _engine_q(k, r, l)
+                yield nr_bound_split(k, r, l)
+            yield n1_bound_coarse(k, l)
+            yield n1_bound_refined(k, l)
+
+
+def test_grid_reports_keep_every_bit():
+    digest = hashlib.sha256()
+    for rep in grid_reports():
+        digest.update(repr((rep.value, rep.m_opt, rep.terms,
+                            rep.source)).encode())
+    assert digest.hexdigest() == GRID_SHA256
+
+
+def _log2_sum(logs):
+    top = max(logs)
+    if top == -math.inf:
+        return top
+    return top + math.log2(sum(2.0 ** (x - top) for x in logs))
+
+
+def test_class_terms_sum_to_their_family():
+    for rep in grid_reports():
+        if rep.source.startswith("single-round coarse"):
+            assert rep.class_log2 == {}
+            continue
+        assert rep.class_log2
+        for name, logs in rep.class_log2.items():
+            assert len(logs) == rep.m_opt - 1  # classes m = 2..m_opt
+            assert _log2_sum(logs) == pytest.approx(
+                rep.terms[f"{name}_log2"], abs=1e-9, rel=0)
+    assert ykts_bound(100, 1, 1.0).class_log2 == {}
+
+
+def test_class_log2_default_is_empty_and_immutable():
+    rep = BoundReport(0.0, 3, {"log2": -math.inf}, "x")
+    assert rep.class_log2 == {}
+    with pytest.raises(TypeError):
+        rep.class_log2["x"] = ()
+
+
+@pytest.mark.parametrize("m_size", [math.nan, math.inf, -math.inf, -1, -0.5,
+                                    "5", 1j])
+def test_nr_bound_split_refuses_a_size_that_is_no_finite_count(m_size):
+    with pytest.raises(ValueError, match="need a finite m_size >= 0"):
+        nr_bound_split(20, 1, m_size=m_size)
+
+
+def test_nr_bound_split_reads_a_size_of_any_length():
+    # an int reads as its nearest double, a float as itself, and an int past
+    # double range through its top bits: the tail scales with it
+    assert (nr_bound_split(20, 1, m_size=10 ** 5)
+            == nr_bound_split(20, 1, m_size=1e5))
+    small = nr_bound_split(20, 1, M=3, m_size=1)
+    huge = nr_bound_split(20, 1, M=3, m_size=1 << 2000)
+    assert huge.value == math.inf
+    assert huge.terms["tail_log2"] == small.terms["tail_log2"] + 2000
+    assert nr_bound_split(20, 1, M=3, m_size=0).terms["tail_log2"] == -math.inf
 
 
 def test_ykts_bound_past_float_range_is_value_error():

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slucas import generation, kernel
+from slucas.bounds import (chain_rule, error_bound, n1_bound_coarse,
+                           qk1_analytic, rho, ykts_bound)
 from slucas.classical import baillie_psw, fermat_round, run_rounds
 from slucas.cli import UsageError, cmd_count
 from slucas.counting import (exact_qk1, fermat_count, lucas_uv_mod,
@@ -309,6 +311,27 @@ def test_rounds_ceiling_refused_alike(monkeypatch, call, r):
     monkeypatch.setattr("slucas.counting._survey_window", None)
     with pytest.raises(ValueError, match="^need rounds >= 1 and at most 128$"):
         call(r)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: error_bound(60.5), lambda: error_bound(60, 1.5),
+    lambda: error_bound(60, 1, 8.0), lambda: n1_bound_coarse(60, M=3.0),
+    lambda: ykts_bound(100.5, 1, 1.0), lambda: ykts_bound(100, 1.5, 1.0),
+    lambda: qk1_analytic(60.5), lambda: chain_rule(0.1, 1, 2.5),
+    lambda: rho(8.5), lambda: exact_qk1(8.0), lambda: exact_qk1(6, 2.0),
+    lambda: GenConfig(bits=64.0), lambda: GenConfig(bits=64, rounds=1.5),
+    lambda: GenConfig(bits=64, screen=8.5),
+    lambda: GenConfig(bits=64, window=10.5),
+    lambda: GenConfig(bits=64, window="10"),
+], ids=["error_bound-k", "error_bound-r", "error_bound-l", "coarse-M",
+        "ykts_bound-k", "ykts_bound-t", "qk1_analytic", "chain_rule", "rho",
+        "exact_qk1-k", "exact_qk1-r", "GenConfig-bits", "GenConfig-rounds",
+        "GenConfig-screen", "GenConfig-window", "GenConfig-window-str"])
+def test_non_integer_sizes_and_counts_are_refused(call):
+    # a float that passes the range check is refused there, not answered
+    # and not a TypeError when the run starts
+    with pytest.raises(ValueError, match=" must be an int, not "):
+        call()
 
 
 @pytest.mark.parametrize("least", [3, 5])
