@@ -54,6 +54,7 @@ def rho(l: int) -> float:
 
 def prime_count_exact(k: int) -> int:
     """Exact number of k-bit primes, k <= 33, each pi by Meissel's formula."""
+    check_integer(k, "k")
     if k < 1:
         raise ValueError("need k >= 1")
     return count_primes_in_range(1 << (k - 1), 1 << k)
@@ -125,6 +126,7 @@ def screen_census(k: int, l: int = 2, exact: bool = False) -> ScreenCensus:
     With ``exact`` the counts are computed outright, up to the prime
     count's reach of k = 33; otherwise they are left as None.
     """
+    check_integer(k, "k")
     if k < 2:
         raise ValueError("need k >= 2")
     check_screen_depth(l)
@@ -232,6 +234,7 @@ def prime_lower_bound(k: int) -> float:
     """Guaranteed-to-be-exceeded lower bound on the number of k-bit primes,
     for 8 <= k <= 1034: below 8 it fails at k = 1, 4, 6 and 7, and past
     1034 it is no finite double."""
+    check_integer(k, "k")
     if not 8 <= k <= 1034:
         raise ValueError("the prime-count bound covers 8 <= k <= 1034")
     return float(_prime_mass(k))

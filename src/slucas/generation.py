@@ -24,10 +24,12 @@ would have caught).  Both generators record a per-candidate transcript
 
 From POOL_BITS bits on at a process's first call, and from
 LATER_POOL_BITS bits on at its later ones, the base-2 tests and the
-survivors' Lucas rounds 2..t run in worker processes (``workers``).
+survivors' Lucas rounds 2..t run in worker processes (``workers``): each
+request goes out by ``send``, and its one reply line comes back by
+``result`` as a ``RoundResult``.
 This process reads ahead while a worker is free: it screens the next
 candidates and sends their tests to whichever worker answers first, and
-takes the answers back in candidate order.  For a survivor it draws all
+takes the results back in candidate order.  For a survivor it draws all
 t parameter pairs up front, runs round 1 while the workers run the next
 rounds, and rewinds the parameter stream to where a serial run would
 stop.  The screens, the draws and the choice of discriminant stay in
@@ -174,10 +176,11 @@ def _stages(window: int, candidate, screens, pool):
     strong test does, else None.
 
     With a pool, this screens ahead until it holds one survivor of the
-    screens that no worker tests yet, sends it to the first worker free,
-    and waits for whichever answers first.  A candidate is yielded once its
-    stage is known, before any refill, so a base-2 pass leaves at most one
-    test in flight per other worker.
+    screens that no worker tests yet, ``send``s it to the first worker
+    free, and waits for whichever answers first; a ``result`` of None (the
+    pool closed) is tested here.  A candidate is yielded once its stage is
+    known, before any refill, so a base-2 pass leaves at most one test in
+    flight per other worker.
     """
     ahead = deque()  # [n, stage, ticket of its test on the pool], oldest first
     deck = None  # the survivor in ``ahead`` that waits for a free worker
@@ -191,14 +194,14 @@ def _stages(window: int, candidate, screens, pool):
                 pooled and pool.waiting(head[2])):
             n, stage, ticket = ahead.popleft()
             if stage is None:
-                passed = None if ticket is None else pool.passes(ticket)
+                passed = None if ticket is None else pool.result(ticket)
                 if passed is None:  # tested here, or lost with its worker
                     passed = is_strong_probable_prime(n, 2)
                 if not passed:
                     stage = "base-2"
             yield n, stage
         elif deck is not None and pool.idle():
-            deck[2] = pool.test(deck[0])
+            deck[2] = pool.send(deck[0])
             deck = None
         elif i < window and deck is None and (pooled or not ahead):
             n = candidate(i)

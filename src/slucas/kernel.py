@@ -153,7 +153,8 @@ def check_bound_rounds(r: int) -> None:
 
 
 def check_odd(n: int, least: int) -> None:
-    """Raise ValueError unless n is odd and at least ``least``."""
+    """Raise ValueError unless n is an odd int and at least ``least``."""
+    check_integer(n, "n")
     if n < least or n % 2 == 0:
         raise ValueError(f"need odd n >= {least}")
 
@@ -421,6 +422,7 @@ def factorize(n: int) -> Factorization:
     up to the first of 2^12, 2^14, TRIAL_REACH whose square exceeds it,
     until none is left; ``_rho`` splits the rest (a part is prime below
     TRIAL_REACH^2, or when the strong tests to PRIME_BASES pass)."""
+    check_integer(n, "n")
     if n < 2:
         raise ValueError("need n >= 2 to factor")
     if n >= FACTOR_LIMIT:

@@ -6,11 +6,12 @@ candidates, and the rounds of one, run side by side only in processes of
 their own.  ``take`` hands the caller this process's pool, forked at the
 first call: one worker per CPU the process may run on
 (``os.sched_getaffinity``), at most MAX_WORKERS, kept for the process's
-later calls.  It gives None, so that every test runs inline, with one
+later calls.  It gives None, so that every request runs inline, with one
 CPU, without ``os.fork``, or in a process that already runs threads,
-where a fork would copy the locks they hold.  A worker that dies closes
-its pool: the caller's requests then run inline, and the next ``take``
-forks a fresh pool.
+where a fork would copy the locks they hold.  ``Workers.send`` hands a
+worker one request and ``Workers.result`` takes back its one reply line,
+decoded into a ``RoundResult``.  A worker that dies closes its pool: the
+caller's requests then run inline, and the next ``take`` forks afresh.
 
 The workers are plain ``os.fork`` children fed over pipes:
 ``concurrent.futures`` alone takes about 30 ms to import (Python 3.11 on
@@ -24,12 +25,13 @@ from __future__ import annotations
 
 import atexit
 import contextlib
+import functools
 import os
 import select
 import sys
 
-from .classical import draw_rounds, first_rejection, round_result
-from .kernel import is_strong_probable_prime
+from .classical import (draw_rounds, first_rejection, miller_rabin_round,
+                        round_result)
 from .lucas import LucasParams, RoundResult, Verdict, strong_lucas_round
 
 # The calling process screens the candidates and runs the first of each
@@ -41,18 +43,17 @@ class Workers:
     """Worker processes, forked from this one, that run base-2 tests and
     strong Lucas rounds.
 
-    Each worker reads requests as lines from a pipe of its own and answers
-    each with a line on another; it holds at most one request at a time.
-    ``test`` sends a base-2 test to a free worker and returns its ticket.
-    ``wait`` waits on every busy worker's reply pipe together and keeps
-    each reply under its ticket until ``passes`` takes it, so the caller
-    refills whichever worker answers first.  ``run_rounds`` runs a
-    survivor's strong Lucas rounds on the workers and this process
-    together.  A dead worker shows as the end of its own reply pipe.  It,
-    or an exception in the middle of an exchange, closes the pool: the
-    requests still held get no reply, which the caller then runs here, and
-    nothing more is sent.  A worker exits at the end of its request pipe,
-    so none outlives this process.
+    ``send`` hands a request to a free worker and returns its ticket; a
+    worker holds one request at a time and answers it with one
+    "verdict,reason,factor" line.  ``wait`` waits on every busy worker's
+    reply pipe together and decodes each reply into a ``RoundResult``, kept
+    under its ticket until ``result`` takes it, so the caller refills
+    whichever worker answers first.  ``run_rounds`` runs a survivor's strong
+    Lucas rounds on the workers and this process together.  A dead worker
+    shows as the end of its own reply pipe.  It, or an exception in the
+    middle of an exchange, closes the pool: the requests still held get no
+    reply, which the caller then runs here, and nothing more is sent.  A
+    worker exits when its request pipe ends, so none outlives this process.
     """
 
     def __init__(self, count: int):
@@ -81,44 +82,33 @@ class Workers:
         """Whether a worker is free; False once the pool is closed."""
         return None in self.held
 
-    def _free(self) -> bool:
-        """Wait until a worker is free; False once the pool is closed."""
-        while self.held and not self.idle():
-            self.wait()
-        return self.idle()
-
     def waiting(self, ticket: int | None) -> bool:
         """Whether a worker still holds the request under ``ticket``."""
         return ticket is not None and ticket in self.held
 
-    def _send(self, line: bytes) -> int | None:
+    def send(self, n: int, params: LucasParams | None = None) -> int | None:
+        """Send n for a base-2 strong test, or with ``params`` for a strong
+        Lucas round, once a worker is free: its ticket; None if closed."""
+        while self.held and not self.idle():
+            self.wait()
+        if not self.held:
+            return None
         worker = self.held.index(None)
         try:
-            self.requests[worker].write(line)
+            self.requests[worker].write(b"%x\n" % n if params is None
+                                        else b"%x %x %x\n" % (n, *params))
             self.requests[worker].flush()
-        except OSError:  # the worker died
+        except BaseException as exc:
             self.close()
-            return None
-        except BaseException:
-            self.close()
+            if isinstance(exc, OSError):  # the worker died
+                return None
             raise
         ticket = self.held[worker] = self.sent
         self.sent += 1
         return ticket
 
-    def test(self, n: int) -> int | None:
-        """Send a base-2 test of n to a free worker: its ticket, or None
-        if the pool closed."""
-        return self._send(b"%x\n" % n)
-
-    def _send_round(self, n: int, params: LucasParams) -> int | None:
-        """Send a strong Lucas round on n to a free worker: its ticket, or
-        None if the pool closed."""
-        return self._send(b"%x %x %x\n" % (n, params.P, params.Q))
-
     def wait(self) -> None:
-        """Read the reply of each busy worker that has answered, waiting
-        until one has."""
+        """Read each busy worker's reply that is in, waiting for one."""
         busy = [w for w, ticket in enumerate(self.held) if ticket is not None]
         try:
             ready, _, _ = select.select([self.replies[w] for w in busy],
@@ -129,34 +119,18 @@ class Workers:
                     if not reply.endswith(b"\n"):  # the worker died
                         self.close()
                         return
-                    self.answers[self.held[w]] = reply
+                    self.answers[self.held[w]] = _decode(reply)
                     self.held[w] = None
                     self.read += 1
         except BaseException:
             self.close()
             raise
 
-    def _reply(self, ticket: int) -> bytes:
-        """The reply under ``ticket``, waiting for it; b"" if the pool
-        closed first."""
+    def result(self, ticket: int) -> RoundResult | None:
+        """The result under ``ticket``, waited for; None if the pool closed."""
         while self.waiting(ticket):
             self.wait()
-        return self.answers.pop(ticket, b"")
-
-    def passes(self, ticket: int) -> bool | None:
-        """Whether the candidate under ``ticket`` passed its base-2 test;
-        None if the pool closed before it answered."""
-        reply = self._reply(ticket)
-        return reply == b"1\n" if reply else None
-
-    def _round(self, ticket: int) -> RoundResult | None:
-        """The result of the round under ``ticket``; None if the pool
-        closed before it answered."""
-        reply = self._reply(ticket)
-        if not reply:
-            return None
-        verdict, reason, factor = reply.decode().split(",")
-        return RoundResult(Verdict(verdict), reason, int(factor, 16) or None)
+        return self.answers.pop(ticket, None)
 
     def run_rounds(self, n: int, rounds: int, rng,
                    d: int | None) -> tuple[RoundResult, int]:
@@ -181,18 +155,18 @@ class Workers:
 
         def results():
             for i, pair in enumerate(drawn):
-                res = self._round(tickets.pop(i)) if i in tickets else None
+                res = self.result(tickets.pop(i)) if i in tickets else None
                 if res is None:  # not sent, or lost with its worker
                     ahead = drawn[i + 1:i + 1 + len(self.pids)]
                     for j, later in enumerate(ahead, i + 1):
-                        if isinstance(later, LucasParams) and self._free():
-                            tickets[j] = self._send_round(n, later)
+                        if isinstance(later, LucasParams):
+                            tickets[j] = self.send(n, later)
                     res = round_result(check, n, pair)
                 yield res
 
         res, spent = first_rejection(results())
         for ticket in tickets.values():
-            self._round(ticket)
+            self.result(ticket)
         if spent < len(drawn):
             rng.setstate(states[spent - 1])
         return res, spent
@@ -224,9 +198,10 @@ class Workers:
 def _serve(requests: int, replies: int, parent_ends) -> None:
     """A worker's life: answer each request until its pipe ends, then exit.
 
-    A request is n in hex, for a base-2 strong test, answered "1" if n
-    passes and "0" if not; or n, P and Q, for a strong Lucas round,
-    answered "verdict,reason,factor" (the factor in hex, 0 for none).
+    A request is n in hex, for a base-2 strong test, or n, P and Q, for a
+    strong Lucas round; each gets its ``RoundResult`` back as one line,
+    "verdict,reason,factor" (the factor in hex, 0 for none), which
+    ``_decode`` reads.  A base-2 test's is ``miller_rabin_round(n, 2)``.
     """
     try:
         import signal
@@ -237,16 +212,18 @@ def _serve(requests: int, replies: int, parent_ends) -> None:
         with open(requests, "rb") as lines, open(replies, "wb", 0) as out:
             for line in lines:
                 n, *params = (int(field, 16) for field in line.split())
-                if not params:
-                    passed = is_strong_probable_prime(n, 2)
-                    out.write(b"1\n" if passed else b"0\n")
-                    continue
-                res = strong_lucas_round(n, LucasParams(*params))
-                out.write(b"%s,%s,%x\n" % (res.verdict.value.encode(),
-                                           res.reason.encode(),
-                                           res.factor or 0))
+                res = (strong_lucas_round(n, LucasParams(*params)) if params
+                       else miller_rabin_round(n, 2))
+                out.write(("%s,%s,%x\n" % (res.verdict.value, res.reason,
+                                           res.factor or 0)).encode())
     finally:
         os._exit(0)
+
+
+@functools.lru_cache(maxsize=64)  # the lines that carry no factor recur
+def _decode(reply: bytes) -> RoundResult:
+    verdict, reason, factor = reply.decode().split(",")
+    return RoundResult(Verdict(verdict), reason, int(factor, 16) or None)
 
 
 _pools: dict[int, Workers] = {}  # process id -> its idle pool

@@ -405,6 +405,52 @@ def test_pool_gives_the_inline_outcome(cpus, gen, kwargs, fails):
         assert pooled.candidates_tested == 60
 
 
+# one request per shape a worker's reply line takes: a pass; a rejection;
+# a factor (5459 = 53 * 103); both bad-params reasons; a negative Q
+ROUND_REPLIES = {
+    "pass": (1000003, lucas.LucasParams(3, 5), ""),
+    "no-zero-term": (5459, lucas.LucasParams(3, 5), "no-zero-term"),
+    "gcd-P": (5459, lucas.LucasParams(53, 1), "gcd-P"),
+    "Q-vanishes": (15, lucas.LucasParams(1, 15), "Q-vanishes"),
+    "square-discriminant": (25, lucas.LucasParams(2, 1),
+                            "square-discriminant"),
+    "negative-Q-pass": (1000003, lucas.LucasParams(1, -1), ""),
+    "negative-Q-no-zero-term": (5459, lucas.LucasParams(1, -1),
+                                "no-zero-term"),
+}
+
+
+@pytest.mark.parametrize("n, params, reason", ROUND_REPLIES.values(),
+                         ids=ROUND_REPLIES)
+def test_a_worker_s_round_is_the_inline_round(cpus, n, params, reason):
+    cpus(2)
+    pool = workers.take()
+    try:
+        res = pool.result(pool.send(n, params))
+    finally:
+        pool.release()
+    assert pool.sent == pool.read == 1
+    assert res == lucas.strong_lucas_round(n, params)
+    assert res.reason == reason
+    assert res.factor == (53 if reason == "gcd-P" else None)
+    assert (res.verdict is lucas.BAD_PARAMS) == (
+        reason in ("Q-vanishes", "square-discriminant"))
+
+
+def test_a_worker_s_base_2_test_is_the_inline_test(cpus):
+    odd = (1000003, 1000035, 2047)  # 2047 = 23 * 89 is a base-2 liar
+    cpus(2)
+    pool = workers.take()
+    try:
+        results = [pool.result(pool.send(n)) for n in odd]
+    finally:
+        pool.release()
+    assert pool.sent == pool.read == len(odd)
+    assert results == [classical.miller_rabin_round(n, 2) for n in odd]
+    assert results == [lucas.PROBABLE_PRIME, classical.MILLER_RABIN,
+                       lucas.PROBABLE_PRIME]
+
+
 def test_the_pool_starts_at_a_process_s_second_call_from_512_bits(cpus):
     cpus(2)
     for gen in GENERATORS:  # never below LATER_POOL_BITS, first or later

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from slucas import generation, kernel
 from slucas.bounds import (chain_rule, error_bound, n1_bound_coarse,
-                           qk1_analytic, rho, ykts_bound)
+                           prime_count_exact, prime_lower_bound,
+                           qk1_analytic, rho, screen_census, ykts_bound)
 from slucas.classical import baillie_psw, fermat_round, run_rounds
 from slucas.cli import UsageError, cmd_count
 from slucas.counting import (exact_qk1, fermat_count, lucas_uv_mod,
-                             mr_count, slpsp_bruteforce)
+                             mr_count, phi_d, sl_count, slpsp_bruteforce)
 from slucas.generation import GenConfig
 from slucas.kernel import (MAX_ROUNDS, TRIAL_REACH, CapacityError,
                            Factorization, check_discriminant, check_odd,
@@ -323,10 +324,16 @@ def test_rounds_ceiling_refused_alike(monkeypatch, call, r):
     lambda: GenConfig(bits=64, screen=8.5),
     lambda: GenConfig(bits=64, window=10.5),
     lambda: GenConfig(bits=64, window="10"),
+    lambda: prime_count_exact(20.5), lambda: prime_lower_bound(20.5),
+    lambda: screen_census(20.5), lambda: factorize(10.0),
+    lambda: run_rounds(15.0, "fermat", 1, random.Random(1)),
+    lambda: sl_count(15.0, 5), lambda: phi_d(21.0, 5),
 ], ids=["error_bound-k", "error_bound-r", "error_bound-l", "coarse-M",
         "ykts_bound-k", "ykts_bound-t", "qk1_analytic", "chain_rule", "rho",
         "exact_qk1-k", "exact_qk1-r", "GenConfig-bits", "GenConfig-rounds",
-        "GenConfig-screen", "GenConfig-window", "GenConfig-window-str"])
+        "GenConfig-screen", "GenConfig-window", "GenConfig-window-str",
+        "prime_count_exact", "prime_lower_bound", "screen_census",
+        "factorize", "run_rounds-fermat", "sl_count", "phi_d"])
 def test_non_integer_sizes_and_counts_are_refused(call):
     # a float that passes the range check is refused there, not answered
     # and not a TypeError when the run starts
@@ -372,6 +379,10 @@ def test_odd_n_refused_alike(call, least):
         with pytest.raises((ValueError, UsageError),
                            match=f"^need odd n >= {least}$"):
             call(n)
+    # an odd n in range, but a float: refused by the same check
+    with pytest.raises((ValueError, UsageError),
+                       match=r"^n must be an int, not 15\.0$"):
+        call(15.0)
 
 
 def test_factorize_roundtrip():
