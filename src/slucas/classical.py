@@ -1,11 +1,13 @@
-"""Fermat and Miller-Rabin rounds, the multi-round driver for every round
-method, and Baillie-PSW (Baillie and Wagstaff, "Lucas Pseudoprimes", Math.
-Comp. 1980): trial division by the primes below 1000 (SCREEN_REACH, which
-no parameter moves; ``kernel.least_factor``, the generators' screen), a
-base-2 strong test and one strong Lucas round with method-A parameters."""
+"""Fermat and Miller-Rabin rounds, the one multi-round driver for every
+round method, inline or on the generators' worker pool, and Baillie-PSW
+(Baillie and Wagstaff, "Lucas Pseudoprimes", Math. Comp. 1980): trial
+division by the primes below 1000 (SCREEN_REACH, which no parameter
+moves; ``kernel.least_factor``, the generators' screen), a base-2 strong
+test and one strong Lucas round with method-A parameters."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .kernel import (SCREEN_REACH, check_discriminant, check_odd,
@@ -49,8 +51,8 @@ def miller_rabin_round(n: int, a: int) -> RoundResult:
     return _base_round(n, a, is_strong_probable_prime, MILLER_RABIN)
 
 
-def run_rounds(n: int, method: str, rounds: int, rng,
-               d: int | None = None) -> tuple[RoundResult, int]:
+def run_rounds(n: int, method: str, rounds: int, rng, d: int | None = None,
+               *, pool=None) -> tuple[RoundResult, int]:
     """Up to ``rounds`` rounds of ``method`` on odd n >= 5, stopping at the
     first rejection.
 
@@ -60,79 +62,83 @@ def run_rounds(n: int, method: str, rounds: int, rng,
     when it is None.  Returns (PROBABLE_PRIME, rounds), or the rejecting
     round's result and number.  A failed sweep (n a square) or parameter
     search (no unit Q) rejects with reason "d-search" or "param-search";
-    neither happens for a prime.  Before any round runs, a ValueError
-    refuses any other n, rounds outside 1..MAX_ROUNDS (128), a d that
-    ``kernel.check_discriminant`` refuses, a d sharing a factor with n
-    and any d with a base method.
+    neither happens for a prime.  Before any draw, a ValueError refuses
+    any other n, rounds outside 1..MAX_ROUNDS (128), a d that
+    ``kernel.check_discriminant`` refuses, a d sharing a factor with n,
+    any d with a base method and a ``pool`` with any but "strong-lucas".
 
-    It is ``draw_rounds``, ``round_result`` and ``first_rejection`` with
-    each round run as it is drawn; the generators' worker pool runs the
-    same three with its rounds drawn up front.
-    """
-    check, draws = draw_rounds(n, method, rounds, rng, d)
-    return first_rejection(round_result(check, n, drawn) for drawn in draws)
-
-
-def draw_rounds(n: int, method: str, rounds: int, rng, d: int | None = None):
-    """``run_rounds``' checks and set-up: returns (check, draws).
-
-    ``check(n, drawn)`` is one round of ``method``.  ``draws`` yields each
-    round's base or (P, Q), drawn from rng only when it is asked for, at
-    most ``rounds`` of them; a failed sweep for d or parameter search
-    yields its rejection in place of a draw and ends there.  The sweep
-    runs here, and every ValueError ``run_rounds`` names is raised here,
-    before any draw.
+    With the generators' worker ``pool``, before this process runs a
+    round it draws the next ``len(pool.pids)`` and ``send``s each to a
+    worker; a ``result`` of None (the pool closed) runs here.  After a
+    rejection at round i it waits out the rounds still out and restores
+    the stream's state saved after draw i, as an inline run leaves it.
+    Without a pool no state is read, so ``random.SystemRandom`` serves.
     """
     check_odd(n, 5)
     check_rounds(rounds)
+    if pool is not None and method != "strong-lucas":
+        raise ValueError(f"the worker pool runs strong-lucas rounds only, "
+                         f"not {method}")
     if method in ("miller-rabin", "fermat"):
         if d is not None:
             raise ValueError(f"d applies to the Lucas methods only, "
                              f"not to {method}")
         check = miller_rabin_round if method == "miller-rabin" else fermat_round
-        draw = lambda: rng.randrange(2, n - 1)
+        draws = _draws(lambda: rng.randrange(2, n - 1), rounds)
     elif method in ("strong-lucas", "lucas"):
         check = strong_lucas_round if method == "strong-lucas" else lucas_round
         if d is None:
             try:
                 d = select_d(n)
             except ParamSearchError:
-                return check, iter((D_SEARCH,))
+                return D_SEARCH, 1
         else:
             check_discriminant(d)
             if (shared := math.gcd(d, n)) > 1:
                 raise ValueError(f"d shares the factor {shared} with n; "
                                  "the Lucas test needs D coprime to n")
-        draw = lambda: sample_params(n, d, rng)
+        draws = _draws(lambda: sample_params(n, d, rng), rounds)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return check, _draws(draw, rounds)
+    drawn, states = [], []  # each round's draw; with a pool, state after it
+    tickets = {}  # round index -> ticket of the worker running it
+
+    def draw(upto: int) -> int:  # draws rounds until ``upto`` are drawn
+        for pair in itertools.islice(draws, max(upto - len(drawn), 0)):
+            drawn.append(pair)
+            if pool is not None:
+                states.append(rng.getstate())
+        return len(drawn)
+
+    res, spent = PROBABLE_PRIME, 0
+    while res and spent < draw(spent + 1):
+        res = pool.result(tickets.pop(spent)) if spent in tickets else None
+        if res is None:  # not sent, or lost with its worker
+            if pool is not None:
+                # ``send`` waits out a worker's base-2 test: it ends sooner
+                # than this process's round would
+                first = len(drawn)
+                for j in range(first, draw(spent + 1 + len(pool.pids))):
+                    if drawn[j] is not PARAM_SEARCH:
+                        tickets[j] = pool.send(n, drawn[j])
+            res = drawn[spent]
+            res = res if res is PARAM_SEARCH else check(n, res)
+        spent += 1
+    for ticket in tickets.values():
+        pool.result(ticket)
+    if spent < len(drawn):
+        rng.setstate(states[spent - 1])
+    return res, spent
 
 
 def _draws(draw, rounds: int):
+    # each round's base or (P, Q); a failed parameter search ends them
     for _ in range(rounds):
         try:
             yield draw()
         except ParamSearchError:
             yield PARAM_SEARCH
             return
-
-
-def round_result(check, n: int, drawn) -> RoundResult:
-    """One round: ``check`` on n with a drawn base or (P, Q), or the
-    rejection ``draw_rounds`` yielded in its place."""
-    return drawn if isinstance(drawn, RoundResult) else check(n, drawn)
-
-
-def first_rejection(results) -> tuple[RoundResult, int]:
-    """The first rejecting result among ``results``, in round order, with
-    its round number, or (PROBABLE_PRIME, how many passed); it reads no
-    result past that rejection."""
-    spent = 0
-    for spent, res in enumerate(results, 1):
-        if not res:
-            return res, spent
-    return PROBABLE_PRIME, spent
 
 
 def baillie_psw(n: int) -> RoundResult:

@@ -24,17 +24,17 @@ would have caught).  Both generators record a per-candidate transcript
 
 From POOL_BITS bits on at a process's first call, and from
 LATER_POOL_BITS bits on at its later ones, the base-2 tests and the
-survivors' Lucas rounds 2..t run in worker processes (``workers``): each
-request goes out by ``send``, and its one reply line comes back by
-``result`` as a ``RoundResult``.
-This process reads ahead while a worker is free: it screens the next
-candidates and sends their tests to whichever worker answers first, and
-takes the results back in candidate order.  For a survivor it draws all
-t parameter pairs up front, runs round 1 while the workers run the next
-rounds, and rewinds the parameter stream to where a serial run would
-stop.  The screens, the draws and the choice of discriminant stay in
-the calling process, so the prime, the counts and the transcript are
-those of an inline run.
+survivors' later Lucas rounds run in worker processes (``workers``):
+each request goes out by ``send``, and its one reply line comes back by
+``result`` as a ``RoundResult``.  This process reads ahead while a
+worker is free: it screens the next candidates and sends their tests to
+whichever worker answers first, and takes the results back in candidate
+order.  For a survivor, ``classical.run_rounds`` draws the next rounds
+as workers free up and sends them out before it runs one here, then
+rewinds the parameter stream to where a serial run would stop.  The
+screens, the draws and the choice of discriminant stay in the calling
+process, so the prime, the counts and the transcript are those of an
+inline run.
 
 A generating process loads ``kernel``, ``lucas``, ``classical`` and this
 module only: no ``bounds``, no ``dataclasses`` (the records are
@@ -226,11 +226,12 @@ def _search(cfg: GenConfig, window: int, candidate, screens,
     an ordered tuple of (stage, rejects(i, n)), after which comes a base-2
     strong test (``_stages``), and the first that rejects n names its
     transcript stage.  Survivors meet up to cfg.rounds strong Lucas rounds
-    with discriminant d (None: swept per candidate by ``run_rounds``) and
-    fresh parameters each, drawn from a stream of their own; round i
-    rejecting gives stage "round-i:<reason>".  A failed sweep gives stage
-    "d-search" and counts no round.  The result is the first accepted
-    candidate, or None (Fail) once ``window`` candidates are spent.
+    (``run_rounds``, on the pool if there is one) with discriminant d
+    (None: swept per candidate) and fresh parameters each, drawn from a
+    stream of their own; round i rejecting gives stage "round-i:<reason>".
+    A failed sweep gives stage "d-search" and counts no round.  The result
+    is the first accepted candidate, or None (Fail) once ``window``
+    candidates are spent.
     """
     # the candidate stream is random.Random(seed); this one is seeded from
     # the same seed under its own label, and both are unseeded for None
@@ -243,10 +244,8 @@ def _search(cfg: GenConfig, window: int, candidate, screens,
         for n, stage in _stages(window, candidate, screens, pool):
             survived = 0
             if stage is None:
-                res, spent = (
-                    run_rounds(n, "strong-lucas", cfg.rounds, params, d)
-                    if pool is None else
-                    pool.run_rounds(n, cfg.rounds, params, d))
+                res, spent = run_rounds(n, "strong-lucas", cfg.rounds,
+                                        params, d, pool=pool)
                 if res == D_SEARCH:
                     stage = "d-search"
                 else:

@@ -10,8 +10,11 @@ later calls.  It gives None, so that every request runs inline, with one
 CPU, without ``os.fork``, or in a process that already runs threads,
 where a fork would copy the locks they hold.  ``Workers.send`` hands a
 worker one request and ``Workers.result`` takes back its one reply line,
-decoded into a ``RoundResult``.  A worker that dies closes its pool: the
-caller's requests then run inline, and the next ``take`` forks afresh.
+decoded into a ``RoundResult``.  ``generation`` sends base-2 tests this
+way, and ``classical.run_rounds`` a survivor's later Lucas rounds; it
+uses nothing else of a pool but its ``pids``.  A worker that dies closes
+its pool: the caller's requests then run inline, and the next ``take``
+forks afresh.
 
 The workers are plain ``os.fork`` children fed over pipes:
 ``concurrent.futures`` alone takes about 30 ms to import (Python 3.11 on
@@ -30,8 +33,7 @@ import os
 import select
 import sys
 
-from .classical import (draw_rounds, first_rejection, miller_rabin_round,
-                        round_result)
+from .classical import miller_rabin_round
 from .lucas import LucasParams, RoundResult, Verdict, strong_lucas_round
 
 # The calling process screens the candidates and runs the first of each
@@ -48,8 +50,8 @@ class Workers:
     "verdict,reason,factor" line.  ``wait`` waits on every busy worker's
     reply pipe together and decodes each reply into a ``RoundResult``, kept
     under its ticket until ``result`` takes it, so the caller refills
-    whichever worker answers first.  ``run_rounds`` runs a survivor's strong
-    Lucas rounds on the workers and this process together.  A dead worker
+    whichever worker answers first; ``classical.run_rounds`` sends a
+    survivor's later strong Lucas rounds this way.  A dead worker
     shows as the end of its own reply pipe.  It, or an exception in the
     middle of an exchange, closes the pool: the requests still held get no
     reply, which the caller then runs here, and nothing more is sent.  A
@@ -131,45 +133,6 @@ class Workers:
         while self.waiting(ticket):
             self.wait()
         return self.answers.pop(ticket, None)
-
-    def run_rounds(self, n: int, rounds: int, rng,
-                   d: int | None) -> tuple[RoundResult, int]:
-        """``classical.run_rounds(n, "strong-lucas", rounds, rng, d)``, with
-        rounds 2..t on the workers.
-
-        All t pairs are drawn up front, with the stream's state saved after
-        each draw.  Before this process runs a round, it hands the next
-        rounds to the workers, one each, as soon as each is free: a worker
-        still holding a base-2 test is done sooner than this process's
-        round would be.  A rejection at round i restores the state saved
-        after draw i, and the rounds still out are waited for, so the rounds
-        counted and every later draw are a serial run's, and no round is
-        pending when the base-2 tests go on.
-        """
-        check, draws = draw_rounds(n, "strong-lucas", rounds, rng, d)
-        drawn, states = [], []
-        for pair in draws:
-            drawn.append(pair)
-            states.append(rng.getstate())
-        tickets = {}  # round index -> ticket of the worker running it
-
-        def results():
-            for i, pair in enumerate(drawn):
-                res = self.result(tickets.pop(i)) if i in tickets else None
-                if res is None:  # not sent, or lost with its worker
-                    ahead = drawn[i + 1:i + 1 + len(self.pids)]
-                    for j, later in enumerate(ahead, i + 1):
-                        if isinstance(later, LucasParams):
-                            tickets[j] = self.send(n, later)
-                    res = round_result(check, n, pair)
-                yield res
-
-        res, spent = first_rejection(results())
-        for ticket in tickets.values():
-            self.result(ticket)
-        if spent < len(drawn):
-            rng.setstate(states[spent - 1])
-        return res, spent
 
     def release(self) -> None:
         """Wait for the replies still owed, drop those no caller took, then

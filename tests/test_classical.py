@@ -307,6 +307,28 @@ def test_run_rounds_refuses_d_sharing_a_factor_with_n(method):
             run_rounds(n, method, 1, random.Random(1), 21)
 
 
+@pytest.mark.parametrize("method", ["lucas", "miller-rabin", "fermat"])
+def test_run_rounds_refuses_a_pool_with_any_but_strong_lucas(method):
+    # the workers run strong Lucas rounds only; refused before any draw
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="strong-lucas rounds only"):
+        run_rounds(104729, method, 3, rng, pool=object())
+    assert rng.getstate() == state
+    with pytest.raises(TypeError):  # the pool is passed by name only
+        run_rounds(104729, "strong-lucas", 3, rng, None, object())
+
+
+def test_run_rounds_runs_on_a_stream_that_keeps_no_state():
+    # without a pool the stream's state is never read, and
+    # random.SystemRandom raises on getstate
+    rng = random.SystemRandom()
+    assert run_rounds(1000003, "strong-lucas", 3, rng) == (PROBABLE_PRIME, 3)
+    # 5459 = 53 * 103 passes about half its Lucas rounds
+    res, spent = run_rounds(5459, "lucas", MAX_ROUNDS, rng)
+    assert res.verdict is Verdict.COMPOSITE and spent < MAX_ROUNDS
+
+
 def _rfc3526_prime() -> int:
     """The 2048-bit MODP group prime of RFC 3526, a safe prime."""
     mpmath = pytest.importorskip("mpmath")

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import signal
 
 import pytest
@@ -502,6 +503,40 @@ def test_a_rejection_in_a_worker_rewinds_the_parameter_stream(cpus,
             assert [call for call in pooled_calls if call[0] == n] == calls[:1]
     # every survivor's first pair is the inline run's: the stream rewound
     assert dict(reversed(pooled_calls)) == dict(reversed(inline_calls))
+
+
+def test_run_rounds_on_the_pool_are_the_inline_rounds(cpus, monkeypatch):
+    # 5459 = 53 * 103 passes round 1 at seed 4; the patched round rejects
+    # its round-2 pair, in a worker, while round 3 is out too
+    stream = random.Random(4)
+    d = lucas.select_d(5459)
+    second = [lucas.sample_params(5459, d, stream) for _ in range(2)][1]
+
+    def round_(n, params):
+        if (n, params) == (5459, second):
+            return lucas.NO_ZERO_TERM
+        return lucas.strong_lucas_round(n, params)
+
+    monkeypatch.setattr(classical, "strong_lucas_round", round_)
+    # patched before the pool forks, so its workers run it
+    monkeypatch.setattr(workers, "strong_lucas_round", round_)
+    cpus(2)
+    pool = workers.take()
+    try:
+        for n, expected in ((1000003, (lucas.PROBABLE_PRIME, 8)),
+                            (5459, (lucas.NO_ZERO_TERM, 2))):
+            inline, pooled = random.Random(4), random.Random(4)
+            assert classical.run_rounds(n, "strong-lucas", 8, inline) == (
+                expected)
+            assert classical.run_rounds(n, "strong-lucas", 8, pooled,
+                                        pool=pool) == expected
+            assert pooled.getstate() == inline.getstate()
+            # every round sent was waited for, and its reply taken
+            assert pool.sent == pool.read and not pool.answers
+    finally:
+        pool.release()
+    # the prime sent rounds 2, 3, 5, 6 and 8; 5459 rounds 2 and 3
+    assert len(pool.pids) == 2 and pool.sent == 7
 
 
 def test_a_worker_killed_in_a_round_costs_the_pool_not_the_outcome(
