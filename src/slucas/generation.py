@@ -27,14 +27,15 @@ LATER_POOL_BITS bits on at its later ones, the base-2 tests and the
 survivors' later Lucas rounds run in worker processes (``workers``):
 each request goes out by ``send``, and its one reply line comes back by
 ``result`` as a ``RoundResult``.  This process reads ahead while a
-worker is free: it screens the next candidates and sends their tests to
-whichever worker answers first, and takes the results back in candidate
-order.  For a survivor, ``classical.run_rounds`` draws the next rounds
-as workers free up and sends them out before it runs one here, then
-rewinds the parameter stream to where a serial run would stop.  The
-screens, the draws and the choice of discriminant stay in the calling
-process, so the prime, the counts and the transcript are those of an
-inline run.
+worker is free: it screens the next candidates, sends each survivor's
+test out, and takes the results back in candidate order, waiting for the
+oldest when every worker is busy, so the tests sent do not hang on which
+worker answers first.  For a survivor, ``classical.run_rounds`` draws
+the next rounds as workers free up and sends them out before it runs
+one here, then rewinds the parameter stream to where a serial run would
+stop.  The screens, the draws and the choice of discriminant stay in the
+calling process, so the prime, the counts and the transcript are those
+of an inline run.
 
 A generating process loads ``kernel``, ``lucas``, ``classical`` and this
 module only: no ``bounds``, no ``dataclasses`` (the records are
@@ -175,47 +176,46 @@ def _stages(window: int, candidate, screens, pool):
     it: the first of ``screens`` to reject it, else "base-2" if a base-2
     strong test does, else None.
 
-    With a pool, this screens ahead until it holds one survivor of the
-    screens that no worker tests yet, ``send``s it to the first worker
-    free, and waits for whichever answers first; a ``result`` of None (the
-    pool closed) is tested here.  A candidate is yielded once its stage is
-    known, before any refill, so a base-2 pass leaves at most one test in
-    flight per other worker.
+    With a pool, each survivor of the screens is ``send``t to a worker.
+    While every worker holds one of these tests, the survivor waits in
+    hand and the oldest candidate is yielded first, its ``result`` waited
+    for; a ``result`` of None (the pool closed) is tested here.  So a
+    candidate is yielded before its worker gets a new test, a base-2 pass
+    leaves at most one test in flight per other worker, and the tests sent
+    depend on the candidates alone, not on which worker answers first.
     """
-    ahead = deque()  # [n, stage, ticket of its test on the pool], oldest first
-    deck = None  # the survivor in ``ahead`` that waits for a free worker
-    i = 0
-    while ahead or i < window:
-        pooled = pool is not None and bool(pool.pids)
-        if not pooled:  # none, or closed: every test left runs here
-            deck = None
-        head = ahead[0] if ahead else None
-        if head is not None and head is not deck and not (
-                pooled and pool.waiting(head[2])):
-            n, stage, ticket = ahead.popleft()
-            if stage is None:
-                passed = None if ticket is None else pool.result(ticket)
-                if passed is None:  # tested here, or lost with its worker
-                    passed = is_strong_probable_prime(n, 2)
-                if not passed:
-                    stage = "base-2"
-            yield n, stage
-        elif deck is not None and pool.idle():
-            deck[2] = pool.send(deck[0])
-            deck = None
-        elif i < window and deck is None and (pooled or not ahead):
-            n = candidate(i)
-            for stage, rejects in screens:
-                if rejects(i, n):
-                    break
-            else:
-                stage = None
-            ahead.append([n, stage, None])
-            if stage is None and pooled:
-                deck = ahead[-1]
-            i += 1
+    ahead = deque()  # (n, stage, ticket of its test on the pool), oldest first
+
+    def oldest():
+        n, stage, ticket = ahead.popleft()
+        if stage is None:
+            passed = None if ticket is None else pool.result(ticket)
+            if passed is None:  # tested here, or lost with its worker
+                passed = is_strong_probable_prime(n, 2)
+            if not passed:
+                stage = "base-2"
+        return n, stage
+
+    for i in range(window):
+        n = candidate(i)
+        for stage, rejects in screens:
+            if rejects(i, n):
+                break
         else:
-            pool.wait()
+            stage = None
+        ticket = None
+        if stage is None and pool is not None:
+            # while every worker holds a test of ``ahead``, the oldest goes
+            # first; a closed pool has no worker, so every test goes
+            while ahead and len(pool.pids) <= sum(
+                    t is not None for _, _, t in ahead):
+                yield oldest()
+            ticket = pool.send(n)
+        ahead.append((n, stage, ticket))
+        while ahead and ahead[0][2] is None:  # needs no reply from the pool
+            yield oldest()
+    while ahead:
+        yield oldest()
 
 
 def _search(cfg: GenConfig, window: int, candidate, screens,

@@ -11,8 +11,8 @@ CPU, without ``os.fork``, or in a process that already runs threads,
 where a fork would copy the locks they hold.  ``Workers.send`` hands a
 worker one request and ``Workers.result`` takes back its one reply line,
 decoded into a ``RoundResult``.  ``generation`` sends base-2 tests this
-way, and ``classical.run_rounds`` a survivor's later Lucas rounds; it
-uses nothing else of a pool but its ``pids``.  A worker that dies closes
+way, and ``classical.run_rounds`` a survivor's later Lucas rounds; both
+use nothing else of a pool but its ``pids``.  A worker that dies closes
 its pool: the caller's requests then run inline, and the next ``take``
 forks afresh.
 
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import atexit
 import contextlib
-import functools
 import os
 import select
 import sys
@@ -47,15 +46,16 @@ class Workers:
 
     ``send`` hands a request to a free worker and returns its ticket; a
     worker holds one request at a time and answers it with one
-    "verdict,reason,factor" line.  ``wait`` waits on every busy worker's
-    reply pipe together and decodes each reply into a ``RoundResult``, kept
-    under its ticket until ``result`` takes it, so the caller refills
-    whichever worker answers first; ``classical.run_rounds`` sends a
-    survivor's later strong Lucas rounds this way.  A dead worker
-    shows as the end of its own reply pipe.  It, or an exception in the
-    middle of an exchange, closes the pool: the requests still held get no
-    reply, which the caller then runs here, and nothing more is sent.  A
-    worker exits when its request pipe ends, so none outlives this process.
+    "verdict,reason,factor" line.  While ``send`` waits for a free worker,
+    or ``result`` for a reply, every busy worker's reply pipe is waited on
+    together, and each reply is decoded into a ``RoundResult`` kept under
+    its ticket until ``result`` takes it.  ``generation`` and
+    ``classical.run_rounds`` use only ``send``, ``result`` and ``pids``.
+    A dead worker shows as the end of its own reply pipe.  It, or an
+    exception in the middle of an exchange, closes the pool: the requests
+    still held get no reply, which the caller then runs here, and nothing
+    more is sent.  A worker exits when its request pipe ends, so none
+    outlives this process.
     """
 
     def __init__(self, count: int):
@@ -80,19 +80,11 @@ class Workers:
             self.close()
             raise
 
-    def idle(self) -> bool:
-        """Whether a worker is free; False once the pool is closed."""
-        return None in self.held
-
-    def waiting(self, ticket: int | None) -> bool:
-        """Whether a worker still holds the request under ``ticket``."""
-        return ticket is not None and ticket in self.held
-
     def send(self, n: int, params: LucasParams | None = None) -> int | None:
         """Send n for a base-2 strong test, or with ``params`` for a strong
         Lucas round, once a worker is free: its ticket; None if closed."""
-        while self.held and not self.idle():
-            self.wait()
+        while self.held and None not in self.held:
+            self._wait()
         if not self.held:
             return None
         worker = self.held.index(None)
@@ -109,7 +101,7 @@ class Workers:
         self.sent += 1
         return ticket
 
-    def wait(self) -> None:
+    def _wait(self) -> None:
         """Read each busy worker's reply that is in, waiting for one."""
         busy = [w for w, ticket in enumerate(self.held) if ticket is not None]
         try:
@@ -128,17 +120,17 @@ class Workers:
             self.close()
             raise
 
-    def result(self, ticket: int) -> RoundResult | None:
+    def result(self, ticket: int | None) -> RoundResult | None:
         """The result under ``ticket``, waited for; None if the pool closed."""
-        while self.waiting(ticket):
-            self.wait()
+        while ticket is not None and ticket in self.held:
+            self._wait()
         return self.answers.pop(ticket, None)
 
     def release(self) -> None:
         """Wait for the replies still owed, drop those no caller took, then
         hand the pool back for the next ``take``."""
         while any(ticket is not None for ticket in self.held):
-            self.wait()
+            self._wait()
         self.answers.clear()
         if self.pids:
             _pools[os.getpid()] = self
@@ -183,7 +175,6 @@ def _serve(requests: int, replies: int, parent_ends) -> None:
         os._exit(0)
 
 
-@functools.lru_cache(maxsize=64)  # the lines that carry no factor recur
 def _decode(reply: bytes) -> RoundResult:
     verdict, reason, factor = reply.decode().split(",")
     return RoundResult(Verdict(verdict), reason, int(factor, 16) or None)

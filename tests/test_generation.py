@@ -368,6 +368,66 @@ def cpus(monkeypatch):
         pool.close()
 
 
+class _AtOnce:
+    """A stand-in pool of two workers that runs each request as it is
+    sent, in this process, and counts them."""
+
+    pids = (1, 2)
+
+    def __init__(self):
+        self.replies = []
+
+    def send(self, n, params=None):
+        self.replies.append(classical.miller_rabin_round(n, 2)
+                            if params is None
+                            else lucas.strong_lucas_round(n, params))
+        return len(self.replies) - 1
+
+    def result(self, ticket):
+        return self.replies[ticket]
+
+    def release(self):
+        pass
+
+
+def _on(pool, monkeypatch, gen, cfg):
+    """gen(cfg) with ``pool`` as the pool of the call; None runs it inline."""
+    with monkeypatch.context() as patch:
+        patch.setattr(generation, "_take_pool", lambda bits: pool)
+        return gen(cfg)
+
+
+# (generator, config, requests sent): both generators at 512 bits, and
+# two windows that end in FAIL
+AT_ONCE_RUNS = [
+    *[(prime_inc_luc, dict(bits=512, rounds=3, seed=s), sent)
+      for s, sent in enumerate((12, 68, 36, 5, 7))],
+    *[(strong_luc_generate, dict(bits=512, rounds=3, seed=s), sent)
+      for s, sent in enumerate((9, 5, 6, 10, 7))],
+    (prime_inc_luc, dict(bits=1024, rounds=3, window=40, seed=0), 7),
+    (strong_luc_generate, dict(bits=1024, rounds=3, window=60, seed=0), 3),
+]
+
+
+@pytest.mark.parametrize("gen, kwargs, sent", AT_ONCE_RUNS, ids=[
+    "-".join([gen.__name__, *(f"{k}{v}" for k, v in kwargs.items())])
+    for gen, kwargs, _ in AT_ONCE_RUNS])
+def test_the_tests_sent_follow_from_the_candidates(monkeypatch, gen, kwargs,
+                                                   sent):
+    cfg = GenConfig(**kwargs)
+    inline = _on(None, monkeypatch, gen, cfg)
+    pool = _AtOnce()
+    pooled = _on(pool, monkeypatch, gen, cfg)
+    assert pooled == inline and pooled.to_jsonl() == inline.to_jsonl()
+    # a base-2 test per candidate past the screens; with a prime, one test
+    # still out on the other worker and the prime's later Lucas rounds
+    screens = {"jacobi-filter", "small-factor", "square", "shares-factor",
+               "trial-division"}
+    past = sum(e["stage"] not in screens for e in inline.transcript)
+    found = len(pool.pids) - 1 + cfg.rounds - 1 if inline else 0
+    assert len(pool.replies) == past + found == sent
+
+
 # (generator, config, whether the window ends in FAIL): several seeds at
 # the sizes the pool serves, a process's second call from 512 bits on;
 # windows that end in FAIL, one whose last candidate is the prime, and
@@ -391,7 +451,8 @@ POOLED_RUNS = [
 @pytest.mark.parametrize("gen, kwargs, fails", POOLED_RUNS, ids=[
     "-".join([gen.__name__, *(f"{k}{v}" for k, v in kwargs.items())])
     for gen, kwargs, _ in POOLED_RUNS])
-def test_pool_gives_the_inline_outcome(cpus, gen, kwargs, fails):
+def test_pool_gives_the_inline_outcome(cpus, monkeypatch, gen, kwargs,
+                                       fails):
     cfg = GenConfig(**kwargs)
     cpus(1)
     inline = gen(cfg)
@@ -400,6 +461,10 @@ def test_pool_gives_the_inline_outcome(cpus, gen, kwargs, fails):
     pooled = gen(cfg)
     pool = workers._pools[os.getpid()]
     assert len(pool.pids) == 2 and pool.sent == pool.read > 0
+    # the requests sent do not hang on which worker answers first
+    at_once = _AtOnce()
+    _on(at_once, monkeypatch, gen, cfg)
+    assert pool.sent == len(at_once.replies)
     assert pooled == inline and pooled.to_jsonl() == inline.to_jsonl()
     assert (pooled.result is None) is fails
     if kwargs.get("window") == 60:
