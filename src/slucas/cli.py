@@ -216,12 +216,15 @@ def _parser() -> argparse.ArgumentParser:
 
     sub = command("generate", cmd_generate)
     sub.add_argument("--bits", type=int, required=True,
-                     help="Exact bit size of the output.")
+                     help=f"Exact bit size of the output, 5 to {MAX_BOUND_K}.")
     sub.add_argument("--rounds", "-t", type=int, default=1,
                      help=f"Strong Lucas rounds, 1 to {MAX_ROUNDS}. "
                           "[default: %(default)s]")
     sub.add_argument("--mode", choices=["uniform", "incremental"],
-                     default="uniform", help="[default: %(default)s]")
+                     default="uniform",
+                     help="Uniform gives each prime with (d/p) = -1 equally "
+                          "often; incremental favours primes after long "
+                          "gaps. [default: %(default)s]")
     sub.add_argument("--window", type=int, default=None,
                      help="Most candidates tested before FAIL, 1 to "
                           f"{MAX_WINDOW} [default: 10*ceil(bits*ln 2) "

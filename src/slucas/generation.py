@@ -52,15 +52,11 @@ from collections import deque
 from typing import NamedTuple
 
 from .classical import D_SEARCH, run_rounds
-from .kernel import (MAX_SCREEN_DEPTH, MAX_WINDOW, SCREEN_REACH,
-                     check_discriminant, check_integer, check_rounds,
-                     check_screen_depth, is_perfect_square,
+from .kernel import (MAX_BOUND_K, MAX_SCREEN_DEPTH, MAX_WINDOW,
+                     SCREEN_REACH, check_discriminant, check_integer,
+                     check_rounds, check_screen_depth, is_perfect_square,
                      is_strong_probable_prime, jacobi, least_factor,
                      odd_primes, primes_in, sieve_window)
-
-# Largest trial-division bound, reached at k = 8192 bits: past it the
-# sieve and the cached primes (about 300,000 of them) would keep growing.
-MAX_TRIAL_BOUND = 1 << 22
 
 # From this size on, a process's first call runs on the workers.  Below
 # it, a process that makes one prime, as `slucas generate` does, spends
@@ -84,6 +80,7 @@ class _GenFields(NamedTuple):
 class GenConfig(_GenFields):
     """Shared knobs for both generators.
 
+    ``bits`` is 5 to MAX_BOUND_K, the largest size the bounds price.
     ``d`` fixes the discriminant; None means the uniform generator uses 5
     and the incremental one picks a fresh discriminant per candidate by
     the alternating-sign sweep.  ``rounds`` is 1 to 128.  ``screen`` is
@@ -103,8 +100,8 @@ class GenConfig(_GenFields):
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         check_integer(self.bits, "bits")
-        if self.bits < 5:
-            raise ValueError("need bits >= 5")
+        if not 5 <= self.bits <= MAX_BOUND_K:
+            raise ValueError(f"need bits >= 5 and at most {MAX_BOUND_K}")
         check_rounds(self.rounds)
         check_screen_depth(self.screen)
         if self.window is not None:
@@ -145,10 +142,10 @@ class GenOutcome(NamedTuple):
 def trial_bound(bits: int) -> int:
     """Largest prime the trial-division stage checks for k-bit candidates.
 
-    k**2 / 16, capped at 2**22; the stage is empty below k = 127, where
-    this falls under SCREEN_REACH.
+    k**2 / 16, at most 2**22 at k = MAX_BOUND_K; the stage is empty below
+    k = 127, where this falls under SCREEN_REACH.
     """
-    return min(bits * bits // 16, MAX_TRIAL_BOUND)
+    return bits * bits // 16
 
 
 def _draw_odd(bits: int, rng: random.Random) -> int:
@@ -275,7 +272,8 @@ def strong_luc_generate(cfg: GenConfig) -> GenOutcome:
     through) and no prime factor in (1000, trial_bound(bits)] (both by
     ``least_factor``: one gcd per block product), and must pass a base-2
     strong test.  Each test round draws fresh parameters; a window with no
-    survivor is a Fail.
+    survivor is a Fail.  It outputs only primes with (d/p) = -1, about half
+    the k-bit primes, each equally often.
     """
     draws = random.Random(cfg.seed)
     d = 5 if cfg.d is None else cfg.d
@@ -304,7 +302,9 @@ def prime_inc_luc(cfg: GenConfig) -> GenOutcome:
     strong Lucas rounds, with the discriminant fixed by config or chosen
     per candidate.  The window stops short of 2**k, so every candidate
     has k bits.  Returns a Fail outcome (result None) when the window is
-    exhausted.
+    exhausted.  A prime p comes out of the (p - p')/2 starts above the
+    prime p' before it (or 2**(k-1) - 1), so primes after long gaps come
+    out more often (Brandt-Damgard, CRYPTO '92).
     """
     draws = random.Random(cfg.seed)
     window = cfg.window or 10 * math.ceil(cfg.bits * math.log(2))

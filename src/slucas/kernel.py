@@ -59,7 +59,8 @@ MAX_BOUND_ROUNDS = 10 ** 6
 # default window: a config no candidate survives ends in Fail, not a hang.
 MAX_WINDOW = 10 ** 6
 
-# Least and largest k the bound engines accept (checked in bounds._splits).
+# Least and largest k the bound engines accept (checked in bounds._splits);
+# the generators take no k past MAX_BOUND_K either (generation.GenConfig).
 MIN_BOUND_K = 17
 MAX_BOUND_K = 8192
 
@@ -122,13 +123,16 @@ def check_discriminant(d: int) -> None:
 
     D = P^2 - 4Q is 0 or 1 mod 4, and a square D gives (D/n) = +1 for
     every n coprime to it, so no round could use it.  The message names
-    d at any length.
+    d, past 40 characters by its ends and its length.
     """
-    with unlimited_digits():
-        if d % 4 not in (0, 1):
-            raise ValueError(f"discriminant must be 0 or 1 mod 4: {d}")
-        if is_perfect_square(d):
-            raise ValueError(f"discriminant must not be a square: {d}")
+    fault = ("be 0 or 1 mod 4" if d % 4 not in (0, 1)
+             else "not be a square" if is_perfect_square(d) else None)
+    if fault:
+        with unlimited_digits():
+            name = str(d)
+        if len(name) > 40:
+            name = f"{name[:5]}...{name[-5:]} ({len(name.lstrip('-'))} digits)"
+        raise ValueError(f"discriminant must {fault}: {name}")
 
 
 def check_integer(value: int, what: str) -> None:

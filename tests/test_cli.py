@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import shlex
 import signal
 import subprocess
@@ -19,7 +20,7 @@ import pytest
 import slucas
 from slucas.cli import main
 from slucas.generation import GenOutcome
-from slucas.kernel import MAX_WINDOW, unlimited_digits
+from slucas.kernel import MAX_BOUND_K, MAX_WINDOW, unlimited_digits
 from slucas.lucas import select_d
 
 from conftest import LATE_D_PRIME, mr_oracle
@@ -249,6 +250,7 @@ def test_generate_zero_discriminant_is_usage_error(run, mode):
 
 def test_generate_usage_error(run):
     assert run("generate", "--bits", 3).exit_code == 2
+    assert f"5 to {MAX_BOUND_K}." in run("generate", "--help").output
     res = run("generate", "--bits", 32, "--screen", 200)
     assert res.exit_code == 2
     assert "screen" in res.output and "Traceback" not in res.output
@@ -286,6 +288,15 @@ def test_window_past_the_ceiling_is_refused_at_once(args):
                             "need window >= 1 and at most 1000000")
 
 
+@pytest.mark.parametrize("bits", [8193, 10 ** 10, 2 ** 61 - 1])
+@pytest.mark.parametrize("mode", ["uniform", "incremental"])
+def test_bits_past_the_bounds_ceiling_are_refused_at_once(bits, mode):
+    # 2^61 - 1 bits used to end in a MemoryError, 10^10 in an OverflowError
+    # or a 1.2 GB default window, and 8193 in a minute of silent work
+    _refused_in_own_process(("generate", "--bits", bits, "--mode", mode,
+                             "--seed", 1), "need bits >= 5 and at most 8192")
+
+
 def test_window_at_the_ceiling_is_accepted(run):
     res = run("generate", "--bits", 64, "--window", MAX_WINDOW, "--seed", 1)
     assert res.exit_code == 0
@@ -299,6 +310,77 @@ def test_rounds_at_the_ceiling_are_accepted(run):
     assert run("generate", "--bits", 64, "-t", 128, "--seed", 1).exit_code == 0
     assert "1 to 128" in run("test", "--help").output
     assert "1 to 128" in run("generate", "--help").output
+
+
+# Each flag's values: the ends of its range, one past each end, huge and
+# malformed values.  A run that succeeds stays small (at most 128 bits, a
+# survey at most k = 10), so a few hundred runs take about half a second.
+with unlimited_digits():
+    HUGE_D = str(10 ** 4999 + 1)        # 1 mod 4 and no square: usable
+D_POOL = (5, 4, 9, -3, "-0x3", HUGE_D, HUGE_D[:-1] + "3", "0x")
+ARGV_POOLS = {
+    "test": (("", (4, 5, 323, 2 ** 61 - 1, 3825123056546413051, "0x10001",
+                   "x")),
+             ("--method", ("strong-lucas", "lucas", "miller-rabin", "fermat",
+                           "bpsw", "x")),
+             ("--rounds", (0, 1, 128, 129, "1.5")),
+             ("--d", D_POOL),
+             ("--seed", (1, -5, 2 ** 70, "x"))),
+    "generate": (("--bits", (4, 5, 64, 128, 8193, 9999999967, 2 ** 61 - 1,
+                             "x")),
+                 ("--rounds", (0, 1, 128, 129)),
+                 ("--mode", ("uniform", "incremental", "x")),
+                 ("--window", (0, 1, 10 ** 6 + 1)),
+                 ("--d", D_POOL),
+                 ("--screen", (1, 2, 166, 167)),
+                 ("--seed", (1, -5, 2 ** 70))),
+    "count": (("", (2, 3, 323, 2 ** 52 - 1, 2 ** 52, "x")),
+              ("--what", ("sl", "f", "l", "mr", "alpha", "x")),
+              ("--d", D_POOL)),
+    "bounds": (("--table", (2, 6, 7, "x")),
+               ("--single", ((16, 1), (17, 1), (8193, 1), (17, 10 ** 6 + 1),
+                             (60, "x"))),
+               ("--survey-k", (1, 2, 10, 17)),
+               ("--l", (1, 2, 8, 166, 167)),
+               ("--c", ("1e308", "1e-308", "inf", "nan", "x")),
+               ("--format", ("tsv", "json", "x"))),
+}
+
+
+def _draw_argv(rng):
+    """A subcommand, its required N or --bits ("" names N), and each other
+    flag present or not, each with a value from its pool."""
+    command = rng.choice(sorted(ARGV_POOLS))
+    argv = [command]
+    for flag, pool in ARGV_POOLS[command]:
+        if flag in ("", "--bits") or rng.random() < 1 / 3:
+            value = rng.choice(pool)
+            argv += ([flag] if flag else []) + list(
+                value if isinstance(value, tuple) else (value,))
+    return argv
+
+
+def test_every_argv_ends_in_an_exit_code(run):
+    def overran(*args):
+        raise TimeoutError("ran past the per-call limit")
+    rng = random.Random(2024)
+    previous = signal.signal(signal.SIGALRM, overran)
+    try:
+        for _ in range(400):
+            argv = _draw_argv(rng)
+            signal.setitimer(signal.ITIMER_REAL, 5)
+            res = run(*argv)
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            name = " ".join(str(a)[:20] for a in argv)
+            assert res.exit_code in (0, 1, 2), name
+            assert res.exception is None or isinstance(
+                res.exception, SystemExit), name
+            assert "Traceback" not in res.output, name
+            if res.exit_code == 2:  # one short line names the fault
+                assert len(res.output.splitlines()[-1]) < 200, name
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_count_subcommand(run):
@@ -368,6 +450,7 @@ def test_test_refuses_a_long_discriminant_by_name(run, d, fault):
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
     assert fault in res.output
+    assert len(res.output.splitlines()[-1]) < 100  # not all 4,401 digits
 
 
 def test_generate_prints_a_result_past_the_digit_limit(run, monkeypatch):

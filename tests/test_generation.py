@@ -4,6 +4,7 @@ import math
 import os
 import random
 import signal
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +13,9 @@ from slucas import classical, generation, lucas, workers
 from slucas.generation import (LATER_POOL_BITS, MAX_SCREEN_DEPTH, POOL_BITS,
                                GenConfig, GenOutcome, prime_inc_luc,
                                sieve_window, strong_luc_generate)
-from slucas.kernel import (MAX_ROUNDS, MAX_WINDOW, SCREEN_REACH, _prime_blocks,
-                           jacobi, least_factor, primes_in, sieve_primes)
+from slucas.kernel import (MAX_BOUND_K, MAX_ROUNDS, MAX_WINDOW, SCREEN_REACH,
+                           _prime_blocks, jacobi, least_factor, primes_in,
+                           sieve_primes)
 
 from conftest import mr_oracle
 
@@ -62,9 +64,21 @@ PINNED_TRANSCRIPTS = [
      "410f57c5bd793c43a281358629867f6fb454c416db5b35d772e5fb4c9d50c760"),
 ]
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        GenConfig(bits=4)
+def test_config_validation(monkeypatch):
+    # past MAX_BOUND_K a size is refused before any draw; 2^61 - 1 bits
+    # used to reach a MemoryError, 10^10 an OverflowError in getrandbits
+    def no_draw(*args):
+        raise AssertionError("drew a candidate for a refused size")
+    monkeypatch.setattr(generation, "_draw_odd", no_draw)
+    refused = "need bits >= 5 and at most 8192"
+    for bits in (4, MAX_BOUND_K + 1, 10 ** 10, 2 ** 61 - 1):
+        with pytest.raises(ValueError, match=refused):
+            GenConfig(bits=bits)
+    with pytest.raises(ValueError, match=refused):
+        GenConfig(bits=64)._replace(bits=MAX_BOUND_K + 1)
+    with pytest.raises(ValueError, match=refused):
+        GenConfig._make((MAX_BOUND_K + 1,))
+    assert GenConfig(bits=MAX_BOUND_K).bits == 8192
     with pytest.raises(ValueError):
         GenConfig(bits=32, rounds=0)
     for rounds in (MAX_ROUNDS + 1, 10 ** 20):  # a prime would meet them all
@@ -177,6 +191,65 @@ def test_incremental_walk_ends_below_two_to_the_bits():
             assert out.result is None or out.result.bit_length() == bits
 
 
+# At k = 12 every odd composite below 2^12 has a factor below 64, inside
+# the default screen, so every output is prime and each generator's law
+# over the 12-bit primes is exact.
+LAW_BITS = 12
+LAW_PRIMES = [p for p in sieve_primes(1 << LAW_BITS)
+              if p >> (LAW_BITS - 1)]
+LAW_SEEDS = range(3000)
+
+
+def _chi_square_z(counts, weights):
+    """Pearson's chi-square of ``counts`` against the law proportional to
+    ``weights`` (a dict over every cell), as a z-score."""
+    assert set(counts) <= set(weights)
+    total, mass = sum(counts.values()), sum(weights.values())
+    chi2 = sum((counts[cell] - total * w / mass) ** 2
+               / (total * w / mass) for cell, w in weights.items())
+    df = len(weights) - 1
+    return (chi2 - df) / math.sqrt(2 * df)
+
+
+def test_uniform_mode_is_uniform_over_the_primes_it_can_output():
+    # d = 5: only primes with (5/p) = -1 pass the Jacobi filter
+    law = {p: 1 for p in LAW_PRIMES if jacobi(5, p) == -1}
+    assert (len(law), len(LAW_PRIMES)) == (128, 255)
+    counts = Counter(strong_luc_generate(GenConfig(
+        bits=LAW_BITS, rounds=2, seed=seed)).result for seed in LAW_SEEDS)
+    assert abs(_chi_square_z(counts, law)) < 4
+
+
+def test_incremental_mode_favours_primes_after_long_gaps():
+    # every odd start reaches 2^12 in 2^10 steps: p is the output of the
+    # starts in (p', p], p' the prime before it or 2^11 - 1; a start past
+    # the last prime, 4093, fails (probability 1/1024), and the law holds
+    # given that none does
+    before = [(1 << (LAW_BITS - 1)) - 1] + LAW_PRIMES[:-1]
+    law = {p: (p - q) // 2 for p, q in zip(LAW_PRIMES, before)}
+    outs = (prime_inc_luc(GenConfig(bits=LAW_BITS, rounds=2,
+                                    window=1 << (LAW_BITS - 2), seed=seed))
+            for seed in LAW_SEEDS)
+    counts = Counter(out.result for out in outs if out)
+    assert abs(_chi_square_z(counts, law)) < 4
+
+
+def test_incremental_fail_rate_is_the_share_of_barren_starts():
+    # a window of 4 fails from each odd start with no prime among its
+    # candidates, the walk stopping below 2^12
+    primes, top = set(LAW_PRIMES), 1 << LAW_BITS
+    starts = range((1 << (LAW_BITS - 1)) + 1, top, 2)
+    barren = sum(primes.isdisjoint(range(n0, min(n0 + 8, top), 2))
+                 for n0 in starts)
+    assert barren == 284
+    p = barren / len(starts)
+    fails = sum(not prime_inc_luc(GenConfig(bits=LAW_BITS, rounds=2,
+                                            window=4, seed=seed))
+                for seed in LAW_SEEDS)
+    n = len(LAW_SEEDS)
+    assert abs(fails - n * p) / math.sqrt(n * p * (1 - p)) < 4
+
+
 def test_outcome_truthiness():
     ok = GenOutcome(result=101, candidates_tested=1, rounds_run=1,
                     transcript=[])
@@ -257,7 +330,7 @@ def test_trial_stage_bounds():
     assert all(product == math.prod(block) for block, product in blocks)
     assert len(blocks) == 3 and math.prod(
         product for _, product in blocks) == math.prod(primes)
-    assert generation.trial_bound(10 ** 5) == generation.MAX_TRIAL_BOUND
+    assert generation.trial_bound(MAX_BOUND_K) == 1 << 22
 
 
 @pytest.mark.parametrize("bits, seed", [(512, 3), (1024, 1)])

@@ -16,7 +16,7 @@ from slucas.cli import UsageError, cmd_count
 from slucas.counting import (exact_qk1, fermat_count, lucas_uv_mod,
                              mr_count, phi_d, sl_count, slpsp_bruteforce)
 from slucas.generation import GenConfig
-from slucas.kernel import (MAX_ROUNDS, TRIAL_REACH, CapacityError,
+from slucas.kernel import (MAX_BOUND_K, MAX_ROUNDS, TRIAL_REACH, CapacityError,
                            Factorization, check_discriminant, check_odd,
                            check_screen_depth, count_primes_in_range,
                            factorize, is_perfect_square, jacobi,
@@ -135,7 +135,7 @@ def test_sieve_limit_raises_before_sieving(monkeypatch):
     with pytest.raises(CapacityError):
         sieve_primes(kernel.SIEVE_LIMIT + 1)
     assert (kernel._table, kernel._table_limit) == table
-    assert kernel.SIEVE_LIMIT >= generation.MAX_TRIAL_BOUND
+    assert kernel.SIEVE_LIMIT >= generation.trial_bound(MAX_BOUND_K)
 
 
 # 4,401 decimal digits, past the interpreters' default limit of 4,300: an
